@@ -4,7 +4,9 @@ Every subcommand prints one structured report (JSON by default, CSV for the
 Hellman sweep) carrying a schema version and the fully resolved config,
 seed included, so identical invocations produce byte-identical output.
 Exit status: 0 when every assertion in the invoked suite passed, 1 on a
-verification failure, 2 on usage errors.
+verification failure, 2 on usage errors.  An internal certification failure
+(an ArithmeticError from an exact rank, a spectral gap or a projector check)
+is a verification failure: it is reported with pass false and its reason.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def cmd_young(args) -> int:
 def cmd_spectrum(args) -> int:
     from perminv import regrep
 
-    report = regrep.spectrum(args.n, threads=args.threads)
+    report = regrep.spectrum(args.n)
     return _emit(args, report.to_dict(), report.passed)
 
 
@@ -177,9 +179,11 @@ def cmd_lemma_check(args) -> int:
 def cmd_game(args) -> int:
     from perminv import querysim
 
+    challenge = "all" if args.challenge == "all" else int(args.challenge)
+    if challenge != "all" and not 0 <= challenge < args.n:
+        raise ValueError(f"--challenge must be 'all' or in range({args.n}), got {challenge}")
     layout = querysim.RegisterLayout(n=args.n, w=args.w)
     program = querysim.random_program(args.n, args.p, args.t, w=args.w, seed=args.seed)
-    challenge = "all" if args.challenge == "all" else int(args.challenge)
     transcript = querysim.run_bit_fixing(program, layout, challenge=challenge)
     return _emit(args, transcript.to_dict(), transcript.passed)
 
@@ -187,6 +191,8 @@ def cmd_game(args) -> int:
 def cmd_altgame(args) -> int:
     from perminv import querysim
 
+    if args.t < 0:
+        raise ValueError(f"--t must be >= 0, got {args.t}")
     reports = []
     ok = True
     for i in range(args.adversaries):
@@ -261,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="spectrum of the challenge-averaged operator vs. formula")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
     common(p, seed=False)
     p.set_defaults(func=cmd_spectrum)
 
@@ -332,6 +337,8 @@ def main(argv=None) -> int:
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        return _emit(args, {"reason": f"{type(exc).__name__}: {exc}"}, False)
 
 
 if __name__ == "__main__":

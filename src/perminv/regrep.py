@@ -10,10 +10,11 @@ spectrum of M by brute force.
 Two arithmetic flavors coexist.  Ranks of spanning sets are decided with
 exact integer arithmetic (unnormalized assignment vectors are 0/1 integer
 vectors): fraction-free Bareiss elimination on the integer Gram matrix up to
-N = 5, and agreement of two independent prime-field eliminations plus a
-float spectral-gap cross-check at N = 6.  Orthonormal bases, projectors and
+N = 5, and agreement of two independent blocked prime-field eliminations plus
+a float spectral-gap cross-check at N = 6.  Orthonormal bases, projectors and
 eigensolves are double precision, with the exact ranks pinning every rank
-decision the float side makes.
+decision the float side makes.  Only the challenge-0 high projector is built
+constructively; the others are its relabelings by range transpositions.
 
 The default size cap is N = 6 (dimension 720).  Set PERMINV_MAX_N=7 to
 allow N = 7; dense 5040^2 float matrices cost ~200 MB each.
@@ -22,8 +23,6 @@ allow N = 7; dense 5040^2 float matrices cost ~200 MB each.
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -39,6 +38,7 @@ HARD_CAP = 7
 DEFAULT_CAP = 6
 
 _RANK_PRIMES = (1_000_003, 999_983)
+_RANK_BLOCK = 32  # panel width of the blocked prime-field elimination
 
 
 class CapacityError(ValueError):
@@ -248,38 +248,83 @@ def _rank_bareiss(mat: np.ndarray) -> int:
     return rank
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    a = (mat % p).astype(np.int64)
-    nrows, ncols = a.shape
-    rank = 0
-    for c in range(ncols):
-        if rank == nrows:
+def _rref_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Reduced row echelon form mod p of a narrow matrix of residues in
+    [0, p), one column at a time in exact float64.  Returns (reduced rows,
+    row order, pivot columns): the reduced matrix is the RREF of a[order],
+    and the rows order[:rank] of the input are linearly independent and span
+    its row space."""
+    a = np.array(a, dtype=np.float64)
+    order = np.arange(a.shape[0])
+    pivots: list[int] = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        if r == a.shape[0]:
             break
-        nz = np.nonzero(a[rank:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
-        r = rank + int(nz[0])
-        if r != rank:
-            a[[rank, r]] = a[[r, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
-        below = a[rank + 1 :]
-        if below.size:
-            below -= below[:, c : c + 1] * a[rank]
-            below %= p
-        rank += 1
+        s = r + int(nz[0])
+        a[[r, s]] = a[[s, r]]
+        order[[r, s]] = order[[s, r]]
+        a[r, c:] = _reduce_mod_p(a[r, c:] * pow(int(a[r, c]), p - 2, p), p)
+        mult = a[:, c].copy()
+        mult[r] = 0
+        a[:, c:] = _reduce_mod_p(a[:, c:] - np.outer(mult, a[r, c:]), p)
+        pivots.append(c)
+    return a, order, pivots
+
+
+def _reduce_mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place, for float64 integers of magnitude below 2^53; the
+    quotient may round one off, which the +-p correction absorbs."""
+    x -= np.floor(x / p) * p
+    x[x < 0] += p
+    x[x >= p] -= p
+    return x
+
+
+def _rank_mod_p(mat: np.ndarray, p: int) -> int:
+    """Rank mod p by blocked elimination with float64 matmul updates.
+
+    Each panel of _RANK_BLOCK columns is reduced on its own.  Its pivot rows
+    are eliminated from the other rows with multipliers X = B_rest B_piv^-1
+    (mod p) taken from the panel's pivot block; that zeroes the whole panel
+    in the other rows, and the columns right of it take one update
+    T_rest - X @ T_piv.  Every matmul sums at most _RANK_BLOCK products of
+    residues below p, so it is exact in float64 while
+    _RANK_BLOCK * (p - 1)^2 < 2^53 (Dumas, Giorgi and Pernet, ACM TOMS 2008).
+    """
+    if _RANK_BLOCK * (p - 1) ** 2 >= 2**53:
+        raise ArithmeticError(f"prime {p} too large for exact float64 blocks of {_RANK_BLOCK}")
+    a = (mat % p).astype(np.float64)
+    rank = 0
+    while a.shape[0] and a.shape[1]:
+        panel, trailing = a[:, :_RANK_BLOCK], a[:, _RANK_BLOCK:]
+        _, order, cols = _rref_mod_p(panel, p)
+        r = len(cols)
+        if r:
+            piv, rest = order[:r], order[r:]
+            aug, _, _ = _rref_mod_p(np.hstack([panel[np.ix_(piv, cols)], np.eye(r)]), p)
+            x = _reduce_mod_p(panel[np.ix_(rest, cols)] @ aug[:, r:], p)
+            trailing = _reduce_mod_p(trailing[rest] - _reduce_mod_p(x @ trailing[piv], p), p)
+            rank += r
+        a = trailing
     return rank
 
 
-def _float_rank_gap_ok(gram: np.ndarray, r: int) -> bool:
-    """True if the Gram spectrum shows a clean gap at the claimed rank r."""
-    w = np.linalg.eigvalsh(gram.astype(np.float64))
+def _check_spectral_gap(w: np.ndarray, r: int) -> None:
+    """Raise unless the ascending float spectrum w confirms rank r with a
+    wide gap: the r-th largest value must exceed 1e6 times both the next
+    value and 1e-14 of the largest; rank 0 needs every value below 1e-6."""
     if r == 0:
-        return w.size == 0 or w[-1] < 1e-6
-    if r > w.size:
-        return False
-    kept = w[-r]
-    dropped = w[-r - 1] if r < w.size else 0.0
-    return kept > 1e6 * max(dropped, w[-1] * 1e-14)
+        kept, dropped = 0.0, (w[-1] if w.size else 0.0)
+        ok = dropped < 1e-6
+    else:
+        kept, dropped = w[-r], (w[-r - 1] if r < w.size else 0.0)
+        ok = kept > 1e6 * max(dropped, w[-1] * 1e-14)
+    if not ok:
+        raise ArithmeticError(f"ambiguous spectral gap for rank {r}: {kept:.3e} vs {dropped:.3e}")
 
 
 def exact_rank(rows: np.ndarray, n: int) -> int:
@@ -293,8 +338,7 @@ def exact_rank(rows: np.ndarray, n: int) -> int:
     if len(ranks) != 1:
         raise ArithmeticError(f"prime-field ranks disagree: {sorted(ranks)}")
     r = ranks.pop()
-    if not _float_rank_gap_ok(gram, r):
-        raise ArithmeticError(f"float spectrum does not confirm rank {r}")
+    _check_spectral_gap(np.linalg.eigvalsh(gram.astype(np.float64)), r)
     return r
 
 
@@ -315,11 +359,7 @@ def _orthonormal_basis(rows: np.ndarray, expected_rank: int) -> np.ndarray:
     small_side = m <= d
     g = v @ v.T if small_side else v.T @ v
     w, u = np.linalg.eigh(g)
-    kept, dropped = w[-expected_rank], (w[-expected_rank - 1] if expected_rank < w.size else 0.0)
-    if kept <= 1e6 * max(dropped, w[-1] * 1e-14):
-        raise ArithmeticError(
-            f"ambiguous spectral gap for rank {expected_rank}: {kept:.3e} vs {dropped:.3e}"
-        )
+    _check_spectral_gap(w, expected_rank)
     uk = u[:, -expected_rank:]
     basis = (v.T @ uk) / np.sqrt(w[-expected_rank:]) if small_side else uk
     q, _ = np.linalg.qr(basis)  # one polish pass to machine orthonormality
@@ -380,17 +420,11 @@ def _assert_projector(p: np.ndarray, name: str) -> None:
         raise ArithmeticError(f"{name}: idempotence residual {idem:.3e} > 1e-8")
 
 
-@cache
-def high_projection(n: int, y: int) -> np.ndarray:
-    """Orthogonal projector onto the high subspace for challenge y.
-
-    Built constructively as the orthogonal sum over i of A_i^y with A_{i-1}
-    projected out; the chain containment A_{i-1} in A_i^y makes the
-    increment dimensions exact differences of certified ranks.
-    """
-    _check_n(n)
-    if not 0 <= y < n:
-        raise ValueError(f"challenge {y} not in range({n})")
+def _build_high_projection(n: int, y: int) -> np.ndarray:
+    """Constructive high projector for challenge y: the orthogonal sum over i
+    of A_i^y with A_{i-1} projected out; the chain containment A_{i-1} in
+    A_i^y makes the increment dimensions exact differences of certified
+    ranks."""
     f = factorial(n)
     p = np.zeros((f, f))
     for i in range(1, n):
@@ -403,6 +437,28 @@ def high_projection(n: int, y: int) -> np.ndarray:
         b = _orthonormal_basis(resid.T, expected_rank=expected)
         p += b @ b.T
     _assert_projector(p, f"high_projection({n}, {y})")
+    p.setflags(write=False)
+    return p
+
+
+@cache
+def high_projection(n: int, y: int) -> np.ndarray:
+    """Orthogonal projector onto the high subspace for challenge y.
+
+    Only P_0 is built constructively, so each rank is certified once per k.
+    The range transposition tau = (0 y) maps A_k^0 onto A_k^y and fixes A_k
+    (the relabeling change_of_challenge_check verifies), so P_y is P_0 with
+    rows and columns permuted by |pi> -> |tau . pi>.
+    """
+    _check_n(n)
+    if not 0 <= y < n:
+        raise ValueError(f"challenge {y} not in range({n})")
+    if y == 0:
+        return _build_high_projection(n, 0)
+    tau = list(range(n))
+    tau[0], tau[y] = y, 0
+    perm = composition_table(n)[perm_index_map(n)[tuple(tau)], :]
+    p = high_projection(n, 0)[np.ix_(perm, perm)]
     p.setflags(write=False)
     return p
 
@@ -432,33 +488,13 @@ def low_projection(n: int, y: int) -> np.ndarray:
     return p
 
 
-_M_CACHE: dict[int, np.ndarray] = {}
-_M_LOCK = threading.Lock()
-
-
-def build_m(n: int, threads: int | None = None) -> np.ndarray:
+@cache
+def build_m(n: int) -> np.ndarray:
     """Sum of the high projectors over all challenges: symmetric PSD, not
-    idempotent.  Independent per-challenge constructions may run in
-    parallel; the result is cached and identical either way."""
+    idempotent."""
     _check_n(n)
-    with _M_LOCK:
-        cached = _M_CACHE.get(n)
-    if cached is not None:
-        return cached
-    for k in range(n):  # shared pieces, built once up front
-        subspace_a(n, k)
-    workers = threads if threads else min(n, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            projs = list(ex.map(lambda y: high_projection(n, y), range(n)))
-    else:
-        projs = [high_projection(n, y) for y in range(n)]
-    m = np.zeros_like(projs[0])
-    for p in projs:
-        m = m + p
+    m = sum(high_projection(n, y) for y in range(n))
     m.setflags(write=False)
-    with _M_LOCK:
-        _M_CACHE.setdefault(n, m)
     return m
 
 
@@ -653,7 +689,6 @@ def spectrum(
     cluster_tol: float = 1e-6,
     block_tol: float = 1e-7,
     off_tol: float = 1e-8,
-    threads: int | None = None,
 ) -> SpectrumReport:
     """Eigendecompose M, cluster its spectrum, and reconcile each cluster
     with the predicted per-block eigenvalue and multiplicity.
@@ -662,7 +697,7 @@ def spectrum(
     reconciliation compares the cluster count against the summed predicted
     multiplicities.  Cluster-match failures are reported, not raised.
     """
-    m = build_m(n, threads=threads)
+    m = build_m(n)
     eigs = np.sort(np.linalg.eigvalsh(m))
     clusters = _cluster(eigs, cluster_tol)
 
@@ -941,7 +976,7 @@ def branch_projector_residuals(n: int, y: int) -> tuple[float, float]:
 
     Orthogonality: the bar(theta) isotypic projector absorbs its own branch
     blocks and annihilates those of any other theta.  Reconstruction: the
-    branch blocks sum to the constructively built high projector.
+    branch blocks sum to the high projector.
     """
     thetas = [t for t in valid_thetas(n) if t]
     orth = 0.0

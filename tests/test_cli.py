@@ -160,3 +160,34 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["report"]["sum_of_squares"] == 24
+
+
+def test_certification_failure_is_a_failing_verdict(capsys, monkeypatch):
+    from functools import cache
+
+    from perminv import regrep
+
+    def refuse(rows, n):
+        raise ArithmeticError("prime-field ranks disagree: [3, 4]")
+
+    # A fresh cache, so decomp-check --n 3 certifies its ranks in this test
+    # even when an earlier test built them; monkeypatch restores both.
+    monkeypatch.setattr(regrep, "subspace_a", cache(regrep.subspace_a.__wrapped__))
+    monkeypatch.setattr(regrep, "exact_rank", refuse)
+    code, out = run_cli(["decomp-check", "--n", "3"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert payload["report"]["reason"] == "ArithmeticError: prime-field ranks disagree: [3, 4]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["game", "--n", "4", "--challenge", "7"], ["altgame", "--n", "3", "--t", "-1"]],
+)
+def test_bad_input_exit_2(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

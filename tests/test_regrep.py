@@ -1,8 +1,9 @@
 """Regular-representation machinery against exact predictions.
 
-Rank oracles: plain Fraction Gaussian elimination (test-local) versus the
-library's Bareiss/prime-field pipeline, plus numpy's SVD-based matrix_rank
-as a third opinion.  Character cross-check: traces of the one-sided action
+Rank oracles: plain Fraction Gaussian elimination and a per-column
+prime-field elimination (both test-local) versus the library's
+Bareiss/blocked prime-field pipeline, plus numpy's SVD-based matrix_rank as
+a third opinion.  Character cross-check: traces of the one-sided action
 restricted to an isotypic block.
 """
 
@@ -31,6 +32,30 @@ def fraction_rank(mat) -> int:
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def rank_mod_p_reference(mat, p: int) -> int:
+    """Per-column Gaussian elimination mod p; the reference for the blocked
+    elimination in regrep._rank_mod_p."""
+    a = (np.asarray(mat) % p).astype(np.int64)
+    nrows, ncols = a.shape
+    rank = 0
+    for c in range(ncols):
+        if rank == nrows:
+            break
+        nz = np.nonzero(a[rank:, c])[0]
+        if nz.size == 0:
+            continue
+        r = rank + int(nz[0])
+        if r != rank:
+            a[[rank, r]] = a[[r, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
+        below = a[rank + 1 :]
+        if below.size:
+            below -= below[:, c : c + 1] * a[rank]
+            below %= p
         rank += 1
     return rank
 
@@ -196,6 +221,53 @@ def test_bareiss_and_modp_match_fraction_elimination():
             assert regrep._rank_mod_p(gram, p) == ref
 
 
+def _certified_grams():
+    """Every Gram matrix the operator build certifies for n <= 6: A_k for all
+    k and A_k^0 for k >= 1."""
+    for n in range(2, 7):
+        for k in range(n):
+            yield f"A_{k}(n={n})", regrep._gram_int(regrep._indicator_rows(n, regrep.assignments(n, k)))
+            if k:
+                rows = regrep._indicator_rows(n, regrep.assignments_with_image(n, k, 0))
+                yield f"A_{k}^0(n={n})", regrep._gram_int(rows)
+
+
+def test_blocked_modp_matches_reference_on_certified_grams():
+    seen = 0
+    for name, gram in _certified_grams():
+        for p in regrep._RANK_PRIMES:
+            assert regrep._rank_mod_p(gram, p) == rank_mod_p_reference(gram, p), (name, p)
+        seen += 1
+    assert seen == sum(2 * n - 1 for n in range(2, 7))
+
+
+def test_blocked_modp_matches_reference_on_random_matrices(monkeypatch):
+    # A block much smaller than the matrices gives several panels per
+    # matrix; zeroed leading columns give a panel with no pivot, and low
+    # rank or a repeated column gives panels with fewer pivots than columns.
+    monkeypatch.setattr(regrep, "_RANK_BLOCK", 4)
+    rng = np.random.default_rng(3)
+    for trial in range(60):
+        m, n = (int(v) for v in rng.integers(5, 30, size=2))
+        r = int(rng.integers(0, min(m, n) + 1))
+        mat = rng.integers(-9, 10, size=(m, r)) @ rng.integers(-9, 10, size=(r, n))
+        if trial % 3 == 0:
+            mat[:, :4] = 0
+        if trial % 3 == 1:
+            mat[:, 1] = mat[:, 0]
+        for p in regrep._RANK_PRIMES:
+            assert regrep._rank_mod_p(mat, p) == rank_mod_p_reference(mat, p), (trial, p)
+
+
+def test_spectral_gap_check():
+    regrep._check_spectral_gap(np.array([1e-12, 1.0, 2.0]), 2)
+    regrep._check_spectral_gap(np.array([0.0, 1e-9]), 0)
+    with pytest.raises(ArithmeticError, match="ambiguous spectral gap for rank 2"):
+        regrep._check_spectral_gap(np.array([1e-3, 1.0, 2.0]), 2)
+    with pytest.raises(ArithmeticError, match="ambiguous spectral gap for rank 0"):
+        regrep._check_spectral_gap(np.array([0.0, 1.0]), 0)
+
+
 def test_exact_rank_matches_numpy_on_spanning_sets():
     for n in (3, 4):
         for k in range(n):
@@ -235,6 +307,16 @@ def test_high_projection_rank_and_contract():
         assert abs(np.trace(p) - 14) < 1e-8
         assert np.abs(p - p.T).max() <= 1e-12
         assert np.abs(p @ p - p).max() <= 1e-8
+
+
+@pytest.mark.parametrize("n, ys", [(3, range(3)), (4, range(4)), (5, range(5)), (6, [3])])
+def test_derived_high_projection_matches_constructive_build(n, ys):
+    # P_y for y != 0 is derived from P_0 by relabeling; an independent
+    # construction keeps the relabeling check of change_of_challenge_check
+    # from being a tautology.
+    for y in ys:
+        built = regrep._build_high_projection(n, y)
+        assert np.abs(regrep.high_projection(n, y) - built).max() <= 1e-10
 
 
 def test_high_projection_kills_uniform_vector():
