@@ -27,13 +27,25 @@ class InversionError(RuntimeError):
     """Walk guard tripped: the table does not belong to this oracle."""
 
 
+def _as_permutation(perm) -> np.ndarray:
+    """perm as an int64 array; ValueError unless it permutes range(len(perm))."""
+    perm = np.asarray(perm, dtype=np.int64)
+    n = perm.size
+    ok = perm.ndim == 1 and (n == 0 or (perm.min() >= 0 and perm.max() < n))
+    if ok:
+        hit = np.zeros(n, dtype=bool)
+        hit[perm] = True
+        ok = bool(hit.all())
+    if not ok:
+        raise ValueError("not a permutation table")
+    return perm
+
+
 class OracleCounter:
     """Forward-evaluation oracle with exact query accounting."""
 
     def __init__(self, table):
-        self.table = np.asarray(table, dtype=np.int64)
-        if sorted(self.table.tolist()) != list(range(len(self.table))):
-            raise ValueError("not a permutation table")
+        self.table = _as_permutation(table)
         self.queries = 0
 
     def query(self, x: int) -> int:
@@ -70,7 +82,7 @@ def build_table(perm, t: int) -> HellmanTable:
     """
     if t < 1:
         raise ValueError("spacing t must be >= 1")
-    perm = np.asarray(perm, dtype=np.int64)
+    perm = _as_permutation(perm)
     n = len(perm)
     entries: dict[int, int] = {}
     seen = np.zeros(n, dtype=bool)
@@ -163,58 +175,53 @@ def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
     """Invert every target with a batch walk; returns aggregated stats.
 
     Semantically identical to calling :func:`invert` per challenge (the unit
-    tests pin that equivalence), but steps all walks in lockstep with numpy
-    so full sweeps at N = 2^14 stay cheap.  Every answer is verified with
-    one uncounted evaluation; for a permutation the success rate is 1.0.
+    tests pin that equivalence).  The walks step in lockstep, and only the
+    live ones are kept: at step s every live walk makes exactly one query, so
+    a walk that finds its target at step s used s queries, and a walk still
+    live after the cap of 2t + 2 steps used the cap and fails.  Every answer
+    is verified with one uncounted evaluation; for a permutation the success
+    rate is 1.0.
     """
-    perm = np.asarray(perm, dtype=np.int64)
+    perm = _as_permutation(perm)
     n = len(perm)
     ys = np.arange(n) if targets is None else np.asarray(targets, dtype=np.int64)
     m = len(ys)
     t = table.t
     cap = 2 * t + 2
 
-    jump = np.full(n, -1, dtype=np.int64)
-    for c, back in table.entries.items():
-        jump[c] = back
+    entries = table.entries
+    checkpoint = np.zeros(n, dtype=bool)
+    checkpoint[list(entries)] = True
 
-    queries = np.zeros(m, dtype=np.int64)
+    def back(points: np.ndarray) -> list[int]:
+        return [entries[c] for c in points.tolist()]
+
+    queries = np.full(m, cap, dtype=np.int64)
     answer = np.full(m, -1, dtype=np.int64)
-    # Phase A: walk z forward from y until returning to y or hitting a
-    # checkpoint.  Challenges that are themselves checkpoints jump at once.
-    z = ys.copy()
-    phase_b = jump[ys] >= 0
-    x = np.where(phase_b, jump[ys], -1)
-    active_a = ~phase_b
-    for _ in range(cap):
-        if not active_a.any():
+    # A live walk is its index into the targets (slot), its target y, its
+    # position cur and whether it is still in phase A (in_a): walking forward
+    # from y until it returns to y or hits a checkpoint, whose entry takes it
+    # t steps back.  Challenges that are themselves checkpoints jump at once.
+    slot = np.arange(m)
+    y = ys
+    in_a = ~checkpoint[ys]
+    cur = ys.copy()
+    cur[~in_a] = back(ys[~in_a])
+    for s in range(1, cap + 1):
+        if not slot.size:
             break
-        idx = np.nonzero(active_a)[0]
-        fz = perm[z[idx]]
-        queries[idx] += 1
-        done = fz == ys[idx]
-        answer[idx[done]] = z[idx][done]
-        hit = (jump[fz] >= 0) & ~done
-        x[idx[hit]] = jump[fz[hit]]
-        phase_b[idx[hit]] = True
-        z[idx] = fz
-        active_a[idx[done | hit]] = False
-    # Phase B: walk x forward until pi(x) = y.
-    active_b = phase_b & (answer < 0)
-    for _ in range(cap):
-        if not active_b.any():
-            break
-        idx = np.nonzero(active_b)[0]
-        still = queries[idx] < cap
-        idx = idx[still]
-        if idx.size == 0:
-            break
-        fx = perm[x[idx]]
-        queries[idx] += 1
-        done = fx == ys[idx]
-        answer[idx[done]] = x[idx][done]
-        x[idx[~done]] = fx[~done]
-        active_b[idx[done]] = False
+        f = perm[cur]
+        done = f == y
+        if done.any():
+            answer[slot[done]] = cur[done]
+            queries[slot[done]] = s
+            live = ~done
+            slot, y, f, in_a = slot[live], y[live], f[live], in_a[live]
+        hit = in_a & checkpoint[f]
+        if hit.any():
+            f[hit] = back(f[hit])
+            in_a &= ~hit
+        cur = f
 
     found = answer >= 0
     correct = np.zeros(m, dtype=bool)

@@ -21,6 +21,12 @@ from perminv import __version__
 SCHEMA_VERSION = "1"
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    """Usage check on one numeric flag; a ValueError exits 2 with the message."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -83,6 +89,7 @@ def cmd_young(args) -> int:
 
     mode = args.mode
     if mode == "identities":
+        _at_least("--max-n", args.max_n, 1)
         report = young.identities_report(args.max_n)
         return _emit(args, report, report["pass"])
     n = args.n
@@ -145,6 +152,7 @@ def cmd_decomp_check(args) -> int:
 def cmd_lemma_check(args) -> int:
     from perminv import querysim
 
+    _at_least("--programs", args.programs, 1)
     layout = querysim.RegisterLayout(n=args.n, w=args.w)
     runs = []
     ok = True
@@ -191,8 +199,7 @@ def cmd_game(args) -> int:
 def cmd_altgame(args) -> int:
     from perminv import querysim
 
-    if args.t < 0:
-        raise ValueError(f"--t must be >= 0, got {args.t}")
+    _at_least("--t", args.t, 0)
     reports = []
     ok = True
     for i in range(args.adversaries):
@@ -232,8 +239,14 @@ def cmd_grover(args) -> int:
 def cmd_hellman(args) -> int:
     from perminv import attacks
 
-    n = 1 << args.log_n
+    _at_least("--log-n", args.log_n, 0)
+    _at_least("--trials", args.trials, 1)
+    if args.sample is not None:
+        _at_least("--sample", args.sample, 1)
     t_values = args.t or [64]
+    for t in t_values:
+        _at_least("--t", t, 1)
+    n = 1 << args.log_n
     rows = attacks.tradeoff_sweep(
         n, t_values, trials=args.trials, seed=args.seed, sample_targets=args.sample
     )

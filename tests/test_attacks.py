@@ -2,12 +2,67 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perminv import attacks as at
 
 
 def single_cycle(n: int) -> np.ndarray:
     return np.roll(np.arange(n), -1)  # i -> i+1 mod n
+
+
+def from_cycles(order: np.ndarray, lengths) -> np.ndarray:
+    """The permutation whose cycles are consecutive runs of `order`."""
+    perm = np.empty(len(order), dtype=np.int64)
+    start = 0
+    for ell in lengths:
+        cycle = order[start : start + ell]
+        perm[cycle] = np.roll(cycle, -1)
+        start += ell
+    return perm
+
+
+@st.composite
+def structured_permutations(draw):
+    """(perm, t): the identity, one N-cycle, an involution, cycles of length
+    exactly t and t + 1 (the checkpoint boundary), or a random permutation."""
+    t = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["identity", "n-cycle", "involution", "t and t+1", "random"]))
+    if kind == "t and t+1":
+        lengths = draw(st.lists(st.sampled_from([t, t + 1]), min_size=1, max_size=6))
+        n = sum(lengths)
+    else:
+        n = draw(st.integers(1, 40))
+    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    if kind == "identity":
+        lengths = [1] * n
+    elif kind == "n-cycle":
+        lengths = [n]
+    elif kind == "involution":
+        pairs = draw(st.integers(0, n // 2))
+        lengths = [2] * pairs + [1] * (n - 2 * pairs)
+    elif kind == "random":
+        return order, t
+    return from_cycles(order, lengths), t
+
+
+def scalar_stats(perm, table, targets) -> tuple[int, float, float]:
+    """(t_max, t_avg, success rate) of one :func:`at.invert` per target, each
+    with a fresh counted oracle; a walk that gives up has spent the cap."""
+    queries = []
+    solved = 0
+    for y in targets:
+        oracle = at.OracleCounter(perm)
+        try:
+            x = at.invert(table, oracle, int(y))
+        except at.InversionError:
+            pass
+        else:
+            assert perm[x] == y
+            solved += 1
+        queries.append(oracle.queries)
+    return max(queries), float(np.mean(queries)), solved / len(queries)
 
 
 def test_identity_has_no_entries():
@@ -83,6 +138,36 @@ def test_scalar_and_batch_agree_exactly():
     assert stats.success_rate == 1.0
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=structured_permutations(), data=st.data())
+def test_batch_walk_matches_scalar_on_structured_permutations(case, data):
+    perm, t = case
+    n = len(perm)
+    table = at.build_table(perm, t)
+    picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    for targets in (None, np.array(picks + picks[:1])):  # with a repeat
+        stats = at.measure_all(perm, table, targets=targets)
+        expect = scalar_stats(perm, table, range(n) if targets is None else targets)
+        assert (stats.t_max, stats.t_avg, stats.success_rate) == expect
+        assert stats.success_rate == 1.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_walk_matches_scalar_on_a_foreign_table(seed):
+    # A table built from perm_a walked on perm_b: some walks give up at the
+    # cap, and the batch walk must fail on exactly the same challenges.
+    rng = np.random.default_rng(seed)
+    n, t = 64, 4
+    perm_a, perm_b = rng.permutation(n), rng.permutation(n)
+    table = at.build_table(perm_a, t)
+    for targets in (None, rng.integers(0, n, size=100)):
+        stats = at.measure_all(perm_b, table, targets=targets)
+        expect = scalar_stats(perm_b, table, range(n) if targets is None else targets)
+        assert (stats.t_max, stats.t_avg, stats.success_rate) == expect
+        assert 0 < stats.success_rate < 1
+        assert stats.t_max == 2 * t + 2
+
+
 def test_mismatched_table_raises():
     rng = np.random.default_rng(1)
     perm_a = rng.permutation(64)
@@ -106,6 +191,14 @@ def test_bad_permutation_rejected():
         at.OracleCounter([0, 0, 1])
     with pytest.raises(ValueError):
         at.build_table(np.arange(8), 0)
+
+
+@pytest.mark.parametrize("perm", [[1, 1, 2], [0, 5, 1]])
+def test_non_permutation_rejected(perm):
+    with pytest.raises(ValueError, match="not a permutation table"):
+        at.build_table(perm, 1)
+    with pytest.raises(ValueError, match="not a permutation table"):
+        at.measure_all(perm, at.build_table(np.arange(3), 1))
 
 
 def test_bits_accounting():

@@ -191,3 +191,24 @@ def test_bad_input_exit_2(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["hellman", "--log-n", "8", "--sample", "0"], "--sample"),
+        (["hellman", "--log-n", "8", "--sample", "-5"], "--sample"),
+        (["hellman", "--log-n", "8", "--trials", "0"], "--trials"),
+        (["hellman", "--log-n", "-1"], "--log-n"),
+        (["hellman", "--log-n", "8", "--t", "64", "--t", "0"], "--t"),
+        (["lemma-check", "--n", "3", "--programs", "0"], "--programs"),
+        (["young", "identities", "--max-n", "0"], "--max-n"),
+    ],
+)
+def test_empty_or_negative_count_exits_2(argv, flag, capsys):
+    # Each would otherwise check nothing and pass, or crash mid-run.
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be >= ")
