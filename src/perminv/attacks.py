@@ -15,8 +15,6 @@ Advice is reported both in entries (pairs of point indices) and in bits
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from math import ceil, log2
 
@@ -146,30 +144,6 @@ class AttackStats:
     success_rate: float
     st_product: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "s_entries": self.s_entries,
-            "s_bits": self.s_bits,
-            "t_max": self.t_max,
-            "t_avg": self.t_avg,
-            "success": self.success_rate,
-            "st_product": self.st_product,
-        }
-
-
-CSV_FIELDS = ("n", "t", "s_entries", "s_bits", "t_max", "t_avg", "success", "st_product")
-
-
-def stats_to_csv(rows: list[AttackStats]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row.to_dict())
-    return buf.getvalue()
-
 
 def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
     """Invert every target with a batch walk; returns aggregated stats.
@@ -180,11 +154,19 @@ def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
     a walk that finds its target at step s used s queries, and a walk still
     live after the cap of 2t + 2 steps used the cap and fails.  Every answer
     is verified with one uncounted evaluation; for a permutation the success
-    rate is 1.0.
+    rate is 1.0.  ValueError unless the table has the permutation's size and
+    the targets are a 1-D integer array of points in range(n).
     """
     perm = _as_permutation(perm)
     n = len(perm)
-    ys = np.arange(n) if targets is None else np.asarray(targets, dtype=np.int64)
+    if table.n != n:
+        raise ValueError(f"table for {table.n} points walked on a permutation of {n}")
+    ys = np.arange(n) if targets is None else np.asarray(targets)
+    if ys.ndim != 1 or ys.size and not (
+        np.issubdtype(ys.dtype, np.integer) and 0 <= ys.min() and ys.max() < n
+    ):
+        raise ValueError(f"targets must be a 1-D array of integers in range({n})")
+    ys = ys.astype(np.int64, copy=False)
     m = len(ys)
     t = table.t
     cap = 2 * t + 2

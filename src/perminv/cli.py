@@ -12,6 +12,9 @@ is a verification failure: it is reported with pass false and its reason.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import sys
 from fractions import Fraction
@@ -29,6 +32,26 @@ def _at_least(flag: str, value: int, low: int) -> None:
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+_RENAMES = {"lam": "lambda", "passed": "pass", "success_rate": "success"}
+
+
+def _plain(value):
+    if isinstance(value, Fraction):
+        return _frac(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _fields(report) -> dict:
+    """Output fields of a report dataclass, nested ones included: keys in
+    field order with the _RENAMES applied, Fractions as "p/q", tuples as
+    lists."""
+    return dataclasses.asdict(
+        report, dict_factory=lambda items: {_RENAMES.get(k, k): _plain(v) for k, v in items}
+    )
 
 
 def _render_text(obj, indent: int = 0) -> str:
@@ -62,9 +85,6 @@ def _emit(args, report: dict, passed: bool, csv_text: str | None = None) -> int:
         "pass": passed,
     }
     if args.format == "csv":
-        if csv_text is None:
-            print("error: csv output is only available for the hellman subcommand", file=sys.stderr)
-            return 2
         out_text = csv_text
         print(f"# config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
     elif args.format == "text":
@@ -130,22 +150,23 @@ def cmd_spectrum(args) -> int:
     from perminv import regrep
 
     report = regrep.spectrum(args.n)
-    return _emit(args, report.to_dict(), report.passed)
+    return _emit(args, _fields(report), report.passed)
 
 
 def cmd_avgbound(args) -> int:
     from perminv import regrep
 
     report = regrep.avg_bound_check(args.n, args.k, samples=args.samples, seed=args.seed)
-    return _emit(args, report.to_dict(), report.passed)
+    return _emit(args, _fields(report), report.passed)
 
 
 def cmd_decomp_check(args) -> int:
     from perminv import regrep
 
+    _at_least("--trials", args.trials, 1)
     report = regrep.decomposition_report(args.n)
     cc = regrep.change_of_challenge_check(args.n, trials=args.trials, seed=args.seed)
-    payload = {"decomposition": report.to_dict(), "change_of_challenge": cc.to_dict()}
+    payload = {"decomposition": _fields(report), "change_of_challenge": _fields(cc)}
     return _emit(args, payload, report.passed and cc.passed)
 
 
@@ -159,7 +180,7 @@ def cmd_lemma_check(args) -> int:
     worst_support = 0.0
     for i in range(args.programs):
         program = querysim.random_program(args.n, args.p, args.t, w=args.w, seed=args.seed + i)
-        transcript = querysim.run_bit_fixing(program, layout, check_support=True)
+        transcript = querysim.run_bit_fixing(program, layout)
         ineq = querysim.check_progress_inequalities(program, layout)
         support = max((row["residual"] for row in transcript.lemma_checks), default=0.0)
         worst_support = max(worst_support, support)
@@ -169,7 +190,7 @@ def cmd_lemma_check(args) -> int:
             {
                 "seed": args.seed + i,
                 "max_support_residual": support,
-                "inequalities": ineq.to_dict(),
+                "inequalities": _fields(ineq),
                 "ok": good,
             }
         )
@@ -193,20 +214,21 @@ def cmd_game(args) -> int:
     layout = querysim.RegisterLayout(n=args.n, w=args.w)
     program = querysim.random_program(args.n, args.p, args.t, w=args.w, seed=args.seed)
     transcript = querysim.run_bit_fixing(program, layout, challenge=challenge)
-    return _emit(args, transcript.to_dict(), transcript.passed)
+    return _emit(args, _fields(transcript), transcript.passed)
 
 
 def cmd_altgame(args) -> int:
     from perminv import querysim
 
     _at_least("--t", args.t, 0)
+    _at_least("--adversaries", args.adversaries, 1)
     reports = []
     ok = True
     for i in range(args.adversaries):
         adv = querysim.random_query_adversary(args.n, args.t, seed=args.seed + i)
         rep = querysim.alternating_game(adv, args.g, t=args.t, seed=args.seed + i)
         ok &= rep.passed
-        reports.append(rep.to_dict())
+        reports.append(_fields(rep))
     return _emit(args, {"n": args.n, "t": args.t, "g": args.g, "games": reports}, ok)
 
 
@@ -251,8 +273,12 @@ def cmd_hellman(args) -> int:
         n, t_values, trials=args.trials, seed=args.seed, sample_targets=args.sample
     )
     ok = all(r.success_rate == 1.0 and r.t_max <= 2 * r.t + 2 for r in rows)
-    report = {"n": n, "rows": [r.to_dict() for r in rows]}
-    return _emit(args, report, ok, csv_text=attacks.stats_to_csv(rows))
+    fields = [_fields(r) for r in rows]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(fields[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(fields)
+    return _emit(args, {"n": n, "rows": fields}, ok, csv_text=buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +371,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.format is None:
         args.format = "csv" if args.command == "hellman" else "json"
+    if args.format == "csv" and args.command != "hellman":
+        print("error: csv output is only available for the hellman subcommand", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, MemoryError) as exc:

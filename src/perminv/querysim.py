@@ -20,6 +20,7 @@ layout.  The alternating-measurement game lives at the bottom of the file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import asin, factorial, sin
 from typing import Sequence
 
@@ -150,23 +151,19 @@ def init_state(layout: RegisterLayout) -> JointState:
     return JointState(layout, amps)
 
 
+@cache
 def _oracle_gather(n: int) -> np.ndarray:
     """source[p, x, z'] = (z' - pi_p(x)) mod n, for the Y-register update."""
     perms = regrep.perms_matrix(n)
     zp = np.arange(n)
-    return (zp[None, None, :] - perms[:, :, None]) % n
-
-
-_ORACLE_CACHE: dict[int, np.ndarray] = {}
+    src = (zp[None, None, :] - perms[:, :, None]) % n
+    src.setflags(write=False)
+    return src
 
 
 def apply_oracle(state: JointState) -> JointState:
     """One query: z -> z + pi(x) mod n on each permutation branch."""
-    n = state.layout.n
-    src = _ORACLE_CACHE.get(n)
-    if src is None:
-        src = _oracle_gather(n)
-        _ORACLE_CACHE[n] = src
+    src = _oracle_gather(state.layout.n)
     state.amps = np.take_along_axis(state.amps, src[:, :, :, None, None], axis=2)
     return state
 
@@ -229,28 +226,31 @@ class GameTranscript:
     lemma_checks: list[dict]
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "t": self.t,
-            "w": self.w,
-            "postselect_prob": self.postselect_prob,
-            "per_challenge": self.per_challenge,
-            "avg_success": self.avg_success,
-            "step_norms": self.step_norms,
-            "lemma_checks": self.lemma_checks,
-            "pass": self.passed,
-        }
 
-
-def offline_state(program: AlgorithmProgram, layout: RegisterLayout) -> tuple[JointState, float, list[float]]:
-    """Run the offline phase and postselect: returns (state, P[b=0], norms)."""
-    state = init_state(layout)
-    norms = [state.norm()]
-    for step in program.offline:
+def _play(
+    state: JointState, steps: Sequence[Step], norms: list[float], k: int, lemma, y=None
+) -> None:
+    """Apply steps in place, appending the norm after each step and, when
+    lemma is a list, the support residual after each query; k is the number
+    of queries made before these steps."""
+    for step in steps:
         apply_step(state, step)
         norms.append(state.norm())
+        if isinstance(step, Query):
+            k += 1
+            if lemma is not None:
+                residual = support_residual(state, k)
+                phase = "offline" if y is None else "online"
+                lemma.append({"phase": phase, "y": y, "k": k, "residual": residual})
+
+
+def _offline(
+    program: AlgorithmProgram, layout: RegisterLayout, lemma
+) -> tuple[JointState, float, list[float]]:
+    """offline_state, also recording support residuals when lemma is a list."""
+    state = init_state(layout)
+    norms = [state.norm()]
+    _play(state, program.offline, norms, 0, lemma)
     try:
         mass = postselect_b0(state)
     except ZeroPostselectionError as exc:
@@ -259,6 +259,11 @@ def offline_state(program: AlgorithmProgram, layout: RegisterLayout) -> tuple[Jo
             f"n={layout.n} left no b=0 amplitude: {exc}"
         ) from None
     return state, mass, norms
+
+
+def offline_state(program: AlgorithmProgram, layout: RegisterLayout) -> tuple[JointState, float, list[float]]:
+    """Run the offline phase and postselect: returns (state, P[b=0], norms)."""
+    return _offline(program, layout, None)
 
 
 def online_states(
@@ -288,50 +293,22 @@ def run_bit_fixing(
     program: AlgorithmProgram,
     layout: RegisterLayout,
     challenge: int | str = "all",
-    check_support: bool = True,
 ) -> GameTranscript:
     """Play the bit-fixing game and measure success per challenge.
 
     The offline restart loop is simulated by postselecting B on 0 (its mass
     must exceed 1e-12).  challenge="all" runs every y and reports the
-    average; an integer runs that single challenge.  With check_support the
-    transcript records, after every query, the residual of the oracle side
-    outside the partial-assignment subspace for the current query count.
+    average; an integer runs that single challenge.  The transcript records,
+    after every query, the residual of the oracle side outside the
+    partial-assignment subspace for the current query count.
     """
-    state = init_state(layout)
-    norms = [state.norm()]
     lemma: list[dict] = []
-    k = 0
-    for step in program.offline:
-        apply_step(state, step)
-        norms.append(state.norm())
-        if isinstance(step, Query):
-            k += 1
-            if check_support:
-                lemma.append(
-                    {"phase": "offline", "y": None, "k": k, "residual": support_residual(state, k)}
-                )
-    try:
-        mass = postselect_b0(state)
-    except ZeroPostselectionError as exc:
-        raise ZeroPostselectionError(
-            f"offline phase of the (p={program.p}, t={program.t}) program on "
-            f"n={layout.n} left no b=0 amplitude: {exc}"
-        ) from None
+    state, mass, norms = _offline(program, layout, lemma)
     ys = range(layout.n) if challenge == "all" else [int(challenge)]
     per = []
     for y in ys:
         s = state.copy()
-        ky = k
-        for step in program.online[y]:
-            apply_step(s, step)
-            norms.append(s.norm())
-            if isinstance(step, Query):
-                ky += 1
-                if check_support:
-                    lemma.append(
-                        {"phase": "online", "y": y, "k": ky, "residual": support_residual(s, ky)}
-                    )
+        _play(s, program.online[y], norms, program.p, lemma, y)
         per.append({"y": y, "p_succ": success_probability(s, y)})
     avg = float(np.mean([row["p_succ"] for row in per]))
     passed = all(abs(v - 1.0) <= 1e-9 for v in norms) and all(
@@ -383,17 +360,6 @@ class InequalityRow:
     slack: float | None
     checked: bool  # False when the guard term is undefined at these sizes
 
-    def to_dict(self) -> dict:
-        return {
-            "y": self.y,
-            "kind": self.kind,
-            "k": self.k,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "checked": self.checked,
-        }
-
 
 @dataclass
 class InequalityReport:
@@ -404,17 +370,6 @@ class InequalityReport:
     checked: int
     vacuous: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "t": self.t,
-            "rows": [r.to_dict() for r in self.rows],
-            "checked": self.checked,
-            "vacuous": self.vacuous,
-            "pass": self.passed,
-        }
 
 
 def check_progress_inequalities(
@@ -497,7 +452,7 @@ def random_program(
     return AlgorithmProgram(offline=tuple(offline), online=tuple(online), p=p, t=t)
 
 
-def identity_program(n: int, w: int = 1) -> AlgorithmProgram:
+def identity_program(n: int) -> AlgorithmProgram:
     """The do-nothing program: guesses x = 0 on every challenge."""
     return AlgorithmProgram(offline=(), online=tuple(() for _ in range(n)), p=0, t=0)
 
@@ -506,10 +461,6 @@ def fourier_matrix(n: int) -> np.ndarray:
     om = np.exp(2j * np.pi / n)
     j = np.arange(n)
     return om ** np.outer(j, j) / np.sqrt(n)
-
-
-def _embed_x(u: np.ndarray, n: int) -> Unitary:
-    return Unitary(u, ("x",))
 
 
 def grover_iteration_program(n: int, w: int = 1) -> AlgorithmProgram:
@@ -529,13 +480,13 @@ def grover_iteration_program(n: int, w: int = 1) -> AlgorithmProgram:
         phase = np.eye(n, dtype=np.complex128)
         phase[y, y] = -1.0
         steps: tuple[Step, ...] = (
-            _embed_x(hadamard_like, n),  # X <- uniform
+            Unitary(hadamard_like, ("x",)),  # X <- uniform
             Query(),  # Y = pi(x)
             Unitary(phase, ("y",)),  # flip the pi(x) = y branch
             Unitary(negate_y, ("y",)),
             Query(),  # Y = -pi(x) + pi(x) ...
             Unitary(negate_y, ("y",)),  # ... negated back to 0
-            _embed_x(diffusion, n),
+            Unitary(diffusion, ("x",)),
         )
         online.append(steps)
     return AlgorithmProgram(offline=(), online=tuple(online), p=0, t=2)
@@ -702,21 +653,6 @@ class AltGameReport:
     monotone: bool
     jensen_ok: bool
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "g": self.g,
-            "seed": self.seed,
-            "simulated": self.simulated,
-            "formula": self.formula,
-            "max_disagreement": self.max_disagreement,
-            "conditionals": self.conditionals,
-            "monotone": self.monotone,
-            "jensen_ok": self.jensen_ok,
-            "pass": self.passed,
-        }
 
 
 def alternating_game(

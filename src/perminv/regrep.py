@@ -179,11 +179,7 @@ def assignment_indicator(n: int, alpha) -> np.ndarray:
     vs = [v for _, v in alpha]
     if len(set(xs)) != len(xs) or len(set(vs)) != len(vs):
         raise ValueError(f"assignment not injective: {alpha}")
-    perms = perms_matrix(n)
-    mask = np.ones(len(perms), dtype=bool)
-    for x, v in alpha:
-        mask &= perms[:, x] == v
-    return mask.astype(np.int8)
+    return _indicator_rows(n, [alpha])[0]
 
 
 def assignment_vector(n: int, alpha) -> np.ndarray:
@@ -193,14 +189,16 @@ def assignment_vector(n: int, alpha) -> np.ndarray:
 
 
 def _indicator_rows(n: int, alphas) -> np.ndarray:
+    """Row i marks the permutations compatible with alphas[i]; all alphas
+    have the same size k, so the mask is k gathers of (alphas, perms)."""
     perms = perms_matrix(n)
-    rows = np.empty((len(alphas), len(perms)), dtype=np.int8)
-    for i, alpha in enumerate(alphas):
-        mask = np.ones(len(perms), dtype=bool)
-        for x, v in alpha:
-            mask &= perms[:, x] == v
-        rows[i] = mask
-    return rows
+    hit = perms.T[:, None, :] == np.arange(n)[:, None]  # hit[x, v, j]: perms[j][x] == v
+    k = len(alphas[0]) if len(alphas) else 0
+    pairs = np.array(alphas, dtype=np.intp).reshape(len(alphas), k, 2)
+    mask = np.ones((len(alphas), len(perms)), dtype=bool)
+    for x, v in pairs.transpose(1, 2, 0):
+        mask &= hit[x, v]
+    return mask.astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -420,25 +418,28 @@ def _assert_projector(p: np.ndarray, name: str) -> None:
         raise ArithmeticError(f"{name}: idempotence residual {idem:.3e} > 1e-8")
 
 
-def _build_high_projection(n: int, y: int) -> np.ndarray:
-    """Constructive high projector for challenge y: the orthogonal sum over i
-    of A_i^y with A_{i-1} projected out; the chain containment A_{i-1} in
-    A_i^y makes the increment dimensions exact differences of certified
-    ranks."""
+def _telescope(n: int, pairs, name: str) -> np.ndarray:
+    """Orthogonal sum over (larger, smaller) subspace pairs, smaller inside
+    larger, of larger with smaller projected out; the containment makes each
+    increment's dimension an exact difference of certified ranks."""
     f = factorial(n)
     p = np.zeros((f, f))
-    for i in range(1, n):
-        sy = subspace_a_y(n, i, y)
-        sprev = subspace_a(n, i - 1)
-        expected = sy.dim - sprev.dim
+    for big, small in pairs:
+        expected = big.dim - small.dim
         if expected == 0:
             continue
-        resid = sy.basis - sprev.basis @ (sprev.basis.T @ sy.basis)
+        resid = big.basis - small.basis @ (small.basis.T @ big.basis)
         b = _orthonormal_basis(resid.T, expected_rank=expected)
         p += b @ b.T
-    _assert_projector(p, f"high_projection({n}, {y})")
+    _assert_projector(p, name)
     p.setflags(write=False)
     return p
+
+
+def _build_high_projection(n: int, y: int) -> np.ndarray:
+    """Constructive high projector for challenge y: A_i^y over A_{i-1}."""
+    pairs = ((subspace_a_y(n, i, y), subspace_a(n, i - 1)) for i in range(1, n))
+    return _telescope(n, pairs, f"high_projection({n}, {y})")
 
 
 @cache
@@ -465,27 +466,13 @@ def high_projection(n: int, y: int) -> np.ndarray:
 
 @cache
 def low_projection(n: int, y: int) -> np.ndarray:
-    """Orthogonal projector onto the low subspace for challenge y."""
+    """Orthogonal projector onto the low subspace for challenge y: A_i over
+    A_i^y, built constructively for every y."""
     _check_n(n)
     if not 0 <= y < n:
         raise ValueError(f"challenge {y} not in range({n})")
-    f = factorial(n)
-    p = np.zeros((f, f))
-    for i in range(0, n):
-        si = subspace_a(n, i)
-        sy = subspace_a_y(n, i, y)
-        expected = si.dim - sy.dim
-        if expected == 0:
-            continue
-        if sy.dim == 0:
-            resid = si.basis
-        else:
-            resid = si.basis - sy.basis @ (sy.basis.T @ si.basis)
-        b = _orthonormal_basis(resid.T, expected_rank=expected)
-        p += b @ b.T
-    _assert_projector(p, f"low_projection({n}, {y})")
-    p.setflags(write=False)
-    return p
+    pairs = ((subspace_a(n, i), subspace_a_y(n, i, y)) for i in range(n))
+    return _telescope(n, pairs, f"low_projection({n}, {y})")
 
 
 @cache
@@ -514,6 +501,21 @@ def _class_data(n: int) -> tuple[np.ndarray, tuple[Partition, ...]]:
     return elem_class, tuple(types)
 
 
+def _character_sum(n: int, terms, scale: float, name: str) -> np.ndarray:
+    """scale * sum of c times the permutation matrix sending column j to row
+    rows[j], over the (rows, c) terms."""
+    f = factorial(n)
+    cols = np.arange(f)
+    p = np.zeros((f, f))
+    for rows, c in terms:
+        if c != 0:
+            p[rows, cols] += c
+    p *= scale
+    _assert_projector(p, name)
+    p.setflags(write=False)
+    return p
+
+
 @cache
 def isotypic_projector(n: int, lam: Partition) -> np.ndarray:
     """Projector onto the isotypic component of lam in the group algebra.
@@ -531,17 +533,8 @@ def isotypic_projector(n: int, lam: Partition) -> np.ndarray:
     chars = [young.character(lam, ct) for ct in types]
     comp = composition_table(n)
     inv_idx = inverse_indices(n)
-    cols = np.arange(f)
-    p = np.zeros((f, f))
-    for gi in range(f):
-        c = chars[elem_class[gi]]
-        if c == 0:
-            continue
-        p[comp[:, inv_idx[gi]], cols] += c
-    p *= young.dim(lam) / f
-    _assert_projector(p, f"isotypic_projector({n}, {lam})")
-    p.setflags(write=False)
-    return p
+    terms = ((comp[:, inv_idx[gi]], chars[elem_class[gi]]) for gi in range(f))
+    return _character_sum(n, terms, young.dim(lam) / f, f"isotypic_projector({n}, {lam})")
 
 
 @cache
@@ -564,21 +557,14 @@ def range_restricted_projector(n: int, mu: Partition, y: int) -> np.ndarray:
     mu = young.check_partition(mu) if mu else ()
     if young.size(mu) != n - 1:
         raise ValueError(f"{mu} is not a partition of {n - 1}")
-    f = factorial(n)
     perms = enumerate_group(n)
     comp = composition_table(n)
-    cols = np.arange(f)
-    p = np.zeros((f, f))
-    for gi in stabilizer_indices(n, y):
-        ct = _drop_fixed_point(young.cycle_type(perms[gi]))
-        c = young.character(mu, ct)
-        if c == 0:
-            continue
-        p[comp[gi, :], cols] += c
-    p *= young.dim(mu) / factorial(n - 1)
-    _assert_projector(p, f"range_restricted_projector({n}, {mu}, {y})")
-    p.setflags(write=False)
-    return p
+    terms = (
+        (comp[gi, :], young.character(mu, _drop_fixed_point(young.cycle_type(perms[gi]))))
+        for gi in stabilizer_indices(n, y)
+    )
+    scale = young.dim(mu) / factorial(n - 1)
+    return _character_sum(n, terms, scale, f"range_restricted_projector({n}, {mu}, {y})")
 
 
 def block_branch_projector(n: int, theta: Partition, rho: Partition, y: int) -> np.ndarray:
@@ -601,12 +587,7 @@ def valid_thetas(n: int) -> list[Partition]:
 
 
 def predicted_a_dim(n: int, k: int) -> int:
-    total = 0
-    for j in range(k + 1):
-        for theta in young.partitions(j):
-            if young.has_bar(theta, n):
-                total += young.dim(young.bar(theta, n)) ** 2
-    return total
+    return sum(young.dim(young.bar(t, n)) ** 2 for t in valid_thetas(n) if young.size(t) <= k)
 
 
 def predicted_high_rank(n: int) -> int:
@@ -631,28 +612,14 @@ def predicted_low_rank(n: int) -> int:
 # Reports.
 
 
-def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 @dataclass
 class SpectrumBlock:
     lam: Partition
     e_predicted: Fraction
-    mult_predicted: int
     e_observed: float | None
+    mult_predicted: int
     mult_observed: int | None
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "e_predicted": _fraction_str(self.e_predicted),
-            "e_observed": self.e_observed,
-            "mult_predicted": self.mult_predicted,
-            "mult_observed": self.mult_observed,
-            "ok": self.ok,
-        }
 
 
 @dataclass
@@ -662,15 +629,6 @@ class SpectrumReport:
     off_block_residual: float
     block_residual: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "blocks": [b.to_dict() for b in self.blocks],
-            "off_block_residual": self.off_block_residual,
-            "block_residual": self.block_residual,
-            "pass": self.passed,
-        }
 
 
 def _cluster(sorted_vals: np.ndarray, tol: float) -> list[tuple[float, int]]:
@@ -720,7 +678,7 @@ def spectrum(
         group_mult = sum(d2 for _, d2 in members)
         if match is None:
             for lam, d2 in members:
-                blocks.append(SpectrumBlock(lam, e, d2, None, None, False))
+                blocks.append(SpectrumBlock(lam, e, None, d2, None, False))
             all_ok = False
             continue
         ci, mean, count = match
@@ -728,7 +686,7 @@ def spectrum(
         ok = count == group_mult
         all_ok &= ok
         for lam, d2 in members:
-            blocks.append(SpectrumBlock(lam, e, d2, mean, count, ok))
+            blocks.append(SpectrumBlock(lam, e, mean, d2, count, ok))
     if len(used) != len(clusters):
         all_ok = False
 
@@ -763,30 +721,12 @@ class AvgBoundReport:
     sample_slack: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "samples": self.samples,
-            "seed": self.seed,
-            "exact_max": self.exact_max,
-            "predicted_max": _fraction_str(self.predicted_max),
-            "bound": _fraction_str(self.bound),
-            "sample_max": self.sample_max,
-            "sample_slack": self.sample_slack,
-            "pass": self.passed,
-        }
-
 
 def max_level_eigenvalue(n: int, k: int) -> Fraction:
     """max of the block eigenvalue over diagrams with at most k boxes below
     the first row (equivalently over valid bar shapes of size <= k)."""
-    best = Fraction(0)
-    for j in range(k + 1):
-        for theta in young.partitions(j):
-            if young.has_bar(theta, n):
-                best = max(best, young.eigenvalue_m(young.bar(theta, n), n))
-    return best
+    levels = (young.eigenvalue_m(young.bar(t, n), n) for t in valid_thetas(n) if young.size(t) <= k)
+    return max(levels, default=Fraction(0))
 
 
 def avg_bound_check(n: int, k: int, samples: int = 100, seed: int = 0) -> AvgBoundReport:
@@ -842,16 +782,6 @@ class ChangeChallengeReport:
     max_commutation_residual: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_conjugation_residual": self.max_conjugation_residual,
-            "max_commutation_residual": self.max_commutation_residual,
-            "pass": self.passed,
-        }
-
 
 def change_of_challenge_check(n: int, trials: int = 20, seed: int = 0) -> ChangeChallengeReport:
     """Conjugating the high projector by the two-sided action relabels the
@@ -882,17 +812,6 @@ class DecompReport:
     chain_residual: float | None
     complement_residual: float | None
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a_dims": self.a_dims,
-            "high_ranks": self.high_ranks,
-            "low_ranks": self.low_ranks,
-            "chain_residual": self.chain_residual,
-            "complement_residual": self.complement_residual,
-            "pass": self.passed,
-        }
 
 
 def nested_chain_residual(n: int) -> float:

@@ -98,7 +98,7 @@ def test_criterion_06_support_residuals():
         layout = querysim.RegisterLayout(n=n)
         for i, (p, t) in enumerate(shapes):
             program = querysim.random_program(n, p, t, seed=100 * n + i)
-            transcript = querysim.run_bit_fixing(program, layout, check_support=True)
+            transcript = querysim.run_bit_fixing(program, layout)
             assert transcript.lemma_checks, "no queries made"
             for row in transcript.lemma_checks:
                 assert row["residual"] <= 1e-8, (n, p, t, row)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perminv import attacks as at
+from perminv import cli
 
 
 def single_cycle(n: int) -> np.ndarray:
@@ -201,6 +202,24 @@ def test_non_permutation_rejected(perm):
         at.measure_all(perm, at.build_table(np.arange(3), 1))
 
 
+@pytest.mark.parametrize("targets", [[-1, 3], [64], [[1, 2]], [1.0, 2.0]])
+def test_targets_outside_range_rejected(targets):
+    # -1 used to wrap to the last point and count as a failed challenge, and
+    # 64 to end in an IndexError.
+    perm = np.random.default_rng(2).permutation(64)
+    with pytest.raises(ValueError, match="targets must be"):
+        at.measure_all(perm, at.build_table(perm, 4), targets=targets)
+
+
+def test_table_of_another_size_rejected():
+    # A 64-point table walked on a 16-point permutation used to end in an
+    # IndexError.
+    rng = np.random.default_rng(3)
+    table = at.build_table(rng.permutation(64), 4)
+    with pytest.raises(ValueError, match="table for 64 points"):
+        at.measure_all(rng.permutation(16), table)
+
+
 def test_bits_accounting():
     n, t = 1 << 10, 16
     rng = np.random.default_rng(2)
@@ -247,11 +266,10 @@ def test_sweep_product_bounds():
         assert n / 8 <= r.st_product <= 8 * n
 
 
-def test_csv_format():
-    n = 1 << 10
-    rows = at.tradeoff_sweep(n, [32], trials=1, seed=0)
-    text = at.stats_to_csv(rows)
-    lines = text.strip().split("\n")
+def test_csv_format(capsys):
+    code = cli.main(["hellman", "--log-n", "10", "--t", "32", "--trials", "1", "--seed", "0"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "n,t,s_entries,s_bits,t_max,t_avg,success,st_product"
     assert len(lines) == 2
     assert lines[1].startswith("1024,32,")

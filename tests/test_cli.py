@@ -89,6 +89,20 @@ def test_csv_unavailable_outside_hellman(capsys):
     assert code == 2
 
 
+def test_csv_refused_before_any_work(capsys, monkeypatch):
+    from perminv import regrep
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the suite ran before the format check")
+
+    monkeypatch.setattr(regrep, "decomposition_report", must_not_run)
+    code = cli.main(["decomp-check", "--n", "5", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: csv output is only available for the hellman subcommand\n"
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
@@ -203,6 +217,8 @@ def test_bad_input_exit_2(argv, capsys):
         (["hellman", "--log-n", "8", "--t", "64", "--t", "0"], "--t"),
         (["lemma-check", "--n", "3", "--programs", "0"], "--programs"),
         (["young", "identities", "--max-n", "0"], "--max-n"),
+        (["altgame", "--n", "3", "--adversaries", "0"], "--adversaries"),
+        (["decomp-check", "--n", "3", "--trials", "0"], "--trials"),
     ],
 )
 def test_empty_or_negative_count_exits_2(argv, flag, capsys):

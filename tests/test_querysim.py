@@ -6,6 +6,7 @@ from math import asin, factorial, sin
 import numpy as np
 import pytest
 
+from perminv import cli
 from perminv import querysim as qs
 from perminv import regrep
 
@@ -177,7 +178,8 @@ def test_zero_postselection_is_a_contract_error():
 def test_transcript_fields_and_norms():
     program = qs.random_program(3, 1, 1, seed=11)
     tr = qs.run_bit_fixing(program, qs.RegisterLayout(n=3))
-    d = tr.to_dict()
+    d = cli._fields(tr)
+    assert d["pass"] is tr.passed and "passed" not in d
     assert d["n"] == 3 and d["p"] == 1 and d["t"] == 1
     assert len(d["per_challenge"]) == 3
     assert all(abs(v - 1.0) <= 1e-9 for v in d["step_norms"])

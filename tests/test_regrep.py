@@ -167,6 +167,18 @@ def test_assignment_indicator_counts():
             assert int(ind.sum()) == factorial(n - k)
 
 
+def test_indicator_rows_match_per_permutation_loop():
+    # The vectorised mask against the definition, one permutation at a time.
+    for n in range(1, 6):
+        perms = regrep.enumerate_group(n)
+        for k in range(n + 1):
+            alphas = regrep.assignments(n, k)
+            expect = [[all(p[x] == v for x, v in a) for p in perms] for a in alphas]
+            rows = regrep._indicator_rows(n, alphas)
+            assert rows.dtype == np.int8
+            assert np.array_equal(rows, np.array(expect, dtype=np.int8))
+
+
 def test_assignment_rejects_non_injective():
     with pytest.raises(ValueError):
         regrep.assignment_indicator(4, ((0, 1), (1, 1)))
