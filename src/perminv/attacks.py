@@ -155,17 +155,17 @@ def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
     live after the cap of 2t + 2 steps used the cap and fails.  Every answer
     is verified with one uncounted evaluation; for a permutation the success
     rate is 1.0.  ValueError unless the table has the permutation's size and
-    the targets are a 1-D integer array of points in range(n).
+    the targets are a non-empty 1-D integer array of points in range(n).
     """
     perm = _as_permutation(perm)
     n = len(perm)
     if table.n != n:
         raise ValueError(f"table for {table.n} points walked on a permutation of {n}")
     ys = np.arange(n) if targets is None else np.asarray(targets)
-    if ys.ndim != 1 or ys.size and not (
+    if ys.ndim != 1 or not ys.size or not (
         np.issubdtype(ys.dtype, np.integer) and 0 <= ys.min() and ys.max() < n
     ):
-        raise ValueError(f"targets must be a 1-D array of integers in range({n})")
+        raise ValueError(f"targets must be a non-empty 1-D array of integers in range({n})")
     ys = ys.astype(np.int64, copy=False)
     m = len(ys)
     t = table.t
@@ -208,16 +208,15 @@ def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
     found = answer >= 0
     correct = np.zeros(m, dtype=bool)
     correct[found] = perm[answer[found]] == ys[found]  # uncounted verification
-    success = float(correct.mean()) if m else 1.0
-    t_max = int(queries.max()) if m else 0
+    t_max = int(queries.max())
     return AttackStats(
         n=n,
         t=t,
         s_entries=table.s_entries,
         s_bits=table.s_bits,
         t_max=t_max,
-        t_avg=float(queries.mean()) if m else 0.0,
-        success_rate=success,
+        t_avg=float(queries.mean()),
+        success_rate=float(correct.mean()),
         st_product=table.s_entries * t_max,
     )
 
@@ -265,11 +264,3 @@ def tradeoff_sweep(
         )
     return rows
 
-
-def save_permutation(path, perm) -> None:
-    """Write a permutation as little-endian 32-bit indices (a test fixture)."""
-    np.asarray(perm, dtype="<u4").tofile(path)
-
-
-def load_permutation(path) -> np.ndarray:
-    return np.fromfile(path, dtype="<u4").astype(np.int64)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import asin, factorial, sin
+from math import asin, factorial, sin, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -43,25 +43,20 @@ class RegisterLayout:
 
     n: int
     w: int = 1
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         regrep._check_n(self.n)
         if self.w < 1:
             raise ValueError("workspace dimension must be >= 1")
-        if self.total_dim > self.budget:
+        if self.total_dim > DEFAULT_BUDGET:
             raise MemoryError(
-                f"layout dimension {self.total_dim} exceeds budget {self.budget}"
+                f"layout dimension {self.total_dim} exceeds budget {DEFAULT_BUDGET}"
             )
 
     @property
     def dims(self) -> tuple[int, int, int, int, int]:
         n = self.n
         return (factorial(n), n, n, self.w, 2)
-
-    @property
-    def reg_dims(self) -> dict[str, int]:
-        return {"x": self.n, "y": self.n, "w": self.w, "b": 2}
 
     @property
     def total_dim(self) -> int:
@@ -266,29 +261,6 @@ def offline_state(program: AlgorithmProgram, layout: RegisterLayout) -> tuple[Jo
     return _offline(program, layout, None)
 
 
-def online_states(
-    state_after_offline: JointState, steps: Sequence[Step]
-) -> list[JointState]:
-    """Snapshots after each unitary of the online phase.
-
-    With the canonical shape [U_0, Q, U_1, Q, ..., Q, U_t] the k-th snapshot
-    is the state carrying exactly k online queries.
-    """
-    state = state_after_offline.copy()
-    snaps: list[JointState] = []
-    pending_snapshot = True
-    for step in steps:
-        apply_step(state, step)
-        if isinstance(step, Query):
-            pending_snapshot = True
-        elif pending_snapshot:
-            snaps.append(state.copy())
-            pending_snapshot = False
-    if pending_snapshot:
-        snaps.append(state.copy())
-    return snaps
-
-
 def run_bit_fixing(
     program: AlgorithmProgram,
     layout: RegisterLayout,
@@ -372,6 +344,14 @@ class InequalityReport:
     passed: bool
 
 
+def _inequality_row(y: int, kind: str, k: int, lhs: float, base: float, den: int, scale: float):
+    """lhs <= base + scale/sqrt(den), or a vacuous row when den <= 0."""
+    if den <= 0:
+        return InequalityRow(y, kind, k, lhs, None, None, False)
+    rhs = base + scale / np.sqrt(den)
+    return InequalityRow(y, kind, k, lhs, rhs, rhs - lhs, True)
+
+
 def check_progress_inequalities(
     program: AlgorithmProgram, layout: RegisterLayout, tol: float = 1e-9
 ) -> InequalityReport:
@@ -381,36 +361,32 @@ def check_progress_inequalities(
     Step:  high-mass after k online queries <= mass after k-1 plus
     2*sqrt(2)/sqrt(n - 4(p+k)).  Instances whose guard denominator is not
     positive are reported as vacuous rather than asserted.
+
+    One pass per challenge: the high mass is taken before every online query
+    and after the last step (masses[k] carries k online queries), and p_succ
+    is read off the final state, as in run_bit_fixing.
     """
     n = layout.n
     p, t = program.p, program.t
-    state, _, _ = offline_state(program, layout)
+    offline, _, _ = offline_state(program, layout)
+    guard = 2.0 * np.sqrt(2.0)
     rows: list[InequalityRow] = []
     for y in range(n):
-        snaps = online_states(state, program.online[y])
-        masses = [_high_mass(s, y) for s in snaps]
-        final = snaps[-1]
-        p_succ = success_probability(final, y)
-        den_final = n - 2 * (p + t)
-        if den_final > 0:
-            rhs = masses[-1] + 1.0 / np.sqrt(den_final)
-            rows.append(
-                InequalityRow(y, "final", t, np.sqrt(p_succ), rhs, rhs - np.sqrt(p_succ), True)
-            )
-        else:
-            rows.append(InequalityRow(y, "final", t, float(np.sqrt(p_succ)), None, None, False))
+        state = offline.copy()
+        masses = []
+        for step in program.online[y]:
+            if isinstance(step, Query):
+                masses.append(_high_mass(state, y))
+            apply_step(state, step)
+        masses.append(_high_mass(state, y))
+        lhs = sqrt(success_probability(state, y))
+        rows.append(_inequality_row(y, "final", t, lhs, masses[t], n - 2 * (p + t), 1.0))
         for k in range(1, t + 1):
             den = n - 4 * (p + k)
-            if den > 0:
-                rhs = masses[k - 1] + 2.0 * np.sqrt(2.0) / np.sqrt(den)
-                rows.append(
-                    InequalityRow(y, "step", k, masses[k], rhs, rhs - masses[k], True)
-                )
-            else:
-                rows.append(InequalityRow(y, "step", k, masses[k], None, None, False))
+            rows.append(_inequality_row(y, "step", k, masses[k], masses[k - 1], den, guard))
     checked = sum(1 for r in rows if r.checked)
     vacuous = len(rows) - checked
-    passed = all(r.slack is not None and r.slack >= -tol for r in rows if r.checked)
+    passed = all(r.slack >= -tol for r in rows if r.checked)
     return InequalityReport(n, p, t, rows, checked, vacuous, passed)
 
 
@@ -618,8 +594,9 @@ def random_query_adversary(n: int, t: int, seed: int = 0, dim_l: int | None = No
     return AltAdversary(n, dim_l, unitaries)
 
 
-def _alternating_chain_mass(p_ys: list[np.ndarray], init: np.ndarray, g: int) -> float:
-    """Survival probability of g alternating success/rewind measurements.
+def _alternating_chain_mass(p_ys: list[np.ndarray], init: np.ndarray, g: int) -> list[float]:
+    """Survival probability after each of g alternating success/rewind
+    measurements, in one chain.
 
     The joint state lives on challenge x adversary registers, stored as a
     matrix c with row y holding the adversary component along |y>.  The
@@ -631,13 +608,15 @@ def _alternating_chain_mass(p_ys: list[np.ndarray], init: np.ndarray, g: int) ->
     """
     n = len(p_ys)
     c = np.tile(init / np.sqrt(n), (n, 1))
+    masses = []
     for round_idx in range(g):
         if round_idx % 2 == 0:  # success measurement
             c = np.stack([p_ys[y] @ c[y] for y in range(n)])
         else:  # rewind to the uniform challenge state
             s = c.sum(axis=0) / n
             c = np.tile(s, (n, 1))
-    return float(np.sum(np.abs(c) ** 2))
+        masses.append(float(np.sum(np.abs(c) ** 2)))
+    return masses
 
 
 @dataclass
@@ -684,9 +663,8 @@ def alternating_game(
         w, u = np.linalg.eigh(p_avg)
         w = np.clip(w, 0.0, 1.0)
         overlaps = np.abs(u.conj().T @ init) ** 2
-        for rounds in range(1, g + 1):
-            sims[rounds - 1] += _alternating_chain_mass(p_ys, init, rounds)
-            forms[rounds - 1] += float(overlaps @ w**rounds)
+        sims += _alternating_chain_mass(p_ys, init, g)
+        forms += [float(overlaps @ w**rounds) for rounds in range(1, g + 1)]
     sims /= len(group)
     forms /= len(group)
     disagreement = float(np.abs(sims - forms).max())

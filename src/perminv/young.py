@@ -90,9 +90,14 @@ def hook_product(lam: Partition) -> int:
 def dim(lam: Partition) -> int:
     """Dimension of the irreducible S_n module for lam, n = size(lam).
 
-    Hook length formula: n! divided by the product of all hook lengths.
-    dim(()) == 1.
+    Hook length formula: n! divided by the product of all hook lengths, once
+    per diagram (any sequence of parts is accepted).  dim(()) == 1.
     """
+    return _dim(tuple(lam))
+
+
+@cache
+def _dim(lam: Partition) -> int:
     return factorial(size(lam)) // hook_product(lam)
 
 
@@ -138,6 +143,12 @@ def has_bar(theta: Partition, n: int) -> bool:
         return False
     first = n - k
     return first >= (theta[0] if theta else 0)
+
+
+def valid_thetas(n: int) -> list[Partition]:
+    """All theta (any size 0..n-1) whose bar diagram of size n is valid, by
+    increasing size."""
+    return [t for k in range(n) for t in partitions(k) if has_bar(t, n)]
 
 
 def bar_star(theta: Partition, n: int) -> Partition | None:
@@ -257,19 +268,15 @@ def identities_report(max_n: int, char_max_n: int = 8) -> dict:
                 branching_failures.append({"n": n, "lambda": list(lam)})
         if total != factorial(n):
             burnside_failures.append({"n": n, "sum": total})
-        for k in range(0, n // 2 + 1):
-            for theta in partitions(k):
-                if has_bar(theta, n) and bar_star(theta, n) is not None:
-                    ratio_checked += 1
-                    _, _, holds = ratio_bound_check(theta, n)
-                    if not holds:
-                        ratio_failures.append({"n": n, "theta": list(theta)})
-        for k in range(0, n):
-            for theta in partitions(k):
-                if has_bar(theta, n):
-                    eig_checked += 1
-                    if eigenvalue_m(bar(theta, n), n) > 2 * k:
-                        eig_failures.append({"n": n, "theta": list(theta)})
+        for theta in valid_thetas(n):
+            if 2 * size(theta) <= n and bar_star(theta, n) is not None:
+                ratio_checked += 1
+                _, _, holds = ratio_bound_check(theta, n)
+                if not holds:
+                    ratio_failures.append({"n": n, "theta": list(theta)})
+            eig_checked += 1
+            if eigenvalue_m(bar(theta, n), n) > 2 * size(theta):
+                eig_failures.append({"n": n, "theta": list(theta)})
     orth_failures = []
     for n in range(1, char_max_n + 1):
         classes = partitions(n)

@@ -1,6 +1,7 @@
 """Purified-oracle simulator checks: oracle semantics, game transcripts,
 support and progress bounds, Grover, and the alternating-measurement game."""
 
+import math
 from math import asin, factorial, sin
 
 import numpy as np
@@ -29,8 +30,9 @@ def test_layout_dims():
 
 
 def test_layout_budget():
-    with pytest.raises(MemoryError):
-        qs.RegisterLayout(n=6, w=1, budget=1000)
+    # 720 * 6 * 6 * 400 * 2 = 20,736,000 > 2^24: refused before any allocation.
+    with pytest.raises(MemoryError, match="exceeds budget 16777216"):
+        qs.RegisterLayout(n=6, w=400)
 
 
 def test_init_state_uniform_overlap():
@@ -272,10 +274,39 @@ def test_inequalities_vacuous_instances_are_reported():
 
 def test_online_snapshots_count():
     program = qs.random_program(4, 1, 2, seed=2)
-    lay = qs.RegisterLayout(n=4)
-    state, _, _ = qs.offline_state(program, lay)
-    snaps = qs.online_states(state, program.online[0])
-    assert len(snaps) == 3  # k = 0, 1, 2 online queries
+    rep = qs.check_progress_inequalities(program, qs.RegisterLayout(n=4))
+    for y in range(4):
+        kinds = [(r.kind, r.k) for r in rep.rows if r.y == y]
+        assert kinds == [("final", 2), ("step", 1), ("step", 2)]
+
+
+@pytest.mark.parametrize(
+    "n, p, t, w",
+    [(4, 0, 1, 1), (4, 1, 1, 1), (4, 0, 2, 2), (5, 0, 1, 2), (5, 1, 2, 1), (5, None, 2, 1)],
+)
+def test_final_rows_use_the_game_success(n, p, t, w):
+    # The final row's lhs is sqrt(p_succ) of the game after its last step; it
+    # used to be read before the trailing unitaries (0.447 instead of 0.984
+    # on the Grover iteration at n = 5, the p = None case).
+    if p is None:
+        program = qs.grover_iteration_program(n)
+    else:
+        program = qs.random_program(n, p, t, w=w, seed=n + p + t)
+    lay = qs.RegisterLayout(n=n, w=w)
+    rep = qs.check_progress_inequalities(program, lay)
+    tr = qs.run_bit_fixing(program, lay)
+    finals = [r for r in rep.rows if r.kind == "final"]
+    assert [r.lhs for r in finals] == [math.sqrt(row["p_succ"]) for row in tr.per_challenge]
+
+
+def test_query_first_online_steps():
+    # An online step list that opens with a query used to end in IndexError.
+    n = 5
+    steps = (qs.Query(), qs.Unitary(np.eye(n), ("x",)))
+    program = qs.AlgorithmProgram(offline=(), online=(steps,) * n, p=0, t=1)
+    rep = qs.check_progress_inequalities(program, qs.RegisterLayout(n=n))
+    assert len(rep.rows) == 10 and rep.checked == 10
+    assert rep.passed
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,15 @@ def test_spectral_gap_check():
         regrep._check_spectral_gap(np.array([0.0, 1.0]), 0)
 
 
+def test_basis_gap_check_guards_the_prime_path(monkeypatch):
+    # Two primes agreeing on a wrong rank must still be caught: the float gap
+    # is confirmed when the subspace's orthonormal basis is built.
+    true_rank = regrep._rank_mod_p
+    monkeypatch.setattr(regrep, "_rank_mod_p", lambda mat, p: true_rank(mat, p) + 1)
+    with pytest.raises(ArithmeticError, match="ambiguous spectral gap for rank 27"):
+        regrep._make_subspace(6, regrep.assignments(6, 1))
+
+
 def test_exact_rank_matches_numpy_on_spanning_sets():
     for n in (3, 4):
         for k in range(n):

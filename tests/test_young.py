@@ -12,6 +12,8 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perminv import young
 
@@ -183,6 +185,27 @@ def test_branching_identity_small():
     for n in range(1, 12):
         for lam in young.partitions(n):
             assert young.dim(lam) == sum(young.dim(mu) for mu in young.removable(lam))
+
+
+@st.composite
+def nonempty_partitions(draw, max_size: int = 40):
+    """Arbitrary partitions of 1..max_size, drawn part by part."""
+    remaining = draw(st.integers(1, max_size))
+    parts: list[int] = []
+    while remaining:
+        part = draw(st.integers(1, min(remaining, parts[-1] if parts else remaining)))
+        parts.append(part)
+        remaining -= part
+    return tuple(parts)
+
+
+@settings(deadline=None)
+@given(lam=nonempty_partitions())
+def test_dim_branching_and_hook_formula_property(lam):
+    d = young.dim(lam)
+    assert d == sum(young.dim(mu) for mu in young.removable(lam))
+    assert d == factorial(young.size(lam)) // young.hook_product(lam)
+    assert young.dim(list(lam)) == d
 
 
 def test_transpose_involution_and_examples():
