@@ -12,6 +12,7 @@ is a verification failure: it is reported with pass false and its reason.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -91,11 +92,7 @@ def _emit(args, report: dict, passed: bool, csv_text: str | None = None) -> int:
         out_text = _render_text(payload) + "\n"
     else:
         out_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out_text)
-    else:
-        sys.stdout.write(out_text)
+    sys.stdout.write(out_text)
     return 0 if passed else 1
 
 
@@ -371,16 +368,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.format is None:
         args.format = "csv" if args.command == "hellman" else "json"
-    if args.format == "csv" and args.command != "hellman":
-        print("error: csv output is only available for the hellman subcommand", file=sys.stderr)
-        return 2
+    # Usage errors found before any work; --out is opened here, as a shell
+    # redirection would be.
     try:
-        return args.func(args)
-    except (ValueError, MemoryError) as exc:
+        if args.format == "csv" and args.command != "hellman":
+            raise ValueError("csv output is only available for the hellman subcommand")
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        return _emit(args, {"reason": f"{type(exc).__name__}: {exc}"}, False)
+    with out as fh, contextlib.redirect_stdout(fh):
+        try:
+            return args.func(args)
+        except (ValueError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ArithmeticError as exc:
+            return _emit(args, {"reason": f"{type(exc).__name__}: {exc}"}, False)
 
 
 if __name__ == "__main__":

@@ -9,13 +9,14 @@ spectrum of M by brute force.
 
 Two arithmetic flavors coexist.  Ranks of spanning sets are decided with
 exact integer arithmetic (unnormalized assignment vectors are 0/1 integer
-vectors): fraction-free Bareiss elimination on the integer Gram matrix up to
-N = 5, and agreement of two independent blocked prime-field eliminations at
-N = 6.  Orthonormal bases, projectors and eigensolves are double precision,
-with the exact ranks pinning every rank decision the float side makes; a
-basis is built only once its float Gram spectrum confirms the rank with a
-wide gap.  Only the challenge-0 high projector is built constructively; the
-others are its relabelings by range transpositions.
+vectors), by one path at every N: the rank of the integer Gram matrix modulo
+one prime bounds the rank over Q from below, and an integer kernel witness,
+checked exactly, bounds it from above.  Orthonormal bases, projectors and
+eigensolves are double precision, with the exact ranks pinning every rank
+decision the float side makes; a basis is built only once its float Gram
+spectrum confirms the rank with a wide gap.  Only the challenge-0 high
+projector is built constructively; the others are its relabelings by range
+transpositions.
 
 The default size cap is N = 6 (dimension 720).  Set PERMINV_MAX_N=7 to
 allow N = 7; dense 5040^2 float matrices cost ~200 MB each.
@@ -38,7 +39,7 @@ from perminv.young import Partition
 HARD_CAP = 7
 DEFAULT_CAP = 6
 
-_RANK_PRIMES = (1_000_003, 999_983)
+_RANK_PRIME = 1_000_003
 _RANK_BLOCK = 32  # panel width of the blocked prime-field elimination
 
 
@@ -203,8 +204,8 @@ def _indicator_rows(n: int, alphas) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exact ranks: Bareiss on the integer Gram matrix (N <= 5), two prime fields
-# (N = 6).
+# Exact ranks: one prime field for the lower bound, an integer kernel witness
+# for the upper bound.
 
 
 def _gram_int(rows: np.ndarray) -> np.ndarray:
@@ -214,37 +215,6 @@ def _gram_int(rows: np.ndarray) -> np.ndarray:
     if g.size and np.abs(g).max() >= 2**52:
         raise OverflowError("Gram entries too large for exact float accumulation")
     return np.rint(g).astype(np.int64)
-
-
-def _rank_bareiss(mat: np.ndarray) -> int:
-    """Rank over Q via fraction-free elimination; entries stay exact minors."""
-    rows = [[int(x) for x in row] for row in mat]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            rr = rows[r]
-            mult = rr[col]
-            for c in range(col + 1, ncols):
-                num = pr[col] * rr[c] - mult * pr[c]
-                q, rem = divmod(num, prev)
-                if rem:  # pragma: no cover - guards the Sylvester identity
-                    raise ArithmeticError("inexact division in Bareiss step")
-                rr[c] = q
-            rr[col] = 0
-        prev = pr[col]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def _rref_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -283,8 +253,9 @@ def _reduce_mod_p(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank mod p by blocked elimination with float64 matmul updates.
+def _rank_mod_p(mat: np.ndarray, p: int) -> tuple[int, list[int]]:
+    """Rank mod p and the pivot columns, by blocked elimination with float64
+    matmul updates.
 
     Each panel of _RANK_BLOCK columns is reduced on its own.  Its pivot rows
     are eliminated from the other rows with multipliers X = B_rest B_piv^-1
@@ -293,23 +264,49 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     T_rest - X @ T_piv.  Every matmul sums at most _RANK_BLOCK products of
     residues below p, so it is exact in float64 while
     _RANK_BLOCK * (p - 1)^2 < 2^53 (Dumas, Giorgi and Pernet, ACM TOMS 2008).
+    A pivot column is one independent mod p of all the columns left of it.
     """
     if _RANK_BLOCK * (p - 1) ** 2 >= 2**53:
         raise ArithmeticError(f"prime {p} too large for exact float64 blocks of {_RANK_BLOCK}")
     a = (mat % p).astype(np.float64)
-    rank = 0
+    pivots: list[int] = []
     while a.shape[0] and a.shape[1]:
         panel, trailing = a[:, :_RANK_BLOCK], a[:, _RANK_BLOCK:]
         _, order, cols = _rref_mod_p(panel, p)
         r = len(cols)
-        if r:
-            piv, rest = order[:r], order[r:]
-            aug, _, _ = _rref_mod_p(np.hstack([panel[np.ix_(piv, cols)], np.eye(r)]), p)
-            x = _reduce_mod_p(panel[np.ix_(rest, cols)] @ aug[:, r:], p)
-            trailing = _reduce_mod_p(trailing[rest] - _reduce_mod_p(x @ trailing[piv], p), p)
-            rank += r
-        a = trailing
-    return rank
+        piv, rest = order[:r], order[r:]
+        aug, _, _ = _rref_mod_p(np.hstack([panel[np.ix_(piv, cols)], np.eye(r)]), p)
+        x = _reduce_mod_p(panel[np.ix_(rest, cols)] @ aug[:, r:], p)
+        pivots += [mat.shape[1] - a.shape[1] + c for c in cols]  # a: the trailing columns
+        a = _reduce_mod_p(trailing[rest] - _reduce_mod_p(x @ trailing[piv], p), p)
+    return len(pivots), pivots
+
+
+def _kernel_witness(gram: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """d x (d - r) float64 matrix K of integers, of rank d - r by its identity
+    block on the non-pivot rows F, with -rint(G[J, J]^-1 G[J, F]) on the
+    pivot rows J."""
+    free = np.setdiff1d(np.arange(gram.shape[0]), pivots)
+    try:
+        x = np.linalg.solve(gram[np.ix_(pivots, pivots)], gram[np.ix_(pivots, free)])
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"singular pivot block for rank {len(pivots)}") from exc
+    k = np.eye(gram.shape[0])[:, free]
+    k[pivots] = -np.rint(x)
+    return k
+
+
+def _check_kernel_witness(gram: np.ndarray, k: np.ndarray) -> None:
+    """Raise unless gram @ k == 0 exactly: every partial sum is an integer of
+    magnitude at most d * max|G| * max|K|, exact in float64 below 2^53."""
+    d = gram.shape[0]
+    bound = d * float(np.abs(gram).max(initial=0)) * float(np.abs(k).max(initial=0))
+    if not bound < 2**53:
+        raise ArithmeticError(f"kernel witness product bound {bound:.3e} is not below 2^53")
+    resid = float(np.abs(gram @ k).max(initial=0))
+    if resid:
+        r = d - k.shape[1]
+        raise ArithmeticError(f"no integer kernel witness for rank {r}: max |G @ K| = {resid:.0f}")
 
 
 def _check_spectral_gap(w: np.ndarray, r: int) -> None:
@@ -326,19 +323,19 @@ def _check_spectral_gap(w: np.ndarray, r: int) -> None:
         raise ArithmeticError(f"ambiguous spectral gap for rank {r}: {kept:.3e} vs {dropped:.3e}")
 
 
-def exact_rank(rows: np.ndarray, n: int) -> int:
-    """Rank over Q of an integer matrix of group-algebra vectors: Bareiss up
-    to N = 5, two agreeing prime-field ranks at N = 6.  The float spectral
-    gap is confirmed once, at every N, when _orthonormal_basis builds the basis."""
-    if rows.shape[0] == 0:
-        return 0
+def exact_rank(rows: np.ndarray) -> int:
+    """Rank over Q of an integer row matrix, proven on its d x d Gram matrix
+    G by one path at every N (a certificate after Kaltofen, Nehring and
+    Saunders, ISSAC 2011).  The rank r mod _RANK_PRIME is a lower bound; the
+    witness K of rank d - r with G @ K == 0 exactly is an upper bound.  An
+    unlucky prime under-reports r, and a dependent column with fractional
+    coefficients has no integral K: both raise ArithmeticError.  The float
+    spectral gap confirmed by _orthonormal_basis guards against an
+    elimination that over-reports r."""
     gram = _gram_int(rows)
-    if n <= 5:
-        return _rank_bareiss(gram)
-    ranks = {_rank_mod_p(gram, p) for p in _RANK_PRIMES}
-    if len(ranks) != 1:
-        raise ArithmeticError(f"prime-field ranks disagree: {sorted(ranks)}")
-    return ranks.pop()
+    r, pivots = _rank_mod_p(gram, _RANK_PRIME)
+    _check_kernel_witness(gram, _kernel_witness(gram, pivots))
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +373,7 @@ class Subspace:
 
 def _make_subspace(n: int, alphas) -> Subspace:
     rows = _indicator_rows(n, alphas)
-    r = exact_rank(rows, n)
+    r = exact_rank(rows)
     q = _orthonormal_basis(rows, expected_rank=r)
     q.setflags(write=False)
     return Subspace(n=n, dim=r, basis=q)
@@ -397,8 +394,6 @@ def subspace_a_y(n: int, k: int, y: int) -> Subspace:
     _check_n(n)
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}")
-    if k == 0:
-        return Subspace(n=n, dim=0, basis=np.zeros((factorial(n), 0)))
     return _make_subspace(n, assignments_with_image(n, k, y))
 
 

@@ -103,6 +103,22 @@ def test_csv_refused_before_any_work(capsys, monkeypatch):
     assert captured.err == "error: csv output is only available for the hellman subcommand\n"
 
 
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_refused_before_any_work(where, tmp_path, capsys, monkeypatch):
+    from perminv import regrep
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the suite ran before --out was opened")
+
+    monkeypatch.setattr(regrep, "decomposition_report", must_not_run)
+    out = tmp_path / where
+    code = cli.main(["decomp-check", "--n", "5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ") and str(out) in captured.err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
@@ -181,8 +197,8 @@ def test_certification_failure_is_a_failing_verdict(capsys, monkeypatch):
 
     from perminv import regrep
 
-    def refuse(rows, n):
-        raise ArithmeticError("prime-field ranks disagree: [3, 4]")
+    def refuse(rows):
+        raise ArithmeticError("no integer kernel witness for rank 3: max |G @ K| = 1")
 
     # A fresh cache, so decomp-check --n 3 certifies its ranks in this test
     # even when an earlier test built them; monkeypatch restores both.
@@ -192,7 +208,8 @@ def test_certification_failure_is_a_failing_verdict(capsys, monkeypatch):
     assert code == 1
     payload = json.loads(out)
     assert payload["pass"] is False
-    assert payload["report"]["reason"] == "ArithmeticError: prime-field ranks disagree: [3, 4]"
+    reason = "ArithmeticError: no integer kernel witness for rank 3: max |G @ K| = 1"
+    assert payload["report"]["reason"] == reason
 
 
 @pytest.mark.parametrize(

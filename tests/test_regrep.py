@@ -1,10 +1,12 @@
 """Regular-representation machinery against exact predictions.
 
 Rank oracles: plain Fraction Gaussian elimination and a per-column
-prime-field elimination (both test-local) versus the library's
-Bareiss/blocked prime-field pipeline, plus numpy's SVD-based matrix_rank as
-a third opinion.  Character cross-check: traces of the one-sided action
-restricted to an isotypic block.
+prime-field elimination (both test-local) versus the library's blocked
+prime-field rank and its integer kernel witness, plus numpy's SVD-based
+matrix_rank as a third opinion.  Each rank check is also shown able to
+fail: an unlucky prime, a perturbed witness and an over-reported rank.
+Character cross-check: traces of the one-sided action restricted to an
+isotypic block.
 """
 
 from fractions import Fraction
@@ -36,12 +38,13 @@ def fraction_rank(mat) -> int:
     return rank
 
 
-def rank_mod_p_reference(mat, p: int) -> int:
-    """Per-column Gaussian elimination mod p; the reference for the blocked
-    elimination in regrep._rank_mod_p."""
+def rank_mod_p_reference(mat, p: int) -> tuple[int, list[int]]:
+    """Per-column Gaussian elimination mod p: (rank, pivot columns), the
+    reference for the blocked elimination in regrep._rank_mod_p."""
     a = (np.asarray(mat) % p).astype(np.int64)
     nrows, ncols = a.shape
     rank = 0
+    pivots = []
     for c in range(ncols):
         if rank == nrows:
             break
@@ -57,7 +60,8 @@ def rank_mod_p_reference(mat, p: int) -> int:
             below -= below[:, c : c + 1] * a[rank]
             below %= p
         rank += 1
-    return rank
+        pivots.append(c)
+    return rank, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +224,51 @@ def test_chain_refinement_integer_identity():
 # Exact rank machinery.
 
 
-def test_bareiss_and_modp_match_fraction_elimination():
+def test_modp_rank_and_witness_match_fraction_elimination():
     rng = np.random.default_rng(1)
     for trial in range(20):
         m = rng.integers(0, 2, size=(8, 6))
         if trial % 3 == 0:  # force rank deficiency
             m[3] = m[0] ^ m[1] if trial % 2 else m[0]
         ref = fraction_rank(m)
-        gram = regrep._gram_int(m)
-        assert regrep._rank_bareiss(gram) == ref
-        for p in regrep._RANK_PRIMES:
-            assert regrep._rank_mod_p(gram, p) == ref
+        assert regrep._rank_mod_p(regrep._gram_int(m), regrep._RANK_PRIME)[0] == ref
+        assert regrep.exact_rank(m) == ref
+
+
+def test_unlucky_prime_has_no_witness():
+    # Rank 2 over Q but 1 mod the prime: the lower bound under-reports, so
+    # no kernel witness of width d - 1 exists and the check fails loudly.
+    rows = np.array([[regrep._RANK_PRIME, 0], [0, 1]])
+    assert fraction_rank(rows) == 2
+    assert regrep._rank_mod_p(regrep._gram_int(rows), regrep._RANK_PRIME)[0] == 1
+    with pytest.raises(ArithmeticError, match="no integer kernel witness for rank 1"):
+        regrep.exact_rank(rows)
+
+
+def test_fractional_dependency_is_refused_not_guessed():
+    # Row 0 is twice row 1, so the second Gram column is half the first: the
+    # rank is 1, but no integer witness with an identity block exists.
+    rows = np.array([[2, 4], [1, 2]])
+    assert fraction_rank(rows) == 1
+    with pytest.raises(ArithmeticError, match="no integer kernel witness for rank 1"):
+        regrep.exact_rank(rows)
+
+
+def test_perturbed_witness_fails_the_exact_check():
+    rows = regrep._indicator_rows(4, regrep.assignments_with_image(4, 2, 0))
+    gram = regrep._gram_int(rows)
+    r, pivots = regrep._rank_mod_p(gram, regrep._RANK_PRIME)
+    k = regrep._kernel_witness(gram, pivots)
+    assert k.shape == (24, 24 - r) and r == fraction_rank(rows)
+    regrep._check_kernel_witness(gram, k)
+    # Every single-entry change breaks G @ K == 0: no Gram column is zero.
+    for i, j in np.ndindex(k.shape):
+        bad = k.copy()
+        bad[i, j] += 1
+        with pytest.raises(ArithmeticError, match=f"no integer kernel witness for rank {r}"):
+            regrep._check_kernel_witness(gram, bad)
+    with pytest.raises(ArithmeticError, match="not below 2"):
+        regrep._check_kernel_witness(gram, k * 2.0**50)
 
 
 def _certified_grams():
@@ -245,10 +283,11 @@ def _certified_grams():
 
 
 def test_blocked_modp_matches_reference_on_certified_grams():
+    # Rank and pivot columns, which the kernel witness is built from.
+    p = regrep._RANK_PRIME
     seen = 0
     for name, gram in _certified_grams():
-        for p in regrep._RANK_PRIMES:
-            assert regrep._rank_mod_p(gram, p) == rank_mod_p_reference(gram, p), (name, p)
+        assert regrep._rank_mod_p(gram, p) == rank_mod_p_reference(gram, p), name
         seen += 1
     assert seen == sum(2 * n - 1 for n in range(2, 7))
 
@@ -267,7 +306,8 @@ def test_blocked_modp_matches_reference_on_random_matrices(monkeypatch):
             mat[:, :4] = 0
         if trial % 3 == 1:
             mat[:, 1] = mat[:, 0]
-        for p in regrep._RANK_PRIMES:
+        # The small prime makes pivots vanish mod p far more often.
+        for p in (regrep._RANK_PRIME, 7):
             assert regrep._rank_mod_p(mat, p) == rank_mod_p_reference(mat, p), (trial, p)
 
 
@@ -281,10 +321,10 @@ def test_spectral_gap_check():
 
 
 def test_basis_gap_check_guards_the_prime_path(monkeypatch):
-    # Two primes agreeing on a wrong rank must still be caught: the float gap
-    # is confirmed when the subspace's orthonormal basis is built.
-    true_rank = regrep._rank_mod_p
-    monkeypatch.setattr(regrep, "_rank_mod_p", lambda mat, p: true_rank(mat, p) + 1)
+    # A rank claimed one too high must still be caught: the float gap is
+    # confirmed when the subspace's orthonormal basis is built.
+    true_rank = regrep.exact_rank
+    monkeypatch.setattr(regrep, "exact_rank", lambda rows: true_rank(rows) + 1)
     with pytest.raises(ArithmeticError, match="ambiguous spectral gap for rank 27"):
         regrep._make_subspace(6, regrep.assignments(6, 1))
 
@@ -293,7 +333,7 @@ def test_exact_rank_matches_numpy_on_spanning_sets():
     for n in (3, 4):
         for k in range(n):
             rows = regrep._indicator_rows(n, regrep.assignments(n, k))
-            assert regrep.exact_rank(rows, n) == np.linalg.matrix_rank(rows.astype(float))
+            assert regrep.exact_rank(rows) == np.linalg.matrix_rank(rows.astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +355,12 @@ def test_subspace_dims_match_prediction():
 def test_subspace_a_y_zero():
     s = regrep.subspace_a_y(4, 0, 2)
     assert s.dim == 0 and s.basis.shape == (24, 0)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_subspace_a_y_checks_the_challenge(k):
+    with pytest.raises(ValueError, match="challenge 99 not in range"):
+        regrep.subspace_a_y(4, k, 99)
 
 
 def test_basis_orthonormal():
