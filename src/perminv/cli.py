@@ -20,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from perminv import __version__
+from perminv import __version__, attacks, querysim, regrep, young
 
 SCHEMA_VERSION = "1"
 
@@ -97,13 +97,10 @@ def _emit(args, report: dict, passed: bool, csv_text: str | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Heavy imports stay inside so --help and the exact
-# combinatorics commands do not pay the numpy startup cost twice.
+# Subcommand handlers.
 
 
 def cmd_young(args) -> int:
-    from perminv import young
-
     mode = args.mode
     if mode == "identities":
         _at_least("--max-n", args.max_n, 1)
@@ -144,22 +141,16 @@ def cmd_young(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from perminv import regrep
-
     report = regrep.spectrum(args.n)
     return _emit(args, _fields(report), report.passed)
 
 
 def cmd_avgbound(args) -> int:
-    from perminv import regrep
-
     report = regrep.avg_bound_check(args.n, args.k, samples=args.samples, seed=args.seed)
     return _emit(args, _fields(report), report.passed)
 
 
 def cmd_decomp_check(args) -> int:
-    from perminv import regrep
-
     _at_least("--trials", args.trials, 1)
     report = regrep.decomposition_report(args.n)
     cc = regrep.change_of_challenge_check(args.n, trials=args.trials, seed=args.seed)
@@ -168,8 +159,6 @@ def cmd_decomp_check(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    from perminv import querysim
-
     _at_least("--programs", args.programs, 1)
     layout = querysim.RegisterLayout(n=args.n, w=args.w)
     runs = []
@@ -177,8 +166,7 @@ def cmd_lemma_check(args) -> int:
     worst_support = 0.0
     for i in range(args.programs):
         program = querysim.random_program(args.n, args.p, args.t, w=args.w, seed=args.seed + i)
-        transcript = querysim.run_bit_fixing(program, layout)
-        ineq = querysim.check_progress_inequalities(program, layout)
+        transcript, ineq = querysim.check_progress_inequalities(program, layout)
         support = max((row["residual"] for row in transcript.lemma_checks), default=0.0)
         worst_support = max(worst_support, support)
         good = transcript.passed and ineq.passed
@@ -203,11 +191,7 @@ def cmd_lemma_check(args) -> int:
 
 
 def cmd_game(args) -> int:
-    from perminv import querysim
-
     challenge = "all" if args.challenge == "all" else int(args.challenge)
-    if challenge != "all" and not 0 <= challenge < args.n:
-        raise ValueError(f"--challenge must be 'all' or in range({args.n}), got {challenge}")
     layout = querysim.RegisterLayout(n=args.n, w=args.w)
     program = querysim.random_program(args.n, args.p, args.t, w=args.w, seed=args.seed)
     transcript = querysim.run_bit_fixing(program, layout, challenge=challenge)
@@ -215,8 +199,6 @@ def cmd_game(args) -> int:
 
 
 def cmd_altgame(args) -> int:
-    from perminv import querysim
-
     _at_least("--t", args.t, 0)
     _at_least("--adversaries", args.adversaries, 1)
     reports = []
@@ -230,8 +212,6 @@ def cmd_altgame(args) -> int:
 
 
 def cmd_grover(args) -> int:
-    from perminv import querysim
-
     p_sim, p_formula = querysim.grover_invert(args.n, args.t)
     report: dict = {
         "n": args.n,
@@ -256,8 +236,6 @@ def cmd_grover(args) -> int:
 
 
 def cmd_hellman(args) -> int:
-    from perminv import attacks
-
     _at_least("--log-n", args.log_n, 0)
     _at_least("--trials", args.trials, 1)
     if args.sample is not None:

@@ -223,29 +223,37 @@ class GameTranscript:
 
 
 def _play(
-    state: JointState, steps: Sequence[Step], norms: list[float], k: int, lemma, y=None
+    state: JointState, steps: Sequence[Step], norms: list, lemma: list, k: int, y=None, masses=None
 ) -> None:
-    """Apply steps in place, appending the norm after each step and, when
-    lemma is a list, the support residual after each query; k is the number
-    of queries made before these steps."""
+    """Apply steps in place, appending the norm after each step and the
+    support residual after each query; k is the number of queries made
+    before these steps.  When masses is a list, the high mass for y is
+    appended before each query and after the last step."""
     for step in steps:
+        if masses is not None and isinstance(step, Query):
+            masses.append(_high_mass(state, y))
         apply_step(state, step)
         norms.append(state.norm())
         if isinstance(step, Query):
             k += 1
-            if lemma is not None:
-                residual = support_residual(state, k)
-                phase = "offline" if y is None else "online"
-                lemma.append({"phase": phase, "y": y, "k": k, "residual": residual})
+            residual = support_residual(state, k)
+            phase = "offline" if y is None else "online"
+            lemma.append({"phase": phase, "y": y, "k": k, "residual": residual})
+    if masses is not None:
+        masses.append(_high_mass(state, y))
 
 
-def _offline(
-    program: AlgorithmProgram, layout: RegisterLayout, lemma
-) -> tuple[JointState, float, list[float]]:
-    """offline_state, also recording support residuals when lemma is a list."""
+def _game(
+    program: AlgorithmProgram, layout: RegisterLayout, ys: Sequence[int], high: bool = False
+) -> tuple[GameTranscript, list[list[float] | None]]:
+    """One pass of the bit-fixing game: the offline phase and its
+    postselection once, then each challenge in ys once from a copy.  With
+    high, also the high masses of each challenge's online play (see _play);
+    otherwise no high projector is read."""
     state = init_state(layout)
     norms = [state.norm()]
-    _play(state, program.offline, norms, 0, lemma)
+    lemma: list[dict] = []
+    _play(state, program.offline, norms, lemma, 0)
     try:
         mass = postselect_b0(state)
     except ZeroPostselectionError as exc:
@@ -253,12 +261,22 @@ def _offline(
             f"offline phase of the (p={program.p}, t={program.t}) program on "
             f"n={layout.n} left no b=0 amplitude: {exc}"
         ) from None
-    return state, mass, norms
-
-
-def offline_state(program: AlgorithmProgram, layout: RegisterLayout) -> tuple[JointState, float, list[float]]:
-    """Run the offline phase and postselect: returns (state, P[b=0], norms)."""
-    return _offline(program, layout, None)
+    per = []
+    highs = []
+    for y in ys:
+        s = state.copy()
+        masses = [] if high else None
+        _play(s, program.online[y], norms, lemma, program.p, y, masses)
+        per.append({"y": y, "p_succ": success_probability(s, y)})
+        highs.append(masses)
+    avg = float(np.mean([row["p_succ"] for row in per]))
+    passed = all(abs(v - 1.0) <= 1e-9 for v in norms) and all(
+        row["residual"] <= 1e-8 for row in lemma
+    )
+    transcript = GameTranscript(
+        layout.n, program.p, program.t, layout.w, mass, per, avg, norms, lemma, passed
+    )
+    return transcript, highs
 
 
 def run_bit_fixing(
@@ -270,34 +288,16 @@ def run_bit_fixing(
 
     The offline restart loop is simulated by postselecting B on 0 (its mass
     must exceed 1e-12).  challenge="all" runs every y and reports the
-    average; an integer runs that single challenge.  The transcript records,
-    after every query, the residual of the oracle side outside the
-    partial-assignment subspace for the current query count.
+    average; an integer in range(n) runs that single challenge, and anything
+    else is a ValueError.  The transcript records, after every query, the
+    residual of the oracle side outside the partial-assignment subspace for
+    the current query count.
     """
-    lemma: list[dict] = []
-    state, mass, norms = _offline(program, layout, lemma)
-    ys = range(layout.n) if challenge == "all" else [int(challenge)]
-    per = []
-    for y in ys:
-        s = state.copy()
-        _play(s, program.online[y], norms, program.p, lemma, y)
-        per.append({"y": y, "p_succ": success_probability(s, y)})
-    avg = float(np.mean([row["p_succ"] for row in per]))
-    passed = all(abs(v - 1.0) <= 1e-9 for v in norms) and all(
-        row["residual"] <= 1e-8 for row in lemma
-    )
-    return GameTranscript(
-        n=layout.n,
-        p=program.p,
-        t=program.t,
-        w=layout.w,
-        postselect_prob=mass,
-        per_challenge=per,
-        avg_success=avg,
-        step_norms=norms,
-        lemma_checks=lemma,
-        passed=passed,
-    )
+    n = layout.n
+    if challenge != "all" and challenge not in range(n):
+        raise ValueError(f"challenge must be 'all' or in range({n}), got {challenge!r}")
+    ys = range(n) if challenge == "all" else [int(challenge)]
+    return _game(program, layout, ys)[0]
 
 
 def support_residual(state: JointState, k: int) -> float:
@@ -354,7 +354,7 @@ def _inequality_row(y: int, kind: str, k: int, lhs: float, base: float, den: int
 
 def check_progress_inequalities(
     program: AlgorithmProgram, layout: RegisterLayout, tol: float = 1e-9
-) -> InequalityReport:
+) -> tuple[GameTranscript, InequalityReport]:
     """Success-vs-high-mass and per-query progress inequalities, per challenge.
 
     Final: sqrt(p_succ) <= high-mass after all queries + 1/sqrt(n - 2(p+t)).
@@ -362,24 +362,19 @@ def check_progress_inequalities(
     2*sqrt(2)/sqrt(n - 4(p+k)).  Instances whose guard denominator is not
     positive are reported as vacuous rather than asserted.
 
-    One pass per challenge: the high mass is taken before every online query
-    and after the last step (masses[k] carries k online queries), and p_succ
-    is read off the final state, as in run_bit_fixing.
+    The game is played once, as in run_bit_fixing with challenge="all", and
+    its transcript is returned with the report: the high mass is taken
+    before every online query and after the last step (masses[k] carries k
+    online queries), and p_succ is the transcript's.
     """
     n = layout.n
     p, t = program.p, program.t
-    offline, _, _ = offline_state(program, layout)
+    transcript, highs = _game(program, layout, range(n), high=True)
     guard = 2.0 * np.sqrt(2.0)
     rows: list[InequalityRow] = []
-    for y in range(n):
-        state = offline.copy()
-        masses = []
-        for step in program.online[y]:
-            if isinstance(step, Query):
-                masses.append(_high_mass(state, y))
-            apply_step(state, step)
-        masses.append(_high_mass(state, y))
-        lhs = sqrt(success_probability(state, y))
+    for row, masses in zip(transcript.per_challenge, highs):
+        y = row["y"]
+        lhs = sqrt(row["p_succ"])
         rows.append(_inequality_row(y, "final", t, lhs, masses[t], n - 2 * (p + t), 1.0))
         for k in range(1, t + 1):
             den = n - 4 * (p + k)
@@ -387,7 +382,7 @@ def check_progress_inequalities(
     checked = sum(1 for r in rows if r.checked)
     vacuous = len(rows) - checked
     passed = all(r.slack >= -tol for r in rows if r.checked)
-    return InequalityReport(n, p, t, rows, checked, vacuous, passed)
+    return transcript, InequalityReport(n, p, t, rows, checked, vacuous, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ spectrum confirms the rank with a wide gap.  Only the challenge-0 high
 projector is built constructively; the others are its relabelings by range
 transpositions.
 
-The default size cap is N = 6 (dimension 720).  Set PERMINV_MAX_N=7 to
-allow N = 7; dense 5040^2 float matrices cost ~200 MB each.
+The size cap is N = 6 (dimension 720); at N = 7 each dense 5040^2 float
+matrix would cost ~200 MB.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -36,37 +35,20 @@ import numpy as np
 from perminv import young
 from perminv.young import Partition
 
-HARD_CAP = 7
-DEFAULT_CAP = 6
-
+_MAX_N = 6  # dense N! x N! matrices
 _RANK_PRIME = 1_000_003
 _RANK_BLOCK = 32  # panel width of the blocked prime-field elimination
 
 
 class CapacityError(ValueError):
-    """Requested N needs dense matrices beyond the configured cap."""
-
-
-def max_n() -> int:
-    """Current cap on N: DEFAULT_CAP unless PERMINV_MAX_N raises it (<= 7)."""
-    raw = os.environ.get("PERMINV_MAX_N")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise CapacityError(f"PERMINV_MAX_N={raw!r} is not an integer") from exc
-    return max(1, min(HARD_CAP, val))
+    """Requested N needs dense matrices beyond the size cap."""
 
 
 def _check_n(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > max_n():
-        raise CapacityError(
-            f"n = {n} exceeds the cap {max_n()} "
-            "(set PERMINV_MAX_N=7 to allow n = 7; ~200 MB per dense matrix)"
-        )
+    if n > _MAX_N:
+        raise CapacityError(f"n = {n} exceeds the cap {_MAX_N} on dense N! x N! matrices")
 
 
 # ---------------------------------------------------------------------------
@@ -776,6 +758,8 @@ class ChangeChallengeReport:
 def change_of_challenge_check(n: int, trials: int = 20, seed: int = 0) -> ChangeChallengeReport:
     """Conjugating the high projector by the two-sided action relabels the
     challenge by the range-side permutation, and M commutes with the action."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     m = build_m(n)
     conj_res = 0.0

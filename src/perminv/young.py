@@ -253,6 +253,8 @@ def identities_report(max_n: int, char_max_n: int = 8) -> dict:
     the eigenvalue bound e <= 2k for every valid bar shape, and character
     orthogonality up to char_max_n.
     """
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     branching_failures = []
     burnside_failures = []
     ratio_failures = []

@@ -118,7 +118,7 @@ def test_criterion_07_progress_inequalities():
         for i in range(10):
             p, t = shapes[i % len(shapes)]
             program = querysim.random_program(n, p, t, seed=1000 * n + i)
-            rep = querysim.check_progress_inequalities(program, layout)
+            _, rep = querysim.check_progress_inequalities(program, layout)
             assert rep.passed, (n, p, t, i)
             for row in rep.rows:
                 if row.checked:

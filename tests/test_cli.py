@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from perminv import cli
+from perminv import cli, querysim
 
 
 def run_cli(argv, capsys):
@@ -125,8 +125,7 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
-def test_capacity_error_exit_2(capsys, monkeypatch):
-    monkeypatch.delenv("PERMINV_MAX_N", raising=False)
+def test_capacity_error_exit_2(capsys):
     code = cli.main(["spectrum", "--n", "9"])
     capsys.readouterr()
     assert code == 2
@@ -170,6 +169,21 @@ def test_lemma_check_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["report"]["max_support_residual"] <= 1e-8
+
+
+def test_lemma_check_plays_each_game_once(capsys, monkeypatch):
+    # One postselection per program: the inequality check reuses the game.
+    calls = []
+
+    def counting(state):
+        calls.append(1)
+        return postselect_b0(state)
+
+    postselect_b0 = querysim.postselect_b0
+    monkeypatch.setattr(querysim, "postselect_b0", counting)
+    code, _ = run_cli(["lemma-check", "--n", "3", "--programs", "3"], capsys)
+    assert code == 0
+    assert len(calls) == 3
 
 
 def test_decomp_check_cli(capsys):

@@ -193,9 +193,11 @@ def test_success_probability_vs_monte_carlo():
     n, shots = 4, 100_000
     lay = qs.RegisterLayout(n=n)
     program = qs.random_program(n, 0, 1, seed=3)
-    state, _, _ = qs.offline_state(program, lay)
     y = 1
-    s = state.copy()
+    s = qs.init_state(lay)
+    for step in program.offline:
+        qs.apply_step(s, step)
+    qs.postselect_b0(s)
     for step in program.online[y]:
         qs.apply_step(s, step)
     p_exact = qs.success_probability(s, y)
@@ -248,7 +250,7 @@ def test_support_negative_control_wrong_k():
 def test_inequalities_identity_program_tight_case():
     # No queries at all: sqrt(1/n) <= 0 + 1/sqrt(n) with equality.
     n = 5
-    rep = qs.check_progress_inequalities(qs.identity_program(n), qs.RegisterLayout(n=n))
+    _, rep = qs.check_progress_inequalities(qs.identity_program(n), qs.RegisterLayout(n=n))
     finals = [r for r in rep.rows if r.kind == "final"]
     assert all(r.checked for r in finals)
     assert all(abs(r.slack) < 1e-9 for r in finals)
@@ -259,7 +261,7 @@ def test_inequalities_random_programs_n5():
     lay = qs.RegisterLayout(n=5)
     for seed in range(6):
         program = qs.random_program(5, 0, 1, seed=seed)
-        rep = qs.check_progress_inequalities(program, lay)
+        _, rep = qs.check_progress_inequalities(program, lay)
         assert rep.passed
         assert rep.checked > 0
 
@@ -267,14 +269,14 @@ def test_inequalities_random_programs_n5():
 def test_inequalities_vacuous_instances_are_reported():
     lay = qs.RegisterLayout(n=4)
     program = qs.random_program(4, 1, 1, seed=0)
-    rep = qs.check_progress_inequalities(program, lay)
+    _, rep = qs.check_progress_inequalities(program, lay)
     assert rep.vacuous > 0
     assert rep.passed  # nothing checked can fail
 
 
 def test_online_snapshots_count():
     program = qs.random_program(4, 1, 2, seed=2)
-    rep = qs.check_progress_inequalities(program, qs.RegisterLayout(n=4))
+    _, rep = qs.check_progress_inequalities(program, qs.RegisterLayout(n=4))
     for y in range(4):
         kinds = [(r.kind, r.k) for r in rep.rows if r.y == y]
         assert kinds == [("final", 2), ("step", 1), ("step", 2)]
@@ -293,10 +295,35 @@ def test_final_rows_use_the_game_success(n, p, t, w):
     else:
         program = qs.random_program(n, p, t, w=w, seed=n + p + t)
     lay = qs.RegisterLayout(n=n, w=w)
-    rep = qs.check_progress_inequalities(program, lay)
+    _, rep = qs.check_progress_inequalities(program, lay)
     tr = qs.run_bit_fixing(program, lay)
     finals = [r for r in rep.rows if r.kind == "final"]
     assert [r.lhs for r in finals] == [math.sqrt(row["p_succ"]) for row in tr.per_challenge]
+
+
+def test_one_pass_yields_the_game_transcript():
+    # The inequality check plays the same game as run_bit_fixing, once.
+    program = qs.random_program(4, 1, 2, w=2, seed=9)
+    lay = qs.RegisterLayout(n=4, w=2)
+    tr, _ = qs.check_progress_inequalities(program, lay)
+    assert tr == qs.run_bit_fixing(program, lay)
+
+
+def test_game_reads_no_high_projector(monkeypatch):
+    def refuse(n, y):
+        raise AssertionError("run_bit_fixing built a high projector")
+
+    monkeypatch.setattr(regrep, "high_projection", refuse)
+    tr = qs.run_bit_fixing(qs.random_program(4, 1, 1, seed=4), qs.RegisterLayout(n=4))
+    assert tr.passed
+
+
+@pytest.mark.parametrize("challenge", [-1, 3])
+def test_challenge_out_of_range_is_refused(challenge, monkeypatch):
+    # -1 used to play pi(x) = -1 and pass with p_succ 0; n ended in IndexError.
+    monkeypatch.setattr(qs, "init_state", None)  # no simulation may start
+    with pytest.raises(ValueError, match=r"challenge must be 'all' or in range\(3\)"):
+        qs.run_bit_fixing(qs.identity_program(3), qs.RegisterLayout(n=3), challenge=challenge)
 
 
 def test_query_first_online_steps():
@@ -304,7 +331,7 @@ def test_query_first_online_steps():
     n = 5
     steps = (qs.Query(), qs.Unitary(np.eye(n), ("x",)))
     program = qs.AlgorithmProgram(offline=(), online=(steps,) * n, p=0, t=1)
-    rep = qs.check_progress_inequalities(program, qs.RegisterLayout(n=n))
+    _, rep = qs.check_progress_inequalities(program, qs.RegisterLayout(n=n))
     assert len(rep.rows) == 10 and rep.checked == 10
     assert rep.passed
 

@@ -85,20 +85,11 @@ def test_index_roundtrip():
         assert idx[p] == i
 
 
-def test_cap_enforced(monkeypatch):
-    monkeypatch.delenv("PERMINV_MAX_N", raising=False)
+def test_cap_enforced():
     with pytest.raises(regrep.CapacityError):
         regrep.enumerate_group(8)
     with pytest.raises(regrep.CapacityError):
         regrep.subspace_a(7, 1)
-
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("PERMINV_MAX_N", "7")
-    assert regrep.max_n() == 7
-    assert len(regrep.enumerate_group(7)) == 5040
-    monkeypatch.setenv("PERMINV_MAX_N", "9")
-    assert regrep.max_n() == 7  # hard ceiling
 
 
 def test_compose_and_inverse():
@@ -543,6 +534,13 @@ def test_change_of_challenge_random():
     assert rep.passed
     rep3 = regrep.change_of_challenge_check(3, trials=10, seed=1)
     assert rep3.max_commutation_residual <= 1e-12
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_change_of_challenge_without_trials_is_refused(trials):
+    # It used to check nothing and report passed=True.
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        regrep.change_of_challenge_check(3, trials=trials)
 
 
 def test_decomposition_report_n4_n5():

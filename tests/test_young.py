@@ -380,6 +380,13 @@ def test_cycle_type():
     assert young.cycle_type((1, 0, 3, 2)) == (2, 2)
 
 
+@pytest.mark.parametrize("max_n", [0, -3])
+def test_identities_report_without_sizes_is_refused(max_n):
+    # It used to check nothing and report pass True.
+    with pytest.raises(ValueError, match="max_n must be >= 1"):
+        young.identities_report(max_n)
+
+
 def test_identities_report_small():
     report = young.identities_report(10, char_max_n=5)
     assert report["pass"]
