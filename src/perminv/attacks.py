@@ -1,13 +1,15 @@
 """Hellman-style time-memory tradeoff specialized to permutations.
 
-Preprocessing decomposes the permutation into cycles and, on every cycle
-longer than the spacing t, drops checkpoints every t steps; each checkpoint
-is stored with the point t steps before it on the cycle.  Online inversion
-walks forward from the challenge until it returns to the challenge (short
-cycle) or hits a checkpoint, jumps back t steps through the table, and
-walks forward to the predecessor.  For permutations this succeeds on every
-challenge with at most 2t + 2 forward queries, so the advice size S and
-worst-case query count T trade off as S * T = Theta(N).
+Preprocessing finds the permutation's cycles once (:func:`find_cycles`) and
+derives the table for each spacing t from them: on every cycle longer than
+t, checkpoints sit every t steps, each stored with the point t steps before
+it on the cycle.  Online inversion walks forward from the challenge until it
+returns to the challenge (short cycle) or hits a checkpoint, jumps back t
+steps through the table, and walks forward to the predecessor.  For
+permutations this succeeds on every challenge with exactly min(t, length of
+its cycle) forward queries, never more than the cap of 2t + 2, so the advice
+size S and worst-case query count T trade off as S * T = Theta(N).
+:func:`measure_all` checks that count per challenge against the cycle type.
 
 Advice is reported both in entries (pairs of point indices) and in bits
 (2 * ceil(log2 N) per entry) for comparability with bit-counted advice.
@@ -15,7 +17,7 @@ Advice is reported both in entries (pairs of point indices) and in bits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, log2
 
 import numpy as np
@@ -51,6 +53,122 @@ class OracleCounter:
         return int(self.table[x])
 
 
+_RULER = 64  # find_cycles walks from every _RULER-th point
+
+
+@dataclass(frozen=True, eq=False)
+class Cycles:
+    """A permutation's cycles laid end to end: cycle i is
+    ``order[starts[i] : starts[i] + lens[i]]`` in walking order from its
+    minimum, and the cycles are sorted by their minima."""
+
+    order: np.ndarray
+    starts: np.ndarray
+    lens: np.ndarray
+
+    def describe(self, perm: np.ndarray) -> bool:
+        """Whether these are the cycles of perm."""
+        if self.order.size != perm.size:
+            return False
+        # perm must take each point to the next one in order, and the last
+        # point of each cycle to the cycle's first.  The gathered array is
+        # patched in place rather than compared with a rolled copy of
+        # order, which would add 4 MB to the peak at N = 2^20.
+        order, ends = self.order, self.starts + self.lens - 1
+        succ = perm[order]
+        if not np.array_equal(succ[ends], order[self.starts]):
+            return False
+        succ[ends[:-1]] = order[ends[:-1] + 1]
+        return bool(np.array_equal(succ[:-1], order[1:]))
+
+    def length_of(self, points: np.ndarray) -> np.ndarray:
+        """The length of the cycle through each of points."""
+        length = np.empty(self.order.size, dtype=self.lens.dtype)
+        length[self.order] = np.repeat(self.lens, self.lens)
+        return length[points]
+
+
+def find_cycles(perm) -> Cycles:
+    """Decompose a permutation into its cycles.
+
+    Every _RULER-th point is a ruler.  Walks from all rulers step forward in
+    lockstep, each until it reaches the next ruler, so each point of a cycle
+    through a ruler is passed by exactly one walk; a Python loop over the
+    rulers, not the points, then chains these segments into cycles.  The
+    points of cycles that no ruler lies on all become rulers of a second
+    round, whose walks take one step each.  Working arrays are int32.
+    """
+    perm = _as_permutation(perm).astype(np.int32)
+    n = perm.size
+    seg = np.full(n, -1, dtype=np.int32)  # the segment that passes each point
+    step = np.empty(n, dtype=np.int32)  # and the point's offset in it
+    after, size = [], []  # per segment: the next segment on its cycle, its length
+    rulers = np.arange(0, n, _RULER, dtype=np.int32)
+    base = 0
+    for _ in range(2):
+        k = rulers.size
+        seg[rulers] = np.arange(base, base + k, dtype=np.int32)
+        step[rulers] = 0
+        after.append(np.empty(k, dtype=np.int32))
+        size.append(np.empty(k, dtype=np.int32))
+        live = np.arange(k, dtype=np.int32)
+        cur = perm[rulers]
+        s = 1
+        while live.size:
+            at = seg[cur]
+            end = at >= 0  # only rulers are marked before a walk reaches them
+            after[-1][live[end]] = at[end]
+            size[-1][live[end]] = s
+            live, cur = live[~end], cur[~end]
+            seg[cur] = live + base
+            step[cur] = s
+            cur = perm[cur]
+            s += 1
+        base += k
+        # Round two: every point of a cycle that no ruler lies on.
+        rulers = np.flatnonzero(seg < 0).astype(np.int32)
+
+    low = np.full(base, n, dtype=np.int32)  # each segment's minimum
+    np.minimum.at(low, seg, np.arange(n, dtype=np.int32))
+    after, size = np.concatenate(after).tolist(), np.concatenate(size).tolist()
+    low, low_at = low.tolist(), step[low].tolist()
+    # Chain the segments: each one's cycle and its offset from the cycle's
+    # first segment; per cycle its length, minimum and the minimum's offset.
+    cycle, offset = [-1] * base, [0] * base
+    lens, mins, min_at = [], [], []
+    for r in range(base):
+        if cycle[r] >= 0:
+            continue
+        length, least, least_at = 0, n, 0
+        q = r
+        while cycle[q] < 0:
+            cycle[q], offset[q] = len(lens), length
+            if low[q] < least:
+                least, least_at = low[q], length + low_at[q]
+            length += size[q]
+            q = after[q]
+        lens.append(length)
+        mins.append(least)
+        min_at.append(least_at)
+
+    # Rotate each cycle to its minimum and lay the cycles out by minimum.
+    lens = np.array(lens, dtype=np.int32)
+    by_min = np.argsort(mins)
+    starts = np.zeros(lens.size, dtype=np.int32)
+    np.cumsum(lens[by_min][:-1], out=starts[1:])
+    first = np.empty_like(starts)
+    first[by_min] = starts
+    cycle = np.array(cycle, dtype=np.int32)
+    shift = np.array(offset, dtype=np.int32) - np.array(min_at, dtype=np.int32)[cycle]
+    where = step  # each point's index in order, computed in place
+    where += shift[seg]
+    where %= lens[cycle][seg]
+    where += first[cycle][seg]
+    order = np.empty(n, dtype=np.int32)
+    order[where] = np.arange(n, dtype=np.int32)
+    return Cycles(order=order, starts=starts, lens=lens[by_min])
+
+
 @dataclass
 class HellmanTable:
     """Per-cycle checkpoint map: checkpoint -> point t steps earlier."""
@@ -60,6 +178,9 @@ class HellmanTable:
     entries: dict[int, int]
     cycle_count: int
     long_cycles: int  # cycles longer than t (the ones that got checkpoints)
+    # The decomposition the table was derived from; measure_all predicts
+    # each walk's query count from it.
+    cycles: Cycles | None = field(default=None, compare=False, repr=False)
 
     @property
     def s_entries(self) -> int:
@@ -70,40 +191,34 @@ class HellmanTable:
         return len(self.entries) * 2 * ceil(log2(max(self.n, 2)))
 
 
-def build_table(perm, t: int) -> HellmanTable:
+def build_table(perm, t: int, cycles: Cycles | None = None) -> HellmanTable:
     """Preprocess a permutation into a checkpoint table with spacing t.
 
-    Cycles of length <= t contribute no entries; they are inverted online by
-    a full walk.  On longer cycles the checkpoints sit at offsets 0, t, 2t,
-    ... from the cycle's minimum element, so consecutive checkpoints are at
-    most t apart (the wrap gap is the short one).
+    ``cycles`` is perm's decomposition from :func:`find_cycles`, found here
+    when not given, so that tables at several spacings share one.  Cycles of
+    length <= t contribute no entries; they are inverted online by a full
+    walk.  On longer cycles the checkpoints sit at offsets 0, t, 2t, ...
+    from the cycle's minimum element, so consecutive checkpoints are at most
+    t apart (the wrap gap is the short one).
     """
     if t < 1:
         raise ValueError("spacing t must be >= 1")
     perm = _as_permutation(perm)
-    n = len(perm)
+    if cycles is None:
+        cycles = find_cycles(perm)
+    order, long = cycles.order, cycles.lens > t
     entries: dict[int, int] = {}
-    seen = np.zeros(n, dtype=bool)
-    cycles = 0
-    long_cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        z = int(perm[start])
-        while z != start:
-            seen[z] = True
-            cycle.append(z)
-            z = int(perm[z])
-        cycles += 1
-        ell = len(cycle)
-        if ell <= t:
-            continue
-        long_cycles += 1
-        for pos in range(0, ell, t):
-            entries[cycle[pos]] = cycle[(pos - t) % ell]
-    return HellmanTable(n=n, t=t, entries=entries, cycle_count=cycles, long_cycles=long_cycles)
+    for s, ell in zip(cycles.starts[long].tolist(), cycles.lens[long].tolist()):
+        pos = np.arange(0, ell, t)
+        entries.update(zip(order[s + pos].tolist(), order[s + (pos - t) % ell].tolist()))
+    return HellmanTable(
+        n=len(perm),
+        t=t,
+        entries=entries,
+        cycle_count=cycles.lens.size,
+        long_cycles=int(long.sum()),
+        cycles=cycles,
+    )
 
 
 def invert(table: HellmanTable, oracle: OracleCounter, y: int) -> int:
@@ -156,6 +271,11 @@ def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
     is verified with one uncounted evaluation; for a permutation the success
     rate is 1.0.  ValueError unless the table has the permutation's size and
     the targets are a non-empty 1-D integer array of points in range(n).
+
+    When the table was derived from this permutation's cycles, each walk
+    must spend exactly min(t, length of the target's cycle) queries, and
+    any other count raises ArithmeticError.  A table from another
+    permutation is held to the cap alone.
     """
     perm = _as_permutation(perm)
     n = len(perm)
@@ -205,6 +325,15 @@ def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
             in_a &= ~hit
         cur = f
 
+    if table.cycles is not None and table.cycles.describe(perm):
+        predicted = np.minimum(t, table.cycles.length_of(ys))
+        wrong = np.flatnonzero(queries != predicted)
+        if wrong.size:
+            i = wrong[0]
+            raise ArithmeticError(
+                f"walk to {ys[i]} spent {queries[i]} queries, its cycle type predicts {predicted[i]}"
+            )
+
     found = answer >= 0
     correct = np.zeros(m, dtype=bool)
     correct[found] = perm[answer[found]] == ys[found]  # uncounted verification
@@ -234,20 +363,27 @@ def tradeoff_sweep(
 ) -> list[AttackStats]:
     """Build tables for seeded random permutations at each spacing and invert
     every challenge (or a seeded sample for very large n), aggregating the
-    worst case across trials."""
+    worst case across trials.  Each trial's permutation is decomposed into
+    cycles once, and the tables at every spacing are derived from that."""
     if n > 1 << 20:
         raise ValueError("n capped at 2^20 for sweeps")
+    t_values = list(t_values)
+    if not t_values:
+        raise ValueError("t_values must name at least one spacing")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    per_t: list[list[AttackStats]] = [[] for _ in t_values]
+    for trial in range(trials):
+        rng = np.random.default_rng(seed + trial)
+        perm = random_permutation(n, rng)
+        targets = None
+        if sample_targets is not None and sample_targets < n:
+            targets = rng.choice(n, size=sample_targets, replace=False)
+        cycles = find_cycles(perm)
+        for t, per_trial in zip(t_values, per_t):
+            per_trial.append(measure_all(perm, build_table(perm, t, cycles), targets))
     rows: list[AttackStats] = []
-    for t in t_values:
-        per_trial: list[AttackStats] = []
-        for trial in range(trials):
-            rng = np.random.default_rng(seed + trial)
-            perm = random_permutation(n, rng)
-            table = build_table(perm, t)
-            targets = None
-            if sample_targets is not None and sample_targets < n:
-                targets = rng.choice(n, size=sample_targets, replace=False)
-            per_trial.append(measure_all(perm, table, targets=targets))
+    for t, per_trial in zip(t_values, per_t):
         s_max = max(st.s_entries for st in per_trial)
         t_max = max(st.t_max for st in per_trial)
         rows.append(
@@ -263,4 +399,3 @@ def tradeoff_sweep(
             )
         )
     return rows
-

@@ -5,8 +5,10 @@ Hellman sweep) carrying a schema version and the fully resolved config,
 seed included, so identical invocations produce byte-identical output.
 Exit status: 0 when every assertion in the invoked suite passed, 1 on a
 verification failure, 2 on usage errors.  An internal certification failure
-(an ArithmeticError from an exact rank, a spectral gap or a projector check)
-is a verification failure: it is reported with pass false and its reason.
+(an ArithmeticError from an exact rank, a spectral gap, a projector check
+or a Hellman walk off its predicted query count) is a verification failure:
+it is reported with pass false and its reason, and in CSV output, which has
+no field for the reason, by the reason on stderr.
 """
 
 from __future__ import annotations
@@ -362,7 +364,11 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except ArithmeticError as exc:
-            return _emit(args, {"reason": f"{type(exc).__name__}: {exc}"}, False)
+            reason = f"{type(exc).__name__}: {exc}"
+            if args.format == "csv":  # a CSV row has no field for the reason
+                print(f"fail: {reason}", file=sys.stderr)
+                return 1
+            return _emit(args, {"reason": reason}, False)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Hellman table construction, inversion correctness, and tradeoff shape."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,35 @@ def structured_permutations(draw):
     return from_cycles(order, lengths), t
 
 
+def build_table_reference(perm, t: int) -> at.HellmanTable:
+    """The per-point loop that built tables before cycles were found in
+    lockstep: walk each cycle from its minimum, checkpoints every t steps."""
+    perm = np.asarray(perm)
+    n = len(perm)
+    entries: dict[int, int] = {}
+    seen = np.zeros(n, dtype=bool)
+    cycles = 0
+    long_cycles = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        z = int(perm[start])
+        while z != start:
+            seen[z] = True
+            cycle.append(z)
+            z = int(perm[z])
+        cycles += 1
+        ell = len(cycle)
+        if ell <= t:
+            continue
+        long_cycles += 1
+        for pos in range(0, ell, t):
+            entries[cycle[pos]] = cycle[(pos - t) % ell]
+    return at.HellmanTable(n=n, t=t, entries=entries, cycle_count=cycles, long_cycles=long_cycles)
+
+
 def scalar_stats(perm, table, targets) -> tuple[int, float, float]:
     """(t_max, t_avg, success rate) of one :func:`at.invert` per target, each
     with a fresh counted oracle; a walk that gives up has spent the cap."""
@@ -64,6 +95,51 @@ def scalar_stats(perm, table, targets) -> tuple[int, float, float]:
             solved += 1
         queries.append(oracle.queries)
     return max(queries), float(np.mean(queries)), solved / len(queries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=structured_permutations(), ruler=st.sampled_from([1, 4, 64]))
+def test_table_matches_reference_on_structured_permutations(case, ruler):
+    # Rulers every 4th point put rulers on most cycles of these small
+    # permutations; every 64th leaves most cycles to the second round.
+    perm, t = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(at, "_RULER", ruler)
+        assert at.build_table(perm, t) == build_table_reference(perm, t)
+
+
+def _ruler_free_cycle(n: int) -> np.ndarray:
+    """One cycle through every point but the rulers, which form another."""
+    rulers = np.arange(0, n, at._RULER)
+    rest = np.setdiff1d(np.arange(n), rulers)
+    return from_cycles(np.concatenate([rest, rulers]), [len(rest), len(rulers)])
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [
+        np.arange(300),
+        np.arange(300)[::-1],
+        single_cycle(300),
+        _ruler_free_cycle(300),
+        *(np.random.default_rng(seed).permutation(2000 + 37 * seed) for seed in range(4)),
+    ],
+    ids=["identity", "reversal", "n-cycle", "ruler-free cycle", *(f"random{s}" for s in range(4))],
+)
+@pytest.mark.parametrize("t", [1, 2, 7, 64, 600])
+def test_table_matches_reference(perm, t):
+    assert at.build_table(perm, t) == build_table_reference(perm, t)
+
+
+def test_cycles_start_at_their_minima_in_order():
+    perm = np.random.default_rng(4).permutation(3000)
+    cycles = at.find_cycles(perm)
+    firsts = cycles.order[cycles.starts]
+    assert np.all(np.diff(firsts) > 0)
+    for s, ell in zip(cycles.starts, cycles.lens):
+        cycle = cycles.order[s : s + ell]
+        assert cycle[0] == cycle.min()
+        assert np.array_equal(perm[cycle], np.roll(cycle, -1))
 
 
 def test_identity_has_no_entries():
@@ -167,6 +243,36 @@ def test_batch_walk_matches_scalar_on_a_foreign_table(seed):
         assert (stats.t_max, stats.t_avg, stats.success_rate) == expect
         assert 0 < stats.success_rate < 1
         assert stats.t_max == 2 * t + 2
+
+
+def test_walk_off_the_cycle_type_raises():
+    # A checkpoint stored t + 1 steps back still inverts every challenge
+    # within the cap, but the walks through it spend t + 1 queries where the
+    # cycle type predicts t.
+    perm = single_cycle(64)
+    table = at.build_table(perm, 8)
+    table.entries[8] = 63
+    with pytest.raises(ArithmeticError, match="spent 9 queries, its cycle type predicts 8"):
+        at.measure_all(perm, table)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_wrong_prediction_fails_the_hellman_verdict(fmt, capsys, monkeypatch):
+    # Every cycle of a 1024-point permutation is at most t = 1024 long, so
+    # an off-by-one cycle length mispredicts every walk.
+    length_of = at.Cycles.length_of
+    monkeypatch.setattr(at.Cycles, "length_of", lambda self, points: length_of(self, points) + 1)
+    code = cli.main(["hellman", "--log-n", "10", "--t", "1024", "--trials", "1", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    reason = "ArithmeticError: walk to 0 spent"
+    if fmt == "csv":
+        assert captured.out == ""
+        assert captured.err.startswith(f"fail: {reason}")
+    else:
+        payload = json.loads(captured.out)
+        assert payload["pass"] is False
+        assert payload["report"]["reason"].startswith(reason)
 
 
 def test_mismatched_table_raises():
@@ -273,6 +379,28 @@ def test_csv_format(capsys):
     assert lines[0] == "n,t,s_entries,s_bits,t_max,t_avg,success,st_product"
     assert len(lines) == 2
     assert lines[1].startswith("1024,32,")
+
+
+def test_sweep_finds_each_permutation_cycles_once(monkeypatch):
+    calls = []
+    find_cycles = at.find_cycles
+
+    def counted(perm):
+        calls.append(len(perm))
+        return find_cycles(perm)
+
+    monkeypatch.setattr(at, "find_cycles", counted)
+    rows = at.tradeoff_sweep(256, [4, 16, 4], trials=2, seed=0)
+    assert calls == [256, 256]
+    assert [r.t for r in rows] == [4, 16, 4]
+    assert rows[0] == rows[2]
+
+
+@pytest.mark.parametrize(("t_values", "trials", "name"), [([], 3, "t_values"), ([4], 0, "trials")])
+def test_vacuous_sweep_refused(t_values, trials, name):
+    # No spacing used to return no rows and no trials to fail inside max().
+    with pytest.raises(ValueError, match=name):
+        at.tradeoff_sweep(16, t_values, trials=trials)
 
 
 def test_sampled_targets():

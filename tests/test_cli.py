@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from perminv import cli, querysim
+from perminv import attacks, cli, querysim
 
 
 def run_cli(argv, capsys):
@@ -224,6 +224,20 @@ def test_certification_failure_is_a_failing_verdict(capsys, monkeypatch):
     assert payload["pass"] is False
     reason = "ArithmeticError: no integer kernel witness for rank 3: max |G @ K| = 1"
     assert payload["report"]["reason"] == reason
+
+
+def test_failing_verdict_in_csv_goes_to_stderr(capsys, monkeypatch):
+    # A CSV row has no field for the reason; it used to end in a TypeError
+    # from sys.stdout.write(None).
+    def refuse(*args, **kwargs):
+        raise ArithmeticError("walk to 5 spent 9 queries, its cycle type predicts 8")
+
+    monkeypatch.setattr(attacks, "tradeoff_sweep", refuse)
+    code = cli.main(["hellman", "--log-n", "8", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "fail: ArithmeticError: walk to 5 spent 9 queries, its cycle type predicts 8\n"
 
 
 @pytest.mark.parametrize(
