@@ -108,6 +108,7 @@ def cmd_young(args) -> int:
         _at_least("--max-n", args.max_n, 1)
         report = young.identities_report(args.max_n)
         return _emit(args, report, report["pass"])
+    _at_least("--n", args.n, 1)
     n = args.n
     lams = young.partitions(n)
     if mode == "dims":
@@ -126,15 +127,19 @@ def cmd_young(args) -> int:
             rows.append({"lambda": list(lam), "dim": d, "branch_sum": total, "children": parts, "ok": good})
         return _emit(args, {"n": n, "branching": rows}, ok)
     if mode == "characters":
+        # Each printed row must have norm n! (sum over classes of |C| chi^2)
+        # and its value at the identity class must be the hook-formula dim.
         classes = lams
-        table = [
-            {
-                "lambda": list(lam),
-                "values": {str(list(c)): young.character(lam, c) for c in classes},
-            }
-            for lam in lams
-        ]
-        return _emit(args, {"n": n, "classes": [list(c) for c in classes], "characters": table}, True)
+        sizes = [young.conjugacy_class_size(c) for c in classes]
+        identity = (1,) * n
+        table = []
+        ok = True
+        for lam in lams:
+            values = {c: young.character(lam, c) for c in classes}
+            norm = sum(s * values[c] ** 2 for s, c in zip(sizes, classes))
+            ok &= norm == young.factorial(n) and values[identity] == young.dim(lam)
+            table.append({"lambda": list(lam), "values": {str(list(c)): v for c, v in values.items()}})
+        return _emit(args, {"n": n, "classes": [list(c) for c in classes], "characters": table}, ok)
     if mode == "eigenvalues":
         rows = [{"lambda": list(l), "e": _frac(young.eigenvalue_m(l, n))} for l in lams]
         ok = all(young.eigenvalue_m(l, n) <= 2 * young.level(l) for l in lams)
@@ -202,6 +207,7 @@ def cmd_game(args) -> int:
 
 def cmd_altgame(args) -> int:
     _at_least("--t", args.t, 0)
+    _at_least("--g", args.g, 1)
     _at_least("--adversaries", args.adversaries, 1)
     reports = []
     ok = True

@@ -7,7 +7,9 @@ pi(x) to the Y register modulo N, controlled on the permutation branch, so
 the whole game is one big unitary evolution plus a postselection of B on 0
 between the offline and online phases.
 
-Programs are explicit: a step is either a query or a dense unitary on named
+A game state is a plain complex array of shape ``RegisterLayout.dims``
+(oracle, X, Y, W, B); every step takes an array and returns one.  Programs
+are explicit: a step is either a query or a dense unitary on named
 sub-registers.  There is no gate compiler; the progress bounds quantify
 over all unitaries, so tests drive the simulator with seeded Haar-ish
 unitaries (QR of Gaussian matrices) and a few hand-built extremal programs.
@@ -123,27 +125,11 @@ class AlgorithmProgram:
                     raise ValueError("online steps may not act on the B register")
 
 
-class JointState:
-    """Dense complex amplitudes over the layout, kept unit norm."""
-
-    def __init__(self, layout: RegisterLayout, amps: np.ndarray):
-        if amps.shape != layout.dims:
-            raise ValueError(f"amplitude shape {amps.shape} != layout dims {layout.dims}")
-        self.layout = layout
-        self.amps = amps
-
-    def copy(self) -> "JointState":
-        return JointState(self.layout, self.amps.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-def init_state(layout: RegisterLayout) -> JointState:
+def init_state(layout: RegisterLayout) -> np.ndarray:
     """Uniform superposition on the oracle register, |0> everywhere else."""
     amps = np.zeros(layout.dims, dtype=np.complex128)
     amps[:, 0, 0, 0, 0] = 1.0 / np.sqrt(factorial(layout.n))
-    return JointState(layout, amps)
+    return amps
 
 
 @cache
@@ -156,55 +142,48 @@ def _oracle_gather(n: int) -> np.ndarray:
     return src
 
 
-def apply_oracle(state: JointState) -> JointState:
+def apply_oracle(amps: np.ndarray) -> np.ndarray:
     """One query: z -> z + pi(x) mod n on each permutation branch."""
-    src = _oracle_gather(state.layout.n)
-    state.amps = np.take_along_axis(state.amps, src[:, :, :, None, None], axis=2)
-    return state
+    src = _oracle_gather(amps.shape[1])
+    return np.take_along_axis(amps, src[:, :, :, None, None], axis=2)
 
 
-def apply_unitary(state: JointState, step: Unitary) -> JointState:
-    layout = state.layout
+def apply_unitary(amps: np.ndarray, step: Unitary) -> np.ndarray:
     axes = [1 + REGISTERS.index(r) for r in step.regs]
     dim = 1
     for a in axes:
-        dim *= layout.dims[a]
+        dim *= amps.shape[a]
     if step.matrix.shape[0] != dim:
         raise ValueError(
             f"unitary of dimension {step.matrix.shape[0]} applied to registers of dimension {dim}"
         )
-    amps = np.moveaxis(state.amps, axes, range(5 - len(axes), 5))
-    lead = amps.shape[: 5 - len(axes)]
-    flat = amps.reshape(-1, dim)
-    flat = flat @ step.matrix.T
-    amps = flat.reshape(lead + tuple(layout.dims[a] for a in axes))
-    state.amps = np.moveaxis(amps, range(5 - len(axes), 5), axes)
-    return state
+    moved = np.moveaxis(amps, axes, range(5 - len(axes), 5))
+    flat = moved.reshape(-1, dim) @ step.matrix.T
+    return np.moveaxis(flat.reshape(moved.shape), range(5 - len(axes), 5), axes)
 
 
-def apply_step(state: JointState, step: Step) -> JointState:
+def apply_step(amps: np.ndarray, step: Step) -> np.ndarray:
     if isinstance(step, Query):
-        return apply_oracle(state)
-    return apply_unitary(state, step)
+        return apply_oracle(amps)
+    return apply_unitary(amps, step)
 
 
-def postselect_b0(state: JointState) -> float:
-    """Project B on 0 and renormalize; returns the pre-measurement mass."""
-    mass = float(np.sum(np.abs(state.amps[..., 0]) ** 2))
+def postselect_b0(amps: np.ndarray) -> float:
+    """Project B on 0 and renormalize in place; returns the pre-measurement mass."""
+    mass = float(np.sum(np.abs(amps[..., 0]) ** 2))
     if mass <= 1e-12:
         raise ZeroPostselectionError(
             f"offline phase has b=0 probability {mass:.3e}; the restart loop never halts"
         )
-    state.amps[..., 1] = 0.0
-    state.amps /= np.sqrt(mass)
+    amps[..., 1] = 0.0
+    amps /= np.sqrt(mass)
     return mass
 
 
-def success_probability(state: JointState, y: int) -> float:
+def success_probability(amps: np.ndarray, y: int) -> float:
     """Mass of the success projection for challenge y: branches with pi(x) = y."""
-    n = state.layout.n
-    mask = regrep.perms_matrix(n) == y  # (n!, n) over (permutation, x)
-    weights = np.sum(np.abs(state.amps) ** 2, axis=(2, 3, 4))
+    mask = regrep.perms_matrix(amps.shape[1]) == y  # (n!, n) over (permutation, x)
+    weights = np.sum(np.abs(amps) ** 2, axis=(2, 3, 4))
     return float(np.sum(weights[mask]))
 
 
@@ -223,24 +202,25 @@ class GameTranscript:
 
 
 def _play(
-    state: JointState, steps: Sequence[Step], norms: list, lemma: list, k: int, y=None, masses=None
-) -> None:
-    """Apply steps in place, appending the norm after each step and the
-    support residual after each query; k is the number of queries made
-    before these steps.  When masses is a list, the high mass for y is
-    appended before each query and after the last step."""
+    amps: np.ndarray, steps: Sequence[Step], norms: list, lemma: list, k: int, y=None, masses=None
+) -> np.ndarray:
+    """Apply steps and return the final state, appending the norm after each
+    step and the support residual after each query; k is the number of
+    queries made before these steps.  When masses is a list, the high mass
+    for y is appended before each query and after the last step."""
     for step in steps:
         if masses is not None and isinstance(step, Query):
-            masses.append(_high_mass(state, y))
-        apply_step(state, step)
-        norms.append(state.norm())
+            masses.append(_high_mass(amps, y))
+        amps = apply_step(amps, step)
+        norms.append(float(np.linalg.norm(amps)))
         if isinstance(step, Query):
             k += 1
-            residual = support_residual(state, k)
+            residual = support_residual(amps, k)
             phase = "offline" if y is None else "online"
             lemma.append({"phase": phase, "y": y, "k": k, "residual": residual})
     if masses is not None:
-        masses.append(_high_mass(state, y))
+        masses.append(_high_mass(amps, y))
+    return amps
 
 
 def _game(
@@ -251,9 +231,9 @@ def _game(
     high, also the high masses of each challenge's online play (see _play);
     otherwise no high projector is read."""
     state = init_state(layout)
-    norms = [state.norm()]
+    norms = [float(np.linalg.norm(state))]
     lemma: list[dict] = []
-    _play(state, program.offline, norms, lemma, 0)
+    state = _play(state, program.offline, norms, lemma, 0)
     try:
         mass = postselect_b0(state)
     except ZeroPostselectionError as exc:
@@ -264,9 +244,8 @@ def _game(
     per = []
     highs = []
     for y in ys:
-        s = state.copy()
         masses = [] if high else None
-        _play(s, program.online[y], norms, lemma, program.p, y, masses)
+        s = _play(state.copy(), program.online[y], norms, lemma, program.p, y, masses)
         per.append({"y": y, "p_succ": success_probability(s, y)})
         highs.append(masses)
     avg = float(np.mean([row["p_succ"] for row in per]))
@@ -300,13 +279,13 @@ def run_bit_fixing(
     return _game(program, layout, ys)[0]
 
 
-def support_residual(state: JointState, k: int) -> float:
+def support_residual(amps: np.ndarray, k: int) -> float:
     """Norm of the oracle-side component outside A_k after k queries."""
-    n = state.layout.n
+    n = amps.shape[1]
     if k >= n - 1:  # A_{n-1} is already the whole group algebra
         return 0.0
     proj = regrep.a_projector(n, k)
-    flat = state.amps.reshape(factorial(n), -1)
+    flat = amps.reshape(factorial(n), -1)
     resid = flat - proj @ flat
     return float(np.linalg.norm(resid))
 
@@ -315,10 +294,10 @@ def support_residual(state: JointState, k: int) -> float:
 # Query-progress inequalities (success vs. high-subspace mass).
 
 
-def _high_mass(state: JointState, y: int) -> float:
-    n = state.layout.n
+def _high_mass(amps: np.ndarray, y: int) -> float:
+    n = amps.shape[1]
     proj = regrep.high_projection(n, y)
-    flat = state.amps.reshape(factorial(n), -1)
+    flat = amps.reshape(factorial(n), -1)
     return float(np.linalg.norm(proj @ flat))
 
 
@@ -353,14 +332,15 @@ def _inequality_row(y: int, kind: str, k: int, lhs: float, base: float, den: int
 
 
 def check_progress_inequalities(
-    program: AlgorithmProgram, layout: RegisterLayout, tol: float = 1e-9
+    program: AlgorithmProgram, layout: RegisterLayout
 ) -> tuple[GameTranscript, InequalityReport]:
     """Success-vs-high-mass and per-query progress inequalities, per challenge.
 
     Final: sqrt(p_succ) <= high-mass after all queries + 1/sqrt(n - 2(p+t)).
     Step:  high-mass after k online queries <= mass after k-1 plus
     2*sqrt(2)/sqrt(n - 4(p+k)).  Instances whose guard denominator is not
-    positive are reported as vacuous rather than asserted.
+    positive are reported as vacuous rather than asserted; a checked row
+    passes when its slack is >= -1e-9.
 
     The game is played once, as in run_bit_fixing with challenge="all", and
     its transcript is returned with the report: the high mass is taken
@@ -381,7 +361,7 @@ def check_progress_inequalities(
             rows.append(_inequality_row(y, "step", k, masses[k], masses[k - 1], den, guard))
     checked = sum(1 for r in rows if r.checked)
     vacuous = len(rows) - checked
-    passed = all(r.slack >= -tol for r in rows if r.checked)
+    passed = all(r.slack >= -1e-9 for r in rows if r.checked)
     return transcript, InequalityReport(n, p, t, rows, checked, vacuous, passed)
 
 
@@ -487,8 +467,9 @@ def grover_invert(n_search: int, t: int) -> tuple[float, float]:
     return p_sim, p_formula
 
 
-def grover_scaling_fit(n_search: int = 1024, ts=range(1, 11)) -> dict:
-    """Power-law fit of simulated success against the (2t+1)^2 / n model.
+def grover_scaling_fit() -> dict:
+    """Power-law fit of simulated success against the (2t+1)^2 / n model,
+    over t = 1..10 rounds on a 1024-item search register.
 
     Returns the log-log least-squares slope, intercept and R^2 (the standard
     goodness measure for a scaling law), plus the linear-scale R^2 against
@@ -496,7 +477,8 @@ def grover_scaling_fit(n_search: int = 1024, ts=range(1, 11)) -> dict:
     angle is ~0.66 rad, so the raw quadratic model is ~15% off at the top
     of the range while the power law itself is clean.
     """
-    ts = list(ts)
+    n_search = 1024
+    ts = list(range(1, 11))
     ps = np.array([grover_invert(n_search, t)[0] for t in ts])
     model = np.array([(2 * t + 1) ** 2 / n_search for t in ts])
     lx, ly = np.log(model), np.log(ps)
@@ -555,38 +537,30 @@ class AltAdversary:
         return out
 
 
-def query_unitary_xl(pi: tuple[int, ...], dim_l: int) -> np.ndarray:
-    """Oracle call on X x L: |x, z> -> |x, z + pi(x) mod dim_l>."""
-    n = len(pi)
-    d = n * dim_l
-    u = np.zeros((d, d))
-    for x in range(n):
-        for z in range(dim_l):
-            u[x * dim_l + (z + pi[x]) % dim_l, x * dim_l + z] = 1.0
-    return u
-
-
-def random_query_adversary(n: int, t: int, seed: int = 0, dim_l: int | None = None) -> AltAdversary:
+def random_query_adversary(n: int, t: int, seed: int = 0) -> AltAdversary:
     """Adversary whose per-challenge unitary interleaves t oracle calls with
-    seeded random mixing unitaries on X x L."""
-    if dim_l is None:
-        dim_l = n
+    seeded random mixing unitaries on X x L, L of dimension n.
+
+    An oracle call |x, z> -> |x, z + pi(x) mod n> permutes basis rows, so it
+    is applied as the row gather u[q]: row x*n + z' reads row
+    x*n + (z' - pi(x)) mod n.
+    """
     rng = np.random.default_rng(seed)
-    d = n * dim_l
+    d = n * n
     # Challenge-dependent mixers are shared across permutations; the oracle
     # calls carry all pi dependence, honoring the t-query budget.
     mixers = [[random_unitary(d, rng) for _ in range(t + 1)] for _ in range(n)]
+    gathers = (np.arange(n)[:, None] * n + _oracle_gather(n)).reshape(-1, d)
     unitaries: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for pi in regrep.enumerate_group(n):
-        q = query_unitary_xl(pi, dim_l)
+    for pi, q in zip(regrep.enumerate_group(n), gathers):
         per_y = []
         for y in range(n):
             u = mixers[y][0].copy()
             for i in range(1, t + 1):
-                u = mixers[y][i] @ (q @ u)
+                u = mixers[y][i] @ u[q]
             per_y.append(u)
         unitaries[pi] = per_y
-    return AltAdversary(n, dim_l, unitaries)
+    return AltAdversary(n, n, unitaries)
 
 
 def _alternating_chain_mass(p_ys: list[np.ndarray], init: np.ndarray, g: int) -> list[float]:
@@ -634,7 +608,6 @@ def alternating_game(
     g: int,
     t: int = 0,
     seed: int | None = None,
-    tol: float = 1e-7,
 ) -> AltGameReport:
     """Play the g-alternating-measurement game and cross-check the spectral
     formula.
@@ -644,6 +617,7 @@ def alternating_game(
     sum_i |alpha_i|^2 p_i^rounds, where p_i are eigenvalues of the
     challenge-averaged success projector and alpha_i the overlaps of the
     initial state.  One round reproduces the plain success probability.
+    The two must agree within 1e-7.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
@@ -670,7 +644,7 @@ def alternating_game(
         conditionals[i + 1] >= conditionals[i] - 1e-9 for i in range(len(conditionals) - 1)
     )
     jensen_ok = all(sims[i] >= sims[0] ** (i + 1) - 1e-9 for i in range(g))
-    passed = disagreement <= tol and monotone and jensen_ok
+    passed = disagreement <= 1e-7 and monotone and jensen_ok
     return AltGameReport(
         n=n,
         t=t,

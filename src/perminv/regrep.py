@@ -613,19 +613,18 @@ def _cluster(sorted_vals: np.ndarray, tol: float) -> list[tuple[float, int]]:
     return clusters
 
 
-def spectrum(
-    n: int,
-    cluster_tol: float = 1e-6,
-    block_tol: float = 1e-7,
-    off_tol: float = 1e-8,
-) -> SpectrumReport:
+def spectrum(n: int) -> SpectrumReport:
     """Eigendecompose M, cluster its spectrum, and reconcile each cluster
     with the predicted per-block eigenvalue and multiplicity.
 
     Blocks sharing an eigenvalue merge into one observed cluster; the
     reconciliation compares the cluster count against the summed predicted
     multiplicities.  Cluster-match failures are reported, not raised.
+    Eigenvalues within 1e-6 form one cluster and match a prediction within
+    1e-6; M's block residual must be <= 1e-7 and its off-block residual
+    <= 1e-8.
     """
+    cluster_tol = 1e-6
     m = build_m(n)
     eigs = np.sort(np.linalg.eigvalsh(m))
     clusters = _cluster(eigs, cluster_tol)
@@ -674,7 +673,7 @@ def spectrum(
             if mu != lam:
                 off_res = max(off_res, float(np.abs(pm @ projs[mu]).max()))
 
-    passed = all_ok and block_res <= block_tol and off_res <= off_tol
+    passed = all_ok and block_res <= 1e-7 and off_res <= 1e-8
     blocks.sort(key=lambda b: lams.index(b.lam))
     return SpectrumReport(n, blocks, off_res, block_res, passed)
 

@@ -244,14 +244,14 @@ def character(lam: Partition, cycles: Partition) -> int:
     return _mn(lam, tuple(sorted(cycles, reverse=True)))
 
 
-def identities_report(max_n: int, char_max_n: int = 8) -> dict:
+def identities_report(max_n: int) -> dict:
     """Exhaustive exact identity sweep up to max_n.
 
     Checks, with zero tolerance: the branching sum for every diagram, the
     sum of squared dimensions against n!, the dimension-ratio lower bound
     (n - 2k)/n for every theta of size k <= n/2 with both bar shapes valid,
     the eigenvalue bound e <= 2k for every valid bar shape, and character
-    orthogonality up to char_max_n.
+    orthogonality up to n = 8.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -279,6 +279,7 @@ def identities_report(max_n: int, char_max_n: int = 8) -> dict:
             eig_checked += 1
             if eigenvalue_m(bar(theta, n), n) > 2 * size(theta):
                 eig_failures.append({"n": n, "theta": list(theta)})
+    char_max_n = 8
     orth_failures = []
     for n in range(1, char_max_n + 1):
         classes = partitions(n)

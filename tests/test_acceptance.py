@@ -156,7 +156,7 @@ def test_criterion_09_grover():
         for t in (0, 1, 2, 5, 10, 25):
             s, f = querysim.grover_invert(n, t)
             assert abs(s - f) <= 1e-9, (n, t)
-    fit = querysim.grover_scaling_fit(1024, range(1, 11))
+    fit = querysim.grover_scaling_fit()
     assert fit["r2_loglog"] >= 0.999, fit
     print(
         f"criterion 9 PASS: simulation equals the closed form on the grid; "

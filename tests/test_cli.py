@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from perminv import attacks, cli, querysim
+from perminv import attacks, cli, querysim, young
 
 
 def run_cli(argv, capsys):
@@ -47,6 +47,26 @@ def test_young_identities(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["report"]["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "cls, change",
+    [((1, 1, 1, 1, 1), lambda v: -v), ((2, 2, 1), lambda v: v + 1)],
+    ids=["identity-value", "row-norm"],
+)
+def test_young_characters_can_fail(cls, change, capsys, monkeypatch):
+    # One wrong value in the printed table: a negated dimension keeps the row
+    # norm but not chi(identity) = dim; any other shift breaks the norm n!.
+    real = young.character
+
+    def patched(lam, cycles):
+        value = real(lam, cycles)
+        return change(value) if (lam, cycles) == ((3, 2), cls) else value
+
+    monkeypatch.setattr(young, "character", patched)
+    code, out = run_cli(["young", "characters", "--n", "5"], capsys)
+    assert code == 1
+    assert json.loads(out)["pass"] is False
 
 
 def test_hellman_csv(capsys):
@@ -264,6 +284,11 @@ def test_bad_input_exit_2(argv, capsys):
         (["young", "identities", "--max-n", "0"], "--max-n"),
         (["altgame", "--n", "3", "--adversaries", "0"], "--adversaries"),
         (["decomp-check", "--n", "3", "--trials", "0"], "--trials"),
+        (["young", "dims", "--n", "0"], "--n"),
+        (["young", "characters", "--n", "0"], "--n"),
+        (["young", "branching", "--n", "0"], "--n"),
+        (["young", "eigenvalues", "--n", "0"], "--n"),
+        (["altgame", "--n", "3", "--g", "0"], "--g"),
     ],
 )
 def test_empty_or_negative_count_exits_2(argv, flag, capsys):
@@ -273,3 +298,15 @@ def test_empty_or_negative_count_exits_2(argv, flag, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be >= ")
+
+
+def test_altgame_g_refused_before_any_adversary(capsys, monkeypatch):
+    # --g 0 used to build every adversary before alternating_game refused it.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an adversary was built before the --g check")
+
+    monkeypatch.setattr(querysim, "random_query_adversary", must_not_run)
+    code = cli.main(["altgame", "--n", "6", "--g", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --g must be >= 1, got 0\n"

@@ -388,7 +388,7 @@ def test_identities_report_without_sizes_is_refused(max_n):
 
 
 def test_identities_report_small():
-    report = young.identities_report(10, char_max_n=5)
+    report = young.identities_report(10)
     assert report["pass"]
     assert report["ratio_checked"] > 0
     assert not report["branching_failures"]
