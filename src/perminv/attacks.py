@@ -9,7 +9,10 @@ steps through the table, and walks forward to the predecessor.  For
 permutations this succeeds on every challenge with exactly min(t, length of
 its cycle) forward queries, never more than the cap of 2t + 2, so the advice
 size S and worst-case query count T trade off as S * T = Theta(N).
-:func:`measure_all` checks that count per challenge against the cycle type.
+:func:`measure_all` walks all challenges in lockstep, one int32 gather per
+query from a copy of the permutation whose bit 31 marks checkpoint values,
+with the challenges split across the CPUs the process may use, and checks
+each count against the cycle type.
 
 Advice is reported both in entries (pairs of point indices) and in bits
 (2 * ceil(log2 N) per entry) for comparability with bit-counted advice.
@@ -17,6 +20,7 @@ Advice is reported both in entries (pairs of point indices) and in bits
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from math import ceil, log2
 
@@ -260,6 +264,21 @@ class AttackStats:
     st_product: int
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_VALUE = 0x7FFFFFFF  # the low 31 bits of an oracle word: perm's value
+_MARK = np.int32(-(1 << 31))  # bit 31: that value is a checkpoint
+# The fewest targets a part of the walk gets.  Below about 2^16 targets per
+# part the numpy calls are too short for the threads to overlap, and two
+# parts were up to 25% slower than one on the 2-core machine.
+_MIN_PART = 1 << 16
+
+
 def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
     """Invert every target with a batch walk; returns aggregated stats.
 
@@ -269,8 +288,17 @@ def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
     a walk that finds its target at step s used s queries, and a walk still
     live after the cap of 2t + 2 steps used the cap and fails.  Every answer
     is verified with one uncounted evaluation; for a permutation the success
-    rate is 1.0.  ValueError unless the table has the permutation's size and
-    the targets are a non-empty 1-D integer array of points in range(n).
+    rate is 1.0.  ValueError unless the table has the permutation's size,
+    the permutation has fewer than 2^31 points and the targets are a
+    non-empty 1-D integer array of points in range(n).
+
+    A query is one gather from an int32 copy of perm (the oracle) whose
+    bit 31 marks the values that are checkpoints.  The targets are split
+    into contiguous parts, one per CPU the process may use, but never so
+    many that a part gets fewer than 2^16 targets (one part below 2^17).
+    The first part is walked on the calling thread and the others on
+    worker threads (numpy releases the GIL in the gathers and comparisons).  Each part writes only its own targets'
+    results, so the stats do not depend on the split.
 
     When the table was derived from this permutation's cycles, each walk
     must spend exactly min(t, length of the target's cycle) queries, and
@@ -279,54 +307,81 @@ def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
     """
     perm = _as_permutation(perm)
     n = len(perm)
+    if n >= 1 << 31:
+        raise ValueError(f"the walk packs points into 31 bits; {n} points are too many")
     if table.n != n:
         raise ValueError(f"table for {table.n} points walked on a permutation of {n}")
-    ys = np.arange(n) if targets is None else np.asarray(targets)
+    ys = np.arange(n, dtype=np.int32) if targets is None else np.asarray(targets)
     if ys.ndim != 1 or not ys.size or not (
         np.issubdtype(ys.dtype, np.integer) and 0 <= ys.min() and ys.max() < n
     ):
         raise ValueError(f"targets must be a non-empty 1-D array of integers in range({n})")
-    ys = ys.astype(np.int64, copy=False)
+    ys = ys.astype(np.int32, copy=False)
     m = len(ys)
     t = table.t
     cap = 2 * t + 2
 
+    # The prediction is taken before the oracle is built, so that the
+    # N-sized arrays of describe and length_of never coexist with it.
+    predicted = None
+    if table.cycles is not None and table.cycles.describe(perm):
+        predicted = np.minimum(t, table.cycles.length_of(ys))
+
     entries = table.entries
     checkpoint = np.zeros(n, dtype=bool)
     checkpoint[list(entries)] = True
+    oracle = perm.astype(np.int32)
+    np.bitwise_or(oracle, _MARK, out=oracle, where=checkpoint[perm])
 
     def back(points: np.ndarray) -> list[int]:
         return [entries[c] for c in points.tolist()]
 
     queries = np.full(m, cap, dtype=np.int64)
-    answer = np.full(m, -1, dtype=np.int64)
-    # A live walk is its index into the targets (slot), its target y, its
-    # position cur and whether it is still in phase A (in_a): walking forward
-    # from y until it returns to y or hits a checkpoint, whose entry takes it
-    # t steps back.  Challenges that are themselves checkpoints jump at once.
-    slot = np.arange(m)
-    y = ys
+    answer = np.full(m, -1, dtype=np.int32)
+    # A walk is in phase A while it walks forward from its target y until it
+    # returns to y or hits a checkpoint, whose entry takes it t steps back.
+    # Challenges that are themselves checkpoints jump at once.
     in_a = ~checkpoint[ys]
-    cur = ys.copy()
-    cur[~in_a] = back(ys[~in_a])
-    for s in range(1, cap + 1):
-        if not slot.size:
-            break
-        f = perm[cur]
-        done = f == y
-        if done.any():
-            answer[slot[done]] = cur[done]
-            queries[slot[done]] = s
-            live = ~done
-            slot, y, f, in_a = slot[live], y[live], f[live], in_a[live]
-        hit = in_a & checkpoint[f]
-        if hit.any():
-            f[hit] = back(f[hit])
-            in_a &= ~hit
-        cur = f
+    del checkpoint
+    start = ys.copy()
+    start[~in_a] = back(ys[~in_a])
 
-    if table.cycles is not None and table.cycles.describe(perm):
-        predicted = np.minimum(t, table.cycles.length_of(ys))
+    def walk(lo: int, hi: int) -> None:
+        # A live walk is its index into the targets (slot), its target y,
+        # its position cur and whether it is in phase A (a).
+        slot = np.arange(lo, hi, dtype=np.int32)
+        y, cur, a = ys[lo:hi], start[lo:hi], in_a[lo:hi].copy()
+        for s in range(1, cap + 1):
+            if not slot.size:
+                break
+            f = np.take(oracle, cur)
+            hit = f < 0
+            hit &= a
+            f &= _VALUE
+            done = f == y
+            if done.any():
+                answer[slot[done]] = cur[done]
+                queries[slot[done]] = s
+                live = ~done
+                slot, y, f, a, hit = slot[live], y[live], f[live], a[live], hit[live]
+            if hit.any():
+                f[hit] = back(f[hit])
+                a &= ~hit
+            cur = f
+
+    # Imported here, not at the top: it adds about 10 ms to the start-up of
+    # every command, and only this walk uses it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    parts = max(1, min(_usable_cpus(), m // _MIN_PART))
+    edges = [m * i // parts for i in range(parts + 1)]
+    with ThreadPoolExecutor(max(parts - 1, 1)) as pool:
+        rest = [pool.submit(walk, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+        walk(edges[0], edges[1])
+        for job in rest:
+            job.result()
+
+    if predicted is not None:
         wrong = np.flatnonzero(queries != predicted)
         if wrong.size:
             i = wrong[0]

@@ -167,6 +167,8 @@ def cmd_decomp_check(args) -> int:
 
 def cmd_lemma_check(args) -> int:
     _at_least("--programs", args.programs, 1)
+    _at_least("--p", args.p, 0)
+    _at_least("--t", args.t, 0)
     layout = querysim.RegisterLayout(n=args.n, w=args.w)
     runs = []
     ok = True
@@ -198,7 +200,14 @@ def cmd_lemma_check(args) -> int:
 
 
 def cmd_game(args) -> int:
-    challenge = "all" if args.challenge == "all" else int(args.challenge)
+    _at_least("--p", args.p, 0)
+    _at_least("--t", args.t, 0)
+    challenge = args.challenge
+    if challenge != "all":
+        try:
+            challenge = int(challenge)
+        except ValueError:
+            raise ValueError(f"--challenge must be 'all' or an integer, got {challenge!r}") from None
     layout = querysim.RegisterLayout(n=args.n, w=args.w)
     program = querysim.random_program(args.n, args.p, args.t, w=args.w, seed=args.seed)
     transcript = querysim.run_bit_fixing(program, layout, challenge=challenge)

@@ -1,6 +1,7 @@
 """Hellman table construction, inversion correctness, and tradeoff shape."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -243,6 +244,74 @@ def test_batch_walk_matches_scalar_on_a_foreign_table(seed):
         assert (stats.t_max, stats.t_avg, stats.success_rate) == expect
         assert 0 < stats.success_rate < 1
         assert stats.t_max == 2 * t + 2
+
+
+def _with_repeats(points: np.ndarray, k: int) -> np.ndarray:
+    """The first k - 1 of points and then the first again (k = 1: just it)."""
+    return points[np.arange(k) % max(k - 1, 1)]
+
+
+# None keeps the CPU count of the host; the others force that many parts.
+CPU_COUNTS = [1, 2, 3, None]
+
+
+def force_parts(monkeypatch, cpus: int | None) -> int:
+    """Split even the smallest walk into one part per CPU, with that many
+    CPUs unless cpus is None; returns the number of parts."""
+    monkeypatch.setattr(at, "_MIN_PART", 1)
+    if cpus is not None:
+        monkeypatch.setattr(at, "_usable_cpus", lambda: cpus)
+    return at._usable_cpus()
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS)
+@pytest.mark.parametrize("foreign", [False, True], ids=["own", "foreign"])
+def test_split_walk_matches_scalar(cpus, foreign, monkeypatch):
+    # Target counts below, at and above the number of parts: each part
+    # writes only its own slots, repeated targets included.
+    parts = force_parts(monkeypatch, cpus)
+    rng = np.random.default_rng(11)
+    n, t = 64, 4
+    perm = rng.permutation(n)
+    table = at.build_table(rng.permutation(n) if foreign else perm, t)
+    points = rng.permutation(n)
+    for k in (1, 2, 3, 2 * parts + 1):
+        targets = _with_repeats(points, k)
+        stats = at.measure_all(perm, table, targets=targets)
+        assert (stats.t_max, stats.t_avg, stats.success_rate) == scalar_stats(perm, table, targets)
+
+
+@pytest.mark.parametrize("foreign", [False, True], ids=["own", "foreign"])
+def test_one_part_walk_gives_identical_stats(foreign, monkeypatch):
+    # More parts than cores and a short switch interval, so that the
+    # parts' writes to the shared results interleave.
+    rng = np.random.default_rng(12)
+    n = 1 << 12
+    perm = rng.permutation(n)
+    table = at.build_table(rng.permutation(n) if foreign else perm, 64)
+    sample = rng.choice(n, size=1001, replace=False)
+    force_parts(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = [at.measure_all(perm, table, targets) for targets in (None, sample)]
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(at, "_usable_cpus", lambda: 1)
+    assert [at.measure_all(perm, table, targets) for targets in (None, sample)] == split
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS)
+def test_walk_off_the_cycle_type_raises_in_the_last_part(cpus, monkeypatch):
+    # Only challenges 1..8 pass through the bad entry below, and the one
+    # given here comes last, so the last part alone sees the mismatch.
+    force_parts(monkeypatch, cpus)
+    perm = single_cycle(64)
+    table = at.build_table(perm, 8)
+    table.entries[8] = 63
+    targets = np.r_[np.arange(9, 64), 5]
+    with pytest.raises(ArithmeticError, match="walk to 5 spent 9 queries, its cycle type predicts 8"):
+        at.measure_all(perm, table, targets=targets)
 
 
 def test_walk_off_the_cycle_type_raises():

@@ -289,15 +289,33 @@ def test_bad_input_exit_2(argv, capsys):
         (["young", "branching", "--n", "0"], "--n"),
         (["young", "eigenvalues", "--n", "0"], "--n"),
         (["altgame", "--n", "3", "--g", "0"], "--g"),
+        (["game", "--n", "3", "--p", "-1"], "--p"),
+        (["game", "--n", "3", "--t", "-2"], "--t"),
+        (["lemma-check", "--n", "3", "--p", "-1"], "--p"),
+        (["lemma-check", "--n", "3", "--t", "-2"], "--t"),
     ],
 )
-def test_empty_or_negative_count_exits_2(argv, flag, capsys):
-    # Each would otherwise check nothing and pass, or crash mid-run.
+def test_empty_or_negative_count_exits_2(argv, flag, capsys, monkeypatch):
+    # Each would otherwise check nothing and pass, or crash mid-run; a
+    # negative game count used to draw the program first and then fail on
+    # a query-count mismatch that named no flag.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a program was drawn before the flag check")
+
+    monkeypatch.setattr(querysim, "random_program", must_not_run)
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be >= ")
+
+
+def test_non_integer_challenge_names_the_flag(capsys):
+    # It used to exit 2 with int()'s own message, which names no flag.
+    code = cli.main(["game", "--n", "3", "--challenge", "x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --challenge must be 'all' or an integer, got 'x'\n"
 
 
 def test_altgame_g_refused_before_any_adversary(capsys, monkeypatch):

@@ -60,26 +60,32 @@ def syt_count(lam: tuple[int, ...]) -> int:
 
 
 def frobenius_character(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """Character as the coefficient of x^(lam + delta) in a_delta * prod p_j."""
+    """Character as the coefficient of x^(lam + delta) in a_delta * prod p_j.
+
+    Exponents only grow as factors are multiplied in, so a monomial with an
+    exponent above the target's can never reach it and is dropped."""
     r = max(len(lam), 1)
     delta = tuple(range(r - 1, -1, -1))
+    target = tuple((lam[i] if i < len(lam) else 0) + delta[i] for i in range(r))
     poly: dict[tuple[int, ...], int] = {}
     for sigma in permutations(range(r)):
         inversions = sum(
             1 for a in range(r) for b in range(a + 1, r) if sigma[a] > sigma[b]
         )
         expo = tuple(delta[sigma[i]] for i in range(r))
-        poly[expo] = poly.get(expo, 0) + (-1) ** inversions
+        if all(e <= g for e, g in zip(expo, target)):
+            poly[expo] = poly.get(expo, 0) + (-1) ** inversions
     for j in cycles:
         nxt: dict[tuple[int, ...], int] = {}
         for expo, coeff in poly.items():
             for i in range(r):
+                if expo[i] + j > target[i]:
+                    continue
                 e = list(expo)
                 e[i] += j
                 key = tuple(e)
                 nxt[key] = nxt.get(key, 0) + coeff
         poly = nxt
-    target = tuple((lam[i] if i < len(lam) else 0) + delta[i] for i in range(r))
     return poly.get(target, 0)
 
 
@@ -353,6 +359,30 @@ def test_characters_match_frobenius_formula():
         for lam in young.partitions(n):
             for c in young.partitions(n):
                 assert young.character(lam, c) == frobenius_character(lam, c), (lam, c)
+
+
+@st.composite
+def shapes_and_cycle_types(draw, max_size: int = 12, max_parts: int = 6):
+    """A partition lam of some n <= max_size with at most max_parts parts,
+    and a cycle type of n, each drawn part by part."""
+    remaining = draw(st.integers(1, max_size))
+    lam: list[int] = []
+    while remaining and len(lam) < max_parts:
+        lam.append(draw(st.integers(1, remaining)))
+        remaining -= lam[-1]
+    remaining = sum(lam)
+    cycles: list[int] = []
+    while remaining:
+        cycles.append(draw(st.integers(1, remaining)))
+        remaining -= cycles[-1]
+    return tuple(sorted(lam, reverse=True)), tuple(sorted(cycles, reverse=True))
+
+
+@settings(deadline=None)
+@given(case=shapes_and_cycle_types())
+def test_characters_match_frobenius_formula_for_arbitrary_shapes(case):
+    lam, cycles = case
+    assert young.character(lam, cycles) == frobenius_character(lam, cycles)
 
 
 def test_character_orthogonality_exact():
