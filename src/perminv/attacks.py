@@ -210,13 +210,19 @@ def build_table(perm, t: int, cycles: Cycles | None = None) -> HellmanTable:
     perm = _as_permutation(perm)
     if cycles is None:
         cycles = find_cycles(perm)
+    return _derive_table(len(perm), t, cycles)
+
+
+def _derive_table(n: int, t: int, cycles: Cycles) -> HellmanTable:
+    """build_table's table for a checked spacing t >= 1 and a decomposition
+    of an n-point permutation."""
     order, long = cycles.order, cycles.lens > t
     entries: dict[int, int] = {}
     for s, ell in zip(cycles.starts[long].tolist(), cycles.lens[long].tolist()):
         pos = np.arange(0, ell, t)
         entries.update(zip(order[s + pos].tolist(), order[s + (pos - t) % ell].tolist()))
     return HellmanTable(
-        n=len(perm),
+        n=n,
         t=t,
         entries=entries,
         cycle_count=cycles.lens.size,
@@ -307,25 +313,39 @@ def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
     """
     perm = _as_permutation(perm)
     n = len(perm)
-    if n >= 1 << 31:
-        raise ValueError(f"the walk packs points into 31 bits; {n} points are too many")
     if table.n != n:
         raise ValueError(f"table for {table.n} points walked on a permutation of {n}")
+    ys = _as_targets(targets, n)
+    # The lengths are taken before the oracle is built, so that the N-sized
+    # arrays of describe and length_of never coexist with it.
+    lengths = None
+    if table.cycles is not None and table.cycles.describe(perm):
+        lengths = table.cycles.length_of(ys)
+    return _walk_all(perm, table, ys, lengths)
+
+
+def _as_targets(targets, n: int) -> np.ndarray:
+    """The targets as int32, every point of range(n) when None; ValueError
+    unless n < 2^31 and they are a non-empty 1-D integer array in range(n)."""
+    if n >= 1 << 31:
+        raise ValueError(f"the walk packs points into 31 bits; {n} points are too many")
     ys = np.arange(n, dtype=np.int32) if targets is None else np.asarray(targets)
     if ys.ndim != 1 or not ys.size or not (
         np.issubdtype(ys.dtype, np.integer) and 0 <= ys.min() and ys.max() < n
     ):
         raise ValueError(f"targets must be a non-empty 1-D array of integers in range({n})")
-    ys = ys.astype(np.int32, copy=False)
-    m = len(ys)
+    return ys.astype(np.int32, copy=False)
+
+
+def _walk_all(perm: np.ndarray, table: HellmanTable, ys: np.ndarray, lengths) -> AttackStats:
+    """measure_all's walk, on a checked permutation, a table of its size and
+    checked targets ys.  lengths is the length of the cycle through each
+    target, which every walk's query count is held to, or None for a table
+    from another permutation, which is held to the cap alone."""
+    n, m = len(perm), len(ys)
     t = table.t
     cap = 2 * t + 2
-
-    # The prediction is taken before the oracle is built, so that the
-    # N-sized arrays of describe and length_of never coexist with it.
-    predicted = None
-    if table.cycles is not None and table.cycles.describe(perm):
-        predicted = np.minimum(t, table.cycles.length_of(ys))
+    predicted = None if lengths is None else np.minimum(t, lengths)
 
     entries = table.entries
     checkpoint = np.zeros(n, dtype=bool)
@@ -418,13 +438,17 @@ def tradeoff_sweep(
 ) -> list[AttackStats]:
     """Build tables for seeded random permutations at each spacing and invert
     every challenge (or a seeded sample for very large n), aggregating the
-    worst case across trials.  Each trial's permutation is decomposed into
-    cycles once, and the tables at every spacing are derived from that."""
+    worst case across trials.  Each trial's permutation is checked and
+    decomposed into cycles once, and the tables at every spacing are derived
+    from that; the cycle length through each target is also taken once, and
+    every walk is held to it as in :func:`measure_all`."""
     if n > 1 << 20:
         raise ValueError("n capped at 2^20 for sweeps")
     t_values = list(t_values)
     if not t_values:
         raise ValueError("t_values must name at least one spacing")
+    if any(t < 1 for t in t_values):
+        raise ValueError("spacing t must be >= 1")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     per_t: list[list[AttackStats]] = [[] for _ in t_values]
@@ -434,9 +458,14 @@ def tradeoff_sweep(
         targets = None
         if sample_targets is not None and sample_targets < n:
             targets = rng.choice(n, size=sample_targets, replace=False)
+        # find_cycles checks that perm is a permutation.
         cycles = find_cycles(perm)
+        if not cycles.describe(perm):
+            raise ArithmeticError("find_cycles returned cycles that are not the permutation's")
+        ys = _as_targets(targets, n)
+        lengths = cycles.length_of(ys)
         for t, per_trial in zip(t_values, per_t):
-            per_trial.append(measure_all(perm, build_table(perm, t, cycles), targets))
+            per_trial.append(_walk_all(perm, _derive_table(n, t, cycles), ys, lengths))
     rows: list[AttackStats] = []
     for t, per_trial in zip(t_values, per_t):
         s_max = max(st.s_entries for st in per_trial)

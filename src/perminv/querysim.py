@@ -89,7 +89,9 @@ class Unitary:
         u = self.matrix
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("unitary matrix must be square")
-        err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+        gram = u.conj().T @ u
+        gram.flat[:: u.shape[0] + 1] -= 1  # u^H u - I, in place
+        err = np.abs(gram).max()
         if err > 1e-10:
             raise ValueError(f"matrix is not unitary (residual {err:.3e})")
 
@@ -371,7 +373,11 @@ def check_progress_inequalities(
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish unitary: QR of a complex Gaussian with a fixed phase gauge."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    # Real parts drawn first, then imaginary: the order fixes the seeded
+    # matrices.
+    z = np.empty((dim, dim), dtype=np.complex128)
+    z.real = rng.standard_normal((dim, dim))
+    z.imag = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 

@@ -14,9 +14,10 @@ one prime bounds the rank over Q from below, and an integer kernel witness,
 checked exactly, bounds it from above.  Orthonormal bases, projectors and
 eigensolves are double precision, with the exact ranks pinning every rank
 decision the float side makes; a basis is built only once its float Gram
-spectrum confirms the rank with a wide gap.  Only the challenge-0 high
-projector is built constructively; the others are its relabelings by range
-transpositions.
+spectrum confirms the rank with a wide gap.  Each subspace's Gram matrix is
+formed once and read by both.  Only the challenge-0 high projector is built
+constructively and kept; the others are its relabelings by range
+transpositions, gathered on each call.
 
 The size cap is N = 6 (dimension 720); at N = 7 each dense 5040^2 float
 matrix would cost ~200 MB.
@@ -38,6 +39,7 @@ from perminv.young import Partition
 _MAX_N = 6  # dense N! x N! matrices
 _RANK_PRIME = 1_000_003
 _RANK_BLOCK = 32  # panel width of the blocked prime-field elimination
+_GRAM_ROWS = 512  # rows per float64 chunk of a tall Gram matrix
 
 
 class CapacityError(ValueError):
@@ -191,9 +193,23 @@ def _indicator_rows(n: int, alphas) -> np.ndarray:
 
 
 def _gram_int(rows: np.ndarray) -> np.ndarray:
-    """Exact integer Gram matrix of an integer row matrix, on the smaller side."""
-    v = rows.astype(np.float64)
-    g = v @ v.T if rows.shape[0] <= rows.shape[1] else v.T @ v
+    """Exact integer Gram matrix of an integer row matrix, on the smaller side.
+
+    A tall matrix is summed over float64 copies of _GRAM_ROWS rows at a
+    time, so it never exists in float64 whole.  By Cauchy-Schwarz every
+    partial sum is at most the largest diagonal entry, so once that is
+    below 2^52 every sum is an exact integer and any chunking gives the
+    same bits.
+    """
+    m, d = rows.shape
+    if m <= d:
+        v = rows.astype(np.float64)
+        g = v @ v.T
+    else:
+        g = np.zeros((d, d))
+        for start in range(0, m, _GRAM_ROWS):
+            chunk = rows[start : start + _GRAM_ROWS].astype(np.float64)
+            g += chunk.T @ chunk
     if g.size and np.abs(g).max() >= 2**52:
         raise OverflowError("Gram entries too large for exact float accumulation")
     return np.rint(g).astype(np.int64)
@@ -305,16 +321,18 @@ def _check_spectral_gap(w: np.ndarray, r: int) -> None:
         raise ArithmeticError(f"ambiguous spectral gap for rank {r}: {kept:.3e} vs {dropped:.3e}")
 
 
-def exact_rank(rows: np.ndarray) -> int:
-    """Rank over Q of an integer row matrix, proven on its d x d Gram matrix
-    G by one path at every N (a certificate after Kaltofen, Nehring and
-    Saunders, ISSAC 2011).  The rank r mod _RANK_PRIME is a lower bound; the
-    witness K of rank d - r with G @ K == 0 exactly is an upper bound.  An
-    unlucky prime under-reports r, and a dependent column with fractional
-    coefficients has no integral K: both raise ArithmeticError.  The float
-    spectral gap confirmed by _orthonormal_basis guards against an
-    elimination that over-reports r."""
-    gram = _gram_int(rows)
+def exact_rank(gram: np.ndarray) -> int:
+    """Rank over Q of an integer matrix, proven on its d x d integer Gram
+    matrix G (from _gram_int) by one path at every N (a certificate after
+    Kaltofen, Nehring and Saunders, ISSAC 2011).  The rank r mod _RANK_PRIME
+    is a lower bound; the witness K of rank d - r with G @ K == 0 exactly is
+    an upper bound.  An unlucky prime under-reports r, and a dependent
+    column with fractional coefficients has no integral K: both raise
+    ArithmeticError.  The float spectral gap confirmed by
+    _orthonormal_basis on the same G guards against an elimination that
+    over-reports r."""
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise ValueError(f"exact_rank takes a square Gram matrix, got shape {gram.shape}")
     r, pivots = _rank_mod_p(gram, _RANK_PRIME)
     _check_kernel_witness(gram, _kernel_witness(gram, pivots))
     return r
@@ -324,22 +342,28 @@ def exact_rank(rows: np.ndarray) -> int:
 # Orthonormal bases and subspaces.
 
 
-def _orthonormal_basis(rows: np.ndarray, expected_rank: int) -> np.ndarray:
+def _orthonormal_basis(
+    rows: np.ndarray, expected_rank: int, gram: np.ndarray | None = None
+) -> np.ndarray:
     """Orthonormal basis (columns) of the row space, with known exact rank.
 
     The rank decision is made elsewhere in exact arithmetic; here we only
-    insist that the float Gram spectrum confirms it with a wide gap.
+    insist that the float Gram spectrum confirms it with a wide gap.  An
+    integer row matrix may pass its exact Gram matrix from _gram_int: it
+    holds the very values the float product of the rows would, and on the
+    tall side the rows are then never converted to float.
     """
     m, d = rows.shape
     if expected_rank == 0:
         return np.zeros((d, 0))
-    v = rows.astype(np.float64)
     small_side = m <= d
-    g = v @ v.T if small_side else v.T @ v
-    w, u = np.linalg.eigh(g)
+    if gram is None:
+        v = rows.astype(np.float64)
+        gram = v @ v.T if small_side else v.T @ v
+    w, u = np.linalg.eigh(np.asarray(gram, dtype=np.float64))
     _check_spectral_gap(w, expected_rank)
     uk = u[:, -expected_rank:]
-    basis = (v.T @ uk) / np.sqrt(w[-expected_rank:]) if small_side else uk
+    basis = (rows.astype(np.float64).T @ uk) / np.sqrt(w[-expected_rank:]) if small_side else uk
     q, _ = np.linalg.qr(basis)  # one polish pass to machine orthonormality
     return q
 
@@ -355,8 +379,9 @@ class Subspace:
 
 def _make_subspace(n: int, alphas) -> Subspace:
     rows = _indicator_rows(n, alphas)
-    r = exact_rank(rows)
-    q = _orthonormal_basis(rows, expected_rank=r)
+    gram = _gram_int(rows)
+    r = exact_rank(gram)
+    q = _orthonormal_basis(rows, r, gram)
     q.setflags(write=False)
     return Subspace(n=n, dim=r, basis=q)
 
@@ -421,23 +446,29 @@ def _build_high_projection(n: int, y: int) -> np.ndarray:
 
 
 @cache
+def _high_projection_0(n: int) -> np.ndarray:
+    """P_0, the one high projector that is built constructively and kept."""
+    return _build_high_projection(n, 0)
+
+
 def high_projection(n: int, y: int) -> np.ndarray:
     """Orthogonal projector onto the high subspace for challenge y.
 
     Only P_0 is built constructively, so each rank is certified once per k.
     The range transposition tau = (0 y) maps A_k^0 onto A_k^y and fixes A_k
     (the relabeling change_of_challenge_check verifies), so P_y is P_0 with
-    rows and columns permuted by |pi> -> |tau . pi>.
+    rows and columns permuted by |pi> -> |tau . pi>, gathered anew on each
+    call rather than kept.
     """
     _check_n(n)
     if not 0 <= y < n:
         raise ValueError(f"challenge {y} not in range({n})")
     if y == 0:
-        return _build_high_projection(n, 0)
+        return _high_projection_0(n)
     tau = list(range(n))
     tau[0], tau[y] = y, 0
     perm = composition_table(n)[perm_index_map(n)[tuple(tau)], :]
-    p = high_projection(n, 0)[np.ix_(perm, perm)]
+    p = _high_projection_0(n)[np.ix_(perm, perm)]
     p.setflags(write=False)
     return p
 
@@ -494,13 +525,12 @@ def _character_sum(n: int, terms, scale: float, name: str) -> np.ndarray:
     return p
 
 
-@cache
 def isotypic_projector(n: int, lam: Partition) -> np.ndarray:
     """Projector onto the isotypic component of lam in the group algebra.
 
     Character sum over the left action |pi> -> |pi . g^{-1}>: the two-sided
     isotypic component coincides with the one-sided one, so this is the
-    block projector with rank dim(lam)^2.
+    block projector with rank dim(lam)^2.  Built on each call, not kept.
     """
     _check_n(n)
     lam = young.check_partition(lam) if lam else ()
@@ -661,9 +691,8 @@ def spectrum(n: int) -> SpectrumReport:
         all_ok = False
 
     projs = {lam: isotypic_projector(n, lam) for lam in lams}
-    mp = {lam: m @ projs[lam] for lam in lams}
     block_res = max(
-        float(np.abs(mp[lam] - float(young.eigenvalue_m(lam, n)) * projs[lam]).max())
+        float(np.abs(m @ projs[lam] - float(young.eigenvalue_m(lam, n)) * projs[lam]).max())
         for lam in lams
     )
     off_res = 0.0

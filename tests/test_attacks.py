@@ -465,7 +465,35 @@ def test_sweep_finds_each_permutation_cycles_once(monkeypatch):
     assert rows[0] == rows[2]
 
 
-@pytest.mark.parametrize(("t_values", "trials", "name"), [([], 3, "t_values"), ([4], 0, "trials")])
+def test_sweep_checks_each_permutation_and_targets_once(monkeypatch):
+    # Per trial, not per spacing: the permutation check, the check that the
+    # decomposition describes the permutation and the targets' cycle lengths.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(at, "_as_permutation", counted("check", at._as_permutation))
+    monkeypatch.setattr(at.Cycles, "describe", counted("describe", at.Cycles.describe))
+    monkeypatch.setattr(at.Cycles, "length_of", counted("length_of", at.Cycles.length_of))
+    at.tradeoff_sweep(256, [4, 16, 64], trials=2, seed=0, sample_targets=100)
+    assert calls == ["check", "describe", "length_of"] * 2
+
+
+def test_sweep_refuses_cycles_of_another_permutation(monkeypatch):
+    find_cycles = at.find_cycles
+    monkeypatch.setattr(at, "find_cycles", lambda perm: find_cycles(np.roll(perm, 1)))
+    with pytest.raises(ArithmeticError, match="not the permutation's"):
+        at.tradeoff_sweep(256, [4, 16], trials=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    ("t_values", "trials", "name"), [([], 3, "t_values"), ([4], 0, "trials"), ([4, 0], 1, "spacing t")]
+)
 def test_vacuous_sweep_refused(t_values, trials, name):
     # No spacing used to return no rows and no trials to fail inside max().
     with pytest.raises(ValueError, match=name):

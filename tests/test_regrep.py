@@ -10,7 +10,7 @@ isotypic block.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -223,7 +223,7 @@ def test_modp_rank_and_witness_match_fraction_elimination():
             m[3] = m[0] ^ m[1] if trial % 2 else m[0]
         ref = fraction_rank(m)
         assert regrep._rank_mod_p(regrep._gram_int(m), regrep._RANK_PRIME)[0] == ref
-        assert regrep.exact_rank(m) == ref
+        assert regrep.exact_rank(regrep._gram_int(m)) == ref
 
 
 def test_unlucky_prime_has_no_witness():
@@ -233,7 +233,7 @@ def test_unlucky_prime_has_no_witness():
     assert fraction_rank(rows) == 2
     assert regrep._rank_mod_p(regrep._gram_int(rows), regrep._RANK_PRIME)[0] == 1
     with pytest.raises(ArithmeticError, match="no integer kernel witness for rank 1"):
-        regrep.exact_rank(rows)
+        regrep.exact_rank(regrep._gram_int(rows))
 
 
 def test_fractional_dependency_is_refused_not_guessed():
@@ -242,7 +242,7 @@ def test_fractional_dependency_is_refused_not_guessed():
     rows = np.array([[2, 4], [1, 2]])
     assert fraction_rank(rows) == 1
     with pytest.raises(ArithmeticError, match="no integer kernel witness for rank 1"):
-        regrep.exact_rank(rows)
+        regrep.exact_rank(regrep._gram_int(rows))
 
 
 def test_perturbed_witness_fails_the_exact_check():
@@ -302,6 +302,71 @@ def test_blocked_modp_matches_reference_on_random_matrices(monkeypatch):
             assert regrep._rank_mod_p(mat, p) == rank_mod_p_reference(mat, p), (trial, p)
 
 
+def _subspace_rows(n: int):
+    """(k, y, indicator rows) of A_k (y None) and of A_k^y for k >= 1."""
+    for k in range(n):
+        yield k, None, regrep._indicator_rows(n, regrep.assignments(n, k))
+        for y in range(n) if k else ():
+            yield k, y, regrep._indicator_rows(n, regrep.assignments_with_image(n, k, y))
+
+
+def _perm_gram(n: int, k: int, y) -> np.ndarray:
+    """V^T V from the permutations alone: pi and sigma share C(agree, k)
+    k-assignments, and C(agree - 1, k - 1) with y in the image when
+    pi^-1(y) == sigma^-1(y), else none."""
+    perms = regrep.perms_matrix(n)
+    agree = (perms[:, None, :] == perms[None, :, :]).sum(axis=2)
+    if y is None:
+        return np.vectorize(lambda a: comb(a, k))(agree)
+    pre = np.argmax(perms == y, axis=1)
+    same = pre[:, None] == pre[None, :]
+    return np.where(same, np.vectorize(lambda a: comb(max(a - 1, 0), k - 1))(agree), 0)
+
+
+def _assignment_gram(n: int, alphas) -> np.ndarray:
+    """V V^T from the assignments alone: alpha and beta share (n - |alpha u
+    beta|)! permutations when their union is injective, else none."""
+    out = np.zeros((len(alphas), len(alphas)), dtype=np.int64)
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(alphas):
+            union = dict(a)
+            ok = all(union.setdefault(x, v) == v for x, v in b)
+            if ok and len(set(union.values())) == len(union):
+                out[i, j] = factorial(n - len(union))
+    return out
+
+
+def test_chunked_gram_matches_closed_forms(monkeypatch):
+    # Chunks of 7 rows: many chunks per tall matrix, most ending short.
+    monkeypatch.setattr(regrep, "_GRAM_ROWS", 7)
+    tall = short = 0
+    for n in range(1, 6):
+        for k, y, rows in _subspace_rows(n):
+            gram = regrep._gram_int(rows)
+            if rows.shape[0] > rows.shape[1]:
+                tall += 1
+                assert np.array_equal(gram, _perm_gram(n, k, y)), (n, k, y)
+            else:
+                short += 1
+                alphas = regrep.assignments(n, k) if y is None else regrep.assignments_with_image(n, k, y)
+                assert np.array_equal(gram, _assignment_gram(n, alphas)), (n, k, y)
+    assert (tall, short) == (29, 26)  # tall: 1, 5, 10 and 13 at n = 2..5
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_basis_from_shared_gram_is_the_row_basis(n):
+    # Bit for bit: the exact Gram holds the very values v^T v or v v^T would.
+    for k, y, rows in _subspace_rows(n):
+        gram = regrep._gram_int(rows)
+        r = regrep.exact_rank(gram)
+        assert np.array_equal(regrep._orthonormal_basis(rows, r, gram), regrep._orthonormal_basis(rows, r)), (k, y)
+
+
+def test_exact_rank_needs_a_square_gram():
+    with pytest.raises(ValueError, match="square Gram matrix"):
+        regrep.exact_rank(np.ones((3, 2), dtype=np.int64))
+
+
 def test_spectral_gap_check():
     regrep._check_spectral_gap(np.array([1e-12, 1.0, 2.0]), 2)
     regrep._check_spectral_gap(np.array([0.0, 1e-9]), 0)
@@ -315,7 +380,7 @@ def test_basis_gap_check_guards_the_prime_path(monkeypatch):
     # A rank claimed one too high must still be caught: the float gap is
     # confirmed when the subspace's orthonormal basis is built.
     true_rank = regrep.exact_rank
-    monkeypatch.setattr(regrep, "exact_rank", lambda rows: true_rank(rows) + 1)
+    monkeypatch.setattr(regrep, "exact_rank", lambda gram: true_rank(gram) + 1)
     with pytest.raises(ArithmeticError, match="ambiguous spectral gap for rank 27"):
         regrep._make_subspace(6, regrep.assignments(6, 1))
 
@@ -324,7 +389,7 @@ def test_exact_rank_matches_numpy_on_spanning_sets():
     for n in (3, 4):
         for k in range(n):
             rows = regrep._indicator_rows(n, regrep.assignments(n, k))
-            assert regrep.exact_rank(rows) == np.linalg.matrix_rank(rows.astype(float))
+            assert regrep.exact_rank(regrep._gram_int(rows)) == np.linalg.matrix_rank(rows.astype(float))
 
 
 # ---------------------------------------------------------------------------
