@@ -4,8 +4,8 @@ Everything lives in the N!-dimensional group algebra with basis vectors
 indexed by the lexicographic enumeration of S_N.  The module builds the
 partial-assignment subspaces A_k and A_k^y, the per-challenge high/low
 projectors, their sum M over all challenges, and the isotypic projectors of
-the two-sided action, then verifies the predicted decompositions and the
-spectrum of M by brute force.
+the two-sided action, then verifies the predicted decompositions by brute
+force and the spectrum of M against one exact central element.
 
 Two arithmetic flavors coexist.  Ranks of spanning sets are decided with
 exact integer arithmetic (unnormalized assignment vectors are 0/1 integer
@@ -495,7 +495,7 @@ def build_m(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Isotypic projectors from characters.
+# Isotypic projectors and the central element of M, from characters.
 
 
 @cache
@@ -523,6 +523,25 @@ def _character_sum(n: int, terms, scale: float, name: str) -> np.ndarray:
     _assert_projector(p, name)
     p.setflags(write=False)
     return p
+
+
+def _central_element(n: int) -> np.ndarray:
+    """C_f[i, j] = f(pi_i^-1 pi_j), convolution by the class function
+    f = sum_lam e_lam d_lam chi_lam / N!, which is sum_lam e_lam Pi_lam.
+
+    f's value on each conjugacy class is summed exactly as a Fraction and
+    converted to float once; the matrix is one gather of those values.
+    """
+    elem_class, types = _class_data(n)
+    lams = young.partitions(n)
+    values = [
+        float(
+            sum(young.eigenvalue_m(lam, n) * young.dim(lam) * young.character(lam, ct) for lam in lams)
+            / factorial(n)
+        )
+        for ct in types
+    ]
+    return np.array(values)[elem_class[composition_table(n)[inverse_indices(n)]]]
 
 
 def isotypic_projector(n: int, lam: Partition) -> np.ndarray:
@@ -627,8 +646,7 @@ class SpectrumBlock:
 class SpectrumReport:
     n: int
     blocks: list[SpectrumBlock]
-    off_block_residual: float
-    block_residual: float
+    central_residual: float
     passed: bool
 
 
@@ -645,14 +663,18 @@ def _cluster(sorted_vals: np.ndarray, tol: float) -> list[tuple[float, int]]:
 
 def spectrum(n: int) -> SpectrumReport:
     """Eigendecompose M, cluster its spectrum, and reconcile each cluster
-    with the predicted per-block eigenvalue and multiplicity.
+    with the predicted per-block eigenvalue and multiplicity; then check M
+    entrywise against the central element C_f = sum_lam e_lam Pi_lam.
 
     Blocks sharing an eigenvalue merge into one observed cluster; the
     reconciliation compares the cluster count against the summed predicted
     multiplicities.  Cluster-match failures are reported, not raised.
     Eigenvalues within 1e-6 form one cluster and match a prediction within
-    1e-6; M's block residual must be <= 1e-7 and its off-block residual
-    <= 1e-8.
+    1e-6; max|M - C_f| must be <= 1e-8 / N!.  With X = M - C_f, every
+    projector pair has max|Pi X Pi'| <= ||X||_2 <= N! max|X| <= 1e-8, which
+    bounds M's block residuals (M - e_lam) Pi_lam = X Pi_lam and off-block
+    residuals Pi_lam M Pi_mu = Pi_lam X Pi_mu, and by Weyl's inequality puts
+    every eigenvalue of M within 1e-8 of a predicted e_lam.
     """
     cluster_tol = 1e-6
     m = build_m(n)
@@ -690,21 +712,10 @@ def spectrum(n: int) -> SpectrumReport:
     if len(used) != len(clusters):
         all_ok = False
 
-    projs = {lam: isotypic_projector(n, lam) for lam in lams}
-    block_res = max(
-        float(np.abs(m @ projs[lam] - float(young.eigenvalue_m(lam, n)) * projs[lam]).max())
-        for lam in lams
-    )
-    off_res = 0.0
-    for lam in lams:
-        pm = projs[lam] @ m
-        for mu in lams:
-            if mu != lam:
-                off_res = max(off_res, float(np.abs(pm @ projs[mu]).max()))
-
-    passed = all_ok and block_res <= 1e-7 and off_res <= 1e-8
+    central_res = float(np.abs(m - _central_element(n)).max())
+    passed = all_ok and central_res <= 1e-8 / factorial(n)
     blocks.sort(key=lambda b: lams.index(b.lam))
-    return SpectrumReport(n, blocks, off_res, block_res, passed)
+    return SpectrumReport(n, blocks, central_res, passed)
 
 
 @dataclass
@@ -736,6 +747,7 @@ def avg_bound_check(n: int, k: int, samples: int = 100, seed: int = 0) -> AvgBou
     by n; it must match max_{level <= k} e / n and respect the 2k/n bound.
     Seeded random unit vectors in A_k sample the bound's slack.
     """
+    _check_n(n)
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}")
     if samples < 1:
@@ -786,6 +798,7 @@ class ChangeChallengeReport:
 def change_of_challenge_check(n: int, trials: int = 20, seed: int = 0) -> ChangeChallengeReport:
     """Conjugating the high projector by the two-sided action relabels the
     challenge by the range-side permutation, and M commutes with the action."""
+    _check_n(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -843,6 +856,7 @@ def decomposition_report(n: int) -> DecompReport:
     the nested-chain containments only up to n = 5, where the exact-rank
     telescoping applies at reasonable cost.
     """
+    _check_n(n)
     a_dims = []
     ok = True
     for k in range(n):

@@ -9,6 +9,7 @@ finish in a few minutes.
 import json
 import time
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
@@ -37,8 +38,7 @@ def test_criterion_02_spectrum_formula_equality():
     for n in (3, 4, 5, 6):
         rep = regrep.spectrum(n)
         assert rep.passed, f"spectrum mismatch at n={n}"
-        assert rep.off_block_residual <= 1e-8
-        assert rep.block_residual <= 1e-7
+        assert rep.central_residual <= 1e-8 / factorial(n)
         for block in rep.blocks:
             assert block.ok
             assert abs(block.e_observed - float(block.e_predicted)) <= 1e-6

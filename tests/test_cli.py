@@ -310,6 +310,18 @@ def test_empty_or_negative_count_exits_2(argv, flag, capsys, monkeypatch):
     assert captured.err.startswith(f"error: {flag} must be >= ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["decomp-check", "--n", "0"], ["avgbound", "--n", "0", "--k", "0"]],
+)
+def test_non_positive_n_is_refused_first(argv, capsys):
+    # decomp-check used to crash inside max() and avgbound to blame --k.
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: n must be a positive integer, got 0\n"
+
+
 def test_non_integer_challenge_names_the_flag(capsys):
     # It used to exit 2 with int()'s own message, which names no flag.
     code = cli.main(["game", "--n", "3", "--challenge", "x"])

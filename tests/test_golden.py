@@ -18,8 +18,8 @@ GOLDEN = {
     "young eigenvalues --n 6": "eded4329d30727cb797c1e2ed311c90842716f3d932e0f3d4b7042869f1f1682",
     "young identities --max-n 12": "85efb73b307e1dd37ad3ba666ba2936fb2abc25e29e2700fac9d3bfb283105c3",
     "young eigenvalues --n 4 --format text": "7648c4259314005b9cfc6e51919668bf6d3884f2f0a9961c5a5f01f3b9c782a6",
-    "spectrum --n 4": "d7cd1ee0cb1da837ef235fe28d023b106fbb64dce2fd9362963010c102bcca3f",
-    "spectrum --n 4 --format text": "14e7f497a15c4dd7b20881cb4d1be8397cb724ca1d4734a89e9222131246df38",
+    "spectrum --n 4": "738ecd33e268c318863287bde68bfe8950d06b1fdc69d3b3b3c657aaf35ed0ec",
+    "spectrum --n 4 --format text": "788eadfa56a10b6dcf071fd5b146a08a687484fa926977c45e1d05ca15cf2fce",
     "decomp-check --n 4 --seed 1": "4b5f79d43982b65eb217d9809039d3a4a17a92df357828c1084b91eb111e5b91",
     "avgbound --n 4 --k 1 --samples 10 --seed 3": "36f2c8be371768bac51098f53347b08e493fec7c0561d3d874c07975a5189d29",
     "lemma-check --n 3 --p 1 --t 1 --programs 3 --seed 2": "2084393c15547ad7297eace2ad6c6e212e053f3d6faff5b245f8d1a72906fc43",

@@ -564,8 +564,64 @@ def test_spectrum_n4_merges_equal_eigenvalues():
 def test_spectrum_n5_passes():
     rep = regrep.spectrum(5)
     assert rep.passed
-    assert rep.off_block_residual <= 1e-8
-    assert rep.block_residual <= 1e-7
+    assert rep.central_residual <= 1e-8 / factorial(5)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_central_element_is_the_weighted_sum_of_isotypic_projectors(n):
+    # Second construction of C_f: sum_lam e_lam Pi_lam from the character
+    # sums of isotypic_projector, not from the class-function gather.
+    total = sum(
+        float(young.eigenvalue_m(lam, n)) * regrep.isotypic_projector(n, lam)
+        for lam in young.partitions(n)
+    )
+    assert np.abs(regrep._central_element(n) - total).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_dense_block_residuals_stay_within_the_old_tolerances(n):
+    # The check spectrum made before the central element: M acts as e_lam on
+    # each isotypic block and has no part between two blocks.  The central
+    # residual bound implies both tolerances; this recomputes them directly.
+    m = regrep.build_m(n)
+    lams = young.partitions(n)
+    projs = {lam: regrep.isotypic_projector(n, lam) for lam in lams}
+    block = max(
+        np.abs(m @ projs[lam] - float(young.eigenvalue_m(lam, n)) * projs[lam]).max()
+        for lam in lams
+    )
+    off_block = max(
+        np.abs(projs[lam] @ m @ projs[mu]).max() for lam in lams for mu in lams if mu != lam
+    )
+    assert block <= 1e-7
+    assert off_block <= 1e-8
+    assert regrep.spectrum(n).central_residual <= 1e-8 / factorial(n)
+
+
+def test_spectrum_fails_on_a_relabeled_m_with_the_same_eigenvalues(monkeypatch):
+    # A relabeling of the N! basis vectors keeps every eigenvalue and
+    # multiplicity, so each block still matches; only M = C_f can see it.
+    n = 4
+    m = regrep.build_m(n)
+    p = np.random.default_rng(0).permutation(factorial(n))
+    monkeypatch.setattr(regrep, "build_m", lambda n: m[np.ix_(p, p)])
+    rep = regrep.spectrum(n)
+    assert all(b.ok for b in rep.blocks)
+    assert rep.central_residual > 0.1
+    assert not rep.passed
+
+
+def test_spectrum_fails_on_a_shifted_eigenvalue_prediction(monkeypatch):
+    n = 4
+    exact = young.eigenvalue_m
+
+    def shifted(lam, n):
+        return exact(lam, n) + (Fraction(1, factorial(n)) if lam == (3, 1) else 0)
+
+    monkeypatch.setattr(young, "eigenvalue_m", shifted)
+    rep = regrep.spectrum(n)
+    assert rep.central_residual > 1e-8 / factorial(n)
+    assert not rep.passed
 
 
 def test_avg_bound_exact_max_n4_k1():
