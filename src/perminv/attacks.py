@@ -195,22 +195,19 @@ class HellmanTable:
         return len(self.entries) * 2 * ceil(log2(max(self.n, 2)))
 
 
-def build_table(perm, t: int, cycles: Cycles | None = None) -> HellmanTable:
+def build_table(perm, t: int) -> HellmanTable:
     """Preprocess a permutation into a checkpoint table with spacing t.
 
-    ``cycles`` is perm's decomposition from :func:`find_cycles`, found here
-    when not given, so that tables at several spacings share one.  Cycles of
-    length <= t contribute no entries; they are inverted online by a full
-    walk.  On longer cycles the checkpoints sit at offsets 0, t, 2t, ...
-    from the cycle's minimum element, so consecutive checkpoints are at most
-    t apart (the wrap gap is the short one).
+    The table is derived from perm's decomposition by :func:`find_cycles`.
+    Cycles of length <= t contribute no entries; they are inverted online
+    by a full walk.  On longer cycles the checkpoints sit at offsets 0, t,
+    2t, ... from the cycle's minimum element, so consecutive checkpoints are
+    at most t apart (the wrap gap is the short one).
     """
     if t < 1:
         raise ValueError("spacing t must be >= 1")
     perm = _as_permutation(perm)
-    if cycles is None:
-        cycles = find_cycles(perm)
-    return _derive_table(len(perm), t, cycles)
+    return _derive_table(len(perm), t, find_cycles(perm))
 
 
 def _derive_table(n: int, t: int, cycles: Cycles) -> HellmanTable:

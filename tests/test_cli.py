@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from perminv import attacks, cli, querysim, young
+from perminv import attacks, cli, querysim, regrep, young
 
 
 def run_cli(argv, capsys):
@@ -110,8 +111,6 @@ def test_csv_unavailable_outside_hellman(capsys):
 
 
 def test_csv_refused_before_any_work(capsys, monkeypatch):
-    from perminv import regrep
-
     def must_not_run(*args, **kwargs):
         raise AssertionError("the suite ran before the format check")
 
@@ -125,8 +124,6 @@ def test_csv_refused_before_any_work(capsys, monkeypatch):
 
 @pytest.mark.parametrize("where", ["missing/x.json", "."])
 def test_unwritable_out_refused_before_any_work(where, tmp_path, capsys, monkeypatch):
-    from perminv import regrep
-
     def must_not_run(*args, **kwargs):
         raise AssertionError("the suite ran before --out was opened")
 
@@ -214,6 +211,75 @@ def test_decomp_check_cli(capsys):
     assert payload["report"]["change_of_challenge"]["pass"] is True
 
 
+def run_decomp_check_n4(capsys) -> dict:
+    """decomp-check --n 4 must fail; returns its decomposition report."""
+    code, out = run_cli(["decomp-check", "--n", "4"], capsys)
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["pass"] is False
+    assert payload["report"]["decomposition"]["pass"] is False
+    return payload["report"]["decomposition"]
+
+
+@pytest.mark.parametrize(
+    "name, rows",
+    [
+        ("predicted_a_dim", "a_dims"),
+        ("predicted_high_rank", "high_ranks"),
+        ("predicted_low_rank", "low_ranks"),
+    ],
+)
+def test_decomp_check_fails_on_a_wrong_prediction(name, rows, capsys, monkeypatch):
+    exact = getattr(regrep, name)
+    monkeypatch.setattr(regrep, name, lambda *args: exact(*args) + 1)
+    report = run_decomp_check_n4(capsys)
+    for key in ("a_dims", "high_ranks", "low_ranks"):
+        assert all(row["ok"] is (key != rows) for row in report[key]), key
+    assert report["chain_residual"] <= 1e-8
+    assert report["complement_residual"] <= 1e-8
+
+
+def test_decomp_check_fails_on_a_wrong_containment(capsys, monkeypatch):
+    # P_0 and every L_y are cached first, so only the chain read sees A_2^1
+    # replaced by another orthonormal basis of the same dimension.
+    n = 4
+    regrep.high_projection(n, 0)
+    for y in range(n):
+        regrep.low_projection(n, y)
+    exact = regrep.subspace_a_y
+
+    def rotated(n, k, y):
+        sub = exact(n, k, y)
+        if (k, y) != (2, 1):
+            return sub
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal(sub.basis.shape))
+        return regrep.Subspace(dim=sub.dim, basis=q)
+
+    monkeypatch.setattr(regrep, "subspace_a_y", rotated)
+    report = run_decomp_check_n4(capsys)
+    assert report["chain_residual"] > 1e-8
+    assert report["complement_residual"] <= 1e-8
+    assert all(row["ok"] for key in ("a_dims", "high_ranks", "low_ranks") for row in report[key])
+
+
+def test_decomp_check_fails_on_an_incomplete_complement(capsys, monkeypatch):
+    exact = regrep.low_projection
+
+    def nudged(n, y):
+        low = exact(n, y)
+        if y != 2:
+            return low
+        low = low.copy()
+        low[0, 0] += 1e-6
+        return low
+
+    monkeypatch.setattr(regrep, "low_projection", nudged)
+    report = run_decomp_check_n4(capsys)
+    assert report["complement_residual"] > 1e-8
+    assert report["chain_residual"] <= 1e-8
+    assert all(row["ok"] for key in ("a_dims", "high_ranks", "low_ranks") for row in report[key])
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "perminv", "young", "dims", "--n", "4"],
@@ -228,8 +294,6 @@ def test_module_entry_point():
 
 def test_certification_failure_is_a_failing_verdict(capsys, monkeypatch):
     from functools import cache
-
-    from perminv import regrep
 
     def refuse(rows):
         raise ArithmeticError("no integer kernel witness for rank 3: max |G @ K| = 1")

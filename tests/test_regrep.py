@@ -624,6 +624,29 @@ def test_spectrum_fails_on_a_shifted_eigenvalue_prediction(monkeypatch):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("shift, passes", [(1e-3, False), (10.0, False), (5e-7, True)])
+def test_spectrum_eigenvalue_readout_fails_by_itself(shift, passes, monkeypatch):
+    # M and C_f are untouched, so only the eigvalsh readout sees M's top
+    # eigenvalue (e = 4, the merged (2, 2) and (1, 1, 1, 1) blocks) move;
+    # a move within 1e-6 is still claimed by its prediction.
+    n = 4
+    exact = np.linalg.eigvalsh
+
+    def moved(a):
+        w = exact(a)
+        w[-1] += shift
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+    rep = regrep.spectrum(n)
+    assert rep.central_residual <= 1e-8 / factorial(n)
+    assert rep.passed is passes
+    top = [b for b in rep.blocks if b.e_predicted == 4]
+    assert {b.lam for b in top} == {(2, 2), (1, 1, 1, 1)}
+    assert all((b.mult_observed, b.ok) == ((5, True) if passes else (4, False)) for b in top)
+    assert all(b.ok for b in rep.blocks if b not in top)
+
+
 def test_avg_bound_exact_max_n4_k1():
     rep = regrep.avg_bound_check(4, 1, samples=20, seed=0)
     assert rep.passed
