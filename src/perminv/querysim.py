@@ -409,46 +409,6 @@ def random_program(
     return AlgorithmProgram(offline=tuple(offline), online=tuple(online), p=p, t=t)
 
 
-def identity_program(n: int) -> AlgorithmProgram:
-    """The do-nothing program: guesses x = 0 on every challenge."""
-    return AlgorithmProgram(offline=(), online=tuple(() for _ in range(n)), p=0, t=0)
-
-
-def fourier_matrix(n: int) -> np.ndarray:
-    om = np.exp(2j * np.pi / n)
-    j = np.arange(n)
-    return om ** np.outer(j, j) / np.sqrt(n)
-
-
-def grover_iteration_program(n: int, w: int = 1) -> AlgorithmProgram:
-    """One exact amplitude-amplification iteration inside the query game.
-
-    Uses two queries: one to load pi(x) into Y, and one (conjugated by Y
-    negation) to unload it, with the challenge-dependent phase flip applied
-    in between.  Success probability is sin^2(3*asin(1/sqrt(n))) for every
-    challenge, matching one bare Grover iteration.
-    """
-    uniform = np.full((n, n), 1.0 / n, dtype=np.complex128)
-    hadamard_like = fourier_matrix(n)
-    diffusion = 2.0 * uniform - np.eye(n)
-    negate_y = np.eye(n)[:, (-np.arange(n)) % n]  # |z> -> |-z mod n>
-    online = []
-    for y in range(n):
-        phase = np.eye(n, dtype=np.complex128)
-        phase[y, y] = -1.0
-        steps: tuple[Step, ...] = (
-            Unitary(hadamard_like, ("x",)),  # X <- uniform
-            Query(),  # Y = pi(x)
-            Unitary(phase, ("y",)),  # flip the pi(x) = y branch
-            Unitary(negate_y, ("y",)),
-            Query(),  # Y = -pi(x) + pi(x) ...
-            Unitary(negate_y, ("y",)),  # ... negated back to 0
-            Unitary(diffusion, ("x",)),
-        )
-        online.append(steps)
-    return AlgorithmProgram(offline=(), online=tuple(online), p=0, t=2)
-
-
 # ---------------------------------------------------------------------------
 # Grover on a bare search register.
 

@@ -39,7 +39,7 @@ from perminv.young import Partition
 _MAX_N = 6  # dense N! x N! matrices
 _RANK_PRIME = 1_000_003
 _RANK_BLOCK = 32  # panel width of the blocked prime-field elimination
-_GRAM_ROWS = 512  # rows per float64 chunk of a tall Gram matrix
+_GRAM_ROWS = 512  # lines of the longer side per float chunk of a Gram matrix
 
 
 class CapacityError(ValueError):
@@ -76,11 +76,6 @@ def perms_matrix(n: int) -> np.ndarray:
     arr = np.array(enumerate_group(n), dtype=np.intp)
     arr.setflags(write=False)
     return arr
-
-
-def perm_compose(p: Perm, q: Perm) -> Perm:
-    """p after q: compose(p, q)(i) = p[q[i]]."""
-    return tuple(p[q[i]] for i in range(len(q)))
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -168,12 +163,6 @@ def assignment_indicator(n: int, alpha) -> np.ndarray:
     return _indicator_rows(n, [alpha])[0]
 
 
-def assignment_vector(n: int, alpha) -> np.ndarray:
-    """Unit-norm uniform superposition over permutations compatible with alpha."""
-    ind = assignment_indicator(n, alpha).astype(np.float64)
-    return ind / np.sqrt(factorial(n - len(tuple(alpha))))
-
-
 def _indicator_rows(n: int, alphas) -> np.ndarray:
     """Row i marks the permutations compatible with alphas[i]; all alphas
     have the same size k, so the mask is k gathers of (alphas, perms)."""
@@ -195,32 +184,35 @@ def _indicator_rows(n: int, alphas) -> np.ndarray:
 def _gram_int(rows: np.ndarray) -> np.ndarray:
     """Exact integer Gram matrix of an integer row matrix, on the smaller side.
 
-    A tall matrix is summed over float64 copies of _GRAM_ROWS rows at a
-    time, so it never exists in float64 whole.  By Cauchy-Schwarz every
-    partial sum is at most the largest diagonal entry, so once that is
-    below 2^52 every sum is an exact integer and any chunking gives the
-    same bits.
+    The longer side is summed over float copies of _GRAM_ROWS of its lines
+    at a time, so the rows never exist in float whole.  Each entry is a sum
+    of L = max(m, d) products of magnitude at most c^2, c the largest entry,
+    and so is every partial sum.  While L c^2 < 2^24 (5400 for 0/1 rows at
+    N = 6) every partial sum is an integer float32 holds exactly; above
+    that, float64 holds them exactly while the largest entry of G, which
+    bounds every partial sum by Cauchy-Schwarz, is below 2^52.  Either way
+    any chunking gives the same bits.
     """
     m, d = rows.shape
-    if m <= d:
-        v = rows.astype(np.float64)
-        g = v @ v.T
-    else:
-        g = np.zeros((d, d))
-        for start in range(0, m, _GRAM_ROWS):
-            chunk = rows[start : start + _GRAM_ROWS].astype(np.float64)
-            g += chunk.T @ chunk
+    lines = rows if m > d else rows.T
+    c = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    dtype = np.float32 if max(m, d) * c * c < 2**24 else np.float64
+    g = np.zeros((lines.shape[1],) * 2, dtype=dtype)
+    for start in range(0, lines.shape[0], _GRAM_ROWS):
+        chunk = lines[start : start + _GRAM_ROWS].astype(dtype)
+        g += chunk.T @ chunk
     if g.size and np.abs(g).max() >= 2**52:
         raise OverflowError("Gram entries too large for exact float accumulation")
-    return np.rint(g).astype(np.int64)
+    return g.astype(np.int64)
 
 
 def _rref_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Reduced row echelon form mod p of a narrow matrix of residues in
-    [0, p), one column at a time in exact float64.  Returns (reduced rows,
-    row order, pivot columns): the reduced matrix is the RREF of a[order],
-    and the rows order[:rank] of the input are linearly independent and span
-    its row space."""
+    """Reduced row echelon form mod p of a narrow matrix of residues of
+    magnitude below p, one column at a time in exact float64.  Returns
+    (reduced rows, row order, pivot columns): the reduced matrix is the RREF
+    of a[order], and the rows order[:rank] of the input are linearly
+    independent and span its row space.  A pivot column already zero off
+    its pivot takes no update."""
     a = np.array(a, dtype=np.float64)
     order = np.arange(a.shape[0])
     pivots: list[int] = []
@@ -234,20 +226,21 @@ def _rref_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int
         s = r + int(nz[0])
         a[[r, s]] = a[[s, r]]
         order[[r, s]] = order[[s, r]]
-        a[r, c:] = _reduce_mod_p(a[r, c:] * pow(int(a[r, c]), p - 2, p), p)
+        a[r, c:] = _reduce_mod_p(a[r, c:] * pow(int(a[r, c]) % p, p - 2, p), p)
         mult = a[:, c].copy()
         mult[r] = 0
-        a[:, c:] = _reduce_mod_p(a[:, c:] - np.outer(mult, a[r, c:]), p)
+        if mult.any():
+            a[:, c:] = _reduce_mod_p(a[:, c:] - np.outer(mult, a[r, c:]), p)
         pivots.append(c)
     return a, order, pivots
 
 
 def _reduce_mod_p(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p, in place, for float64 integers of magnitude below 2^53; the
-    quotient may round one off, which the +-p correction absorbs."""
-    x -= np.floor(x / p) * p
-    x[x < 0] += p
-    x[x >= p] -= p
+    """The balanced residue of x mod p, of magnitude at most p/2, in place,
+    for float64 integers of magnitude below 2^50.  x * (1/p) is within
+    |x/p| 2^-52 < 1/(2p) of x/p, so the rounded quotient q has
+    |x - q p| < (p + 1)/2, and q p and x - q p are exact."""
+    x -= np.rint(x * (1 / p)) * p
     return x
 
 
@@ -259,12 +252,15 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> tuple[int, list[int]]:
     are eliminated from the other rows with multipliers X = B_rest B_piv^-1
     (mod p) taken from the panel's pivot block; that zeroes the whole panel
     in the other rows, and the columns right of it take one update
-    T_rest - X @ T_piv.  Every matmul sums at most _RANK_BLOCK products of
-    residues below p, so it is exact in float64 while
-    _RANK_BLOCK * (p - 1)^2 < 2^53 (Dumas, Giorgi and Pernet, ACM TOMS 2008).
-    A pivot column is one independent mod p of all the columns left of it.
+    T_rest - X @ T_piv, skipped when X is zero.  Residues have magnitude
+    below p (reduced ones at most p/2), so the update sums at most
+    _RANK_BLOCK + 1 terms of magnitude below p^2 and needs one reduction: it
+    is exact in float64, and within the range _reduce_mod_p takes, while
+    (_RANK_BLOCK + 1) * (p - 1)^2 < 2^50 (Dumas, Giorgi and Pernet, ACM TOMS
+    2008).  A pivot column is one independent mod p of all the columns left
+    of it.
     """
-    if _RANK_BLOCK * (p - 1) ** 2 >= 2**53:
+    if (_RANK_BLOCK + 1) * (p - 1) ** 2 >= 2**50:
         raise ArithmeticError(f"prime {p} too large for exact float64 blocks of {_RANK_BLOCK}")
     a = (mat % p).astype(np.float64)
     pivots: list[int] = []
@@ -276,15 +272,19 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> tuple[int, list[int]]:
         aug, _, _ = _rref_mod_p(np.hstack([panel[np.ix_(piv, cols)], np.eye(r)]), p)
         x = _reduce_mod_p(panel[np.ix_(rest, cols)] @ aug[:, r:], p)
         pivots += [mat.shape[1] - a.shape[1] + c for c in cols]  # a: the trailing columns
-        a = _reduce_mod_p(trailing[rest] - _reduce_mod_p(x @ trailing[piv], p), p)
+        a = trailing[rest]
+        if x.any():
+            a = _reduce_mod_p(a - x @ trailing[piv], p)
     return len(pivots), pivots
 
 
 def _kernel_witness(gram: np.ndarray, pivots: list[int]) -> np.ndarray:
     """d x (d - r) float64 matrix K of integers, of rank d - r by its identity
     block on the non-pivot rows F, with -rint(G[J, J]^-1 G[J, F]) on the
-    pivot rows J."""
+    pivot rows J; at full rank K is empty and nothing is solved."""
     free = np.setdiff1d(np.arange(gram.shape[0]), pivots)
+    if not free.size:
+        return np.zeros((gram.shape[0], 0))
     try:
         x = np.linalg.solve(gram[np.ix_(pivots, pivots)], gram[np.ix_(pivots, free)])
     except np.linalg.LinAlgError as exc:
@@ -464,12 +464,17 @@ def high_projection(n: int, y: int) -> np.ndarray:
         raise ValueError(f"challenge {y} not in range({n})")
     if y == 0:
         return _high_projection_0(n)
-    tau = list(range(n))
-    tau[0], tau[y] = y, 0
-    perm = composition_table(n)[perm_index_map(n)[tuple(tau)], :]
+    perm = _challenge_relabeling(n, y)
     p = _high_projection_0(n)[np.ix_(perm, perm)]
     p.setflags(write=False)
     return p
+
+
+def _challenge_relabeling(n: int, y: int) -> np.ndarray:
+    """Index map of |pi> -> |tau . pi> for the range transposition tau = (0 y)."""
+    tau = list(range(n))
+    tau[0], tau[y] = y, 0
+    return composition_table(n)[perm_index_map(n)[tuple(tau)], :]
 
 
 @cache
@@ -753,6 +758,13 @@ def avg_bound_check(n: int, k: int, samples: int = 100, seed: int = 0) -> AvgBou
     )
 
 
+def _relabeling_residual(a: np.ndarray, idx: np.ndarray) -> float:
+    """max |a[idx][:, idx] - a|, from one gathered copy of a."""
+    d = a[np.ix_(idx, idx)]
+    d -= a
+    return float(np.abs(d, out=d).max())
+
+
 @dataclass
 class ChangeChallengeReport:
     n: int
@@ -765,7 +777,13 @@ class ChangeChallengeReport:
 
 def change_of_challenge_check(n: int, trials: int = 20, seed: int = 0) -> ChangeChallengeReport:
     """Conjugating the high projector by the two-sided action relabels the
-    challenge by the range-side permutation, and M commutes with the action."""
+    challenge by the range-side permutation, and M commutes with the action.
+
+    P_y and P_z, z = pi_r(y), are P_0 relabeled by the range transpositions
+    (0 y) and (0 z), each its own inverse.  So P_y conjugated by the action
+    is P_z exactly when P_0 is fixed by the composed relabeling, and the
+    residual over the same entries is read from one gather of P_0.
+    """
     _check_n(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -777,11 +795,10 @@ def change_of_challenge_check(n: int, trials: int = 20, seed: int = 0) -> Change
         pi_d = tuple(int(v) for v in rng.permutation(n))
         pi_r = tuple(int(v) for v in rng.permutation(n))
         y = int(rng.integers(n))
-        amap = act_index_map(n, pi_d, pi_r)
-        inv = np.argsort(amap)
-        conj = high_projection(n, y)[np.ix_(inv, inv)]
-        conj_res = max(conj_res, float(np.abs(conj - high_projection(n, pi_r[y])).max()))
-        comm_res = max(comm_res, float(np.abs(m[np.ix_(inv, inv)] - m).max()))
+        inv = np.argsort(act_index_map(n, pi_d, pi_r))
+        g = _challenge_relabeling(n, y)[inv][_challenge_relabeling(n, pi_r[y])]
+        conj_res = max(conj_res, _relabeling_residual(_high_projection_0(n), g))
+        comm_res = max(comm_res, _relabeling_residual(m, inv))
     passed = conj_res <= 1e-8 and comm_res <= 1e-8
     return ChangeChallengeReport(n, trials, seed, conj_res, comm_res, passed)
 

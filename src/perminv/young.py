@@ -70,14 +70,6 @@ def transpose(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
-def hook_length(lam: Partition, i: int, j: int) -> int:
-    """Hook length of box (i, j), 1-indexed: arm + leg + 1."""
-    if i < 1 or i > len(lam) or j < 1 or j > lam[i - 1]:
-        raise ValueError(f"box ({i}, {j}) is not in {lam}")
-    leg = sum(1 for p in lam if p >= j)  # column length of column j
-    return (lam[i - 1] - j) + (leg - i) + 1
-
-
 def hook_product(lam: Partition) -> int:
     tr = transpose(lam)
     prod = 1

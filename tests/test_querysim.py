@@ -12,6 +12,41 @@ from perminv import querysim as qs
 from perminv import regrep
 
 
+def identity_program(n: int) -> qs.AlgorithmProgram:
+    """The do-nothing program: guesses x = 0 on every challenge."""
+    return qs.AlgorithmProgram(offline=(), online=tuple(() for _ in range(n)), p=0, t=0)
+
+
+def grover_iteration_program(n: int) -> qs.AlgorithmProgram:
+    """One exact amplitude-amplification iteration inside the query game.
+
+    Uses two queries: one to load pi(x) into Y, and one (conjugated by Y
+    negation) to unload it, with the challenge-dependent phase flip applied
+    in between.  Success probability is sin^2(3*asin(1/sqrt(n))) for every
+    challenge, matching one bare Grover iteration.
+    """
+    uniform = np.full((n, n), 1.0 / n, dtype=np.complex128)
+    j = np.arange(n)
+    fourier = np.exp(2j * np.pi / n) ** np.outer(j, j) / np.sqrt(n)
+    diffusion = 2.0 * uniform - np.eye(n)
+    negate_y = np.eye(n)[:, (-np.arange(n)) % n]  # |z> -> |-z mod n>
+    online = []
+    for y in range(n):
+        phase = np.eye(n, dtype=np.complex128)
+        phase[y, y] = -1.0
+        steps = (
+            qs.Unitary(fourier, ("x",)),  # X <- uniform
+            qs.Query(),  # Y = pi(x)
+            qs.Unitary(phase, ("y",)),  # flip the pi(x) = y branch
+            qs.Unitary(negate_y, ("y",)),
+            qs.Query(),  # Y = -pi(x) + pi(x) ...
+            qs.Unitary(negate_y, ("y",)),  # ... negated back to 0
+            qs.Unitary(diffusion, ("x",)),
+        )
+        online.append(steps)
+    return qs.AlgorithmProgram(offline=(), online=tuple(online), p=0, t=2)
+
+
 def basis_state(layout, pi_index, x=0, y=0, w=0, b=0):
     amps = np.zeros(layout.dims, dtype=np.complex128)
     amps[pi_index, x, y, w, b] = 1.0
@@ -108,7 +143,7 @@ def test_query_count_validation():
 def test_identity_program_success_is_one_over_n():
     for n in (3, 4):
         lay = qs.RegisterLayout(n=n)
-        tr = qs.run_bit_fixing(qs.identity_program(n), lay)
+        tr = qs.run_bit_fixing(identity_program(n), lay)
         for row in tr.per_challenge:
             assert abs(row["p_succ"] - 1 / n) < 1e-12
         assert tr.passed and abs(tr.postselect_prob - 1.0) < 1e-12
@@ -134,11 +169,11 @@ def test_query_copied_to_workspace_does_not_help():
 
 
 def test_grover_iteration_program_matches_closed_form():
-    tr3 = qs.run_bit_fixing(qs.grover_iteration_program(3), qs.RegisterLayout(n=3))
+    tr3 = qs.run_bit_fixing(grover_iteration_program(3), qs.RegisterLayout(n=3))
     for row in tr3.per_challenge:
         assert abs(row["p_succ"] - 25 / 27) < 1e-12
         assert abs(row["p_succ"] - sin(3 * asin(1 / np.sqrt(3))) ** 2) < 1e-12
-    tr4 = qs.run_bit_fixing(qs.grover_iteration_program(4), qs.RegisterLayout(n=4))
+    tr4 = qs.run_bit_fixing(grover_iteration_program(4), qs.RegisterLayout(n=4))
     for row in tr4.per_challenge:
         assert abs(row["p_succ"] - 1.0) < 1e-12
 
@@ -248,7 +283,7 @@ def test_support_negative_control_wrong_k():
 def test_inequalities_identity_program_tight_case():
     # No queries at all: sqrt(1/n) <= 0 + 1/sqrt(n) with equality.
     n = 5
-    _, rep = qs.check_progress_inequalities(qs.identity_program(n), qs.RegisterLayout(n=n))
+    _, rep = qs.check_progress_inequalities(identity_program(n), qs.RegisterLayout(n=n))
     finals = [r for r in rep.rows if r.kind == "final"]
     assert all(r.checked for r in finals)
     assert all(abs(r.slack) < 1e-9 for r in finals)
@@ -289,7 +324,7 @@ def test_final_rows_use_the_game_success(n, p, t, w):
     # used to be read before the trailing unitaries (0.447 instead of 0.984
     # on the Grover iteration at n = 5, the p = None case).
     if p is None:
-        program = qs.grover_iteration_program(n)
+        program = grover_iteration_program(n)
     else:
         program = qs.random_program(n, p, t, w=w, seed=n + p + t)
     lay = qs.RegisterLayout(n=n, w=w)
@@ -321,7 +356,7 @@ def test_challenge_out_of_range_is_refused(challenge, monkeypatch):
     # -1 used to play pi(x) = -1 and pass with p_succ 0; n ended in IndexError.
     monkeypatch.setattr(qs, "init_state", None)  # no simulation may start
     with pytest.raises(ValueError, match=r"challenge must be 'all' or in range\(3\)"):
-        qs.run_bit_fixing(qs.identity_program(3), qs.RegisterLayout(n=3), challenge=challenge)
+        qs.run_bit_fixing(identity_program(3), qs.RegisterLayout(n=3), challenge=challenge)
 
 
 def test_query_first_online_steps():

@@ -64,6 +64,17 @@ def rank_mod_p_reference(mat, p: int) -> tuple[int, list[int]]:
     return rank, pivots
 
 
+def perm_compose(p, q):
+    """p after q: compose(p, q)(i) = p[q[i]]."""
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def assignment_vector(n: int, alpha) -> np.ndarray:
+    """Unit-norm uniform superposition over permutations compatible with alpha."""
+    ind = regrep.assignment_indicator(n, alpha).astype(np.float64)
+    return ind / np.sqrt(factorial(n - len(tuple(alpha))))
+
+
 # ---------------------------------------------------------------------------
 # Group enumeration and the two-sided action.
 
@@ -94,9 +105,9 @@ def test_cap_enforced():
 
 def test_compose_and_inverse():
     p, q = (1, 2, 0), (0, 2, 1)
-    assert regrep.perm_compose(p, q) == (1, 0, 2)
+    assert perm_compose(p, q) == (1, 0, 2)
     for g in regrep.enumerate_group(4):
-        assert regrep.perm_compose(g, regrep.perm_inverse(g)) == (0, 1, 2, 3)
+        assert perm_compose(g, regrep.perm_inverse(g)) == (0, 1, 2, 3)
 
 
 def test_act_identity_and_right_action():
@@ -111,7 +122,7 @@ def test_act_identity_and_right_action():
         e = np.zeros(f)
         e[idx[pi]] = 1.0
         out = regrep.act(ident, sigma, e)
-        assert out[idx[regrep.perm_compose(sigma, pi)]] == 1.0
+        assert out[idx[perm_compose(sigma, pi)]] == 1.0
 
 
 def test_act_homomorphism_random():
@@ -124,7 +135,7 @@ def test_act_homomorphism_random():
         g2 = tuple(int(x) for x in rng.permutation(n))
         h2 = tuple(int(x) for x in rng.permutation(n))
         lhs = regrep.act(g, h, regrep.act(g2, h2, v))
-        rhs = regrep.act(regrep.perm_compose(g, g2), regrep.perm_compose(h, h2), v)
+        rhs = regrep.act(perm_compose(g, g2), perm_compose(h, h2), v)
         assert np.allclose(lhs, rhs, atol=1e-12)
         assert np.isclose(np.linalg.norm(regrep.act(g, h, v)), np.linalg.norm(v))
 
@@ -134,13 +145,13 @@ def test_act_homomorphism_random():
 
 
 def test_assignment_vector_empty_is_uniform():
-    v = regrep.assignment_vector(3, ())
+    v = assignment_vector(3, ())
     assert np.allclose(v, np.full(6, 1 / np.sqrt(6)))
 
 
 def test_assignment_vector_full_is_basis_vector():
     alpha = ((0, 2), (1, 0), (2, 1))
-    v = regrep.assignment_vector(3, alpha)
+    v = assignment_vector(3, alpha)
     assert np.isclose(np.linalg.norm(v), 1.0)
     assert np.count_nonzero(v) == 1
     idx = regrep.perm_index_map(3)
@@ -148,7 +159,7 @@ def test_assignment_vector_full_is_basis_vector():
 
 
 def test_assignment_vector_single_pair():
-    v = regrep.assignment_vector(3, ((0, 1),))
+    v = assignment_vector(3, ((0, 1),))
     support = np.nonzero(v)[0]
     assert len(support) == 2
     assert np.allclose(v[support], 1 / np.sqrt(2))
@@ -302,6 +313,56 @@ def test_blocked_modp_matches_reference_on_random_matrices(monkeypatch):
             assert regrep._rank_mod_p(mat, p) == rank_mod_p_reference(mat, p), (trial, p)
 
 
+@pytest.mark.parametrize("block", [4, 32])
+def test_balanced_residues_match_reference_at_their_edges(block, monkeypatch):
+    # Entries at 0, +-(p - 1)/2, +-(p + 1)/2 and p - 1, where a balanced
+    # residue sits at its edge or just past it; repeated rows and columns
+    # and a column sum give panels with fewer pivots than columns.
+    monkeypatch.setattr(regrep, "_RANK_BLOCK", block)
+    rng = np.random.default_rng(14)
+    for p in (regrep._RANK_PRIME, 7):
+        edges = np.array([0, (p - 1) // 2, -(p - 1) // 2, (p + 1) // 2, -(p + 1) // 2, p - 1])
+        for trial in range(12):
+            m, n = (int(v) for v in rng.integers(block + 1, 3 * block, size=2))
+            mat = rng.choice(edges, size=(m, n))
+            if trial % 2:
+                mat[:, 2] = mat[:, 0] + mat[:, 1]
+                mat[:, 3] = mat[:, 0]
+                mat[1] = mat[0]
+            assert regrep._rank_mod_p(mat, p) == rank_mod_p_reference(mat, p), (p, trial)
+
+
+def test_diagonal_gram_skips_every_trailing_update(monkeypatch):
+    # A_{n-1} at n = 4 has Gram 4I: each panel's multipliers are zero, so no
+    # trailing update runs and no reduced array is wider than the augmented
+    # pivot block.  A_2 at n = 4 is the control that does update.
+    monkeypatch.setattr(regrep, "_RANK_BLOCK", 4)
+    widths: list[int] = []
+    reduce_mod_p = regrep._reduce_mod_p
+
+    def spy(x, p):
+        widths.append(x.shape[-1])
+        return reduce_mod_p(x, p)
+
+    monkeypatch.setattr(regrep, "_reduce_mod_p", spy)
+    p = regrep._RANK_PRIME
+    diag = regrep._gram_int(regrep._indicator_rows(4, regrep.assignments(4, 3)))
+    assert np.array_equal(diag, 4 * np.eye(24, dtype=np.int64))
+    assert regrep._rank_mod_p(diag, p) == rank_mod_p_reference(diag, p) == (24, list(range(24)))
+    assert max(widths) <= 2 * regrep._RANK_BLOCK
+    widths.clear()
+    dense = regrep._gram_int(regrep._indicator_rows(4, regrep.assignments(4, 2)))
+    assert regrep._rank_mod_p(dense, p) == rank_mod_p_reference(dense, p)
+    assert max(widths) > 2 * regrep._RANK_BLOCK
+
+
+def test_full_rank_witness_is_empty():
+    gram = 5 * np.eye(7, dtype=np.int64)
+    k = regrep._kernel_witness(gram, list(range(7)))
+    assert k.shape == (7, 0)
+    regrep._check_kernel_witness(gram, k)
+
+
 def _subspace_rows(n: int):
     """(k, y, indicator rows) of A_k (y None) and of A_k^y for k >= 1."""
     for k in range(n):
@@ -317,10 +378,10 @@ def _perm_gram(n: int, k: int, y) -> np.ndarray:
     perms = regrep.perms_matrix(n)
     agree = (perms[:, None, :] == perms[None, :, :]).sum(axis=2)
     if y is None:
-        return np.vectorize(lambda a: comb(a, k))(agree)
+        return np.array([comb(a, k) for a in range(n + 1)])[agree]
     pre = np.argmax(perms == y, axis=1)
     same = pre[:, None] == pre[None, :]
-    return np.where(same, np.vectorize(lambda a: comb(max(a - 1, 0), k - 1))(agree), 0)
+    return np.where(same, np.array([comb(max(a - 1, 0), k - 1) for a in range(n + 1)])[agree], 0)
 
 
 def _assignment_gram(n: int, alphas) -> np.ndarray:
@@ -351,6 +412,31 @@ def test_chunked_gram_matches_closed_forms(monkeypatch):
                 alphas = regrep.assignments(n, k) if y is None else regrep.assignments_with_image(n, k, y)
                 assert np.array_equal(gram, _assignment_gram(n, alphas)), (n, k, y)
     assert (tall, short) == (29, 26)  # tall: 1, 5, 10 and 13 at n = 2..5
+
+
+def test_float32_gram_is_exact_on_the_tall_n6_sets():
+    # The six tall N = 6 spanning sets, A_3..A_5 and A_3^0..A_5^0: at most
+    # 5400 0/1 rows, so every partial sum is below 2^24 and runs in float32.
+    n = 6
+    for k in (3, 4, 5):
+        for y in (None, 0):
+            alphas = regrep.assignments(n, k) if y is None else regrep.assignments_with_image(n, k, y)
+            rows = regrep._indicator_rows(n, alphas)
+            assert rows.shape[0] > rows.shape[1]
+            assert np.array_equal(regrep._gram_int(rows), _perm_gram(n, k, y)), (k, y)
+
+
+@pytest.mark.parametrize("chunk", [1, 512])
+def test_gram_past_the_float32_range_is_exact_or_refused(chunk, monkeypatch):
+    # 4096^2 + 1 = 2^24 + 1 has no float32; its Gram must not round to 2^24.
+    monkeypatch.setattr(regrep, "_GRAM_ROWS", chunk)
+    tall = np.array([[4096], [1]])
+    assert regrep._gram_int(tall).tolist() == [[2**24 + 1]]
+    assert regrep._gram_int(tall.T).tolist() == [[2**24 + 1]]
+    wide = np.array([[4096, 1, 0], [4095, 0, 3]])
+    assert regrep._gram_int(wide).tolist() == [[2**24 + 1, 4096**2 - 4096], [4096**2 - 4096, 4095**2 + 9]]
+    with pytest.raises(OverflowError, match="too large for exact float"):
+        regrep._gram_int(np.array([[2**26]]))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -443,7 +529,7 @@ def test_derived_high_projection_matches_constructive_build(n, ys):
 
 
 def test_high_projection_kills_uniform_vector():
-    v = regrep.assignment_vector(4, ())
+    v = assignment_vector(4, ())
     for y in range(4):
         assert np.linalg.norm(regrep.high_projection(4, y) @ v) <= 1e-12
 
@@ -480,7 +566,7 @@ def test_build_m_n4_trace_and_psd():
 
 def test_isotypic_projector_trivial_block():
     p = regrep.isotypic_projector(4, (4,))
-    v = regrep.assignment_vector(4, ())
+    v = assignment_vector(4, ())
     assert abs(np.trace(p) - 1) < 1e-8
     assert np.allclose(p @ v, v, atol=1e-10)
 
@@ -678,6 +764,36 @@ def test_change_of_challenge_random():
     assert rep.passed
     rep3 = regrep.change_of_challenge_check(3, trials=10, seed=1)
     assert rep3.max_commutation_residual <= 1e-12
+
+
+def _moved_pair(a: np.ndarray) -> np.ndarray:
+    """a with one symmetric off-diagonal pair moved by 1e-6."""
+    b = a.copy()
+    b[1, 2] += 1e-6
+    b[2, 1] += 1e-6
+    b.setflags(write=False)
+    return b
+
+
+def test_change_of_challenge_fails_on_a_moved_high_projector(monkeypatch):
+    n = 4
+    regrep.build_m(n)  # M stays the true sum; only P_0 moves
+    moved = _moved_pair(regrep._high_projection_0(n))
+    monkeypatch.setattr(regrep, "_high_projection_0", lambda n: moved)
+    rep = regrep.change_of_challenge_check(n, trials=20, seed=0)
+    assert rep.max_conjugation_residual >= 0.5e-6
+    assert rep.max_commutation_residual <= 1e-8
+    assert not rep.passed
+
+
+def test_change_of_challenge_fails_on_a_moved_m(monkeypatch):
+    n = 4
+    moved = _moved_pair(regrep.build_m(n))
+    monkeypatch.setattr(regrep, "build_m", lambda n: moved)
+    rep = regrep.change_of_challenge_check(n, trials=20, seed=0)
+    assert rep.max_conjugation_residual <= 1e-8
+    assert rep.max_commutation_residual >= 0.5e-6
+    assert not rep.passed
 
 
 @pytest.mark.parametrize("trials", [0, -1])

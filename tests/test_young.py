@@ -9,7 +9,7 @@ from the Frobenius symmetric-function formula.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -125,22 +125,37 @@ def test_partitions_negative_raises():
 # Hooks and dimensions.
 
 
+def hook_length(lam, i: int, j: int) -> int:
+    """Hook length of box (i, j), 1-indexed: arm + leg + 1, box by box."""
+    if i < 1 or i > len(lam) or j < 1 or j > lam[i - 1]:
+        raise ValueError(f"box ({i}, {j}) is not in {lam}")
+    leg = sum(1 for p in lam if p >= j)  # column length of column j
+    return (lam[i - 1] - j) + (leg - i) + 1
+
+
 def test_hook_lengths_5_3_2_full_grid():
     expected = {1: [7, 6, 4, 2, 1], 2: [4, 3, 1], 3: [2, 1]}
     for i, row in expected.items():
         for j, h in enumerate(row, start=1):
-            assert young.hook_length((5, 3, 2), i, j) == h
+            assert hook_length((5, 3, 2), i, j) == h
 
 
 def test_hook_length_single_box():
-    assert young.hook_length((1,), 1, 1) == 1
+    assert hook_length((1,), 1, 1) == 1
 
 
 def test_hook_length_outside_diagram_raises():
     with pytest.raises(ValueError):
-        young.hook_length((5, 3, 2), 4, 1)
+        hook_length((5, 3, 2), 4, 1)
     with pytest.raises(ValueError):
-        young.hook_length((5, 3, 2), 2, 4)
+        hook_length((5, 3, 2), 2, 4)
+
+
+def test_hook_product_is_the_product_of_box_hooks():
+    for n in range(0, 11):
+        for lam in young.partitions(n):
+            boxes = [(i, j) for i, row in enumerate(lam, start=1) for j in range(1, row + 1)]
+            assert young.hook_product(lam) == prod(hook_length(lam, i, j) for i, j in boxes), lam
 
 
 def test_dim_small_cases():
