@@ -2,7 +2,8 @@
 
 Every subcommand prints one structured report (JSON by default, CSV for the
 Hellman sweep) carrying a schema version and the fully resolved config,
-seed included, so identical invocations produce byte-identical output.
+seed included, so identical invocations produce byte-identical output on
+the same machine with the same BLAS thread count.
 Exit status: 0 when every assertion in the invoked suite passed, 1 on a
 verification failure, 2 on usage errors.  An internal certification failure
 (an ArithmeticError from an exact rank, a spectral gap, a projector check

@@ -153,16 +153,6 @@ def assignments_with_image(n: int, k: int, y: int) -> tuple[tuple[tuple[int, int
     return tuple(a for a in assignments(n, k) if any(v == y for _, v in a))
 
 
-def assignment_indicator(n: int, alpha) -> np.ndarray:
-    """0/1 vector marking the permutations compatible with alpha (exact)."""
-    alpha = tuple(alpha)
-    xs = [x for x, _ in alpha]
-    vs = [v for _, v in alpha]
-    if len(set(xs)) != len(xs) or len(set(vs)) != len(vs):
-        raise ValueError(f"assignment not injective: {alpha}")
-    return _indicator_rows(n, [alpha])[0]
-
-
 def _indicator_rows(n: int, alphas) -> np.ndarray:
     """Row i marks the permutations compatible with alphas[i]; all alphas
     have the same size k, so the mask is k gathers of (alphas, perms)."""
@@ -206,75 +196,85 @@ def _gram_int(rows: np.ndarray) -> np.ndarray:
     return g.astype(np.int64)
 
 
-def _rref_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Reduced row echelon form mod p of a narrow matrix of residues of
-    magnitude below p, one column at a time in exact float64.  Returns
-    (reduced rows, row order, pivot columns): the reduced matrix is the RREF
-    of a[order], and the rows order[:rank] of the input are linearly
-    independent and span its row space.  A pivot column already zero off
-    its pivot takes no update."""
-    a = np.array(a, dtype=np.float64)
-    order = np.arange(a.shape[0])
-    pivots: list[int] = []
-    for c in range(a.shape[1]):
-        r = len(pivots)
-        if r == a.shape[0]:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        s = r + int(nz[0])
-        a[[r, s]] = a[[s, r]]
-        order[[r, s]] = order[[s, r]]
-        a[r, c:] = _reduce_mod_p(a[r, c:] * pow(int(a[r, c]) % p, p - 2, p), p)
-        mult = a[:, c].copy()
-        mult[r] = 0
-        if mult.any():
-            a[:, c:] = _reduce_mod_p(a[:, c:] - np.outer(mult, a[r, c:]), p)
-        pivots.append(c)
-    return a, order, pivots
-
-
 def _reduce_mod_p(x: np.ndarray, p: int) -> np.ndarray:
     """The balanced residue of x mod p, of magnitude at most p/2, in place,
     for float64 integers of magnitude below 2^50.  x * (1/p) is within
     |x/p| 2^-52 < 1/(2p) of x/p, so the rounded quotient q has
     |x - q p| < (p + 1)/2, and q p and x - q p are exact."""
-    x -= np.rint(x * (1 / p)) * p
+    q = x * (1 / p)
+    np.rint(q, out=q)
+    q *= p
+    x -= q
     return x
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> tuple[int, list[int]]:
-    """Rank mod p and the pivot columns, by blocked elimination with float64
-    matmul updates.
+def _diagonal_pivots_mod_p(block: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Pivots P of a symmetric block of residues, taken on its diagonal, and
+    block[P, P]^-1 mod p, by one Gauss-Jordan pass over [block | I].
 
-    Each panel of _RANK_BLOCK columns is reduced on its own.  Its pivot rows
-    are eliminated from the other rows with multipliers X = B_rest B_piv^-1
-    (mod p) taken from the panel's pivot block; that zeroes the whole panel
-    in the other rows, and the columns right of it take one update
-    T_rest - X @ T_piv, skipped when X is zero.  Residues have magnitude
-    below p (reduced ones at most p/2), so the update sums at most
-    _RANK_BLOCK + 1 terms of magnitude below p^2 and needs one reduction: it
-    is exact in float64, and within the range _reduce_mod_p takes, while
-    (_RANK_BLOCK + 1) * (p - 1)^2 < 2^50 (Dumas, Giorgi and Pernet, ACM TOMS
-    2008).  A pivot column is one independent mod p of all the columns left
-    of it.
+    Column c is a pivot iff its Schur diagonal (its entry after the pivot
+    rows left of it are eliminated) is nonzero mod p.  Otherwise its whole
+    Schur row in the block must vanish, else ArithmeticError: a symmetric
+    Schur complement then has a nonzero column that no diagonal pivot can
+    take.  Row ops only combine pivot rows, so the identity half of the
+    pivot rows ends as block[P, P]^-1 on the columns P."""
+    b = block.shape[0]
+    w = np.hstack([block, np.eye(b)])
+    pivots: list[int] = []
+    for c in range(b):
+        if not w[c, c]:
+            if w[c, :b].any():
+                raise ArithmeticError(f"zero diagonal pivot over a nonzero column mod {p}")
+            continue
+        w[c] = _reduce_mod_p(w[c] * pow(int(w[c, c]) % p, p - 2, p), p)
+        mult = w[:, c].copy()
+        mult[c] = 0
+        if mult.any():
+            w = _reduce_mod_p(w - np.outer(mult, w[c]), p)
+        pivots.append(c)
+    return pivots, w[np.ix_(pivots, [b + c for c in pivots])]
+
+
+def _rank_mod_p(mat: np.ndarray, p: int) -> tuple[int, list[int]]:
+    """Rank mod p and the pivot columns of a symmetric integer matrix, by
+    blocked symmetric elimination with float64 matmul updates.
+
+    Pivots are taken on the diagonal of the Schur complement, so pivot rows
+    are pivot columns and no row is searched or reordered.  For each panel
+    of _RANK_BLOCK columns, with diagonal block B, rows below C and trailing
+    block T, the column loop runs on B alone and gives its pivots P and
+    B[P, P]^-1; then X = C[:, P] B[P, P]^-1, the other columns must vanish
+    below the block, C[:, F] - X B[P, F] == 0, and T takes one update
+    T - X C[:, P]^T in place, skipped when X is zero.  A zero Schur diagonal
+    over a nonzero column raises ArithmeticError; in a positive semidefinite
+    matrix such as a Gram matrix a zero diagonal entry has a zero column, so
+    that happens only when p divides a nonzero Schur pivot.  Whenever it
+    returns, each non-pivot column's Schur column is zero inside its block
+    and below it, so it depends on the pivots left of it: every column is a
+    pivot iff it is independent mod p of all the columns left of it, as in
+    row-pivoted elimination.  Residues have magnitude below p (reduced ones
+    at most p/2), so each product sums at most _RANK_BLOCK + 1 terms of
+    magnitude below p^2 and needs one reduction: it is exact in float64,
+    and within the range _reduce_mod_p takes, while (_RANK_BLOCK + 1) *
+    (p - 1)^2 < 2^50 (Dumas, Giorgi and Pernet, ACM TOMS 2008).
     """
     if (_RANK_BLOCK + 1) * (p - 1) ** 2 >= 2**50:
         raise ArithmeticError(f"prime {p} too large for exact float64 blocks of {_RANK_BLOCK}")
     a = (mat % p).astype(np.float64)
     pivots: list[int] = []
-    while a.shape[0] and a.shape[1]:
-        panel, trailing = a[:, :_RANK_BLOCK], a[:, _RANK_BLOCK:]
-        _, order, cols = _rref_mod_p(panel, p)
-        r = len(cols)
-        piv, rest = order[:r], order[r:]
-        aug, _, _ = _rref_mod_p(np.hstack([panel[np.ix_(piv, cols)], np.eye(r)]), p)
-        x = _reduce_mod_p(panel[np.ix_(rest, cols)] @ aug[:, r:], p)
-        pivots += [mat.shape[1] - a.shape[1] + c for c in cols]  # a: the trailing columns
-        a = trailing[rest]
+    for s in range(0, a.shape[0], _RANK_BLOCK):
+        e = s + _RANK_BLOCK
+        block, below, trailing = a[s:e, s:e], a[e:, s:e], a[e:, e:]
+        piv, inv = _diagonal_pivots_mod_p(block, p)
+        free = [c for c in range(block.shape[0]) if c not in piv]
+        below_piv = below[:, piv]
+        x = _reduce_mod_p(below_piv @ inv, p)
+        if free and _reduce_mod_p(below[:, free] - x @ block[np.ix_(piv, free)], p).any():
+            raise ArithmeticError(f"zero diagonal pivot over a nonzero column mod {p}")
         if x.any():
-            a = _reduce_mod_p(a - x @ trailing[piv], p)
+            trailing -= x @ below_piv.T
+            _reduce_mod_p(trailing, p)
+        pivots += [s + c for c in piv]
     return len(pivots), pivots
 
 
@@ -289,7 +289,8 @@ def _kernel_witness(gram: np.ndarray, pivots: list[int]) -> np.ndarray:
         x = np.linalg.solve(gram[np.ix_(pivots, pivots)], gram[np.ix_(pivots, free)])
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"singular pivot block for rank {len(pivots)}") from exc
-    k = np.eye(gram.shape[0])[:, free]
+    k = np.zeros((gram.shape[0], free.size))
+    k[free, np.arange(free.size)] = 1
     k[pivots] = -np.rint(x)
     return k
 
@@ -326,13 +327,16 @@ def exact_rank(gram: np.ndarray) -> int:
     matrix G (from _gram_int) by one path at every N (a certificate after
     Kaltofen, Nehring and Saunders, ISSAC 2011).  The rank r mod _RANK_PRIME
     is a lower bound; the witness K of rank d - r with G @ K == 0 exactly is
-    an upper bound.  An unlucky prime under-reports r, and a dependent
-    column with fractional coefficients has no integral K: both raise
-    ArithmeticError.  The float spectral gap confirmed by
-    _orthonormal_basis on the same G guards against an elimination that
-    over-reports r."""
+    an upper bound.  G must be symmetric, as the elimination pivots on its
+    diagonal.  An unlucky prime under-reports r or, dividing a nonzero
+    Schur pivot, stops the elimination, and a dependent column with
+    fractional coefficients has no integral K: all raise ArithmeticError.
+    The float spectral gap confirmed by _orthonormal_basis on the same G
+    guards against an elimination that over-reports r."""
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError(f"exact_rank takes a square Gram matrix, got shape {gram.shape}")
+    if not np.array_equal(gram, gram.T):
+        raise ValueError("exact_rank takes a symmetric Gram matrix")
     r, pivots = _rank_mod_p(gram, _RANK_PRIME)
     _check_kernel_witness(gram, _kernel_witness(gram, pivots))
     return r

@@ -1,10 +1,11 @@
 """Regular-representation machinery against exact predictions.
 
-Rank oracles: plain Fraction Gaussian elimination and a per-column
-prime-field elimination (both test-local) versus the library's blocked
-prime-field rank and its integer kernel witness, plus numpy's SVD-based
-matrix_rank as a third opinion.  Each rank check is also shown able to
-fail: an unlucky prime, a perturbed witness and an over-reported rank.
+Rank oracles: plain Fraction Gaussian elimination and per-column
+prime-field eliminations, row-pivoted and symmetric (all test-local),
+versus the library's blocked symmetric prime-field rank and its integer
+kernel witness, plus numpy's SVD-based matrix_rank as a third opinion.
+Each rank check is also shown able to fail: an unlucky prime, a prime that
+divides a Schur pivot, a perturbed witness and an over-reported rank.
 Character cross-check: traces of the one-sided action restricted to an
 isotypic block.
 """
@@ -64,14 +65,42 @@ def rank_mod_p_reference(mat, p: int) -> tuple[int, list[int]]:
     return rank, pivots
 
 
+def symmetric_rank_mod_p_reference(mat, p: int) -> tuple[int, list[int]]:
+    """Per-column symmetric elimination mod p, pivoting on the diagonal:
+    (rank, pivot columns), or ArithmeticError where a zero diagonal entry
+    sits over a nonzero column.  The reference for when the blocked
+    elimination in regrep._rank_mod_p must refuse."""
+    a = (np.asarray(mat) % p).astype(np.int64)
+    pivots = []
+    for c in range(a.shape[0]):
+        if a[c, c] == 0:
+            if a[:, c].any():
+                raise ArithmeticError(f"zero diagonal over a nonzero column {c}")
+            continue
+        row = a[c] * pow(int(a[c, c]), p - 2, p) % p
+        a = (a - np.outer(a[:, c], row)) % p  # clears row and column c
+        pivots.append(c)
+    return len(pivots), pivots
+
+
 def perm_compose(p, q):
     """p after q: compose(p, q)(i) = p[q[i]]."""
     return tuple(p[q[i]] for i in range(len(q)))
 
 
+def assignment_indicator(n: int, alpha) -> np.ndarray:
+    """0/1 vector marking the permutations compatible with alpha (exact)."""
+    alpha = tuple(alpha)
+    xs = [x for x, _ in alpha]
+    vs = [v for _, v in alpha]
+    if len(set(xs)) != len(xs) or len(set(vs)) != len(vs):
+        raise ValueError(f"assignment not injective: {alpha}")
+    return regrep._indicator_rows(n, [alpha])[0]
+
+
 def assignment_vector(n: int, alpha) -> np.ndarray:
     """Unit-norm uniform superposition over permutations compatible with alpha."""
-    ind = regrep.assignment_indicator(n, alpha).astype(np.float64)
+    ind = assignment_indicator(n, alpha).astype(np.float64)
     return ind / np.sqrt(factorial(n - len(tuple(alpha))))
 
 
@@ -169,7 +198,7 @@ def test_assignment_indicator_counts():
     for n in range(2, 6):
         for k in range(n + 1):
             alpha = tuple((i, i) for i in range(k))
-            ind = regrep.assignment_indicator(n, alpha)
+            ind = assignment_indicator(n, alpha)
             assert int(ind.sum()) == factorial(n - k)
 
 
@@ -187,7 +216,7 @@ def test_indicator_rows_match_per_permutation_loop():
 
 def test_assignment_rejects_non_injective():
     with pytest.raises(ValueError):
-        regrep.assignment_indicator(4, ((0, 1), (1, 1)))
+        assignment_indicator(4, ((0, 1), (1, 1)))
 
 
 def test_assignment_counts():
@@ -210,12 +239,12 @@ def test_chain_refinement_integer_identity():
             alpha = alphas[rng.integers(len(alphas))]
             dom = {x for x, _ in alpha}
             img = {v for _, v in alpha}
-            base = regrep.assignment_indicator(n, alpha).astype(int)
+            base = assignment_indicator(n, alpha).astype(int)
             for y in range(n):
                 if y in img:
                     continue
                 ext = sum(
-                    regrep.assignment_indicator(n, alpha + ((x, y),)).astype(int)
+                    assignment_indicator(n, alpha + ((x, y),)).astype(int)
                     for x in range(n)
                     if x not in dom
                 )
@@ -284,52 +313,99 @@ def _certified_grams():
                 yield f"A_{k}^0(n={n})", regrep._gram_int(rows)
 
 
+def kernel_witness_reference(gram, pivots) -> np.ndarray:
+    """The witness with its identity block cut from a dense identity."""
+    free = np.setdiff1d(np.arange(gram.shape[0]), pivots)
+    k = np.eye(gram.shape[0])[:, free]
+    if free.size:
+        k[pivots] = -np.rint(np.linalg.solve(gram[np.ix_(pivots, pivots)], gram[np.ix_(pivots, free)]))
+    return k
+
+
 def test_blocked_modp_matches_reference_on_certified_grams():
-    # Rank and pivot columns, which the kernel witness is built from.
+    # Rank and pivot columns, and the kernel witness built from them.
     p = regrep._RANK_PRIME
     seen = 0
     for name, gram in _certified_grams():
-        assert regrep._rank_mod_p(gram, p) == rank_mod_p_reference(gram, p), name
+        r, pivots = regrep._rank_mod_p(gram, p)
+        assert (r, pivots) == rank_mod_p_reference(gram, p), name
+        assert np.array_equal(regrep._kernel_witness(gram, pivots), kernel_witness_reference(gram, pivots)), name
         seen += 1
     assert seen == sum(2 * n - 1 for n in range(2, 7))
 
 
+def _assert_matches_references(mat, p) -> bool:
+    """The blocked elimination refuses exactly where the per-column symmetric
+    one does, and otherwise agrees with row-pivoted elimination; returns
+    whether it refused."""
+    try:
+        expect = symmetric_rank_mod_p_reference(mat, p)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError, match="zero diagonal pivot over a nonzero column"):
+            regrep._rank_mod_p(mat, p)
+        return True
+    assert regrep._rank_mod_p(mat, p) == expect == rank_mod_p_reference(mat, p)
+    return False
+
+
 def test_blocked_modp_matches_reference_on_random_matrices(monkeypatch):
-    # A block much smaller than the matrices gives several panels per
-    # matrix; zeroed leading columns give a panel with no pivot, and low
-    # rank or a repeated column gives panels with fewer pivots than columns.
+    # Seeded Gram matrices A^T A.  A block much smaller than the matrices
+    # gives several panels per matrix; zeroed leading columns give a panel
+    # with no pivot, and low rank or a repeated column gives panels with
+    # fewer pivots than columns.
     monkeypatch.setattr(regrep, "_RANK_BLOCK", 4)
     rng = np.random.default_rng(3)
+    refused = {regrep._RANK_PRIME: 0, 7: 0}
     for trial in range(60):
-        m, n = (int(v) for v in rng.integers(5, 30, size=2))
-        r = int(rng.integers(0, min(m, n) + 1))
-        mat = rng.integers(-9, 10, size=(m, r)) @ rng.integers(-9, 10, size=(r, n))
+        n = int(rng.integers(5, 30))
+        r = int(rng.integers(0, n + 1))
+        a = rng.integers(-9, 10, size=(r, n))
         if trial % 3 == 0:
-            mat[:, :4] = 0
+            a[:, :4] = 0
         if trial % 3 == 1:
-            mat[:, 1] = mat[:, 0]
-        # The small prime makes pivots vanish mod p far more often.
-        for p in (regrep._RANK_PRIME, 7):
-            assert regrep._rank_mod_p(mat, p) == rank_mod_p_reference(mat, p), (trial, p)
+            a[:, 1] = a[:, 0]
+        # The small prime divides a nonzero Schur pivot far more often.
+        for p in refused:
+            refused[p] += _assert_matches_references(a.T @ a, p)
+    assert refused[regrep._RANK_PRIME] == 0 and 0 < refused[7] < 60, refused
 
 
 @pytest.mark.parametrize("block", [4, 32])
 def test_balanced_residues_match_reference_at_their_edges(block, monkeypatch):
-    # Entries at 0, +-(p - 1)/2, +-(p + 1)/2 and p - 1, where a balanced
-    # residue sits at its edge or just past it; repeated rows and columns
-    # and a column sum give panels with fewer pivots than columns.
+    # Symmetric matrices with entries at 0, +-(p - 1)/2, +-(p + 1)/2 and
+    # p - 1, where a balanced residue sits at its edge or just past it.  In
+    # every other one, rows and columns repeat four distinct ones, so every
+    # panel has fewer pivots than columns; at p = 7 most of the others are
+    # refused, as a random Schur diagonal vanishes with chance 1/7.
     monkeypatch.setattr(regrep, "_RANK_BLOCK", block)
     rng = np.random.default_rng(14)
     for p in (regrep._RANK_PRIME, 7):
         edges = np.array([0, (p - 1) // 2, -(p - 1) // 2, (p + 1) // 2, -(p + 1) // 2, p - 1])
+        outcomes = []
         for trial in range(12):
-            m, n = (int(v) for v in rng.integers(block + 1, 3 * block, size=2))
-            mat = rng.choice(edges, size=(m, n))
+            n = int(rng.integers(block + 1, 3 * block))
+            mat = np.triu(rng.choice(edges, size=(n, n)))
+            mat += np.triu(mat, 1).T
             if trial % 2:
-                mat[:, 2] = mat[:, 0] + mat[:, 1]
-                mat[:, 3] = mat[:, 0]
-                mat[1] = mat[0]
-            assert regrep._rank_mod_p(mat, p) == rank_mod_p_reference(mat, p), (p, trial)
+                idx = rng.integers(0, 4, size=n)
+                mat = mat[np.ix_(idx, idx)]
+            outcomes.append(_assert_matches_references(mat, p))
+        assert set(outcomes) == {False, True}, (p, outcomes)
+
+
+def test_exact_rank_needs_a_symmetric_gram():
+    with pytest.raises(ValueError, match="symmetric Gram matrix"):
+        regrep.exact_rank(np.array([[1, 0], [1, 1]], dtype=np.int64))
+
+
+def test_prime_dividing_a_schur_pivot_is_refused():
+    # [[p, 1], [1, 1]] is positive definite of rank 2, and row pivoting finds
+    # rank 2 mod p; its diagonal entry p vanishes mod p over a nonzero column.
+    p = regrep._RANK_PRIME
+    gram = np.array([[p, 1], [1, 1]], dtype=np.int64)
+    assert fraction_rank(gram) == rank_mod_p_reference(gram, p)[0] == 2
+    with pytest.raises(ArithmeticError, match="zero diagonal pivot over a nonzero column"):
+        regrep.exact_rank(gram)
 
 
 def test_diagonal_gram_skips_every_trailing_update(monkeypatch):
@@ -751,6 +827,16 @@ def test_avg_bound_n5_k2_sampled():
     rep = regrep.avg_bound_check(5, 2, samples=100, seed=0)
     assert rep.passed
     assert rep.sample_max <= 4 / 5 + 1e-9
+
+
+@pytest.mark.parametrize("shift", [Fraction(1, 4), Fraction(-1, 4)])
+def test_avg_bound_fails_on_a_level_eigenvalue_off_by_one_over_n(shift, monkeypatch):
+    # Acceptance criterion 3 can fail: a level eigenvalue off by 1/N moves
+    # the predicted maximum by 1/N^2, far past the 1e-6 match.
+    true_level = regrep.max_level_eigenvalue
+    monkeypatch.setattr(regrep, "max_level_eigenvalue", lambda n, k: true_level(n, k) + shift)
+    for k in range(4):
+        assert not regrep.avg_bound_check(4, k, samples=5, seed=0).passed, k
 
 
 def test_change_of_challenge_identity_exact():

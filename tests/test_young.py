@@ -432,6 +432,27 @@ def test_identities_report_without_sizes_is_refused(max_n):
         young.identities_report(max_n)
 
 
+def test_identities_fail_on_a_wrong_hook_product(monkeypatch):
+    # Acceptance criterion 5 can fail: doubling the hook product of (3, 1)
+    # makes its dimension 1, not 3, which breaks its own branching sum, those
+    # of the three diagrams it is removable from, and Burnside at n = 4.
+    true_hook_product = young.hook_product
+    monkeypatch.setattr(young, "hook_product", lambda lam: true_hook_product(lam) * (2 if lam == (3, 1) else 1))
+    young._dim.cache_clear()
+    try:
+        report = young.identities_report(6)
+    finally:
+        young._dim.cache_clear()
+    assert not report["pass"]
+    assert report["branching_failures"] == [
+        {"n": 4, "lambda": [3, 1]},
+        {"n": 5, "lambda": [4, 1]},
+        {"n": 5, "lambda": [3, 2]},
+        {"n": 5, "lambda": [3, 1, 1]},
+    ]
+    assert report["burnside_failures"] == [{"n": 4, "sum": 16}]
+
+
 def test_identities_report_small():
     report = young.identities_report(10)
     assert report["pass"]
