@@ -3,21 +3,23 @@
 Everything lives in the N!-dimensional group algebra with basis vectors
 indexed by the lexicographic enumeration of S_N.  The module builds the
 partial-assignment subspaces A_k and A_k^y, the per-challenge high/low
-projectors, their sum M over all challenges, and the isotypic projectors of
-the two-sided action, then verifies the predicted decompositions by brute
-force and the spectrum of M against one exact central element.
+projectors, their sum M over all challenges, and the projectors onto A_k,
+then verifies the predicted decompositions by brute force and the spectrum
+of M against one exact central element.
 
-Two arithmetic flavors coexist.  Ranks of spanning sets are decided with
-exact integer arithmetic (unnormalized assignment vectors are 0/1 integer
-vectors), by one path at every N: the rank of the integer Gram matrix modulo
+Everything up to the eigensolves is exact integer arithmetic.  Ranks of
+spanning sets (unnormalized assignment vectors are 0/1 integer vectors) are
+decided by one path at every N: the rank of the integer Gram matrix modulo
 one prime bounds the rank over Q from below, and an integer kernel witness,
-checked exactly, bounds it from above.  Orthonormal bases, projectors and
-eigensolves are double precision, with the exact ranks pinning every rank
-decision the float side makes; a basis is built only once its float Gram
-spectrum confirms the rank with a wide gap.  Each subspace's Gram matrix is
-formed once and read by both.  Only the challenge-0 high projector is built
-constructively and kept; the others are its relabelings by range
-transpositions, gathered on each call.
+checked exactly, bounds it from above; the pivots give independent integer
+vectors spanning the subspace.  Every projector is one construction from
+characters, scaled to an integer matrix: N! P_{A_k}, D P_y and D L_y with
+D = N! (N-1)!.  Each is certified exactly against the certified ranks and
+spanning vectors: symmetric, idempotent, of the certified trace, and fixing
+the subspace it must hold.  Only the challenge-0 high projector is kept; the
+others are its relabelings by range transpositions, gathered on each call.
+Floats enter at the public readers, which divide by the scale, and at the
+eigensolves.
 
 The size cap is N = 6 (dimension 720); at N = 7 each dense 5040^2 float
 matrix would cost ~200 MB.
@@ -295,81 +297,49 @@ def _kernel_witness(gram: np.ndarray, pivots: list[int]) -> np.ndarray:
     return k
 
 
-def _check_kernel_witness(gram: np.ndarray, k: np.ndarray) -> None:
-    """Raise unless gram @ k == 0 exactly: every partial sum is an integer of
-    magnitude at most d * max|G| * max|K|, exact in float64 below 2^53."""
-    d = gram.shape[0]
-    bound = d * float(np.abs(gram).max(initial=0)) * float(np.abs(k).max(initial=0))
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for integer matrices, as int64.  Every partial sum is an integer
+    of magnitude at most d * max|a| * max|b|, d the inner dimension, so the
+    float64 product is exact once that bound is checked to be below 2^53."""
+    bound = a.shape[1] * float(np.abs(a).max(initial=0)) * float(np.abs(b).max(initial=0))
     if not bound < 2**53:
-        raise ArithmeticError(f"kernel witness product bound {bound:.3e} is not below 2^53")
-    resid = float(np.abs(gram @ k).max(initial=0))
+        raise ArithmeticError(f"integer product bound {bound:.3e} is not below 2^53")
+    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+    return prod.astype(np.int64)
+
+
+def _check_kernel_witness(gram: np.ndarray, k: np.ndarray) -> None:
+    """Raise unless gram @ k == 0 exactly."""
+    resid = int(np.abs(_exact_matmul(gram, k)).max(initial=0))
     if resid:
-        r = d - k.shape[1]
-        raise ArithmeticError(f"no integer kernel witness for rank {r}: max |G @ K| = {resid:.0f}")
+        r = gram.shape[0] - k.shape[1]
+        raise ArithmeticError(f"no integer kernel witness for rank {r}: max |G @ K| = {resid}")
 
 
-def _check_spectral_gap(w: np.ndarray, r: int) -> None:
-    """Raise unless the ascending float spectrum w confirms rank r with a
-    wide gap: the r-th largest value must exceed 1e6 times both the next
-    value and 1e-14 of the largest; rank 0 needs every value below 1e-6."""
-    if r == 0:
-        kept, dropped = 0.0, (w[-1] if w.size else 0.0)
-        ok = dropped < 1e-6
-    else:
-        kept, dropped = w[-r], (w[-r - 1] if r < w.size else 0.0)
-        ok = kept > 1e6 * max(dropped, w[-1] * 1e-14)
-    if not ok:
-        raise ArithmeticError(f"ambiguous spectral gap for rank {r}: {kept:.3e} vs {dropped:.3e}")
-
-
-def exact_rank(gram: np.ndarray) -> int:
-    """Rank over Q of an integer matrix, proven on its d x d integer Gram
-    matrix G (from _gram_int) by one path at every N (a certificate after
-    Kaltofen, Nehring and Saunders, ISSAC 2011).  The rank r mod _RANK_PRIME
-    is a lower bound; the witness K of rank d - r with G @ K == 0 exactly is
-    an upper bound.  G must be symmetric, as the elimination pivots on its
-    diagonal.  An unlucky prime under-reports r or, dividing a nonzero
-    Schur pivot, stops the elimination, and a dependent column with
-    fractional coefficients has no integral K: all raise ArithmeticError.
-    The float spectral gap confirmed by _orthonormal_basis on the same G
-    guards against an elimination that over-reports r."""
+def exact_rank(gram: np.ndarray) -> tuple[int, list[int]]:
+    """Rank over Q of an integer matrix, and the pivot columns of its d x d
+    integer Gram matrix G (from _gram_int), proven on G by one path at every
+    N (a certificate after Kaltofen, Nehring and Saunders, ISSAC 2011).  The
+    rank r mod _RANK_PRIME is a lower bound, and the pivot columns are
+    independent over Q, as a minor nonzero mod p is nonzero; the witness K
+    of rank d - r with G @ K == 0 exactly is an upper bound.  G must be
+    symmetric, as the elimination pivots on its diagonal.  An unlucky prime
+    under-reports r or, dividing a nonzero Schur pivot, stops the
+    elimination, and a dependent column with fractional coefficients has no
+    integral K: all raise ArithmeticError.  A rank over-reported by a faulty
+    elimination fails the trace check of the projector certified against
+    it."""
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError(f"exact_rank takes a square Gram matrix, got shape {gram.shape}")
     if not np.array_equal(gram, gram.T):
         raise ValueError("exact_rank takes a symmetric Gram matrix")
     r, pivots = _rank_mod_p(gram, _RANK_PRIME)
     _check_kernel_witness(gram, _kernel_witness(gram, pivots))
-    return r
+    return r, pivots
 
 
 # ---------------------------------------------------------------------------
-# Orthonormal bases and subspaces.
-
-
-def _orthonormal_basis(
-    rows: np.ndarray, expected_rank: int, gram: np.ndarray | None = None
-) -> np.ndarray:
-    """Orthonormal basis (columns) of the row space, with known exact rank.
-
-    The rank decision is made elsewhere in exact arithmetic; here we only
-    insist that the float Gram spectrum confirms it with a wide gap.  An
-    integer row matrix may pass its exact Gram matrix from _gram_int: it
-    holds the very values the float product of the rows would, and on the
-    tall side the rows are then never converted to float.
-    """
-    m, d = rows.shape
-    if expected_rank == 0:
-        return np.zeros((d, 0))
-    small_side = m <= d
-    if gram is None:
-        v = rows.astype(np.float64)
-        gram = v @ v.T if small_side else v.T @ v
-    w, u = np.linalg.eigh(np.asarray(gram, dtype=np.float64))
-    _check_spectral_gap(w, expected_rank)
-    uk = u[:, -expected_rank:]
-    basis = (rows.astype(np.float64).T @ uk) / np.sqrt(w[-expected_rank:]) if small_side else uk
-    q, _ = np.linalg.qr(basis)  # one polish pass to machine orthonormality
-    return q
+# Subspaces and their spanning vectors.
 
 
 @dataclass(eq=False)
@@ -377,16 +347,22 @@ class Subspace:
     """A subspace of the group algebra with an exactly certified dimension."""
 
     dim: int
-    basis: np.ndarray  # shape (n!, dim), orthonormal columns, read-only
+    span: np.ndarray  # shape (dim, n!), int8, independent rows spanning it, read-only
 
 
 def _make_subspace(n: int, alphas) -> Subspace:
+    """The span of the indicator rows V of alphas.  Its dim independent
+    integer vectors are the pivot rows of V when G = V V^T, or the pivot
+    columns of G when G = V^T V: each column of V^T V lies in the row space
+    of V, and columns independent in G are independent rows in V.  Either
+    way the entries are at most C(N, N/2) <= 20 at N <= 6, and int8 holds
+    them."""
     rows = _indicator_rows(n, alphas)
     gram = _gram_int(rows)
-    r = exact_rank(gram)
-    q = _orthonormal_basis(rows, r, gram)
-    q.setflags(write=False)
-    return Subspace(dim=r, basis=q)
+    r, pivots = exact_rank(gram)
+    span = (rows[pivots] if rows.shape[0] <= rows.shape[1] else gram[pivots]).astype(np.int8)
+    span.setflags(write=False)
+    return Subspace(dim=r, span=span)
 
 
 @cache
@@ -407,103 +383,13 @@ def subspace_a_y(n: int, k: int, y: int) -> Subspace:
     return _make_subspace(n, assignments_with_image(n, k, y))
 
 
-@cache
-def a_projector(n: int, k: int) -> np.ndarray:
-    q = subspace_a(n, k).basis
-    p = q @ q.T
-    p.setflags(write=False)
-    return p
-
-
-def _assert_projector(p: np.ndarray, name: str) -> None:
-    sym = np.abs(p - p.T).max()
-    if sym > 1e-12:
-        raise ArithmeticError(f"{name}: symmetry residual {sym:.3e} > 1e-12")
-    idem = np.abs(p @ p - p).max()
-    if idem > 1e-8:
-        raise ArithmeticError(f"{name}: idempotence residual {idem:.3e} > 1e-8")
-
-
-def _telescope(n: int, pairs, name: str) -> np.ndarray:
-    """Orthogonal sum over (larger, smaller) subspace pairs, smaller inside
-    larger, of larger with smaller projected out; the containment makes each
-    increment's dimension an exact difference of certified ranks."""
-    f = factorial(n)
-    p = np.zeros((f, f))
-    for big, small in pairs:
-        expected = big.dim - small.dim
-        if expected == 0:
-            continue
-        resid = big.basis - small.basis @ (small.basis.T @ big.basis)
-        b = _orthonormal_basis(resid.T, expected_rank=expected)
-        p += b @ b.T
-    _assert_projector(p, name)
-    p.setflags(write=False)
-    return p
-
-
-def _build_high_projection(n: int, y: int) -> np.ndarray:
-    """Constructive high projector for challenge y: A_i^y over A_{i-1}."""
-    pairs = ((subspace_a_y(n, i, y), subspace_a(n, i - 1)) for i in range(1, n))
-    return _telescope(n, pairs, f"high_projection({n}, {y})")
-
-
-@cache
-def _high_projection_0(n: int) -> np.ndarray:
-    """P_0, the one high projector that is built constructively and kept."""
-    return _build_high_projection(n, 0)
-
-
-def high_projection(n: int, y: int) -> np.ndarray:
-    """Orthogonal projector onto the high subspace for challenge y.
-
-    Only P_0 is built constructively, so each rank is certified once per k.
-    The range transposition tau = (0 y) maps A_k^0 onto A_k^y and fixes A_k
-    (the relabeling change_of_challenge_check verifies), so P_y is P_0 with
-    rows and columns permuted by |pi> -> |tau . pi>, gathered anew on each
-    call rather than kept.
-    """
-    _check_n(n)
-    if not 0 <= y < n:
-        raise ValueError(f"challenge {y} not in range({n})")
-    if y == 0:
-        return _high_projection_0(n)
-    perm = _challenge_relabeling(n, y)
-    p = _high_projection_0(n)[np.ix_(perm, perm)]
-    p.setflags(write=False)
-    return p
-
-
-def _challenge_relabeling(n: int, y: int) -> np.ndarray:
-    """Index map of |pi> -> |tau . pi> for the range transposition tau = (0 y)."""
-    tau = list(range(n))
-    tau[0], tau[y] = y, 0
-    return composition_table(n)[perm_index_map(n)[tuple(tau)], :]
-
-
-@cache
-def low_projection(n: int, y: int) -> np.ndarray:
-    """Orthogonal projector onto the low subspace for challenge y: A_i over
-    A_i^y, built constructively for every y."""
-    _check_n(n)
-    if not 0 <= y < n:
-        raise ValueError(f"challenge {y} not in range({n})")
-    pairs = ((subspace_a(n, i), subspace_a_y(n, i, y)) for i in range(n))
-    return _telescope(n, pairs, f"low_projection({n}, {y})")
-
-
-@cache
-def build_m(n: int) -> np.ndarray:
-    """Sum of the high projectors over all challenges: symmetric PSD, not
-    idempotent."""
-    _check_n(n)
-    m = sum(high_projection(n, y) for y in range(n))
-    m.setflags(write=False)
-    return m
-
-
 # ---------------------------------------------------------------------------
-# Isotypic projectors and the central element of M, from characters.
+# Projectors from characters, as certified integer matrices.
+
+
+def _scale(n: int) -> int:
+    """D = N! (N-1)!, which makes every high and low projector integral."""
+    return factorial(n) * factorial(n - 1)
 
 
 @cache
@@ -518,58 +404,71 @@ def _class_data(n: int) -> tuple[np.ndarray, tuple[Partition, ...]]:
     return elem_class, tuple(types)
 
 
-def _character_sum(n: int, terms, scale: float, name: str) -> np.ndarray:
-    """scale * sum of c times the permutation matrix sending column j to row
-    rows[j], over the (rows, c) terms."""
-    f = factorial(n)
-    cols = np.arange(f)
-    p = np.zeros((f, f))
-    for rows, c in terms:
-        if c != 0:
-            p[rows, cols] += c
-    p *= scale
-    _assert_projector(p, name)
+def _characters(lam: Partition, types) -> np.ndarray:
+    return np.array([young.character(lam, t) for t in types], dtype=np.int64)
+
+
+def _gather(n: int, column: np.ndarray) -> np.ndarray:
+    """The N! x N! matrix with entry [i, j] = column[index of pi_i pi_j^-1].
+
+    Any matrix that commutes with right multiplication has this form, with
+    its own column 0 as column; so has a class function of pi_i^-1 pi_j,
+    which is conjugate to the inverse of pi_i pi_j^-1."""
+    return column[composition_table(n)[:, inverse_indices(n)]]
+
+
+def _moved(sp: np.ndarray, scale: int, vectors: np.ndarray) -> float:
+    """max |sp w / scale - w| over the integer columns w of vectors, from an
+    exact integer product: 0.0 exactly when sp / scale fixes every one."""
+    w = np.asarray(vectors, dtype=np.int64)
+    return float(np.abs(_exact_matmul(sp, w) - scale * w).max(initial=0)) / scale
+
+
+def _certify(name: str, sp: np.ndarray, scale: int, rank: int, fixed=()) -> None:
+    """Raise ArithmeticError unless sp / scale, sp an integer matrix, is the
+    orthogonal projector of the certified rank whose range holds the columns
+    of each matrix in fixed.  Four exact checks: (a) sp is symmetric; (b)
+    sp^2 == scale * sp, its Gram matrix by (a), summed exactly by _gram_int,
+    so sp / scale is an orthogonal projector; (c) tr sp == scale * rank, so
+    it has that rank; (d) sp w == scale w for every column w of fixed, each
+    product exact under the bound _exact_matmul checks.  Once the columns of
+    fixed span a space of the certified rank, (a)-(d) make sp / scale its
+    projector."""
+    if not np.array_equal(sp, sp.T):
+        raise ArithmeticError(f"{name}: (a) not symmetric")
+    if not np.array_equal(_gram_int(sp), scale * sp.astype(np.int64)):
+        raise ArithmeticError(f"{name}: (b) its square is not {scale} times itself")
+    trace = int(np.trace(sp, dtype=np.int64))
+    if trace != scale * rank:
+        raise ArithmeticError(f"{name}: (c) trace {trace} is not {scale} * rank {rank}")
+    for w in fixed:
+        if _moved(sp, scale, w):
+            raise ArithmeticError(f"{name}: (d) moves a vector its range must hold")
+
+
+@cache
+def _scaled_a(n: int, k: int) -> np.ndarray:
+    """N! P_{A_k} = sum of d_lam X_lam over the lam of level <= k, with
+    X_lam[i, j] = chi_lam(pi_i^-1 pi_j): one gather of integer class values,
+    certified against the spanning vectors of A_k, and of A_{k-1} for the
+    chain A_{k-1} < A_k.  Kept as int16; no entry exceeds N! in magnitude."""
+    sub = subspace_a(n, k)
+    elem_class, types = _class_data(n)
+    lams = [lam for lam in young.partitions(n) if young.level(lam) <= k]
+    values = sum(young.dim(lam) * _characters(lam, types) for lam in lams)
+    sp = _gather(n, values[elem_class]).astype(np.int16)
+    fixed = [sub.span.T] + ([subspace_a(n, k - 1).span.T] if k else [])
+    _certify(f"a_projector({n}, {k})", sp, factorial(n), sub.dim, fixed)
+    sp.setflags(write=False)
+    return sp
+
+
+@cache
+def a_projector(n: int, k: int) -> np.ndarray:
+    """Orthogonal projector onto A_k, divided out of N! P_{A_k}."""
+    p = _scaled_a(n, k) / factorial(n)
     p.setflags(write=False)
     return p
-
-
-def _central_element(n: int) -> np.ndarray:
-    """C_f[i, j] = f(pi_i^-1 pi_j), convolution by the class function
-    f = sum_lam e_lam d_lam chi_lam / N!, which is sum_lam e_lam Pi_lam.
-
-    f's value on each conjugacy class is summed exactly as a Fraction and
-    converted to float once; the matrix is one gather of those values.
-    """
-    elem_class, types = _class_data(n)
-    lams = young.partitions(n)
-    values = [
-        float(
-            sum(young.eigenvalue_m(lam, n) * young.dim(lam) * young.character(lam, ct) for lam in lams)
-            / factorial(n)
-        )
-        for ct in types
-    ]
-    return np.array(values)[elem_class[composition_table(n)[inverse_indices(n)]]]
-
-
-def isotypic_projector(n: int, lam: Partition) -> np.ndarray:
-    """Projector onto the isotypic component of lam in the group algebra.
-
-    Character sum over the left action |pi> -> |pi . g^{-1}>: the two-sided
-    isotypic component coincides with the one-sided one, so this is the
-    block projector with rank dim(lam)^2.  Built on each call, not kept.
-    """
-    _check_n(n)
-    lam = young.check_partition(lam) if lam else ()
-    if young.size(lam) != n:
-        raise ValueError(f"{lam} is not a partition of {n}")
-    f = factorial(n)
-    elem_class, types = _class_data(n)
-    chars = [young.character(lam, ct) for ct in types]
-    comp = composition_table(n)
-    inv_idx = inverse_indices(n)
-    terms = ((comp[:, inv_idx[gi]], chars[elem_class[gi]]) for gi in range(f))
-    return _character_sum(n, terms, young.dim(lam) / f, f"isotypic_projector({n}, {lam})")
 
 
 @cache
@@ -584,29 +483,179 @@ def _drop_fixed_point(ct: Partition) -> Partition:
     return tuple(parts)
 
 
-@cache
-def range_restricted_projector(n: int, mu: Partition, y: int) -> np.ndarray:
-    """Projector onto the mu-isotypic part of the right action of the
-    stabilizer of y (mu a partition of n - 1, acting on the range side)."""
-    _check_n(n)
-    mu = young.check_partition(mu) if mu else ()
-    if young.size(mu) != n - 1:
-        raise ValueError(f"{mu} is not a partition of {n - 1}")
+def _branch_sum(n: int, y: int, branches) -> np.ndarray:
+    """D * sum of Pi_lam R_mu^y over the (lam, mus) in branches and each mu in
+    mus, an integer matrix: Pi_lam = d_lam X_lam / N! is the isotypic
+    projector of lam and R_mu^y = d_mu Y_mu^y / (N-1)! the mu-isotypic
+    projector of Stab(y) acting by left multiplication (on the range side),
+    Y_mu^y = sum over g in Stab(y) of chi_mu(g) |g pi> <pi|.
+
+    X_lam is central and Y_mu^y is a sum of left multiplications, so both
+    commute with right multiplication and the sum is one _gather of its
+    column 0, whose entry i is sum over g in Stab(y) of d_lam d_mu chi_mu(g)
+    chi_lam(pi_i^-1 g), with chi_mu read on the cycles of g off y."""
+    elem_class, types = _class_data(n)
+    stab = list(stabilizer_indices(n, y))
     perms = enumerate_group(n)
-    comp = composition_table(n)
-    terms = (
-        (comp[gi, :], young.character(mu, _drop_fixed_point(young.cycle_type(perms[gi]))))
-        for gi in stabilizer_indices(n, y)
-    )
-    scale = young.dim(mu) / factorial(n - 1)
-    return _character_sum(n, terms, scale, f"range_restricted_projector({n}, {mu}, {y})")
+    sub_types = young.partitions(n - 1)
+    sub_class = [sub_types.index(_drop_fixed_point(young.cycle_type(perms[g]))) for g in stab]
+    cls = elem_class[composition_table(n)[np.ix_(inverse_indices(n), stab)]]
+    column = np.zeros(factorial(n), dtype=np.int64)
+    for lam, mus in branches:
+        weight = sum(young.dim(mu) * _characters(mu, sub_types) for mu in mus)
+        column += young.dim(lam) * (_characters(lam, types)[cls] @ weight[sub_class])
+    return _gather(n, column)
 
 
-def block_branch_projector(n: int, theta: Partition, rho: Partition, y: int) -> np.ndarray:
-    """Projector onto the (bar(theta), bar(rho)_y) sub-isotypic block."""
-    lam = young.bar(theta, n)
-    mu = young.bar(rho, n - 1)
-    return isotypic_projector(n, lam) @ range_restricted_projector(n, mu, y)
+def _high_increments(n: int, y: int) -> tuple[float, list[np.ndarray]]:
+    """(outside, increments) of the constructive high subspace for challenge
+    y, the sum over i = 1..n-1 of A_i^y with A_{i-1} projected out.
+
+    outside is the largest exact residual max|P_{A_i} v - v| over v spanning
+    A_i^y, 0.0 exactly when every A_i^y lies in A_i.  increments[i - 1] has
+    the integer columns N! v - (N! P_{A_{i-1}}) v.  Given the chain
+    A_{i-1} < A_i, the i-th increment then lies in A_i minus A_{i-1}, so the
+    increments are mutually orthogonal and each spans at least
+    dim A_i^y - dim A_{i-1} dimensions, with equality only when A_{i-1} lies
+    in A_i^y."""
+    f = factorial(n)
+    outside, increments = 0.0, []
+    for i in range(1, n):
+        v = subspace_a_y(n, i, y).span.T.astype(np.int64)
+        outside = max(outside, _moved(_scaled_a(n, i), f, v))
+        increments.append(f * v - _exact_matmul(_scaled_a(n, i - 1), v))
+    return outside, increments
+
+
+def _high_rank(n: int, y: int) -> int:
+    return sum(subspace_a_y(n, i, y).dim - subspace_a(n, i - 1).dim for i in range(1, n))
+
+
+def _low_rank(n: int, y: int) -> int:
+    return sum(subspace_a(n, i).dim - subspace_a_y(n, i, y).dim for i in range(n))
+
+
+@cache
+def _scaled_high_0(n: int) -> np.ndarray:
+    """D P_0, the one high projector that is built and kept: the branch sum
+    over the nonempty valid theta and rho in removable(theta), lam =
+    bar(theta) and mu = bar(rho), certified by (a)-(d) against the
+    increments of _high_increments.  With the certified trace, (d) forces
+    each increment to its least dimension, so A_{i-1} < A_i^0 < A_i, and
+    P_0 is the projector onto their sum."""
+    branches = [
+        (young.bar(t, n), [young.bar(rho, n - 1) for rho in young.removable(t)])
+        for t in young.valid_thetas(n)
+        if t
+    ]
+    dq = _branch_sum(n, 0, branches)
+    outside, increments = _high_increments(n, 0)
+    if outside:
+        raise ArithmeticError(f"high_projection({n}, 0): some A_i^0 is not inside A_i")
+    _certify(f"high_projection({n}, 0)", dq, _scale(n), _high_rank(n, 0), increments)
+    dq.setflags(write=False)
+    return dq
+
+
+def _check_challenge(n: int, y: int) -> None:
+    _check_n(n)
+    if not 0 <= y < n:
+        raise ValueError(f"challenge {y} not in range({n})")
+
+
+def _challenge_relabeling(n: int, y: int) -> np.ndarray:
+    """Index map of |pi> -> |tau . pi> for the range transposition tau = (0 y)."""
+    tau = list(range(n))
+    tau[0], tau[y] = y, 0
+    return composition_table(n)[perm_index_map(n)[tuple(tau)], :]
+
+
+def _relabeled(a: np.ndarray, n: int, y: int) -> np.ndarray:
+    """The challenge-y matrix from the challenge-0 one.  The range
+    transposition tau = (0 y) maps A_k^0 onto A_k^y and fixes A_k, so rows
+    and columns are permuted by |pi> -> |tau . pi>, gathered anew on each
+    call rather than kept."""
+    if y == 0:
+        return a
+    perm = _challenge_relabeling(n, y)
+    return a[np.ix_(perm, perm)]
+
+
+def _scaled_high(n: int, y: int) -> np.ndarray:
+    """D P_y, relabeled from D P_0."""
+    _check_challenge(n, y)
+    return _relabeled(_scaled_high_0(n), n, y)
+
+
+@cache
+def _high_projection_0(n: int) -> np.ndarray:
+    """P_0 in float64, kept for the repeated reads of high_projection."""
+    p = _scaled_high_0(n) / _scale(n)
+    p.setflags(write=False)
+    return p
+
+
+def high_projection(n: int, y: int) -> np.ndarray:
+    """Orthogonal projector onto the high subspace for challenge y."""
+    _check_challenge(n, y)
+    p = _relabeled(_high_projection_0(n), n, y)
+    p.setflags(write=False)
+    return p
+
+
+def _scaled_low(n: int, y: int) -> np.ndarray:
+    """D L_y, the branch sum over the valid theta with bar_star(theta) valid,
+    lam = bar(theta) and mu = bar_star(theta), built directly for each y and
+    certified by (a)-(c) against the rank sum of dim A_i - dim A_i^y."""
+    _check_challenge(n, y)
+    thetas = [t for t in young.valid_thetas(n) if young.bar_star(t, n) is not None]
+    dl = _branch_sum(n, y, [(young.bar(t, n), [young.bar_star(t, n)]) for t in thetas])
+    _certify(f"low_projection({n}, {y})", dl, _scale(n), _low_rank(n, y))
+    return dl
+
+
+def low_projection(n: int, y: int) -> np.ndarray:
+    """Orthogonal projector onto the low subspace for challenge y."""
+    p = _scaled_low(n, y) / _scale(n)
+    p.setflags(write=False)
+    return p
+
+
+@cache
+def _scaled_m(n: int) -> np.ndarray:
+    """D M, the sum of the relabeled D P_y over all challenges."""
+    _check_n(n)
+    dm = sum(_scaled_high(n, y) for y in range(n))
+    dm.setflags(write=False)
+    return dm
+
+
+def build_m(n: int) -> np.ndarray:
+    """Sum of the high projectors over all challenges: symmetric PSD, not
+    idempotent.  Divided out of the kept D M on each call."""
+    m = _scaled_m(n) / _scale(n)
+    m.setflags(write=False)
+    return m
+
+
+def _central_element(n: int) -> np.ndarray:
+    """D C_f: C_f[i, j] = f(pi_i^-1 pi_j), convolution by the class function
+    f = sum_lam e_lam d_lam chi_lam / N!, which is sum_lam e_lam Pi_lam.
+
+    D f = (N-1)! sum_lam e_lam d_lam chi_lam is summed exactly as a Fraction
+    on each class.  e_lam d_lam = N (d_lam - d'_lam) makes it an integer,
+    which float64 holds exactly; a wrong e_lam may leave a fraction, which
+    then cannot equal the integer D M.  The matrix is one gather."""
+    elem_class, types = _class_data(n)
+    lams = young.partitions(n)
+    values = [
+        float(
+            factorial(n - 1)
+            * sum(young.eigenvalue_m(lam, n) * young.dim(lam) * young.character(lam, ct) for lam in lams)
+        )
+        for ct in types
+    ]
+    return _gather(n, np.array(values)[elem_class])
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +709,8 @@ class SpectrumReport:
 
 def spectrum(n: int) -> SpectrumReport:
     """Read M's sorted eigenvalues against each predicted block eigenvalue
-    e_lam and multiplicity, then check M entrywise against the central
-    element C_f = sum_lam e_lam Pi_lam.
+    e_lam and multiplicity, then check the integer D M against D C_f, D
+    times the central element C_f = sum_lam e_lam Pi_lam.
 
     Each e_lam claims the eigenvalues within 1e-6 of it; the block is ok
     when their count equals the summed d_mu^2 over every mu with e_mu =
@@ -669,14 +718,12 @@ def spectrum(n: int) -> SpectrumReport:
     predictions lie at least 4/15 apart at N <= 6, so no eigenvalue is
     claimed twice.  Readout failures are reported, not raised.  The run
     passes only if every eigenvalue is claimed, every block is ok and
-    max|M - C_f| <= 1e-8 / N!.  With X = M - C_f, every projector pair has
-    max|Pi X Pi'| <= ||X||_2 <= N! max|X| <= 1e-8, which bounds M's block
-    residuals (M - e_lam) Pi_lam = X Pi_lam and off-block residuals
-    Pi_lam M Pi_mu = Pi_lam X Pi_mu, and by Weyl's inequality puts every
-    eigenvalue of M within 1e-8 of a predicted e_lam.
+    D M == D C_f exactly; central_residual is max|D M - D C_f| / D, 0.0
+    exactly when they are equal.  M = C_f then acts as e_lam on each
+    isotypic block and has no part between two blocks, exactly, and the
+    eigenvalue readout is an independent float check of the same identity.
     """
-    m = build_m(n)
-    eigs = np.sort(np.linalg.eigvalsh(m))
+    eigs = np.sort(np.linalg.eigvalsh(build_m(n)))
     lams = young.partitions(n)
     e = {lam: young.eigenvalue_m(lam, n) for lam in lams}
     claimed = np.zeros(eigs.size, dtype=bool)
@@ -689,9 +736,8 @@ def spectrum(n: int) -> SpectrumReport:
         mean = float(eigs[near].mean()) if count else None
         blocks.append(SpectrumBlock(lam, e[lam], mean, young.dim(lam) ** 2, count, count == mult))
 
-    central_res = float(np.abs(m - _central_element(n)).max())
-    passed = bool(claimed.all()) and all(b.ok for b in blocks)
-    passed = passed and central_res <= 1e-8 / factorial(n)
+    central_res = float(np.abs(_scaled_m(n) - _central_element(n)).max()) / _scale(n)
+    passed = bool(claimed.all()) and all(b.ok for b in blocks) and central_res == 0
     return SpectrumReport(n, blocks, central_res, passed)
 
 
@@ -720,29 +766,27 @@ def max_level_eigenvalue(n: int, k: int) -> Fraction:
 def avg_bound_check(n: int, k: int, samples: int = 100, seed: int = 0) -> AvgBoundReport:
     """Check that challenge-averaged high-subspace mass on A_k is <= 2k/n.
 
-    The exact maximum is the top eigenvalue of M restricted to A_k divided
-    by n; it must match max_{level <= k} e / n and respect the 2k/n bound.
-    Seeded random unit vectors in A_k sample the bound's slack.
+    The exact maximum is the top eigenvalue of P_{A_k} M P_{A_k} divided by
+    n; it must match max_{level <= k} e / n and respect the 2k/n bound.
+    Seeded random vectors P_{A_k} g / |P_{A_k} g|, g complex Gaussian, sample
+    the bound's slack.
     """
     _check_n(n)
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    sub = subspace_a(n, k)
+    p = a_projector(n, k)
     m = build_m(n)
-    b = sub.basis.T @ m @ sub.basis
-    exact_max = float(np.linalg.eigvalsh(b)[-1]) / n
+    exact_max = float(np.linalg.eigvalsh(p @ m @ p)[-1]) / n
     predicted = max_level_eigenvalue(n, k) / n
     bound = Fraction(2 * k, n)
 
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        c = rng.standard_normal(sub.dim) + 1j * rng.standard_normal(sub.dim)
-        c /= np.linalg.norm(c)
-        val = float(np.real(np.conj(c) @ (b @ c))) / n
-        worst = max(worst, val)
+    # Sample s is x = P g / |P g| for g = g[s, 0] + i g[s, 1]; M is real
+    # symmetric, so x^H M x sums the real and imaginary parts' forms.
+    g = np.random.default_rng(seed).standard_normal((samples, 2, p.shape[0])) @ p
+    mass = np.einsum("sij,sij->s", g, g @ m) / np.einsum("sij,sij->s", g, g)
+    worst = max(0.0, float(mass.max()) / n)
     passed = (
         abs(exact_max - float(predicted)) <= 1e-6
         and exact_max <= float(bound) + 1e-9
@@ -786,13 +830,15 @@ def change_of_challenge_check(n: int, trials: int = 20, seed: int = 0) -> Change
     P_y and P_z, z = pi_r(y), are P_0 relabeled by the range transpositions
     (0 y) and (0 z), each its own inverse.  So P_y conjugated by the action
     is P_z exactly when P_0 is fixed by the composed relabeling, and the
-    residual over the same entries is read from one gather of P_0.
+    residual over the same entries is read from one gather of the integer
+    D P_0; M's is read from D M.  Both residuals are exact integers over D,
+    and the check passes only when both are 0.
     """
     _check_n(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    m = build_m(n)
+    dq, dm = _scaled_high_0(n), _scaled_m(n)
     conj_res = 0.0
     comm_res = 0.0
     for _ in range(trials):
@@ -801,9 +847,9 @@ def change_of_challenge_check(n: int, trials: int = 20, seed: int = 0) -> Change
         y = int(rng.integers(n))
         inv = np.argsort(act_index_map(n, pi_d, pi_r))
         g = _challenge_relabeling(n, y)[inv][_challenge_relabeling(n, pi_r[y])]
-        conj_res = max(conj_res, _relabeling_residual(_high_projection_0(n), g))
-        comm_res = max(comm_res, _relabeling_residual(m, inv))
-    passed = conj_res <= 1e-8 and comm_res <= 1e-8
+        conj_res = max(conj_res, _relabeling_residual(dq, g) / _scale(n))
+        comm_res = max(comm_res, _relabeling_residual(dm, inv) / _scale(n))
+    passed = conj_res == 0 and comm_res == 0
     return ChangeChallengeReport(n, trials, seed, conj_res, comm_res, passed)
 
 
@@ -821,11 +867,13 @@ class DecompReport:
 def decomposition_report(n: int) -> DecompReport:
     """Exact dimension identities for A_k and the high/low projector ranks.
 
-    A_k dimensions are checked for any n within the cap.  Up to n = 5, where
-    the exact-rank telescoping applies at reasonable cost, one pass per
-    challenge y checks the high/low ranks against the projector traces, the
-    containments A_{i-1} < A_i^y < A_i (chain_residual, the spectral norm of
-    each part left outside) and P_y + L_y = I (complement_residual).
+    A_k dimensions are checked for any n within the cap.  Up to n = 5, one
+    pass per challenge y checks the high/low ranks against the exact
+    projector traces, the containments A_{i-1} < A_i^y < A_i (chain_residual:
+    A_i^y inside A_i under the certified P_{A_i}, and D P_y fixing the
+    increments of _high_increments, which with the trace forces A_{i-1}
+    into A_i^y) and D P_y + D L_y == D I (complement_residual).  Both
+    residuals are exact integer residuals over their scale and must be 0.
     """
     _check_n(n)
     a_dims = []
@@ -844,27 +892,19 @@ def decomposition_report(n: int) -> DecompReport:
     if n <= 5:
         pred_high = predicted_high_rank(n)
         pred_low = predicted_low_rank(n)
-        eye = np.eye(factorial(n))
+        d = _scale(n)
+        eye = d * np.eye(factorial(n), dtype=np.int64)
         chain_res = comp_res = 0.0
         for y in range(n):
-            exact_high = exact_low = 0
-            for i in range(n):
-                a_i, a_iy = subspace_a(n, i), subspace_a_y(n, i, y)
-                exact_low += a_i.dim - a_iy.dim
-                if i == 0:
-                    continue
-                a_prev = subspace_a(n, i - 1)
-                exact_high += a_iy.dim - a_prev.dim
-                for small, big in ((a_prev, a_iy), (a_iy, a_i)):
-                    r = small.basis - big.basis @ (big.basis.T @ small.basis)
-                    if r.size:
-                        chain_res = max(chain_res, float(np.linalg.norm(r, ord=2)))
-            p_y, l_y = high_projection(n, y), low_projection(n, y)
-            tr_high = int(round(float(np.trace(p_y))))
-            tr_low = int(round(float(np.trace(l_y))))
-            comp_res = max(comp_res, float(np.abs(p_y + l_y - eye).max()))
-            good_h = exact_high == pred_high == tr_high
-            good_l = exact_low == pred_low == tr_low
+            dq, dl = _scaled_high(n, y), _scaled_low(n, y)
+            outside, increments = _high_increments(n, y)
+            chain_res = max(chain_res, outside, *(_moved(dq, d, w) for w in increments))
+            comp_res = max(comp_res, float(np.abs(dq + dl - eye).max()) / d)
+            exact_high, exact_low = _high_rank(n, y), _low_rank(n, y)
+            tr_high, rem_high = divmod(int(np.trace(dq)), d)
+            tr_low, rem_low = divmod(int(np.trace(dl)), d)
+            good_h = not rem_high and exact_high == pred_high == tr_high
+            good_l = not rem_low and exact_low == pred_low == tr_low
             ok &= good_h and good_l
             high_rows.append(
                 {"y": y, "rank": exact_high, "trace": tr_high, "predicted": pred_high, "ok": good_h}
@@ -872,35 +912,5 @@ def decomposition_report(n: int) -> DecompReport:
             low_rows.append(
                 {"y": y, "rank": exact_low, "trace": tr_low, "predicted": pred_low, "ok": good_l}
             )
-        ok &= chain_res <= 1e-8 and comp_res <= 1e-8
+        ok &= chain_res == 0 and comp_res == 0
     return DecompReport(n, a_dims, high_rows, low_rows, chain_res, comp_res, ok)
-
-
-def branch_projector_residuals(n: int, y: int) -> tuple[float, float]:
-    """(orthogonality residual, reconstruction residual) for the sub-isotypic
-    blocks of the high projector at challenge y.
-
-    Orthogonality: the bar(theta) isotypic projector absorbs its own branch
-    blocks and annihilates those of any other theta.  Reconstruction: the
-    branch blocks sum to the high projector.
-    """
-    thetas = [t for t in young.valid_thetas(n) if t]
-    orth = 0.0
-    total = np.zeros((factorial(n), factorial(n)))
-    blocks: dict[Partition, list[np.ndarray]] = {}
-    for theta in thetas:
-        blocks[theta] = [
-            block_branch_projector(n, theta, rho, y) for rho in young.removable(theta)
-        ]
-    for theta in thetas:
-        p_iso = isotypic_projector(n, young.bar(theta, n))
-        for block in blocks[theta]:
-            orth = max(orth, float(np.abs(p_iso @ block - block).max()))
-            total += block
-        for other in thetas:
-            if other == theta:
-                continue
-            for block in blocks[other]:
-                orth = max(orth, float(np.abs(p_iso @ block).max()))
-    recon = float(np.abs(total - high_projection(n, y)).max())
-    return orth, recon

@@ -1,8 +1,11 @@
 """CLI contract: exit codes, schema, determinism, output routing."""
 
 import json
+import re
 import subprocess
 import sys
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -178,6 +181,55 @@ def test_altgame_cli(capsys):
     assert all(g["pass"] for g in games)
 
 
+def test_criterion_01_can_fail(capsys, monkeypatch):
+    # e on (2, 1) off by 1/N: neither the readout nor D M == D C_f holds.
+    real = young.eigenvalue_m
+    monkeypatch.setattr(
+        young, "eigenvalue_m", lambda lam, n: real(lam, n) + (Fraction(1, n) if lam == (2, 1) else 0)
+    )
+    code, out = run_cli(["spectrum", "--n", "3"], capsys)
+    payload = json.loads(out)
+    assert code == 1 and payload["pass"] is False
+    assert payload["report"]["central_residual"] > 0
+
+
+def test_criterion_08_can_fail(capsys, monkeypatch):
+    # The spectral formula read with squared eigenvalues: p_i^(2 rounds), so
+    # one round is raised to rounds + 1.
+    real = np.linalg.eigh
+
+    def squared(a):
+        w, u = real(a)
+        return w**2, u
+
+    monkeypatch.setattr(np.linalg, "eigh", squared)
+    code, out = run_cli(["altgame", "--n", "3", "--t", "1", "--g", "3", "--adversaries", "2"], capsys)
+    games = json.loads(out)["report"]["games"]
+    assert code == 1
+    assert all(g["max_disagreement"] > 1e-7 for g in games)
+
+
+@pytest.mark.parametrize(
+    "curve, r2_passes",
+    [
+        (lambda n, t: (t + 1) / n, False),
+        (lambda n, t: 2 * t / n, False),
+        (lambda n, t: (2 * t + 1) / n**0.5, True),
+    ],
+    ids=["(t+1)/n", "2t/n", "sqrt-of-model"],
+)
+def test_criterion_09_can_fail_on_classical_scaling(curve, r2_passes, capsys, monkeypatch):
+    # Simulation and closed form agree on every grid point, so only the fit
+    # can fail; the last curve is an exact power law of slope 1/2, which the
+    # R^2 gate alone would pass.
+    monkeypatch.setattr(querysim, "grover_invert", lambda n, t: (curve(n, t), curve(n, t)))
+    code, out = run_cli(["grover", "--grid"], capsys)
+    fit = json.loads(out)["report"]["scaling_fit"]
+    assert code == 1
+    assert (fit["r2_loglog"] >= 0.999) is r2_passes
+    assert fit["slope"] < 0.9
+
+
 def test_lemma_check_cli(capsys):
     code, out = run_cli(
         ["lemma-check", "--n", "4", "--p", "0", "--t", "1", "--programs", "3", "--seed", "1"],
@@ -235,49 +287,113 @@ def test_decomp_check_fails_on_a_wrong_prediction(name, rows, capsys, monkeypatc
     report = run_decomp_check_n4(capsys)
     for key in ("a_dims", "high_ranks", "low_ranks"):
         assert all(row["ok"] is (key != rows) for row in report[key]), key
-    assert report["chain_residual"] <= 1e-8
-    assert report["complement_residual"] <= 1e-8
+    assert report["chain_residual"] == 0
+    assert report["complement_residual"] == 0
 
 
 def test_decomp_check_fails_on_a_wrong_containment(capsys, monkeypatch):
-    # P_0 and every L_y are cached first, so only the chain read sees A_2^1
-    # replaced by another orthonormal basis of the same dimension.
+    # D P_0 and every N! P_{A_k} are certified first, so only the chain read
+    # sees one spanning vector of A_2^1 replaced by 4 e_0, a vector of A_3
+    # (all of C^24 at n = 4) outside A_2.  Dimensions stay as certified.
     n = 4
-    regrep.high_projection(n, 0)
-    for y in range(n):
-        regrep.low_projection(n, y)
+    regrep.spectrum(n)
     exact = regrep.subspace_a_y
 
-    def rotated(n, k, y):
+    def replaced(n, k, y):
         sub = exact(n, k, y)
         if (k, y) != (2, 1):
             return sub
-        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal(sub.basis.shape))
-        return regrep.Subspace(dim=sub.dim, basis=q)
+        span = sub.span.copy()
+        span[0] = regrep.subspace_a(n, 3).span[0]
+        return regrep.Subspace(dim=sub.dim, span=span)
 
-    monkeypatch.setattr(regrep, "subspace_a_y", rotated)
+    assert np.array_equal(regrep.subspace_a(n, 3).span[0], 4 * np.eye(24, dtype=np.int8)[0])
+    monkeypatch.setattr(regrep, "subspace_a_y", replaced)
     report = run_decomp_check_n4(capsys)
-    assert report["chain_residual"] > 1e-8
-    assert report["complement_residual"] <= 1e-8
+    assert report["chain_residual"] > 0
+    assert report["complement_residual"] == 0
     assert all(row["ok"] for key in ("a_dims", "high_ranks", "low_ranks") for row in report[key])
 
 
 def test_decomp_check_fails_on_an_incomplete_complement(capsys, monkeypatch):
-    exact = regrep.low_projection
+    # D L_2 with one symmetric pair moved by 1: still symmetric with the same
+    # trace, but D P_2 + D L_2 misses D I by 1.
+    exact = regrep._scaled_low
 
     def nudged(n, y):
         low = exact(n, y)
         if y != 2:
             return low
         low = low.copy()
-        low[0, 0] += 1e-6
+        low[0, 1] += 1
+        low[1, 0] += 1
         return low
 
-    monkeypatch.setattr(regrep, "low_projection", nudged)
+    monkeypatch.setattr(regrep, "_scaled_low", nudged)
     report = run_decomp_check_n4(capsys)
-    assert report["complement_residual"] > 1e-8
-    assert report["chain_residual"] <= 1e-8
+    assert report["complement_residual"] == 1 / regrep._scale(4)
+    assert report["chain_residual"] == 0
     assert all(row["ok"] for key in ("a_dims", "high_ranks", "low_ranks") for row in report[key])
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Fresh caches for the kept builders, so a mutated run certifies anew;
+    monkeypatch restores the shared ones afterwards."""
+    kept = ("subspace_a", "subspace_a_y", "_scaled_a", "a_projector", "_scaled_high_0", "_high_projection_0", "_scaled_m")
+    for name in kept:
+        monkeypatch.setattr(regrep, name, cache(getattr(regrep, name).__wrapped__))
+
+
+def _wrong_character(monkeypatch):
+    real = young.character
+    monkeypatch.setattr(
+        young, "character", lambda lam, ct: real(lam, ct) + ((lam, ct) == ((3, 1), (2, 1, 1)))
+    )
+
+
+def _dropped_rho(monkeypatch):
+    real = young.removable
+    monkeypatch.setattr(young, "removable", lambda lam: real(lam)[:1] if lam == (2, 1) else real(lam))
+
+
+def _wrong_level_set(monkeypatch):
+    # (2, 2) counted at level 3: N! P_{A_2} misses its block.
+    real = young.level
+    monkeypatch.setattr(young, "level", lambda lam: real(lam) + (lam == (2, 2)))
+
+
+def _vector_of_the_next_level(monkeypatch):
+    # One spanning vector of A_1^0 replaced by one of A_2 outside A_1.
+    exact = regrep.subspace_a_y
+
+    def replaced(n, k, y):
+        sub = exact(n, k, y)
+        if (k, y) != (1, 0):
+            return sub
+        span = sub.span.copy()
+        span[0] = regrep.subspace_a(n, 2).span[0]
+        return regrep.Subspace(dim=sub.dim, span=span)
+
+    monkeypatch.setattr(regrep, "subspace_a_y", replaced)
+
+
+@pytest.mark.parametrize(
+    "mutate, n, reason",
+    [
+        (_wrong_character, 4, r"a_projector\(4, 1\): \(b\)"),
+        (_dropped_rho, 5, r"high_projection\(5, 0\): \(c\) trace"),
+        (_wrong_level_set, 4, r"a_projector\(4, 2\): \(c\) trace"),
+        (_vector_of_the_next_level, 4, r"high_projection\(4, 0\): some A_i\^0 is not inside A_i"),
+    ],
+    ids=["wrong-character", "dropped-rho", "wrong-level-set", "vector-of-the-next-level"],
+)
+def test_projector_certificate_mutants_are_failing_verdicts(mutate, n, reason, fresh_caches, capsys, monkeypatch):
+    mutate(monkeypatch)
+    code, out = run_cli(["spectrum", "--n", str(n)], capsys)
+    payload = json.loads(out)
+    assert code == 1 and payload["pass"] is False
+    assert re.match("ArithmeticError: " + reason, payload["report"]["reason"]), payload["report"]["reason"]
 
 
 def test_module_entry_point():
@@ -293,8 +409,6 @@ def test_module_entry_point():
 
 
 def test_certification_failure_is_a_failing_verdict(capsys, monkeypatch):
-    from functools import cache
-
     def refuse(rows):
         raise ArithmeticError("no integer kernel witness for rank 3: max |G @ K| = 1")
 

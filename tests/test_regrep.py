@@ -6,11 +6,15 @@ versus the library's blocked symmetric prime-field rank and its integer
 kernel witness, plus numpy's SVD-based matrix_rank as a third opinion.
 Each rank check is also shown able to fail: an unlucky prime, a prime that
 divides a Schur pivot, a perturbed witness and an over-reported rank.
+Projector references: the direct Stab(y) character sum against the
+relabeled D P_0, and a test-local SVD projector of the constructive
+increments; each exact projector check is shown able to fail on its own.
 Character cross-check: traces of the one-sided action restricted to an
-isotypic block.
+isotypic block, from a test-local float isotypic projector.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 import numpy as np
@@ -263,7 +267,7 @@ def test_modp_rank_and_witness_match_fraction_elimination():
             m[3] = m[0] ^ m[1] if trial % 2 else m[0]
         ref = fraction_rank(m)
         assert regrep._rank_mod_p(regrep._gram_int(m), regrep._RANK_PRIME)[0] == ref
-        assert regrep.exact_rank(regrep._gram_int(m)) == ref
+        assert regrep.exact_rank(regrep._gram_int(m))[0] == ref
 
 
 def test_unlucky_prime_has_no_witness():
@@ -517,11 +521,19 @@ def test_gram_past_the_float32_range_is_exact_or_refused(chunk, monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_basis_from_shared_gram_is_the_row_basis(n):
-    # Bit for bit: the exact Gram holds the very values v^T v or v v^T would.
+    # The spanning vectors read off the pivots of the shared Gram matrix, on
+    # either side, are a basis of the row space: as many as the rank, all
+    # independent, and none outside the span of the rows.
+    tall = short = 0
     for k, y, rows in _subspace_rows(n):
-        gram = regrep._gram_int(rows)
-        r = regrep.exact_rank(gram)
-        assert np.array_equal(regrep._orthonormal_basis(rows, r, gram), regrep._orthonormal_basis(rows, r)), (k, y)
+        sub = regrep.subspace_a(n, k) if y is None else regrep.subspace_a_y(n, k, y)
+        r = np.linalg.matrix_rank(rows.astype(float))
+        assert sub.dim == r and sub.span.shape == (r, factorial(n)) and sub.span.dtype == np.int8
+        assert np.linalg.matrix_rank(sub.span.astype(float)) == r, (k, y)
+        assert np.linalg.matrix_rank(np.vstack([rows, sub.span]).astype(float)) == r, (k, y)
+        tall += rows.shape[0] > rows.shape[1]
+        short += rows.shape[0] <= rows.shape[1]
+    assert tall and short
 
 
 def test_exact_rank_needs_a_square_gram():
@@ -529,29 +541,25 @@ def test_exact_rank_needs_a_square_gram():
         regrep.exact_rank(np.ones((3, 2), dtype=np.int64))
 
 
-def test_spectral_gap_check():
-    regrep._check_spectral_gap(np.array([1e-12, 1.0, 2.0]), 2)
-    regrep._check_spectral_gap(np.array([0.0, 1e-9]), 0)
-    with pytest.raises(ArithmeticError, match="ambiguous spectral gap for rank 2"):
-        regrep._check_spectral_gap(np.array([1e-3, 1.0, 2.0]), 2)
-    with pytest.raises(ArithmeticError, match="ambiguous spectral gap for rank 0"):
-        regrep._check_spectral_gap(np.array([0.0, 1.0]), 0)
-
-
-def test_basis_gap_check_guards_the_prime_path(monkeypatch):
-    # A rank claimed one too high must still be caught: the float gap is
-    # confirmed when the subspace's orthonormal basis is built.
+def test_rank_claimed_one_too_high_fails_the_trace_check(fresh_caches, monkeypatch):
+    # A rank claimed one too high must still be caught: certificate (c)
+    # compares the trace of N! P_{A_1} with N! times the claimed rank 27.
     true_rank = regrep.exact_rank
-    monkeypatch.setattr(regrep, "exact_rank", lambda gram: true_rank(gram) + 1)
-    with pytest.raises(ArithmeticError, match="ambiguous spectral gap for rank 27"):
-        regrep._make_subspace(6, regrep.assignments(6, 1))
+
+    def over(gram):
+        r, pivots = true_rank(gram)
+        return r + 1, pivots
+
+    monkeypatch.setattr(regrep, "exact_rank", over)
+    with pytest.raises(ArithmeticError, match=r"a_projector\(6, 1\): \(c\) trace 18720 is not 720 \* rank 27"):
+        regrep.a_projector(6, 1)
 
 
 def test_exact_rank_matches_numpy_on_spanning_sets():
     for n in (3, 4):
         for k in range(n):
             rows = regrep._indicator_rows(n, regrep.assignments(n, k))
-            assert regrep.exact_rank(regrep._gram_int(rows)) == np.linalg.matrix_rank(rows.astype(float))
+            assert regrep.exact_rank(regrep._gram_int(rows))[0] == np.linalg.matrix_rank(rows.astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -572,18 +580,13 @@ def test_subspace_dims_match_prediction():
 
 def test_subspace_a_y_zero():
     s = regrep.subspace_a_y(4, 0, 2)
-    assert s.dim == 0 and s.basis.shape == (24, 0)
+    assert s.dim == 0 and s.span.shape == (0, 24)
 
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_subspace_a_y_checks_the_challenge(k):
     with pytest.raises(ValueError, match="challenge 99 not in range"):
         regrep.subspace_a_y(4, k, 99)
-
-
-def test_basis_orthonormal():
-    s = regrep.subspace_a(4, 2)
-    assert np.allclose(s.basis.T @ s.basis, np.eye(s.dim), atol=1e-12)
 
 
 def test_high_projection_rank_and_contract():
@@ -594,14 +597,39 @@ def test_high_projection_rank_and_contract():
         assert np.abs(p @ p - p).max() <= 1e-8
 
 
-@pytest.mark.parametrize("n, ys", [(3, range(3)), (4, range(4)), (5, range(5)), (6, [3])])
+@pytest.mark.parametrize("n, ys", [(3, range(3)), (4, range(4)), (5, range(5)), (6, range(6))])
 def test_derived_high_projection_matches_constructive_build(n, ys):
-    # P_y for y != 0 is derived from P_0 by relabeling; an independent
-    # construction keeps the relabeling check of change_of_challenge_check
-    # from being a tautology.
+    # D P_y for y != 0 is derived from D P_0 by relabeling; the direct build
+    # from the Stab(y) character sums must give the very same integers, which
+    # keeps the relabeling check of change_of_challenge_check from being a
+    # tautology.
+    branches = [
+        (young.bar(t, n), [young.bar(rho, n - 1) for rho in young.removable(t)])
+        for t in young.valid_thetas(n)
+        if t
+    ]
     for y in ys:
-        built = regrep._build_high_projection(n, y)
-        assert np.abs(regrep.high_projection(n, y) - built).max() <= 1e-10
+        assert np.array_equal(regrep._branch_sum(n, y, branches), regrep._scaled_high(n, y)), y
+
+
+def _row_space_projector(vectors) -> np.ndarray:
+    """Float projector onto the span of the rows, by SVD."""
+    u, s, _ = np.linalg.svd(np.asarray(vectors, dtype=float).T, full_matrices=False)
+    q = u[:, s > 1e-9 * s.max(initial=0)]
+    return q @ q.T
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_high_projection_matches_an_svd_of_the_constructive_increments(n):
+    # The float reference, test-side only: the increments A_i^0 with A_{i-1}
+    # projected out, each made orthonormal by SVD, and their projectors summed.
+    f = factorial(n)
+    total = np.zeros((f, f))
+    for i in range(1, n):
+        prev = _row_space_projector(regrep._indicator_rows(n, regrep.assignments(n, i - 1)))
+        rows = regrep._indicator_rows(n, regrep.assignments_with_image(n, i, 0))
+        total += _row_space_projector(rows @ (np.eye(f) - prev))
+    assert np.abs(regrep.high_projection(n, 0) - total).max() <= 1e-12
 
 
 def test_high_projection_kills_uniform_vector():
@@ -640,22 +668,38 @@ def test_build_m_n4_trace_and_psd():
     assert np.linalg.eigvalsh(m)[0] >= -1e-9
 
 
+def isotypic_projector(n: int, lam) -> np.ndarray:
+    """Float projector onto the isotypic component of lam: d_lam / N! times
+    the character sum over the right action |pi> -> |pi g^-1>.  The
+    two-sided isotypic component coincides with the one-sided one, so it has
+    rank d_lam^2.  The float reference for the central element."""
+    f = factorial(n)
+    elem_class, types = regrep._class_data(n)
+    chars = np.array([young.character(lam, ct) for ct in types], dtype=float)
+    comp, inv = regrep.composition_table(n), regrep.inverse_indices(n)
+    p = np.zeros((f, f))
+    cols = np.arange(f)
+    for g in range(f):
+        p[comp[:, inv[g]], cols] += chars[elem_class[g]]
+    return p * (young.dim(lam) / f)
+
+
 def test_isotypic_projector_trivial_block():
-    p = regrep.isotypic_projector(4, (4,))
+    p = isotypic_projector(4, (4,))
     v = assignment_vector(4, ())
     assert abs(np.trace(p) - 1) < 1e-8
     assert np.allclose(p @ v, v, atol=1e-10)
 
 
 def test_isotypic_ranks_n3():
-    ranks = [round(float(np.trace(regrep.isotypic_projector(3, lam)))) for lam in young.partitions(3)]
+    ranks = [round(float(np.trace(isotypic_projector(3, lam)))) for lam in young.partitions(3)]
     assert ranks == [1, 4, 1]
 
 
 def test_isotypic_orthogonality_and_resolution():
     n = 4
     lams = young.partitions(n)
-    projs = [regrep.isotypic_projector(n, lam) for lam in lams]
+    projs = [isotypic_projector(n, lam) for lam in lams]
     total = sum(projs)
     assert np.abs(total - np.eye(24)).max() <= 1e-10
     for i, p in enumerate(projs):
@@ -673,7 +717,7 @@ def test_character_from_isotypic_block_trace():
     f = factorial(n)
     cols = np.arange(f)
     for lam in young.partitions(n):
-        p = regrep.isotypic_projector(n, lam)
+        p = isotypic_projector(n, lam)
         d = young.dim(lam)
         for g in [(1, 0, 2, 3), (1, 2, 0, 3), (1, 2, 3, 0), (0, 1, 2, 3)]:
             rg = np.zeros((f, f))
@@ -687,19 +731,53 @@ def test_restriction_of_a_k_touches_only_low_levels():
     for k in range(n):
         pa = regrep.a_projector(n, k)
         for lam in young.partitions(n):
-            mass = float(np.trace(regrep.isotypic_projector(n, lam) @ pa))
+            mass = float(np.trace(isotypic_projector(n, lam) @ pa))
             if young.level(lam) <= k:
                 assert abs(mass - young.dim(lam) ** 2) < 1e-6
             else:
                 assert abs(mass) < 1e-8
 
 
-def test_branch_projector_residuals_small_n():
-    for n in (3, 4):
-        for y in range(n):
-            orth, recon = regrep.branch_projector_residuals(n, y)
-            assert orth <= 1e-8
-            assert recon <= 1e-8
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Fresh caches for the kept builders, so a mutated run certifies anew;
+    monkeypatch restores the shared ones afterwards."""
+    kept = ("subspace_a", "subspace_a_y", "_scaled_a", "a_projector", "_scaled_high_0", "_high_projection_0", "_scaled_m")
+    for name in kept:
+        monkeypatch.setattr(regrep, name, cache(getattr(regrep, name).__wrapped__))
+
+
+def test_each_certificate_check_can_fail():
+    # 6 P_{A_1} at n = 3 has rank 1 + 2^2 = 5 and holds A_1, not A_2 (all of C^6).
+    p = regrep._scaled_a(3, 1)
+    regrep._certify("P", p, 6, 5, [regrep.subspace_a(3, 1).span.T])
+    skew = p.astype(np.int64)
+    skew[0, 1] += 1
+    with pytest.raises(ArithmeticError, match=r"P: \(a\) not symmetric"):
+        regrep._certify("P", skew, 6, 5)
+    with pytest.raises(ArithmeticError, match=r"P: \(b\) its square is not 6 times itself"):
+        regrep._certify("P", 2 * p, 6, 5)
+    with pytest.raises(ArithmeticError, match=r"P: \(c\) trace 30 is not 6 \* rank 4"):
+        regrep._certify("P", p, 6, 4)
+    with pytest.raises(ArithmeticError, match=r"P: \(d\) moves a vector its range must hold"):
+        regrep._certify("P", p, 6, 5, [regrep.subspace_a(3, 2).span.T])
+    with pytest.raises(ArithmeticError, match="integer product bound .* is not below 2"):
+        regrep._certify("P", p, 6, 5, [np.full((6, 1), 2**50)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_certified_projectors_to_n6(n):
+    # Traces are the predicted ranks times the scale, D P_0 + D L_0 == D I,
+    # and the integers stay far inside int64 and the exact float64 products.
+    d, f = regrep._scale(n), factorial(n)
+    dq = regrep._scaled_high(n, 0)
+    assert np.trace(dq) == d * regrep.predicted_high_rank(n)
+    for k in range(n):
+        assert np.trace(regrep._scaled_a(n, k), dtype=np.int64) == f * regrep.predicted_a_dim(n, k)
+    assert np.abs(dq).max() <= {3: 6, 4: 84, 5: 1800, 6: 56280}[n]
+    assert np.abs(regrep._scaled_m(n)).max() <= {3: 18, 4: 336, 5: 9000, 6: 337680}[n]
+    dl = regrep._scaled_low(n, 0)  # certified by (a)-(c) as it is built
+    assert np.array_equal(dq + dl, d * np.eye(f, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +804,7 @@ def test_spectrum_n4_merges_equal_eigenvalues():
 def test_spectrum_n5_passes():
     rep = regrep.spectrum(5)
     assert rep.passed
-    assert rep.central_residual <= 1e-8 / factorial(5)
+    assert rep.central_residual == 0
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -734,10 +812,10 @@ def test_central_element_is_the_weighted_sum_of_isotypic_projectors(n):
     # Second construction of C_f: sum_lam e_lam Pi_lam from the character
     # sums of isotypic_projector, not from the class-function gather.
     total = sum(
-        float(young.eigenvalue_m(lam, n)) * regrep.isotypic_projector(n, lam)
+        float(young.eigenvalue_m(lam, n)) * isotypic_projector(n, lam)
         for lam in young.partitions(n)
     )
-    assert np.abs(regrep._central_element(n) - total).max() <= 1e-12
+    assert np.abs(regrep._central_element(n) / regrep._scale(n) - total).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -747,7 +825,7 @@ def test_dense_block_residuals_stay_within_the_old_tolerances(n):
     # residual bound implies both tolerances; this recomputes them directly.
     m = regrep.build_m(n)
     lams = young.partitions(n)
-    projs = {lam: regrep.isotypic_projector(n, lam) for lam in lams}
+    projs = {lam: isotypic_projector(n, lam) for lam in lams}
     block = max(
         np.abs(m @ projs[lam] - float(young.eigenvalue_m(lam, n)) * projs[lam]).max()
         for lam in lams
@@ -757,16 +835,16 @@ def test_dense_block_residuals_stay_within_the_old_tolerances(n):
     )
     assert block <= 1e-7
     assert off_block <= 1e-8
-    assert regrep.spectrum(n).central_residual <= 1e-8 / factorial(n)
+    assert regrep.spectrum(n).central_residual == 0
 
 
 def test_spectrum_fails_on_a_relabeled_m_with_the_same_eigenvalues(monkeypatch):
     # A relabeling of the N! basis vectors keeps every eigenvalue and
-    # multiplicity, so each block still matches; only M = C_f can see it.
+    # multiplicity, so each block still matches; only D M == D C_f can see it.
     n = 4
-    m = regrep.build_m(n)
+    dm = regrep._scaled_m(n)
     p = np.random.default_rng(0).permutation(factorial(n))
-    monkeypatch.setattr(regrep, "build_m", lambda n: m[np.ix_(p, p)])
+    monkeypatch.setattr(regrep, "_scaled_m", lambda n: dm[np.ix_(p, p)])
     rep = regrep.spectrum(n)
     assert all(b.ok for b in rep.blocks)
     assert rep.central_residual > 0.1
@@ -782,7 +860,7 @@ def test_spectrum_fails_on_a_shifted_eigenvalue_prediction(monkeypatch):
 
     monkeypatch.setattr(young, "eigenvalue_m", shifted)
     rep = regrep.spectrum(n)
-    assert rep.central_residual > 1e-8 / factorial(n)
+    assert rep.central_residual > 0
     assert not rep.passed
 
 
@@ -801,7 +879,7 @@ def test_spectrum_eigenvalue_readout_fails_by_itself(shift, passes, monkeypatch)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", moved)
     rep = regrep.spectrum(n)
-    assert rep.central_residual <= 1e-8 / factorial(n)
+    assert rep.central_residual == 0
     assert rep.passed is passes
     top = [b for b in rep.blocks if b.e_predicted == 4]
     assert {b.lam for b in top} == {(2, 2), (1, 1, 1, 1)}
@@ -849,36 +927,37 @@ def test_change_of_challenge_random():
     rep = regrep.change_of_challenge_check(4, trials=20, seed=0)
     assert rep.passed
     rep3 = regrep.change_of_challenge_check(3, trials=10, seed=1)
-    assert rep3.max_commutation_residual <= 1e-12
+    assert rep3.max_commutation_residual == 0
 
 
 def _moved_pair(a: np.ndarray) -> np.ndarray:
-    """a with one symmetric off-diagonal pair moved by 1e-6."""
+    """a with one symmetric off-diagonal pair moved by 1, the least change
+    of an integer matrix."""
     b = a.copy()
-    b[1, 2] += 1e-6
-    b[2, 1] += 1e-6
+    b[1, 2] += 1
+    b[2, 1] += 1
     b.setflags(write=False)
     return b
 
 
 def test_change_of_challenge_fails_on_a_moved_high_projector(monkeypatch):
     n = 4
-    regrep.build_m(n)  # M stays the true sum; only P_0 moves
-    moved = _moved_pair(regrep._high_projection_0(n))
-    monkeypatch.setattr(regrep, "_high_projection_0", lambda n: moved)
+    regrep._scaled_m(n)  # D M stays the true sum; only D P_0 moves
+    moved = _moved_pair(regrep._scaled_high_0(n))
+    monkeypatch.setattr(regrep, "_scaled_high_0", lambda n: moved)
     rep = regrep.change_of_challenge_check(n, trials=20, seed=0)
-    assert rep.max_conjugation_residual >= 0.5e-6
-    assert rep.max_commutation_residual <= 1e-8
+    assert rep.max_conjugation_residual == 1 / regrep._scale(n)
+    assert rep.max_commutation_residual == 0
     assert not rep.passed
 
 
 def test_change_of_challenge_fails_on_a_moved_m(monkeypatch):
     n = 4
-    moved = _moved_pair(regrep.build_m(n))
-    monkeypatch.setattr(regrep, "build_m", lambda n: moved)
+    moved = _moved_pair(regrep._scaled_m(n))
+    monkeypatch.setattr(regrep, "_scaled_m", lambda n: moved)
     rep = regrep.change_of_challenge_check(n, trials=20, seed=0)
-    assert rep.max_conjugation_residual <= 1e-8
-    assert rep.max_commutation_residual >= 0.5e-6
+    assert rep.max_conjugation_residual == 0
+    assert rep.max_commutation_residual == 1 / regrep._scale(n)
     assert not rep.passed
 
 
@@ -896,7 +975,7 @@ def test_decomposition_report_n4_n5():
         assert all(row["ok"] for row in rep.a_dims)
         assert all(row["ok"] for row in rep.high_ranks)
         assert all(row["ok"] for row in rep.low_ranks)
-        assert rep.chain_residual <= 1e-8
-        assert rep.complement_residual <= 1e-8
+        assert rep.chain_residual == 0
+        assert rep.complement_residual == 0
         highs = {row["rank"] for row in rep.high_ranks}
         assert len(highs) == 1  # independent of y
