@@ -189,6 +189,7 @@ def cmd_lemma_check(args) -> int:
                 "ok": good,
             }
         )
+        del program  # free its unitaries before the next one is drawn
     report = {
         "n": args.n,
         "p": args.p,

@@ -281,14 +281,21 @@ def run_bit_fixing(
     return _game(program, layout, ys)[0]
 
 
+def _project(proj: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """proj @ flat for a real projector and complex columns, as one real
+    product over the interleaved real and imaginary parts, so the projector
+    is never copied to complex."""
+    flat = np.ascontiguousarray(flat, dtype=np.complex128)
+    return (proj @ flat.view(np.float64)).view(np.complex128)
+
+
 def support_residual(amps: np.ndarray, k: int) -> float:
     """Norm of the oracle-side component outside A_k after k queries."""
     n = amps.shape[1]
     if k >= n - 1:  # A_{n-1} is already the whole group algebra
         return 0.0
-    proj = regrep.a_projector(n, k)
     flat = amps.reshape(factorial(n), -1)
-    resid = flat - proj @ flat
+    resid = flat - _project(regrep.a_projector(n, k), flat)
     return float(np.linalg.norm(resid))
 
 
@@ -298,9 +305,8 @@ def support_residual(amps: np.ndarray, k: int) -> float:
 
 def _high_mass(amps: np.ndarray, y: int) -> float:
     n = amps.shape[1]
-    proj = regrep.high_projection(n, y)
     flat = amps.reshape(factorial(n), -1)
-    return float(np.linalg.norm(proj @ flat))
+    return float(np.linalg.norm(_project(regrep.high_projection(n, y), flat)))
 
 
 @dataclass

@@ -18,6 +18,9 @@ D = N! (N-1)!.  Each is certified exactly against the certified ranks and
 spanning vectors: symmetric, idempotent, of the certified trace, and fixing
 the subspace it must hold.  Only the challenge-0 high projector is kept; the
 others are its relabelings by range transpositions, gathered on each call.
+Each integer type is the narrowest that a bound checked beforehand proves
+exact: products and Gram sums run in float32 while every partial sum stays
+below 2^24 and in float64 below 2^53, and D P_0 and D M are kept as int32.
 Floats enter at the public readers, which divide by the scale, and at the
 eigensolves.
 
@@ -173,6 +176,20 @@ def _indicator_rows(n: int, alphas) -> np.ndarray:
 # for the upper bound.
 
 
+def _max_abs(a: np.ndarray) -> int:
+    """max |a| of an array of integers, 0 when empty, without an abs copy."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _exact_float(bound: int) -> type:
+    """The float type for an integer product or sum whose partial sums are
+    bounded by bound in magnitude: float32 below 2^24, float64 otherwise.
+    Every integer below 2^24 is a float32, so each product and partial sum
+    is exact and any summation order gives the same bits (Dumas, Giorgi and
+    Pernet, ACM TOMS 2008); the callers check the float64 range."""
+    return np.float32 if bound < 2**24 else np.float64
+
+
 def _gram_int(rows: np.ndarray) -> np.ndarray:
     """Exact integer Gram matrix of an integer row matrix, on the smaller side.
 
@@ -180,15 +197,15 @@ def _gram_int(rows: np.ndarray) -> np.ndarray:
     at a time, so the rows never exist in float whole.  Each entry is a sum
     of L = max(m, d) products of magnitude at most c^2, c the largest entry,
     and so is every partial sum.  While L c^2 < 2^24 (5400 for 0/1 rows at
-    N = 6) every partial sum is an integer float32 holds exactly; above
-    that, float64 holds them exactly while the largest entry of G, which
-    bounds every partial sum by Cauchy-Schwarz, is below 2^52.  Either way
-    any chunking gives the same bits.
+    N = 6) the sums run in float32 (_exact_float); above that, float64 holds
+    them exactly while the largest entry of G, which bounds every partial
+    sum by Cauchy-Schwarz, is below 2^52.  Either way any chunking gives the
+    same bits.
     """
     m, d = rows.shape
     lines = rows if m > d else rows.T
-    c = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
-    dtype = np.float32 if max(m, d) * c * c < 2**24 else np.float64
+    c = _max_abs(rows)
+    dtype = _exact_float(max(m, d) * c * c)
     g = np.zeros((lines.shape[1],) * 2, dtype=dtype)
     for start in range(0, lines.shape[0], _GRAM_ROWS):
         chunk = lines[start : start + _GRAM_ROWS].astype(dtype)
@@ -300,12 +317,13 @@ def _kernel_witness(gram: np.ndarray, pivots: list[int]) -> np.ndarray:
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for integer matrices, as int64.  Every partial sum is an integer
     of magnitude at most d * max|a| * max|b|, d the inner dimension, so the
-    float64 product is exact once that bound is checked to be below 2^53."""
-    bound = a.shape[1] * float(np.abs(a).max(initial=0)) * float(np.abs(b).max(initial=0))
+    product is exact in float32 while that bound is below 2^24 and in
+    float64 while it is below 2^53; above that it raises."""
+    bound = a.shape[1] * _max_abs(a) * _max_abs(b)
     if not bound < 2**53:
-        raise ArithmeticError(f"integer product bound {bound:.3e} is not below 2^53")
-    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-    return prod.astype(np.int64)
+        raise ArithmeticError(f"integer product bound {float(bound):.3e} is not below 2^53")
+    dtype = _exact_float(bound)
+    return (np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype)).astype(np.int64)
 
 
 def _check_kernel_witness(gram: np.ndarray, k: np.ndarray) -> None:
@@ -420,8 +438,8 @@ def _gather(n: int, column: np.ndarray) -> np.ndarray:
 def _moved(sp: np.ndarray, scale: int, vectors: np.ndarray) -> float:
     """max |sp w / scale - w| over the integer columns w of vectors, from an
     exact integer product: 0.0 exactly when sp / scale fixes every one."""
-    w = np.asarray(vectors, dtype=np.int64)
-    return float(np.abs(_exact_matmul(sp, w) - scale * w).max(initial=0)) / scale
+    diff = _exact_matmul(sp, vectors) - np.int64(scale) * vectors
+    return float(np.abs(diff).max(initial=0)) / scale
 
 
 def _certify(name: str, sp: np.ndarray, scale: int, rank: int, fixed=()) -> None:
@@ -521,9 +539,9 @@ def _high_increments(n: int, y: int) -> tuple[float, list[np.ndarray]]:
     f = factorial(n)
     outside, increments = 0.0, []
     for i in range(1, n):
-        v = subspace_a_y(n, i, y).span.T.astype(np.int64)
+        v = subspace_a_y(n, i, y).span.T  # int8, cast only by the products
         outside = max(outside, _moved(_scaled_a(n, i), f, v))
-        increments.append(f * v - _exact_matmul(_scaled_a(n, i - 1), v))
+        increments.append(np.int64(f) * v - _exact_matmul(_scaled_a(n, i - 1), v))
     return outside, increments
 
 
@@ -542,13 +560,22 @@ def _scaled_high_0(n: int) -> np.ndarray:
     bar(theta) and mu = bar(rho), certified by (a)-(d) against the
     increments of _high_increments.  With the certified trace, (d) forces
     each increment to its least dimension, so A_{i-1} < A_i^0 < A_i, and
-    P_0 is the projector onto their sum."""
+    P_0 is the projector onto their sum.
+
+    Kept as int32, as is D M, the sum of its n relabelings.  Every entry of
+    D M, and every difference of two that change_of_challenge_check takes,
+    is at most 2 n max|D P_0| in magnitude, checked below 2^31 before the
+    narrowing (675360 at N = 6)."""
     branches = [
         (young.bar(t, n), [young.bar(rho, n - 1) for rho in young.removable(t)])
         for t in young.valid_thetas(n)
         if t
     ]
     dq = _branch_sum(n, 0, branches)
+    bound = 2 * n * _max_abs(dq)
+    if bound >= 2**31:
+        raise OverflowError(f"D P_0 too large for int32: 2 n max|D P_0| = {bound} is not below 2^31")
+    dq = dq.astype(np.int32)
     outside, increments = _high_increments(n, 0)
     if outside:
         raise ArithmeticError(f"high_projection({n}, 0): some A_i^0 is not inside A_i")
@@ -570,6 +597,11 @@ def _challenge_relabeling(n: int, y: int) -> np.ndarray:
     return composition_table(n)[perm_index_map(n)[tuple(tau)], :]
 
 
+def _permuted(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a[idx][:, idx], as two contiguous takes."""
+    return a.take(idx, axis=0).take(idx, axis=1)
+
+
 def _relabeled(a: np.ndarray, n: int, y: int) -> np.ndarray:
     """The challenge-y matrix from the challenge-0 one.  The range
     transposition tau = (0 y) maps A_k^0 onto A_k^y and fixes A_k, so rows
@@ -577,8 +609,7 @@ def _relabeled(a: np.ndarray, n: int, y: int) -> np.ndarray:
     call rather than kept."""
     if y == 0:
         return a
-    perm = _challenge_relabeling(n, y)
-    return a[np.ix_(perm, perm)]
+    return _permuted(a, _challenge_relabeling(n, y))
 
 
 def _scaled_high(n: int, y: int) -> np.ndarray:
@@ -623,7 +654,8 @@ def low_projection(n: int, y: int) -> np.ndarray:
 
 @cache
 def _scaled_m(n: int) -> np.ndarray:
-    """D M, the sum of the relabeled D P_y over all challenges."""
+    """D M, the sum of the relabeled D P_y over all challenges, int32 under
+    the bound _scaled_high_0 checks."""
     _check_n(n)
     dm = sum(_scaled_high(n, y) for y in range(n))
     dm.setflags(write=False)
@@ -807,8 +839,8 @@ def avg_bound_check(n: int, k: int, samples: int = 100, seed: int = 0) -> AvgBou
 
 
 def _relabeling_residual(a: np.ndarray, idx: np.ndarray) -> float:
-    """max |a[idx][:, idx] - a|, from one gathered copy of a."""
-    d = a[np.ix_(idx, idx)]
+    """max |a[idx][:, idx] - a|, from one gathered copy of a, in a's dtype."""
+    d = _permuted(a, idx)
     d -= a
     return float(np.abs(d, out=d).max())
 

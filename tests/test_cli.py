@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from functools import cache
 
@@ -253,6 +254,24 @@ def test_lemma_check_plays_each_game_once(capsys, monkeypatch):
     code, _ = run_cli(["lemma-check", "--n", "3", "--programs", "3"], capsys)
     assert code == 0
     assert len(calls) == 3
+
+
+def test_lemma_check_drops_each_program_before_the_next_draw(capsys, monkeypatch):
+    # A program at n = 5, w = 8 holds about 15 MB of unitaries; only one may
+    # be alive at a time.
+    drawn = []
+
+    def tracking(*args, **kwargs):
+        assert all(ref() is None for ref in drawn), "the previous program is still alive"
+        program = random_program(*args, **kwargs)
+        drawn.append(weakref.ref(program))
+        return program
+
+    random_program = querysim.random_program
+    monkeypatch.setattr(querysim, "random_program", tracking)
+    code, _ = run_cli(["lemma-check", "--n", "3", "--programs", "3"], capsys)
+    assert code == 0
+    assert len(drawn) == 3
 
 
 def test_decomp_check_cli(capsys):

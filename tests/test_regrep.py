@@ -519,6 +519,38 @@ def test_gram_past_the_float32_range_is_exact_or_refused(chunk, monkeypatch):
         regrep._gram_int(np.array([[2**26]]))
 
 
+def test_exact_matmul_just_below_2_24_runs_in_float32_and_is_exact(monkeypatch):
+    # d max|a| max|b| = 256 * 255^2 = 2^24 - 2^17 + 2^8: float32, and
+    # the all-255 row and column reach that bound in one entry.
+    chosen = []
+    exact_float = regrep._exact_float
+
+    def recording(bound):
+        chosen.append(exact_float(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(regrep, "_exact_float", recording)
+    rng = np.random.default_rng(0)
+    a = rng.integers(-255, 256, size=(300, 256)).astype(np.int16)
+    b = rng.integers(-255, 256, size=(256, 200)).astype(np.int16)
+    a[0], b[:, 0] = 255, 255
+    prod = regrep._exact_matmul(a, b)
+    assert chosen == [np.float32]
+    assert prod.dtype == np.int64 and prod[0, 0] == 256 * 255**2
+    assert np.array_equal(prod, a.astype(np.int64) @ b.astype(np.int64))
+
+
+def test_exact_matmul_past_the_float32_range_is_exact(monkeypatch):
+    # 4096^2 + 1 = 2^24 + 1 has no float32; the product must not round to 2^24.
+    a = np.array([[4096, 1], [4095, 3]])
+    b = np.array([[4096, 0], [1, 3]])
+    expected = [[2**24 + 1, 3], [4095 * 4096 + 3, 9]]
+    assert regrep._exact_matmul(a, b).tolist() == expected
+    # A float32 product, whatever the bound, rounds 2^24 + 1 and is caught.
+    monkeypatch.setattr(regrep, "_exact_float", lambda bound: np.float32)
+    assert regrep._exact_matmul(a, b).tolist() != expected
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_basis_from_shared_gram_is_the_row_basis(n):
     # The spanning vectors read off the pivots of the shared Gram matrix, on
@@ -768,7 +800,8 @@ def test_each_certificate_check_can_fail():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_certified_projectors_to_n6(n):
     # Traces are the predicted ranks times the scale, D P_0 + D L_0 == D I,
-    # and the integers stay far inside int64 and the exact float64 products.
+    # and D P_0 and D M are int32 with 2 n max|D P_0| < 2^31, so every entry
+    # of D M and every difference of two of them is an int32 too.
     d, f = regrep._scale(n), factorial(n)
     dq = regrep._scaled_high(n, 0)
     assert np.trace(dq) == d * regrep.predicted_high_rank(n)
@@ -776,6 +809,8 @@ def test_certified_projectors_to_n6(n):
         assert np.trace(regrep._scaled_a(n, k), dtype=np.int64) == f * regrep.predicted_a_dim(n, k)
     assert np.abs(dq).max() <= {3: 6, 4: 84, 5: 1800, 6: 56280}[n]
     assert np.abs(regrep._scaled_m(n)).max() <= {3: 18, 4: 336, 5: 9000, 6: 337680}[n]
+    assert dq.dtype == regrep._scaled_m(n).dtype == np.int32
+    assert 2 * n * np.abs(dq).max() < 2**31
     dl = regrep._scaled_low(n, 0)  # certified by (a)-(c) as it is built
     assert np.array_equal(dq + dl, d * np.eye(f, dtype=np.int64))
 
@@ -959,6 +994,40 @@ def test_change_of_challenge_fails_on_a_moved_m(monkeypatch):
     assert rep.max_conjugation_residual == 0
     assert rep.max_commutation_residual == 1 / regrep._scale(n)
     assert not rep.passed
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        (357913942, r"D P_0 too large for int32: 2 n max\|D P_0\| = 2147483652 is not below 2\^31"),
+        (357913941, "Gram entries too large"),  # inside the int32 bound: refused by (b)
+    ],
+    ids=["past", "inside"],
+)
+def test_int32_guard_refuses_a_high_projector_past_the_bound(entry, reason, fresh_caches, monkeypatch):
+    # At n = 3 the guard 2 n max|D P_0| < 2^31 admits entries up to 357913941.
+    branch_sum = regrep._branch_sum
+
+    def grown(n, y, branches):
+        dq = branch_sum(n, y, branches)
+        dq[1, 2] = dq[2, 1] = entry
+        return dq
+
+    monkeypatch.setattr(regrep, "_branch_sum", grown)
+    with pytest.raises(OverflowError, match=reason):
+        regrep._scaled_high_0(3)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_relabeling_residual_matches_the_ix_gather(dtype):
+    rng = np.random.default_rng(7)
+    for f in (6, 24, 120):
+        a = rng.integers(-337680, 337681, size=(f, f)).astype(dtype)
+        for _ in range(5):
+            idx = rng.permutation(f)
+            expected = float(np.abs(a[np.ix_(idx, idx)].astype(np.int64) - a).max())
+            assert regrep._relabeling_residual(a, idx) == expected
+        assert regrep._relabeling_residual(a, np.arange(f)) == 0.0
 
 
 @pytest.mark.parametrize("trials", [0, -1])
