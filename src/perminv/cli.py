@@ -142,8 +142,8 @@ def cmd_young(args) -> int:
             table.append({"lambda": list(lam), "values": {str(list(c)): v for c, v in values.items()}})
         return _emit(args, {"n": n, "classes": [list(c) for c in classes], "characters": table}, ok)
     if mode == "eigenvalues":
-        rows = [{"lambda": list(l), "e": _frac(young.eigenvalue_m(l, n))} for l in lams]
-        ok = all(young.eigenvalue_m(l, n) <= 2 * young.level(l) for l in lams)
+        rows = [{"lambda": list(l), "e": _frac(young.eigenvalue_m(l))} for l in lams]
+        ok = all(young.eigenvalue_m(l) <= 2 * young.level(l) for l in lams)
         return _emit(args, {"n": n, "eigenvalues": rows}, ok)
     raise AssertionError(f"unhandled mode {mode}")
 

@@ -194,24 +194,27 @@ def _gram_int(rows: np.ndarray) -> np.ndarray:
     """Exact integer Gram matrix of an integer row matrix, on the smaller side.
 
     The longer side is summed over float copies of _GRAM_ROWS of its lines
-    at a time, so the rows never exist in float whole.  Each entry is a sum
-    of L = max(m, d) products of magnitude at most c^2, c the largest entry,
-    and so is every partial sum.  While L c^2 < 2^24 (5400 for 0/1 rows at
-    N = 6) the sums run in float32 (_exact_float); above that, float64 holds
-    them exactly while the largest entry of G, which bounds every partial
-    sum by Cauchy-Schwarz, is below 2^52.  Either way any chunking gives the
-    same bits.
+    at a time, so the rows never exist in float whole.  The float type comes
+    from one bound read before the sum: the largest diagonal entry of G,
+    the largest squared column norm of the lines.  By Cauchy-Schwarz it
+    bounds every product and every partial sum of every entry, so the sums
+    run in float32 while it is below 2^24 (_exact_float; at N = 6 it is at
+    most 20 for the 0/1 rows and 518400 for N! P_{A_k}) and in float64
+    below 2^52, and any chunking gives the same bits; from 2^52 on they are
+    refused.  The diagonal itself is summed in float64: its partial sums
+    are nonnegative and at most the total, so it is exact while the total
+    is below 2^53 and at least 2^52 otherwise.
     """
     m, d = rows.shape
     lines = rows if m > d else rows.T
-    c = _max_abs(rows)
-    dtype = _exact_float(max(m, d) * c * c)
+    bound = np.einsum("ij,ij->j", lines, lines, dtype=np.float64).max(initial=0)
+    if bound >= 2**52:
+        raise OverflowError("Gram entries too large for exact float accumulation")
+    dtype = _exact_float(int(bound))
     g = np.zeros((lines.shape[1],) * 2, dtype=dtype)
     for start in range(0, lines.shape[0], _GRAM_ROWS):
         chunk = lines[start : start + _GRAM_ROWS].astype(dtype)
         g += chunk.T @ chunk
-    if g.size and np.abs(g).max() >= 2**52:
-        raise OverflowError("Gram entries too large for exact float accumulation")
     return g.astype(np.int64)
 
 
@@ -464,6 +467,30 @@ def _certify(name: str, sp: np.ndarray, scale: int, rank: int, fixed=()) -> None
             raise ArithmeticError(f"{name}: (d) moves a vector its range must hold")
 
 
+def _up_to_level(n: int, k: int) -> list[Partition]:
+    """The diagrams of size n with at most k boxes below the first row."""
+    return [lam for lam in young.partitions(n) if young.level(lam) <= k]
+
+
+def _high_branches(n: int) -> list[tuple[Partition, list[Partition]]]:
+    """(lam, mus) for each lam of size n with a high branch: the mus are the
+    diagrams of removable(lam) other than its low branch trim_first_row(lam).
+    Only lam = (n,) has none."""
+    return [
+        (lam, [mu for mu in young.removable(lam) if mu != young.trim_first_row(lam)])
+        for lam in young.partitions(n)
+        if young.level(lam)
+    ]
+
+
+def _low_branches(n: int) -> list[tuple[Partition, list[Partition]]]:
+    """(lam, [trim_first_row(lam)]) for each lam of size n whose first row can
+    be trimmed.  With _high_branches these are all of removable(lam) for every
+    lam, which is why P_y + L_y = I: the branching rule."""
+    lams = [lam for lam in young.partitions(n) if young.trim_first_row(lam) is not None]
+    return [(lam, [young.trim_first_row(lam)]) for lam in lams]
+
+
 @cache
 def _scaled_a(n: int, k: int) -> np.ndarray:
     """N! P_{A_k} = sum of d_lam X_lam over the lam of level <= k, with
@@ -472,8 +499,7 @@ def _scaled_a(n: int, k: int) -> np.ndarray:
     chain A_{k-1} < A_k.  Kept as int16; no entry exceeds N! in magnitude."""
     sub = subspace_a(n, k)
     elem_class, types = _class_data(n)
-    lams = [lam for lam in young.partitions(n) if young.level(lam) <= k]
-    values = sum(young.dim(lam) * _characters(lam, types) for lam in lams)
+    values = sum(young.dim(lam) * _characters(lam, types) for lam in _up_to_level(n, k))
     sp = _gather(n, values[elem_class]).astype(np.int16)
     fixed = [sub.span.T] + ([subspace_a(n, k - 1).span.T] if k else [])
     _certify(f"a_projector({n}, {k})", sp, factorial(n), sub.dim, fixed)
@@ -556,22 +582,16 @@ def _low_rank(n: int, y: int) -> int:
 @cache
 def _scaled_high_0(n: int) -> np.ndarray:
     """D P_0, the one high projector that is built and kept: the branch sum
-    over the nonempty valid theta and rho in removable(theta), lam =
-    bar(theta) and mu = bar(rho), certified by (a)-(d) against the
-    increments of _high_increments.  With the certified trace, (d) forces
-    each increment to its least dimension, so A_{i-1} < A_i^0 < A_i, and
-    P_0 is the projector onto their sum.
+    over _high_branches, certified by (a)-(d) against the increments of
+    _high_increments.  With the certified trace, (d) forces each increment
+    to its least dimension, so A_{i-1} < A_i^0 < A_i, and P_0 is the
+    projector onto their sum.
 
     Kept as int32, as is D M, the sum of its n relabelings.  Every entry of
     D M, and every difference of two that change_of_challenge_check takes,
     is at most 2 n max|D P_0| in magnitude, checked below 2^31 before the
     narrowing (675360 at N = 6)."""
-    branches = [
-        (young.bar(t, n), [young.bar(rho, n - 1) for rho in young.removable(t)])
-        for t in young.valid_thetas(n)
-        if t
-    ]
-    dq = _branch_sum(n, 0, branches)
+    dq = _branch_sum(n, 0, _high_branches(n))
     bound = 2 * n * _max_abs(dq)
     if bound >= 2**31:
         raise OverflowError(f"D P_0 too large for int32: 2 n max|D P_0| = {bound} is not below 2^31")
@@ -635,12 +655,10 @@ def high_projection(n: int, y: int) -> np.ndarray:
 
 
 def _scaled_low(n: int, y: int) -> np.ndarray:
-    """D L_y, the branch sum over the valid theta with bar_star(theta) valid,
-    lam = bar(theta) and mu = bar_star(theta), built directly for each y and
-    certified by (a)-(c) against the rank sum of dim A_i - dim A_i^y."""
+    """D L_y, the branch sum over _low_branches, built directly for each y
+    and certified by (a)-(c) against the rank sum of dim A_i - dim A_i^y."""
     _check_challenge(n, y)
-    thetas = [t for t in young.valid_thetas(n) if young.bar_star(t, n) is not None]
-    dl = _branch_sum(n, y, [(young.bar(t, n), [young.bar_star(t, n)]) for t in thetas])
+    dl = _branch_sum(n, y, _low_branches(n))
     _certify(f"low_projection({n}, {y})", dl, _scale(n), _low_rank(n, y))
     return dl
 
@@ -683,7 +701,7 @@ def _central_element(n: int) -> np.ndarray:
     values = [
         float(
             factorial(n - 1)
-            * sum(young.eigenvalue_m(lam, n) * young.dim(lam) * young.character(lam, ct) for lam in lams)
+            * sum(young.eigenvalue_m(lam) * young.dim(lam) * young.character(lam, ct) for lam in lams)
         )
         for ct in types
     ]
@@ -695,26 +713,15 @@ def _central_element(n: int) -> np.ndarray:
 
 
 def predicted_a_dim(n: int, k: int) -> int:
-    thetas = young.valid_thetas(n)
-    return sum(young.dim(young.bar(t, n)) ** 2 for t in thetas if young.size(t) <= k)
+    return sum(young.dim(lam) ** 2 for lam in _up_to_level(n, k))
 
 
 def predicted_high_rank(n: int) -> int:
-    total = 0
-    for theta in young.valid_thetas(n):
-        d_bar = young.dim(young.bar(theta, n))
-        for rho in young.removable(theta):
-            total += d_bar * young.dim(young.bar(rho, n - 1))
-    return total
+    return sum(young.dim(lam) * young.dim(mu) for lam, mus in _high_branches(n) for mu in mus)
 
 
 def predicted_low_rank(n: int) -> int:
-    total = 0
-    for theta in young.valid_thetas(n):
-        star = young.bar_star(theta, n)
-        if star is not None:
-            total += young.dim(young.bar(theta, n)) * young.dim(star)
-    return total
+    return sum(young.dim(lam) * young.dim(mu) for lam, mus in _low_branches(n) for mu in mus)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +764,7 @@ def spectrum(n: int) -> SpectrumReport:
     """
     eigs = np.sort(np.linalg.eigvalsh(build_m(n)))
     lams = young.partitions(n)
-    e = {lam: young.eigenvalue_m(lam, n) for lam in lams}
+    e = {lam: young.eigenvalue_m(lam) for lam in lams}
     claimed = np.zeros(eigs.size, dtype=bool)
     blocks: list[SpectrumBlock] = []
     for lam in lams:
@@ -789,10 +796,8 @@ class AvgBoundReport:
 
 def max_level_eigenvalue(n: int, k: int) -> Fraction:
     """max of the block eigenvalue over diagrams with at most k boxes below
-    the first row (equivalently over valid bar shapes of size <= k)."""
-    thetas = (t for t in young.valid_thetas(n) if young.size(t) <= k)
-    levels = (young.eigenvalue_m(young.bar(t, n), n) for t in thetas)
-    return max(levels, default=Fraction(0))
+    the first row."""
+    return max((young.eigenvalue_m(lam) for lam in _up_to_level(n, k)), default=Fraction(0))
 
 
 def avg_bound_check(n: int, k: int, samples: int = 100, seed: int = 0) -> AvgBoundReport:

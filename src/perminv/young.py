@@ -5,11 +5,9 @@ tuple is the unique partition of 0. Everything here is exact: counts are
 Python ints, ratios are ``fractions.Fraction``. No floating point enters
 this module, so every identity it checks holds with zero slack.
 
-The one piece of notation worth spelling out: for ``theta`` of size k and a
-group size n, ``bar(theta, n)`` puts a first row of length n - k on top of
-theta, and ``bar_star(theta, n)`` a row of length n - k - 1 (one box
-shorter).  ``trim_first_row`` removes the last box of the first row.  These
-three constructions drive the eigenvalue formula ``eigenvalue_m``.
+Every irrep is named by its diagram lam alone.  The paper's notation, after
+Rosmanis (2022), reads off it: theta = lam[1:], theta-bar = lam, and
+theta-bar-star = trim_first_row(lam), which drives ``eigenvalue_m``.
 """
 
 from __future__ import annotations
@@ -114,40 +112,6 @@ def level(lam: Partition) -> int:
     return size(lam) - lam[0]
 
 
-def bar(theta: Partition, n: int) -> Partition:
-    """(n - k, theta) for k = size(theta); raises if not a valid diagram."""
-    k = size(theta)
-    if k > n:
-        raise ValueError(f"size({theta}) = {k} exceeds n = {n}")
-    first = n - k
-    if first == 0:
-        if theta:
-            raise ValueError(f"bar({theta}, {n}) has an empty first row")
-        return ()
-    if theta and first < theta[0]:
-        raise ValueError(f"bar({theta}, {n}): first row {first} < {theta[0]}")
-    return (first,) + tuple(theta)
-
-
-def has_bar(theta: Partition, n: int) -> bool:
-    k = size(theta)
-    if k > n:
-        return False
-    first = n - k
-    return first >= (theta[0] if theta else 0)
-
-
-def valid_thetas(n: int) -> list[Partition]:
-    """All theta (any size 0..n-1) whose bar diagram of size n is valid, by
-    increasing size."""
-    return [t for k in range(n) for t in partitions(k) if has_bar(t, n)]
-
-
-def bar_star(theta: Partition, n: int) -> Partition | None:
-    """(n - k - 1, theta) as a diagram of size n - 1, or None if invalid."""
-    return bar(theta, n - 1) if has_bar(theta, n - 1) else None
-
-
 def trim_first_row(lam: Partition) -> Partition | None:
     """lam with the last box of its first row removed; None if invalid."""
     if not lam:
@@ -161,35 +125,34 @@ def trim_first_row(lam: Partition) -> Partition | None:
     return (first,) + lam[1:]
 
 
-def eigenvalue_m(lam: Partition, n: int) -> Fraction:
+def eigenvalue_m(lam: Partition) -> Fraction:
     """Eigenvalue of the challenge-averaged operator on the lam block.
 
-    n * (1 - dim(trim_first_row(lam)) / dim(lam)), or exactly n when the
-    trimmed diagram does not exist.  Exact rational output.
+    n * (1 - dim(trim_first_row(lam)) / dim(lam)) for n = size(lam), or
+    exactly n when the trimmed diagram does not exist.  Exact rational output.
     """
     lam = check_partition(lam) if lam else ()
-    if size(lam) != n:
-        raise ValueError(f"size({lam}) != {n}")
+    n = size(lam)
     trimmed = trim_first_row(lam)
     if trimmed is None:
         return Fraction(n)
     return n * (1 - Fraction(dim(trimmed), dim(lam)))
 
 
-def ratio_bound_check(theta: Partition, n: int) -> tuple[Fraction, Fraction, bool]:
-    """Exact check of dim(bar_star)/dim(bar) >= (n - 2k)/n for theta of size k.
+def ratio_bound_check(lam: Partition) -> tuple[Fraction, Fraction, bool]:
+    """Exact check of dim(trim_first_row(lam))/dim(lam) >= (n - 2k)/n for
+    n = size(lam) and k = level(lam).
 
-    Returns (ratio, bound, holds).  Requires k <= n/2 and both bar shapes
-    valid, which pins the regime where the bound is claimed.
+    Returns (ratio, bound, holds).  Requires k <= n/2 and a valid trimmed
+    diagram, which pins the regime where the bound is claimed.
     """
-    k = size(theta)
+    n, k = size(lam), level(lam)
     if 2 * k > n:
-        raise ValueError(f"need size(theta) <= n/2, got {k} > {n}/2")
-    lam = bar(theta, n)
-    lam_star = bar_star(theta, n)
-    if lam_star is None:
-        raise ValueError(f"bar_star({theta}, {n}) is not a valid diagram")
-    ratio = Fraction(dim(lam_star), dim(lam))
+        raise ValueError(f"need level({lam}) <= n/2, got {k} > {n}/2")
+    trimmed = trim_first_row(lam)
+    if trimmed is None:
+        raise ValueError(f"trim_first_row({lam}) is not a valid diagram")
+    ratio = Fraction(dim(trimmed), dim(lam))
     bound = Fraction(n - 2 * k, n)
     return ratio, bound, ratio >= bound
 
@@ -241,9 +204,11 @@ def identities_report(max_n: int) -> dict:
 
     Checks, with zero tolerance: the branching sum for every diagram, the
     sum of squared dimensions against n!, the dimension-ratio lower bound
-    (n - 2k)/n for every theta of size k <= n/2 with both bar shapes valid,
-    the eigenvalue bound e <= 2k for every valid bar shape, and character
-    orthogonality up to n = 8.
+    (n - 2k)/n for every diagram of level k <= n/2 whose first row can be
+    trimmed, the eigenvalue bound e <= 2k for every diagram of level k, and
+    character orthogonality up to n = 8; the first four in one pass over the
+    diagrams of each n.  Ratio and eigenvalue failures name lam by
+    theta = lam[1:].
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -260,17 +225,17 @@ def identities_report(max_n: int) -> dict:
             total += d * d
             if d != sum(dim(mu) for mu in removable(lam)):
                 branching_failures.append({"n": n, "lambda": list(lam)})
+            k = level(lam)
+            if 2 * k <= n and trim_first_row(lam) is not None:
+                ratio_checked += 1
+                _, _, holds = ratio_bound_check(lam)
+                if not holds:
+                    ratio_failures.append({"n": n, "theta": list(lam[1:])})
+            eig_checked += 1
+            if eigenvalue_m(lam) > 2 * k:
+                eig_failures.append({"n": n, "theta": list(lam[1:])})
         if total != factorial(n):
             burnside_failures.append({"n": n, "sum": total})
-        for theta in valid_thetas(n):
-            if 2 * size(theta) <= n and bar_star(theta, n) is not None:
-                ratio_checked += 1
-                _, _, holds = ratio_bound_check(theta, n)
-                if not holds:
-                    ratio_failures.append({"n": n, "theta": list(theta)})
-            eig_checked += 1
-            if eigenvalue_m(bar(theta, n), n) > 2 * size(theta):
-                eig_failures.append({"n": n, "theta": list(theta)})
     char_max_n = 8
     orth_failures = []
     for n in range(1, char_max_n + 1):

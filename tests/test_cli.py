@@ -186,7 +186,7 @@ def test_criterion_01_can_fail(capsys, monkeypatch):
     # e on (2, 1) off by 1/N: neither the readout nor D M == D C_f holds.
     real = young.eigenvalue_m
     monkeypatch.setattr(
-        young, "eigenvalue_m", lambda lam, n: real(lam, n) + (Fraction(1, n) if lam == (2, 1) else 0)
+        young, "eigenvalue_m", lambda lam: real(lam) + (Fraction(1, 3) if lam == (2, 1) else 0)
     )
     code, out = run_cli(["spectrum", "--n", "3"], capsys)
     payload = json.loads(out)
@@ -372,8 +372,10 @@ def _wrong_character(monkeypatch):
 
 
 def _dropped_rho(monkeypatch):
+    # The first corner of (2, 2, 1) dropped: D P_0 misses its high branch
+    # (2, 1, 1), the one of rho = (1, 1) for theta = (2, 1).
     real = young.removable
-    monkeypatch.setattr(young, "removable", lambda lam: real(lam)[:1] if lam == (2, 1) else real(lam))
+    monkeypatch.setattr(young, "removable", lambda lam: real(lam)[1:] if lam == (2, 2, 1) else real(lam))
 
 
 def _wrong_level_set(monkeypatch):

@@ -495,8 +495,8 @@ def test_chunked_gram_matches_closed_forms(monkeypatch):
 
 
 def test_float32_gram_is_exact_on_the_tall_n6_sets():
-    # The six tall N = 6 spanning sets, A_3..A_5 and A_3^0..A_5^0: at most
-    # 5400 0/1 rows, so every partial sum is below 2^24 and runs in float32.
+    # The six tall N = 6 spanning sets, A_3..A_5 and A_3^0..A_5^0: 0/1 rows
+    # whose Gram diagonal is at most C(6, 3) = 20, so every sum runs in float32.
     n = 6
     for k in (3, 4, 5):
         for y in (None, 0):
@@ -504,6 +504,25 @@ def test_float32_gram_is_exact_on_the_tall_n6_sets():
             rows = regrep._indicator_rows(n, alphas)
             assert rows.shape[0] > rows.shape[1]
             assert np.array_equal(regrep._gram_int(rows), _perm_gram(n, k, y)), (k, y)
+
+
+def test_a_projector_gram_sums_run_in_float32_and_are_exact(monkeypatch):
+    # Certificate (b) of N! P_{A_k} at N = 6: the largest diagonal entry of
+    # its Gram matrix is at most 518400 < 2^24, so each sum runs in float32.
+    chosen = []
+    exact_float = regrep._exact_float
+
+    def recording(bound):
+        chosen.append(exact_float(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(regrep, "_exact_float", recording)
+    for k in range(6):
+        sp = regrep._scaled_a(6, k).astype(np.int64)
+        del chosen[:]
+        gram = regrep._gram_int(sp)
+        assert chosen == [np.float32], k
+        assert np.array_equal(gram, sp.T @ sp), k
 
 
 @pytest.mark.parametrize("chunk", [1, 512])
@@ -635,11 +654,7 @@ def test_derived_high_projection_matches_constructive_build(n, ys):
     # from the Stab(y) character sums must give the very same integers, which
     # keeps the relabeling check of change_of_challenge_check from being a
     # tautology.
-    branches = [
-        (young.bar(t, n), [young.bar(rho, n - 1) for rho in young.removable(t)])
-        for t in young.valid_thetas(n)
-        if t
-    ]
+    branches = regrep._high_branches(n)
     for y in ys:
         assert np.array_equal(regrep._branch_sum(n, y, branches), regrep._scaled_high(n, y)), y
 
@@ -847,7 +862,7 @@ def test_central_element_is_the_weighted_sum_of_isotypic_projectors(n):
     # Second construction of C_f: sum_lam e_lam Pi_lam from the character
     # sums of isotypic_projector, not from the class-function gather.
     total = sum(
-        float(young.eigenvalue_m(lam, n)) * isotypic_projector(n, lam)
+        float(young.eigenvalue_m(lam)) * isotypic_projector(n, lam)
         for lam in young.partitions(n)
     )
     assert np.abs(regrep._central_element(n) / regrep._scale(n) - total).max() <= 1e-12
@@ -862,7 +877,7 @@ def test_dense_block_residuals_stay_within_the_old_tolerances(n):
     lams = young.partitions(n)
     projs = {lam: isotypic_projector(n, lam) for lam in lams}
     block = max(
-        np.abs(m @ projs[lam] - float(young.eigenvalue_m(lam, n)) * projs[lam]).max()
+        np.abs(m @ projs[lam] - float(young.eigenvalue_m(lam)) * projs[lam]).max()
         for lam in lams
     )
     off_block = max(
@@ -890,8 +905,8 @@ def test_spectrum_fails_on_a_shifted_eigenvalue_prediction(monkeypatch):
     n = 4
     exact = young.eigenvalue_m
 
-    def shifted(lam, n):
-        return exact(lam, n) + (Fraction(1, factorial(n)) if lam == (3, 1) else 0)
+    def shifted(lam):
+        return exact(lam) + (Fraction(1, factorial(n)) if lam == (3, 1) else 0)
 
     monkeypatch.setattr(young, "eigenvalue_m", shifted)
     rep = regrep.spectrum(n)

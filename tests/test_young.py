@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perminv import young
+from perminv import regrep, young
 
 
 # ---------------------------------------------------------------------------
@@ -246,34 +246,94 @@ def test_level():
 
 
 # ---------------------------------------------------------------------------
-# Bar constructions.
+# The paper's theta labels (Rosmanis 2022), kept here as the reference the
+# diagram labels are pinned against: theta of size k names the diagram
+# bar(theta, n) = (n - k, theta), and bar_star(theta, n) = (n - k - 1, theta).
+
+
+def _has_bar(theta, n):
+    k = sum(theta)
+    return k <= n and n - k >= (theta[0] if theta else 0)
+
+
+def _bar(theta, n):
+    assert _has_bar(theta, n), (theta, n)
+    return (n - sum(theta),) + tuple(theta) if n > sum(theta) else ()
+
+
+def _bar_star(theta, n):
+    return _bar(theta, n - 1) if _has_bar(theta, n - 1) else None
+
+
+def _valid_thetas(n):
+    """Every theta with a diagram bar(theta, n), by increasing size."""
+    return [t for k in range(n) for t in young.partitions(k) if _has_bar(t, n)]
+
+
+def test_valid_thetas_are_the_diagrams_without_their_first_row():
+    for n in range(1, 31):
+        thetas = _valid_thetas(n)
+        assert thetas == [lam[1:] for lam in young.partitions(n)], n
+        assert [_bar(t, n) for t in thetas] == list(young.partitions(n)), n
+
+
+def test_bar_star_is_trim_first_row():
+    for n in range(1, 31):
+        for lam in young.partitions(n):
+            assert _bar_star(lam[1:], n) == young.trim_first_row(lam), lam
+
+
+def test_high_branches_are_the_removable_diagrams_but_the_trimmed_one():
+    # The high projector's branches bar(rho, n - 1), rho in removable(theta),
+    # are removable(lam) without trim_first_row(lam), in the same order.
+    for n in range(1, 31):
+        for lam in young.partitions(n):
+            theta = lam[1:]
+            high = [mu for mu in young.removable(lam) if mu != young.trim_first_row(lam)]
+            assert [_bar(rho, n - 1) for rho in young.removable(theta)] == high, lam
+
+
+def test_predictions_match_the_theta_formulas():
+    for n in range(1, 13):
+        thetas = _valid_thetas(n)
+        d = {t: young.dim(_bar(t, n)) for t in thetas}
+        high = sum(d[t] * young.dim(_bar(r, n - 1)) for t in thetas for r in young.removable(t))
+        low = sum(d[t] * young.dim(_bar_star(t, n)) for t in thetas if _bar_star(t, n) is not None)
+        assert regrep.predicted_high_rank(n) == high, n
+        assert regrep.predicted_low_rank(n) == low, n
+        for k in range(n):
+            small = [t for t in thetas if sum(t) <= k]
+            assert regrep.predicted_a_dim(n, k) == sum(d[t] ** 2 for t in small), (n, k)
+            top = max(young.eigenvalue_m(_bar(t, n)) for t in small)
+            assert regrep.max_level_eigenvalue(n, k) == top, (n, k)
 
 
 def test_bar_example_n12():
-    assert young.bar((3, 2), 12) == (7, 3, 2)
-    assert young.bar_star((3, 2), 12) == (6, 3, 2)
+    # theta = (3, 2) at n = 12: bar is the diagram (7, 3, 2) itself, and
+    # bar_star its trimmed first row.
+    lam = (7, 3, 2)
+    assert lam[1:] == (3, 2) and _bar((3, 2), 12) == lam
+    assert young.trim_first_row(lam) == (6, 3, 2)
 
 
 def test_bar_trivial_and_absent():
-    assert young.bar((), 5) == (5,)
-    assert young.bar_star((), 5) == (4,)
-    assert young.bar((2,), 4) == (2, 2)
-    assert young.bar_star((2,), 4) is None
+    assert young.trim_first_row((5,)) == (4,)  # theta = ()
+    assert young.trim_first_row((2, 2)) is None  # theta = (2,) has no bar_star at n = 4
 
 
 def test_bar_invalid_raises():
-    with pytest.raises(ValueError):
-        young.bar((3,), 4)  # first row would be 1 < 3
-    with pytest.raises(ValueError):
-        young.bar((2, 1), 2)  # size exceeds n
+    # A theta whose first row would not fit names no diagram of size n:
+    # bar((3,), 4) would be (1, 3), which is not a partition.
+    assert (3,) not in [lam[1:] for lam in young.partitions(4)]
+    assert (2, 1) not in [lam[1:] for lam in young.partitions(2)]  # size exceeds n
+    with pytest.raises(ValueError, match="not a partition"):
+        young.check_partition((1, 3))
 
 
 def test_level_of_bar_is_theta_size():
-    for k in range(0, 5):
-        for theta in young.partitions(k):
-            for n in range(max(k, 1), 12):
-                if young.has_bar(theta, n):
-                    assert young.level(young.bar(theta, n)) == k
+    for n in range(1, 12):
+        for lam in young.partitions(n):
+            assert young.level(lam) == sum(lam[1:])
 
 
 def test_trim_first_row():
@@ -289,50 +349,55 @@ def test_trim_first_row():
 
 
 def test_eigenvalue_n3():
-    assert young.eigenvalue_m((3,), 3) == 0
-    assert young.eigenvalue_m((2, 1), 3) == Fraction(3, 2)
-    assert young.eigenvalue_m((1, 1, 1), 3) == 3
+    assert young.eigenvalue_m((3,)) == 0
+    assert young.eigenvalue_m((2, 1)) == Fraction(3, 2)
+    assert young.eigenvalue_m((1, 1, 1)) == 3
 
 
 def test_eigenvalue_trivial_rep_is_zero():
     for n in range(1, 15):
-        assert young.eigenvalue_m((n,), n) == 0
+        assert young.eigenvalue_m((n,)) == 0
 
 
 def test_eigenvalue_n4():
-    assert young.eigenvalue_m((3, 1), 4) == Fraction(4, 3)
-    assert young.eigenvalue_m((2, 1, 1), 4) == Fraction(8, 3)
-    assert young.eigenvalue_m((2, 2), 4) == 4
-    assert young.eigenvalue_m((1, 1, 1, 1), 4) == 4
+    assert young.eigenvalue_m((3, 1)) == Fraction(4, 3)
+    assert young.eigenvalue_m((2, 1, 1)) == Fraction(8, 3)
+    assert young.eigenvalue_m((2, 2)) == 4
+    assert young.eigenvalue_m((1, 1, 1, 1)) == 4
 
 
 def test_eigenvalue_bound_all_valid_bars():
+    # Every diagram is a valid bar shape.
     for n in range(1, 16):
-        for k in range(0, n):
-            for theta in young.partitions(k):
-                if young.has_bar(theta, n):
-                    assert young.eigenvalue_m(young.bar(theta, n), n) <= 2 * k
+        for lam in young.partitions(n):
+            assert young.eigenvalue_m(lam) <= 2 * young.level(lam)
 
 
 def test_ratio_bound_trivial():
-    ratio, bound, holds = young.ratio_bound_check((), 5)
+    ratio, bound, holds = young.ratio_bound_check((5,))
     assert ratio == 1 and bound == 1 and holds
 
 
 def test_ratio_bound_examples():
-    ratio, bound, holds = young.ratio_bound_check((1,), 4)
+    ratio, bound, holds = young.ratio_bound_check((3, 1))
     assert ratio == Fraction(2, 3) and bound == Fraction(1, 2) and holds
-    _, _, holds = young.ratio_bound_check((2, 1), 10)
+    _, _, holds = young.ratio_bound_check((7, 2, 1))
     assert holds
+
+
+def test_ratio_bound_refuses_diagrams_outside_its_regime():
+    with pytest.raises(ValueError, match="level"):
+        young.ratio_bound_check((1, 1, 1))  # level 2 > 3/2
+    with pytest.raises(ValueError, match="not a valid diagram"):
+        young.ratio_bound_check((2, 2))  # first row cannot be trimmed
 
 
 def test_ratio_bound_sweep_small():
     for n in range(1, 16):
-        for k in range(0, n // 2 + 1):
-            for theta in young.partitions(k):
-                if young.has_bar(theta, n) and young.bar_star(theta, n) is not None:
-                    _, _, holds = young.ratio_bound_check(theta, n)
-                    assert holds, (theta, n)
+        for lam in young.partitions(n):
+            if 2 * young.level(lam) <= n and young.trim_first_row(lam) is not None:
+                _, _, holds = young.ratio_bound_check(lam)
+                assert holds, lam
 
 
 def test_burnside_identity_small():
@@ -451,6 +516,8 @@ def test_identities_fail_on_a_wrong_hook_product(monkeypatch):
         {"n": 5, "lambda": [3, 1, 1]},
     ]
     assert report["burnside_failures"] == [{"n": 4, "sum": 16}]
+    # (4, 1) trims to (3, 1): ratio 1/4 < 3/5 and e = 15/4 > 2, named by theta.
+    assert report["ratio_failures"] == report["eigenvalue_failures"] == [{"n": 5, "theta": [1]}]
 
 
 def test_identities_report_small():
