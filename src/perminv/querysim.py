@@ -498,12 +498,11 @@ class AltAdversary:
         return v
 
     def success_projectors(self, pi: tuple[int, ...]) -> list[np.ndarray]:
-        inv = regrep.perm_inverse(pi)
         out = []
         for y in range(self.n):
             u = self.unitaries[pi][y]
             v = np.zeros(self.dim)
-            x = inv[y]
+            x = pi.index(y)
             v[x * self.dim_l : (x + 1) * self.dim_l] = 1.0
             out.append(u.conj().T @ (v[:, None] * u))
         return out

@@ -58,6 +58,12 @@ def _check_n(n: int) -> None:
         raise CapacityError(f"n = {n} exceeds the cap {_MAX_N} on dense N! x N! matrices")
 
 
+def _check_level(n: int, k: int) -> None:
+    _check_n(n)
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"need 0 <= k <= n-1, got k={k}")
+
+
 # ---------------------------------------------------------------------------
 # Group enumeration and composition.
 
@@ -72,63 +78,58 @@ def enumerate_group(n: int) -> tuple[Perm, ...]:
 
 
 @cache
-def perm_index_map(n: int) -> dict[Perm, int]:
-    return {p: i for i, p in enumerate(enumerate_group(n))}
-
-
-@cache
 def perms_matrix(n: int) -> np.ndarray:
     arr = np.array(enumerate_group(n), dtype=np.intp)
     arr.setflags(write=False)
     return arr
 
 
-def perm_inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
+@cache
+def _index_table(n: int) -> np.ndarray:
+    """table[p @ n**arange(n)] = index of p in perms_matrix(n), -1 off S_n:
+    the base-n number of a row of digits below n is unique.  int16 holds
+    every index, N! <= 720, and the table has n**n entries (93 KB at N = 6)."""
+    perms = perms_matrix(n)
+    table = np.full(n**n, -1, dtype=np.int16)
+    table[perms @ n ** np.arange(n)] = np.arange(len(perms))
+    table.setflags(write=False)
+    return table
+
+
+def perm_index(p) -> np.ndarray:
+    """Lexicographic index of each permutation along the last axis of p;
+    ValueError on a row that is not a permutation of range(n)."""
+    p = np.asarray(p)
+    n = p.shape[-1]
+    if p.size and not 0 <= p.min() <= p.max() < n:
+        raise ValueError(f"not a permutation of range({n}): entries outside it")
+    idx = _index_table(n)[p @ n ** np.arange(n)]
+    if (idx < 0).any():
+        raise ValueError(f"not a permutation of range({n}): a repeated entry")
+    return idx
 
 
 @cache
 def composition_table(n: int) -> np.ndarray:
     """comp[a, b] = index of compose(perms[a], perms[b])."""
     perms = perms_matrix(n)
-    f = len(perms)
-    weights = n ** np.arange(n, dtype=np.int64)
-    lut = np.full(n**n, -1, dtype=np.int64)
-    lut[perms @ weights] = np.arange(f)
-    comp = np.empty((f, f), dtype=np.int32)
-    for a in range(f):
-        comp[a] = lut[perms[a][perms] @ weights]
+    comp = np.empty((len(perms),) * 2, dtype=np.int32)
+    for a, p in enumerate(perms):
+        comp[a] = perm_index(p[perms])
     comp.setflags(write=False)
     return comp
 
 
-@cache
-def inverse_indices(n: int) -> np.ndarray:
-    idx = perm_index_map(n)
-    arr = np.array([idx[perm_inverse(p)] for p in enumerate_group(n)], dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
+def _inverses(n: int) -> np.ndarray:
+    """Index of pi^-1 for each pi in enumeration order."""
+    return perm_index(np.argsort(perms_matrix(n), axis=1))
 
 
 def act_index_map(n: int, pi_d: Perm, pi_r: Perm) -> np.ndarray:
     """Index map of the two-sided action |pi> -> |pi_r . pi . pi_d^{-1}>."""
-    idx = perm_index_map(n)
     comp = composition_table(n)
-    right = comp[:, idx[perm_inverse(tuple(pi_d))]]  # pi . pi_d^{-1}
-    return comp[idx[tuple(pi_r)], right].astype(np.int64)
-
-
-def act(pi_d: Perm, pi_r: Perm, v: np.ndarray) -> np.ndarray:
-    """Apply the two-sided action to an amplitude vector over S_n."""
-    n = len(pi_d)
-    if len(pi_r) != n or v.shape != (factorial(n),):
-        raise ValueError("dimension mismatch")
-    out = np.empty_like(v)
-    out[act_index_map(n, pi_d, pi_r)] = v
-    return out
+    right = comp[:, perm_index(np.argsort(pi_d))]  # pi . pi_d^{-1}
+    return comp[perm_index(pi_r), right].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +390,14 @@ def _make_subspace(n: int, alphas) -> Subspace:
 @cache
 def subspace_a(n: int, k: int) -> Subspace:
     """A_k: span of all k-partial-assignment vectors, exact rank attached."""
-    _check_n(n)
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"need 0 <= k <= n-1, got k={k}")
+    _check_level(n, k)
     return _make_subspace(n, assignments(n, k))
 
 
 @cache
 def subspace_a_y(n: int, k: int, y: int) -> Subspace:
     """A_k^y: span of k-assignment vectors with y in the image; A_0^y = {0}."""
-    _check_n(n)
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"need 0 <= k <= n-1, got k={k}")
+    _check_level(n, k)
     return _make_subspace(n, assignments_with_image(n, k, y))
 
 
@@ -435,7 +432,7 @@ def _gather(n: int, column: np.ndarray) -> np.ndarray:
     Any matrix that commutes with right multiplication has this form, with
     its own column 0 as column; so has a class function of pi_i^-1 pi_j,
     which is conjugate to the inverse of pi_i pi_j^-1."""
-    return column[composition_table(n)[:, inverse_indices(n)]]
+    return column[composition_table(n)[:, _inverses(n)]]
 
 
 def _moved(sp: np.ndarray, scale: int, vectors: np.ndarray) -> float:
@@ -507,17 +504,11 @@ def _scaled_a(n: int, k: int) -> np.ndarray:
     return sp
 
 
-@cache
 def a_projector(n: int, k: int) -> np.ndarray:
     """Orthogonal projector onto A_k, divided out of N! P_{A_k}."""
     p = _scaled_a(n, k) / factorial(n)
     p.setflags(write=False)
     return p
-
-
-@cache
-def stabilizer_indices(n: int, y: int) -> tuple[int, ...]:
-    return tuple(i for i, p in enumerate(enumerate_group(n)) if p[y] == y)
 
 
 def _drop_fixed_point(ct: Partition) -> Partition:
@@ -539,11 +530,10 @@ def _branch_sum(n: int, y: int, branches) -> np.ndarray:
     column 0, whose entry i is sum over g in Stab(y) of d_lam d_mu chi_mu(g)
     chi_lam(pi_i^-1 g), with chi_mu read on the cycles of g off y."""
     elem_class, types = _class_data(n)
-    stab = list(stabilizer_indices(n, y))
-    perms = enumerate_group(n)
+    stab = np.flatnonzero(perms_matrix(n)[:, y] == y)
     sub_types = young.partitions(n - 1)
-    sub_class = [sub_types.index(_drop_fixed_point(young.cycle_type(perms[g]))) for g in stab]
-    cls = elem_class[composition_table(n)[np.ix_(inverse_indices(n), stab)]]
+    sub_class = [sub_types.index(_drop_fixed_point(types[elem_class[g]])) for g in stab]
+    cls = elem_class[composition_table(n)[np.ix_(_inverses(n), stab)]]
     column = np.zeros(factorial(n), dtype=np.int64)
     for lam, mus in branches:
         weight = sum(young.dim(mu) * _characters(mu, sub_types) for mu in mus)
@@ -614,7 +604,7 @@ def _challenge_relabeling(n: int, y: int) -> np.ndarray:
     """Index map of |pi> -> |tau . pi> for the range transposition tau = (0 y)."""
     tau = list(range(n))
     tau[0], tau[y] = y, 0
-    return composition_table(n)[perm_index_map(n)[tuple(tau)], :]
+    return composition_table(n)[perm_index(tau), :]
 
 
 def _permuted(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -638,18 +628,10 @@ def _scaled_high(n: int, y: int) -> np.ndarray:
     return _relabeled(_scaled_high_0(n), n, y)
 
 
-@cache
-def _high_projection_0(n: int) -> np.ndarray:
-    """P_0 in float64, kept for the repeated reads of high_projection."""
-    p = _scaled_high_0(n) / _scale(n)
-    p.setflags(write=False)
-    return p
-
-
 def high_projection(n: int, y: int) -> np.ndarray:
-    """Orthogonal projector onto the high subspace for challenge y."""
-    _check_challenge(n, y)
-    p = _relabeled(_high_projection_0(n), n, y)
+    """Orthogonal projector onto the high subspace for challenge y, divided
+    out of the relabeled D P_y."""
+    p = _scaled_high(n, y) / _scale(n)
     p.setflags(write=False)
     return p
 
@@ -808,9 +790,7 @@ def avg_bound_check(n: int, k: int, samples: int = 100, seed: int = 0) -> AvgBou
     Seeded random vectors P_{A_k} g / |P_{A_k} g|, g complex Gaussian, sample
     the bound's slack.
     """
-    _check_n(n)
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"need 0 <= k <= n-1, got k={k}")
+    _check_level(n, k)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     p = a_projector(n, k)

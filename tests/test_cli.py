@@ -355,15 +355,6 @@ def test_decomp_check_fails_on_an_incomplete_complement(capsys, monkeypatch):
     assert all(row["ok"] for key in ("a_dims", "high_ranks", "low_ranks") for row in report[key])
 
 
-@pytest.fixture
-def fresh_caches(monkeypatch):
-    """Fresh caches for the kept builders, so a mutated run certifies anew;
-    monkeypatch restores the shared ones afterwards."""
-    kept = ("subspace_a", "subspace_a_y", "_scaled_a", "a_projector", "_scaled_high_0", "_high_projection_0", "_scaled_m")
-    for name in kept:
-        monkeypatch.setattr(regrep, name, cache(getattr(regrep, name).__wrapped__))
-
-
 def _wrong_character(monkeypatch):
     real = young.character
     monkeypatch.setattr(

@@ -14,7 +14,6 @@ isotypic block, from a test-local float isotypic projector.
 """
 
 from fractions import Fraction
-from functools import cache
 from math import comb, factorial
 
 import numpy as np
@@ -92,6 +91,17 @@ def perm_compose(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
 
+def act(pi_d, pi_r, v: np.ndarray) -> np.ndarray:
+    """Apply the two-sided action |pi> -> |pi_r . pi . pi_d^{-1}> to an
+    amplitude vector over S_n."""
+    n = len(pi_d)
+    if len(pi_r) != n or v.shape != (factorial(n),):
+        raise ValueError("dimension mismatch")
+    out = np.empty_like(v)
+    out[regrep.act_index_map(n, pi_d, pi_r)] = v
+    return out
+
+
 def assignment_indicator(n: int, alpha) -> np.ndarray:
     """0/1 vector marking the permutations compatible with alpha (exact)."""
     alpha = tuple(alpha)
@@ -124,9 +134,36 @@ def test_enumerate_group_sizes():
 
 
 def test_index_roundtrip():
-    idx = regrep.perm_index_map(4)
     for i, p in enumerate(regrep.enumerate_group(4)):
-        assert idx[p] == i
+        assert regrep.perm_index(p) == i
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_perm_index_of_the_enumeration_is_arange(n):
+    idx = regrep.perm_index(regrep.perms_matrix(n))
+    assert np.array_equal(idx, np.arange(factorial(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_perm_index_matches_compose_and_argsort_inverse(n):
+    perms = regrep.enumerate_group(n)
+    comp = regrep.composition_table(n)
+    for a, p in enumerate(perms):
+        inv = perms[regrep.perm_index(np.argsort(p))]
+        assert perm_compose(p, inv) == perm_compose(inv, p) == tuple(range(n))
+        for b, q in enumerate(perms):
+            pq = perm_compose(p, q)
+            assert regrep.perm_index(pq) == comp[a, b] == perms.index(pq)
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 1), (3, 0, 1), (3, 1, 1)], ids=["repeat", "outside", "aliases-a-permutation"])
+def test_perm_index_refuses_a_non_permutation(bad):
+    # 3 + 1 * 3 + 1 * 9 = 15 is also the base-3 number of (0, 2, 1), so the
+    # range check, not the table, must refuse (3, 1, 1).
+    with pytest.raises(ValueError, match=r"not a permutation of range\(3\)"):
+        regrep.perm_index(bad)
+    with pytest.raises(ValueError, match=r"not a permutation of range\(3\)"):
+        regrep.perm_index([(0, 1, 2), bad])
 
 
 def test_cap_enforced():
@@ -139,8 +176,9 @@ def test_cap_enforced():
 def test_compose_and_inverse():
     p, q = (1, 2, 0), (0, 2, 1)
     assert perm_compose(p, q) == (1, 0, 2)
-    for g in regrep.enumerate_group(4):
-        assert perm_compose(g, regrep.perm_inverse(g)) == (0, 1, 2, 3)
+    perms = regrep.enumerate_group(4)
+    for g in perms:
+        assert perm_compose(g, perms[regrep.perm_index(np.argsort(g))]) == (0, 1, 2, 3)
 
 
 def test_act_identity_and_right_action():
@@ -148,14 +186,13 @@ def test_act_identity_and_right_action():
     f = factorial(n)
     ident = (0, 1, 2)
     v = np.arange(f, dtype=float)
-    assert np.array_equal(regrep.act(ident, ident, v), v)
+    assert np.array_equal(act(ident, ident, v), v)
     sigma = (1, 2, 0)
-    idx = regrep.perm_index_map(n)
     for pi in regrep.enumerate_group(n):
         e = np.zeros(f)
-        e[idx[pi]] = 1.0
-        out = regrep.act(ident, sigma, e)
-        assert out[idx[perm_compose(sigma, pi)]] == 1.0
+        e[regrep.perm_index(pi)] = 1.0
+        out = act(ident, sigma, e)
+        assert out[regrep.perm_index(perm_compose(sigma, pi))] == 1.0
 
 
 def test_act_homomorphism_random():
@@ -167,10 +204,10 @@ def test_act_homomorphism_random():
         h = tuple(int(x) for x in rng.permutation(n))
         g2 = tuple(int(x) for x in rng.permutation(n))
         h2 = tuple(int(x) for x in rng.permutation(n))
-        lhs = regrep.act(g, h, regrep.act(g2, h2, v))
-        rhs = regrep.act(perm_compose(g, g2), perm_compose(h, h2), v)
+        lhs = act(g, h, act(g2, h2, v))
+        rhs = act(perm_compose(g, g2), perm_compose(h, h2), v)
         assert np.allclose(lhs, rhs, atol=1e-12)
-        assert np.isclose(np.linalg.norm(regrep.act(g, h, v)), np.linalg.norm(v))
+        assert np.isclose(np.linalg.norm(act(g, h, v)), np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +224,7 @@ def test_assignment_vector_full_is_basis_vector():
     v = assignment_vector(3, alpha)
     assert np.isclose(np.linalg.norm(v), 1.0)
     assert np.count_nonzero(v) == 1
-    idx = regrep.perm_index_map(3)
-    assert v[idx[(2, 0, 1)]] == 1.0
+    assert v[regrep.perm_index((2, 0, 1))] == 1.0
 
 
 def test_assignment_vector_single_pair():
@@ -723,7 +759,8 @@ def isotypic_projector(n: int, lam) -> np.ndarray:
     f = factorial(n)
     elem_class, types = regrep._class_data(n)
     chars = np.array([young.character(lam, ct) for ct in types], dtype=float)
-    comp, inv = regrep.composition_table(n), regrep.inverse_indices(n)
+    comp = regrep.composition_table(n)
+    inv = regrep.perm_index(np.argsort(regrep.perms_matrix(n), axis=1))
     p = np.zeros((f, f))
     cols = np.arange(f)
     for g in range(f):
@@ -760,7 +797,6 @@ def test_character_from_isotypic_block_trace():
     # the block dimension times the character.
     n = 4
     comp = regrep.composition_table(n)
-    idx = regrep.perm_index_map(n)
     f = factorial(n)
     cols = np.arange(f)
     for lam in young.partitions(n):
@@ -768,7 +804,7 @@ def test_character_from_isotypic_block_trace():
         d = young.dim(lam)
         for g in [(1, 0, 2, 3), (1, 2, 0, 3), (1, 2, 3, 0), (0, 1, 2, 3)]:
             rg = np.zeros((f, f))
-            rg[comp[idx[g], :], cols] = 1.0
+            rg[comp[regrep.perm_index(g), :], cols] = 1.0
             got = np.trace(p @ rg) / d
             assert abs(got - young.character(lam, young.cycle_type(g))) < 1e-8
 
@@ -783,15 +819,6 @@ def test_restriction_of_a_k_touches_only_low_levels():
                 assert abs(mass - young.dim(lam) ** 2) < 1e-6
             else:
                 assert abs(mass) < 1e-8
-
-
-@pytest.fixture
-def fresh_caches(monkeypatch):
-    """Fresh caches for the kept builders, so a mutated run certifies anew;
-    monkeypatch restores the shared ones afterwards."""
-    kept = ("subspace_a", "subspace_a_y", "_scaled_a", "a_projector", "_scaled_high_0", "_high_projection_0", "_scaled_m")
-    for name in kept:
-        monkeypatch.setattr(regrep, name, cache(getattr(regrep, name).__wrapped__))
 
 
 def test_each_certificate_check_can_fail():
