@@ -26,6 +26,7 @@ GOLDEN = {
     "game --n 3 --p 1 --t 1 --seed 5": "2c615323fad89670fdaed36c469d6122a730cc4f3a6d5a4c1979b0bf76f22624",
     "game --n 3 --p 1 --t 1 --seed 5 --format text": "5d831227562c76c1cd5da3c88683eab3fe5951a6b02dcc5118fb553f951bd45b",
     "altgame --n 3 --t 1 --g 3 --adversaries 2 --seed 1": "cdbf4ff95580e9e5ff44fdc8af958eb670133cb27e8d5fd22806d5fcf73bdd3d",
+    "altgame --n 4 --t 1 --g 3 --seed 0": "390c4707bc8afc6d75621ccb2f64d4874bd80740385a4fdfd34fedbd77550c06",
     "grover --grid": "41340412cddcdb65e7ee76329287768e069aca6d65e59ba0f99327b67d2a3aa2",
     "hellman --log-n 10 --t 16 --t 32 --trials 2 --seed 7": "cbe63c4db4c8b4cc329023ddd8088990934251ec7bfdcee8f13f4ed01258df8f",
     "hellman --log-n 10 --t 16 --trials 1 --seed 7 --format json": "fc1dda5b5e49957a5ccc59c728ffe6aa667e6b525c92cf4e837a8964ecb3e5df",
