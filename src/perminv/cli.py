@@ -170,13 +170,12 @@ def cmd_lemma_check(args) -> int:
     _at_least("--programs", args.programs, 1)
     _at_least("--p", args.p, 0)
     _at_least("--t", args.t, 0)
-    layout = querysim.RegisterLayout(n=args.n, w=args.w)
     runs = []
     ok = True
     worst_support = 0.0
     for i in range(args.programs):
         program = querysim.random_program(args.n, args.p, args.t, w=args.w, seed=args.seed + i)
-        transcript, ineq = querysim.check_progress_inequalities(program, layout)
+        transcript, ineq = querysim.check_progress_inequalities(program)
         support = max((row["residual"] for row in transcript.lemma_checks), default=0.0)
         worst_support = max(worst_support, support)
         good = transcript.passed and ineq.passed
@@ -210,9 +209,8 @@ def cmd_game(args) -> int:
             challenge = int(challenge)
         except ValueError:
             raise ValueError(f"--challenge must be 'all' or an integer, got {challenge!r}") from None
-    layout = querysim.RegisterLayout(n=args.n, w=args.w)
     program = querysim.random_program(args.n, args.p, args.t, w=args.w, seed=args.seed)
-    transcript = querysim.run_bit_fixing(program, layout, challenge=challenge)
+    transcript = querysim.run_bit_fixing(program, challenge=challenge)
     return _emit(args, _fields(transcript), transcript.passed)
 
 
@@ -223,8 +221,8 @@ def cmd_altgame(args) -> int:
     reports = []
     ok = True
     for i in range(args.adversaries):
-        adv = querysim.random_query_adversary(args.n, args.t, seed=args.seed + i)
-        rep = querysim.alternating_game(adv, args.g, t=args.t, seed=args.seed + i)
+        proj = querysim.random_query_adversary(args.n, args.t, seed=args.seed + i)
+        rep = querysim.alternating_game(proj, args.g, t=args.t, seed=args.seed + i)
         ok &= rep.passed
         reports.append(_fields(rep))
     return _emit(args, {"n": args.n, "t": args.t, "g": args.g, "games": reports}, ok)

@@ -10,19 +10,25 @@ between the offline and online phases.
 A game state is a plain complex array of shape ``RegisterLayout.dims``
 (oracle, X, Y, W, B); every step takes an array and returns one.  Programs
 are explicit: a step is either a query or a dense unitary on named
-sub-registers.  There is no gate compiler; the progress bounds quantify
-over all unitaries, so tests drive the simulator with seeded Haar-ish
-unitaries (QR of Gaussian matrices) and a few hand-built extremal programs.
+sub-registers.  A program carries its workspace dimension, and its number
+of challenges is N, so it fixes its own layout; the games take the program
+alone.  There is no gate compiler; the progress bounds quantify over all
+unitaries, so tests drive the simulator with seeded Haar-ish unitaries (QR
+of Gaussian matrices) and a few hand-built extremal programs.  A random
+program whose unitaries would hold more than DEFAULT_BUDGET entries is
+refused before any draw, as is a larger Grover search register.
 
 Grover search runs on a separate bare register of the search dimension;
 that exposes the quadratic scaling without the N! blowup of the purified
 layout.  The alternating-measurement game lives at the bottom of the file.
+It reads one array: the success projector of every challenge against every
+permutation, with the adversary starting in |0>.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import asin, factorial, sin, sqrt
 from typing import Sequence
 
@@ -105,18 +111,26 @@ def _count_queries(steps: Sequence[Step]) -> int:
 
 @dataclass(frozen=True, eq=False)
 class AlgorithmProgram:
-    """Offline steps plus one online step list per challenge.
+    """Offline steps plus one online step list per challenge, on a workspace
+    of dimension w.
 
     The declared query counts must match the steps: p offline queries and t
-    online queries for every challenge.  Online steps may not touch B.
+    online queries for every challenge.  Online steps may not touch B.  The
+    number of challenges is n, so the program fixes its own layout.
     """
 
     offline: tuple[Step, ...]
     online: tuple[tuple[Step, ...], ...]  # indexed by challenge y
     p: int
     t: int
+    w: int = 1
+
+    @cached_property
+    def layout(self) -> RegisterLayout:
+        return RegisterLayout(n=len(self.online), w=self.w)
 
     def __post_init__(self):
+        self.layout  # refuses an n or w outside the cap and budget
         if _count_queries(self.offline) != self.p:
             raise ValueError("offline query count does not match declared p")
         for y, steps in enumerate(self.online):
@@ -226,12 +240,13 @@ def _play(
 
 
 def _game(
-    program: AlgorithmProgram, layout: RegisterLayout, ys: Sequence[int], high: bool = False
+    program: AlgorithmProgram, ys: Sequence[int], high: bool = False
 ) -> tuple[GameTranscript, list[list[float] | None]]:
     """One pass of the bit-fixing game: the offline phase and its
     postselection once, then each challenge in ys once from a copy.  With
     high, also the high masses of each challenge's online play (see _play);
     otherwise no high projector is read."""
+    layout = program.layout
     state = init_state(layout)
     norms = [float(np.linalg.norm(state))]
     lemma: list[dict] = []
@@ -260,11 +275,7 @@ def _game(
     return transcript, highs
 
 
-def run_bit_fixing(
-    program: AlgorithmProgram,
-    layout: RegisterLayout,
-    challenge: int | str = "all",
-) -> GameTranscript:
+def run_bit_fixing(program: AlgorithmProgram, challenge: int | str = "all") -> GameTranscript:
     """Play the bit-fixing game and measure success per challenge.
 
     The offline restart loop is simulated by postselecting B on 0 (its mass
@@ -274,11 +285,11 @@ def run_bit_fixing(
     residual of the oracle side outside the partial-assignment subspace for
     the current query count.
     """
-    n = layout.n
+    n = program.layout.n
     if challenge != "all" and challenge not in range(n):
         raise ValueError(f"challenge must be 'all' or in range({n}), got {challenge!r}")
     ys = range(n) if challenge == "all" else [int(challenge)]
-    return _game(program, layout, ys)[0]
+    return _game(program, ys)[0]
 
 
 def _project(proj: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -340,7 +351,7 @@ def _inequality_row(y: int, kind: str, k: int, lhs: float, base: float, den: int
 
 
 def check_progress_inequalities(
-    program: AlgorithmProgram, layout: RegisterLayout
+    program: AlgorithmProgram,
 ) -> tuple[GameTranscript, InequalityReport]:
     """Success-vs-high-mass and per-query progress inequalities, per challenge.
 
@@ -355,9 +366,9 @@ def check_progress_inequalities(
     before every online query and after the last step (masses[k] carries k
     online queries), and p_succ is the transcript's.
     """
-    n = layout.n
+    n = program.layout.n
     p, t = program.p, program.t
-    transcript, highs = _game(program, layout, range(n), high=True)
+    transcript, highs = _game(program, range(n), high=True)
     guard = 2.0 * np.sqrt(2.0)
     rows: list[InequalityRow] = []
     for row, masses in zip(transcript.per_challenge, highs):
@@ -395,12 +406,18 @@ def random_program(
 
     Offline: U_0, Q, U_1, ..., Q, U_p on the full A register.  Online, per
     challenge: U_0^y, Q, ..., Q, U_t^y on X,Y,W.  All matrices are drawn
-    eagerly so the program is deterministic in (n, p, t, w, seed).
+    eagerly so the program is deterministic in (n, p, t, w, seed); a program
+    whose matrices would hold more than DEFAULT_BUDGET entries is refused
+    before any draw.
     """
-    layout = RegisterLayout(n=n, w=w)
-    rng = np.random.default_rng(seed)
-    a_dim = layout.a_dim
+    a_dim = RegisterLayout(n=n, w=w).a_dim
     xyw_dim = n * n * w
+    entries = (p + 1) * a_dim**2 + n * (t + 1) * xyw_dim**2
+    if entries > DEFAULT_BUDGET:
+        raise MemoryError(
+            f"program unitaries hold {entries} entries, exceeding budget {DEFAULT_BUDGET}"
+        )
+    rng = np.random.default_rng(seed)
     offline: list[Step] = [Unitary(random_unitary(a_dim, rng), ("x", "y", "w", "b"))]
     for _ in range(p):
         offline.append(Query())
@@ -412,7 +429,7 @@ def random_program(
             steps.append(Query())
             steps.append(Unitary(random_unitary(xyw_dim, rng), ("x", "y", "w")))
         online.append(tuple(steps))
-    return AlgorithmProgram(offline=tuple(offline), online=tuple(online), p=p, t=t)
+    return AlgorithmProgram(offline=tuple(offline), online=tuple(online), p=p, t=t, w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +446,8 @@ def grover_invert(n_search: int, t: int) -> tuple[float, float]:
         raise ValueError("n_search must be >= 2")
     if t < 0:
         raise ValueError("t must be >= 0")
+    if n_search > DEFAULT_BUDGET:
+        raise MemoryError(f"search register of {n_search} items exceeds budget {DEFAULT_BUDGET}")
     marked = 0
     state = np.full(n_search, 1.0 / np.sqrt(n_search))
     for _ in range(t):
@@ -478,42 +497,15 @@ def grover_scaling_fit() -> dict:
 # Alternating-measurement game.
 
 
-class AltAdversary:
-    """Per-permutation unitary family for the alternating-measurement game.
+def random_query_adversary(n: int, t: int, seed: int = 0) -> np.ndarray:
+    """Success projectors of an adversary whose per-challenge unitary u
+    interleaves t oracle calls with seeded random mixing unitaries on X x L,
+    L of dimension n.
 
-    ``unitaries[pi][y]`` acts on the X x L register (dimension n * dim_l);
-    the verification projector for challenge y fixes X at the preimage of y.
-    The initial state is |0> (the uniform-adversary convention).
-    """
-
-    def __init__(self, n: int, dim_l: int, unitaries: dict[tuple[int, ...], list[np.ndarray]]):
-        self.n = n
-        self.dim_l = dim_l
-        self.dim = n * dim_l
-        self.unitaries = unitaries
-
-    def initial_state(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.complex128)
-        v[0] = 1.0
-        return v
-
-    def success_projectors(self, pi: tuple[int, ...]) -> list[np.ndarray]:
-        out = []
-        for y in range(self.n):
-            u = self.unitaries[pi][y]
-            v = np.zeros(self.dim)
-            x = pi.index(y)
-            v[x * self.dim_l : (x + 1) * self.dim_l] = 1.0
-            out.append(u.conj().T @ (v[:, None] * u))
-        return out
-
-
-def random_query_adversary(n: int, t: int, seed: int = 0) -> AltAdversary:
-    """Adversary whose per-challenge unitary interleaves t oracle calls with
-    seeded random mixing unitaries on X x L, L of dimension n.
-
-    An oracle call |x, z> -> |x, z + pi(x) mod n> permutes basis rows, so it
-    is applied as the row gather u[q]: row x*n + z' reads row
+    Returns proj of shape (n!, n, n*n, n*n): proj[i, y] = u^H V u for the
+    i-th permutation of enumerate_group(n), where V fixes X at the preimage
+    of y.  An oracle call |x, z> -> |x, z + pi(x) mod n> permutes basis
+    rows, so it is applied as the row gather u[q]: row x*n + z' reads row
     x*n + (z' - pi(x)) mod n.
     """
     rng = np.random.default_rng(seed)
@@ -522,19 +514,21 @@ def random_query_adversary(n: int, t: int, seed: int = 0) -> AltAdversary:
     # calls carry all pi dependence, honoring the t-query budget.
     mixers = [[random_unitary(d, rng) for _ in range(t + 1)] for _ in range(n)]
     gathers = (np.arange(n)[:, None] * n + _oracle_gather(n)).reshape(-1, d)
-    unitaries: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for pi, q in zip(regrep.enumerate_group(n), gathers):
-        per_y = []
+    preimages = np.argsort(regrep.perms_matrix(n), axis=1)
+    proj = np.empty((len(gathers), n, d, d), dtype=np.complex128)
+    for i, q in enumerate(gathers):
         for y in range(n):
             u = mixers[y][0].copy()
-            for i in range(1, t + 1):
-                u = mixers[y][i] @ u[q]
-            per_y.append(u)
-        unitaries[pi] = per_y
-    return AltAdversary(n, n, unitaries)
+            for k in range(1, t + 1):
+                u = mixers[y][k] @ u[q]
+            v = np.zeros(d)
+            x = preimages[i, y]
+            v[x * n : (x + 1) * n] = 1.0
+            proj[i, y] = u.conj().T @ (v[:, None] * u)
+    return proj
 
 
-def _alternating_chain_mass(p_ys: list[np.ndarray], init: np.ndarray, g: int) -> list[float]:
+def _alternating_chain_mass(p_ys: np.ndarray, init: np.ndarray, g: int) -> list[float]:
     """Survival probability after each of g alternating success/rewind
     measurements, in one chain.
 
@@ -575,7 +569,7 @@ class AltGameReport:
 
 
 def alternating_game(
-    adversary: AltAdversary,
+    proj: np.ndarray,
     g: int,
     t: int = 0,
     seed: int | None = None,
@@ -583,30 +577,31 @@ def alternating_game(
     """Play the g-alternating-measurement game and cross-check the spectral
     formula.
 
-    For every number of rounds up to g, the direct chain simulation must
-    agree with the eigenvalue form: the average over permutations of
-    sum_i |alpha_i|^2 p_i^rounds, where p_i are eigenvalues of the
-    challenge-averaged success projector and alpha_i the overlaps of the
-    initial state.  One round reproduces the plain success probability.
-    The two must agree within 1e-7.
+    proj[i, y] is the success projector for challenge y against the i-th
+    permutation, on an adversary register whose initial state is |0> (the
+    uniform-adversary convention).  For every number of rounds up to g, the
+    direct chain simulation must agree with the eigenvalue form: the
+    average over permutations of sum_i |alpha_i|^2 p_i^rounds, where p_i
+    are eigenvalues of the challenge-averaged success projector and alpha_i
+    the overlaps of the initial state.  One round reproduces the plain
+    success probability.  The two must agree within 1e-7.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
-    n = adversary.n
-    group = regrep.enumerate_group(n)
-    init = adversary.initial_state()
+    n = proj.shape[1]
+    init = np.zeros(proj.shape[-1], dtype=np.complex128)
+    init[0] = 1.0
     sims = np.zeros(g)
     forms = np.zeros(g)
-    for pi in group:
-        p_ys = adversary.success_projectors(pi)
+    for p_ys in proj:
         p_avg = sum(p_ys) / n
         w, u = np.linalg.eigh(p_avg)
         w = np.clip(w, 0.0, 1.0)
         overlaps = np.abs(u.conj().T @ init) ** 2
         sims += _alternating_chain_mass(p_ys, init, g)
         forms += [float(overlaps @ w**rounds) for rounds in range(1, g + 1)]
-    sims /= len(group)
-    forms /= len(group)
+    sims /= len(proj)
+    forms /= len(proj)
     disagreement = float(np.abs(sims - forms).max())
     conditionals = [float(forms[0])] + [
         float(forms[i] / forms[i - 1]) for i in range(1, g) if forms[i - 1] > 0

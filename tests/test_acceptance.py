@@ -95,10 +95,9 @@ def test_criterion_06_support_residuals():
     worst = 0.0
     count = 0
     for n in (4, 5):
-        layout = querysim.RegisterLayout(n=n)
         for i, (p, t) in enumerate(shapes):
             program = querysim.random_program(n, p, t, seed=100 * n + i)
-            transcript = querysim.run_bit_fixing(program, layout)
+            transcript = querysim.run_bit_fixing(program)
             assert transcript.lemma_checks, "no queries made"
             for row in transcript.lemma_checks:
                 assert row["residual"] <= 1e-8, (n, p, t, row)
@@ -114,11 +113,10 @@ def test_criterion_07_progress_inequalities():
     vacuous = 0
     count = 0
     for n in (5, 6):
-        layout = querysim.RegisterLayout(n=n)
         for i in range(10):
             p, t = shapes[i % len(shapes)]
             program = querysim.random_program(n, p, t, seed=1000 * n + i)
-            _, rep = querysim.check_progress_inequalities(program, layout)
+            _, rep = querysim.check_progress_inequalities(program)
             assert rep.passed, (n, p, t, i)
             for row in rep.rows:
                 if row.checked:
@@ -138,8 +136,8 @@ def test_criterion_08_alternating_game():
     worst = 0.0
     for i in range(10):
         t = i % 2
-        adv = querysim.random_query_adversary(3, t, seed=i)
-        rep = querysim.alternating_game(adv, g=3, t=t, seed=i)
+        proj = querysim.random_query_adversary(3, t, seed=i)
+        rep = querysim.alternating_game(proj, g=3, t=t, seed=i)
         assert rep.max_disagreement <= 1e-7, (i, rep.max_disagreement)
         assert rep.jensen_ok
         assert rep.monotone

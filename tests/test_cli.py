@@ -210,6 +210,23 @@ def test_criterion_08_can_fail(capsys, monkeypatch):
     assert all(g["max_disagreement"] > 1e-7 for g in games)
 
 
+def test_criterion_07_can_fail(capsys, monkeypatch):
+    # Final rows read without their guard term: sqrt(p_succ) <= high mass
+    # alone, which random programs at n = 5 break by about 0.033.
+    real = querysim._inequality_row
+
+    def unguarded(y, kind, k, lhs, base, den, scale):
+        return real(y, kind, k, lhs, base, den, 0.0 if kind == "final" else scale)
+
+    monkeypatch.setattr(querysim, "_inequality_row", unguarded)
+    _, rep = querysim.check_progress_inequalities(querysim.random_program(5, 0, 1, seed=0))
+    finals = [r.slack for r in rep.rows if r.kind == "final"]
+    assert rep.passed is False
+    assert -0.034 < min(finals) < -0.032
+    code, out = run_cli(["lemma-check", "--n", "5", "--p", "0", "--t", "1", "--programs", "1"], capsys)
+    assert code == 1 and json.loads(out)["pass"] is False
+
+
 @pytest.mark.parametrize(
     "curve, r2_passes",
     [
@@ -518,6 +535,30 @@ def test_non_integer_challenge_names_the_flag(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: --challenge must be 'all' or an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize("command", ["lemma-check", "game"])
+def test_program_over_budget_is_refused_before_any_draw(command, capsys, monkeypatch):
+    # --n 6 --w 100 passes the state budget, but its unitaries hold
+    # 207,360,000 complex entries (3.3 GB), which used to be drawn eagerly.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a unitary was drawn before the budget check")
+
+    monkeypatch.setattr(querysim, "random_unitary", must_not_run)
+    code = cli.main([command, "--n", "6", "--w", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: program unitaries hold 207360000 entries, exceeding budget 16777216\n"
+
+
+def test_grover_search_register_over_budget_is_refused(capsys):
+    # --n 4000000000 used to ask for a 32 GB state vector.
+    code = cli.main(["grover", "--n", "16777217"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: search register of 16777217 items exceeds budget 16777216\n"
 
 
 def test_altgame_g_refused_before_any_adversary(capsys, monkeypatch):

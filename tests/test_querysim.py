@@ -136,14 +136,37 @@ def test_query_count_validation():
         qs.AlgorithmProgram(offline=(qs.Query(),), online=((),) * 3, p=0, t=0)
 
 
+def test_program_fixes_its_own_layout():
+    # The game used to take a layout beside the program: a 4-challenge
+    # program played under n = 3 reported 3 challenges and passed.
+    tr = qs.run_bit_fixing(identity_program(4))
+    assert tr.n == 4 and [row["y"] for row in tr.per_challenge] == [0, 1, 2, 3]
+    assert identity_program(4).layout == qs.RegisterLayout(n=4, w=1)
+    with pytest.raises(ValueError, match="workspace dimension"):
+        qs.AlgorithmProgram(offline=(), online=((),) * 3, p=0, t=0, w=0)
+    with pytest.raises(MemoryError, match="exceeds budget"):
+        qs.AlgorithmProgram(offline=(), online=((),) * 6, p=0, t=0, w=400)
+
+
+def test_random_program_refuses_over_budget_before_any_draw(monkeypatch):
+    # n = 6, w = 100 fits the state budget (5,184,000 entries) but its
+    # unitaries hold 207,360,000 entries, which used to be drawn eagerly.
+    def refuse(dim, rng):
+        raise AssertionError("a unitary was drawn before the budget check")
+
+    monkeypatch.setattr(qs, "random_unitary", refuse)
+    assert qs.RegisterLayout(n=6, w=100).total_dim <= qs.DEFAULT_BUDGET
+    with pytest.raises(MemoryError, match="207360000 entries, exceeding budget 16777216"):
+        qs.random_program(6, 0, 1, w=100)
+
+
 # ---------------------------------------------------------------------------
 # Bit-fixing transcripts.
 
 
 def test_identity_program_success_is_one_over_n():
     for n in (3, 4):
-        lay = qs.RegisterLayout(n=n)
-        tr = qs.run_bit_fixing(identity_program(n), lay)
+        tr = qs.run_bit_fixing(identity_program(n))
         for row in tr.per_challenge:
             assert abs(row["p_succ"] - 1 / n) < 1e-12
         assert tr.passed and abs(tr.postselect_prob - 1.0) < 1e-12
@@ -152,7 +175,6 @@ def test_identity_program_success_is_one_over_n():
 def test_query_copied_to_workspace_does_not_help():
     # Query x=0 offline, swap the result into W, never touch it again.
     n, w = 3, 3
-    lay = qs.RegisterLayout(n=n, w=w)
     swap = np.zeros((n * w, n * w))
     for yv in range(n):
         for wv in range(w):
@@ -162,18 +184,19 @@ def test_query_copied_to_workspace_does_not_help():
         online=((),) * n,
         p=1,
         t=0,
+        w=w,
     )
-    tr = qs.run_bit_fixing(program, lay)
+    tr = qs.run_bit_fixing(program)
     for row in tr.per_challenge:
         assert abs(row["p_succ"] - 1 / n) < 1e-12
 
 
 def test_grover_iteration_program_matches_closed_form():
-    tr3 = qs.run_bit_fixing(grover_iteration_program(3), qs.RegisterLayout(n=3))
+    tr3 = qs.run_bit_fixing(grover_iteration_program(3))
     for row in tr3.per_challenge:
         assert abs(row["p_succ"] - 25 / 27) < 1e-12
         assert abs(row["p_succ"] - sin(3 * asin(1 / np.sqrt(3))) ** 2) < 1e-12
-    tr4 = qs.run_bit_fixing(grover_iteration_program(4), qs.RegisterLayout(n=4))
+    tr4 = qs.run_bit_fixing(grover_iteration_program(4))
     for row in tr4.per_challenge:
         assert abs(row["p_succ"] - 1.0) < 1e-12
 
@@ -181,7 +204,6 @@ def test_grover_iteration_program_matches_closed_form():
 def test_postselection_renormalizes():
     # Rotate B so that b=0 keeps only part of the mass.
     n = 3
-    lay = qs.RegisterLayout(n=n)
     theta = 0.7
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     program = qs.AlgorithmProgram(
@@ -190,7 +212,7 @@ def test_postselection_renormalizes():
         p=0,
         t=0,
     )
-    tr = qs.run_bit_fixing(program, lay)
+    tr = qs.run_bit_fixing(program)
     assert abs(tr.postselect_prob - np.cos(theta) ** 2) < 1e-12
     for row in tr.per_challenge:
         assert abs(row["p_succ"] - 1 / n) < 1e-12
@@ -198,7 +220,6 @@ def test_postselection_renormalizes():
 
 def test_zero_postselection_is_a_contract_error():
     n = 3
-    lay = qs.RegisterLayout(n=n)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     program = qs.AlgorithmProgram(
         offline=(qs.Unitary(flip, ("b",)),),
@@ -207,12 +228,12 @@ def test_zero_postselection_is_a_contract_error():
         t=0,
     )
     with pytest.raises(qs.ZeroPostselectionError):
-        qs.run_bit_fixing(program, lay)
+        qs.run_bit_fixing(program)
 
 
 def test_transcript_fields_and_norms():
     program = qs.random_program(3, 1, 1, seed=11)
-    tr = qs.run_bit_fixing(program, qs.RegisterLayout(n=3))
+    tr = qs.run_bit_fixing(program)
     d = cli._fields(tr)
     assert d["pass"] is tr.passed and "passed" not in d
     assert d["n"] == 3 and d["p"] == 1 and d["t"] == 1
@@ -224,10 +245,9 @@ def test_transcript_fields_and_norms():
 def test_success_probability_vs_monte_carlo():
     # Terminal-measurement sampling agrees with the projection value to 3 sigma.
     n, shots = 4, 100_000
-    lay = qs.RegisterLayout(n=n)
     program = qs.random_program(n, 0, 1, seed=3)
     y = 1
-    s = qs.init_state(lay)
+    s = qs.init_state(program.layout)
     for step in program.offline:
         s = qs.apply_step(s, step)
     qs.postselect_b0(s)
@@ -259,17 +279,15 @@ def test_support_residual_zero_before_queries():
 
 
 def test_support_residual_small_after_queries():
-    lay = qs.RegisterLayout(n=4)
     program = qs.random_program(4, 2, 0, seed=5)
-    tr = qs.run_bit_fixing(program, lay)
+    tr = qs.run_bit_fixing(program)
     assert all(row["residual"] <= 1e-8 for row in tr.lemma_checks)
 
 
 def test_support_negative_control_wrong_k():
     # After 3 generic queries the state is NOT inside A_2.
-    lay = qs.RegisterLayout(n=4)
     program = qs.random_program(4, 3, 0, seed=9)
-    state = qs.init_state(lay)
+    state = qs.init_state(program.layout)
     for step in program.offline:
         state = qs.apply_step(state, step)
     assert qs.support_residual(state, 3) <= 1e-8
@@ -283,7 +301,7 @@ def test_support_negative_control_wrong_k():
 def test_inequalities_identity_program_tight_case():
     # No queries at all: sqrt(1/n) <= 0 + 1/sqrt(n) with equality.
     n = 5
-    _, rep = qs.check_progress_inequalities(identity_program(n), qs.RegisterLayout(n=n))
+    _, rep = qs.check_progress_inequalities(identity_program(n))
     finals = [r for r in rep.rows if r.kind == "final"]
     assert all(r.checked for r in finals)
     assert all(abs(r.slack) < 1e-9 for r in finals)
@@ -291,25 +309,23 @@ def test_inequalities_identity_program_tight_case():
 
 
 def test_inequalities_random_programs_n5():
-    lay = qs.RegisterLayout(n=5)
     for seed in range(6):
         program = qs.random_program(5, 0, 1, seed=seed)
-        _, rep = qs.check_progress_inequalities(program, lay)
+        _, rep = qs.check_progress_inequalities(program)
         assert rep.passed
         assert rep.checked > 0
 
 
 def test_inequalities_vacuous_instances_are_reported():
-    lay = qs.RegisterLayout(n=4)
     program = qs.random_program(4, 1, 1, seed=0)
-    _, rep = qs.check_progress_inequalities(program, lay)
+    _, rep = qs.check_progress_inequalities(program)
     assert rep.vacuous > 0
     assert rep.passed  # nothing checked can fail
 
 
 def test_online_snapshots_count():
     program = qs.random_program(4, 1, 2, seed=2)
-    _, rep = qs.check_progress_inequalities(program, qs.RegisterLayout(n=4))
+    _, rep = qs.check_progress_inequalities(program)
     for y in range(4):
         kinds = [(r.kind, r.k) for r in rep.rows if r.y == y]
         assert kinds == [("final", 2), ("step", 1), ("step", 2)]
@@ -327,9 +343,8 @@ def test_final_rows_use_the_game_success(n, p, t, w):
         program = grover_iteration_program(n)
     else:
         program = qs.random_program(n, p, t, w=w, seed=n + p + t)
-    lay = qs.RegisterLayout(n=n, w=w)
-    _, rep = qs.check_progress_inequalities(program, lay)
-    tr = qs.run_bit_fixing(program, lay)
+    _, rep = qs.check_progress_inequalities(program)
+    tr = qs.run_bit_fixing(program)
     finals = [r for r in rep.rows if r.kind == "final"]
     assert [r.lhs for r in finals] == [math.sqrt(row["p_succ"]) for row in tr.per_challenge]
 
@@ -337,9 +352,8 @@ def test_final_rows_use_the_game_success(n, p, t, w):
 def test_one_pass_yields_the_game_transcript():
     # The inequality check plays the same game as run_bit_fixing, once.
     program = qs.random_program(4, 1, 2, w=2, seed=9)
-    lay = qs.RegisterLayout(n=4, w=2)
-    tr, _ = qs.check_progress_inequalities(program, lay)
-    assert tr == qs.run_bit_fixing(program, lay)
+    tr, _ = qs.check_progress_inequalities(program)
+    assert tr == qs.run_bit_fixing(program)
 
 
 def test_game_reads_no_high_projector(monkeypatch):
@@ -347,7 +361,7 @@ def test_game_reads_no_high_projector(monkeypatch):
         raise AssertionError("run_bit_fixing built a high projector")
 
     monkeypatch.setattr(regrep, "high_projection", refuse)
-    tr = qs.run_bit_fixing(qs.random_program(4, 1, 1, seed=4), qs.RegisterLayout(n=4))
+    tr = qs.run_bit_fixing(qs.random_program(4, 1, 1, seed=4))
     assert tr.passed
 
 
@@ -356,7 +370,7 @@ def test_challenge_out_of_range_is_refused(challenge, monkeypatch):
     # -1 used to play pi(x) = -1 and pass with p_succ 0; n ended in IndexError.
     monkeypatch.setattr(qs, "init_state", None)  # no simulation may start
     with pytest.raises(ValueError, match=r"challenge must be 'all' or in range\(3\)"):
-        qs.run_bit_fixing(identity_program(3), qs.RegisterLayout(n=3), challenge=challenge)
+        qs.run_bit_fixing(identity_program(3), challenge=challenge)
 
 
 def test_query_first_online_steps():
@@ -364,7 +378,7 @@ def test_query_first_online_steps():
     n = 5
     steps = (qs.Query(), qs.Unitary(np.eye(n), ("x",)))
     program = qs.AlgorithmProgram(offline=(), online=(steps,) * n, p=0, t=1)
-    _, rep = qs.check_progress_inequalities(program, qs.RegisterLayout(n=n))
+    _, rep = qs.check_progress_inequalities(program)
     assert len(rep.rows) == 10 and rep.checked == 10
     assert rep.passed
 
@@ -422,19 +436,24 @@ def query_unitary_xl_reference(pi, dim_l):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("t", [0, 1, 2])
 def test_adversary_oracle_gather_matches_dense_reference(n, t):
-    # The row gather must reproduce mixers @ (q @ u) with the dense oracle q
-    # bit for bit, for the same seeded mixers.
+    # Each projector must equal want^H V want bit for bit, where want is
+    # mixers @ (q @ u) with the dense oracle q and the same seeded mixers,
+    # and V fixes X at the preimage of y.
     for seed in range(3):
         rng = np.random.default_rng(seed)
         mixers = [[qs.random_unitary(n * n, rng) for _ in range(t + 1)] for _ in range(n)]
-        unitaries = qs.random_query_adversary(n, t, seed).unitaries
-        assert list(unitaries) == list(regrep.enumerate_group(n))
-        for pi, per_y in unitaries.items():
+        proj = qs.random_query_adversary(n, t, seed)
+        group = regrep.enumerate_group(n)
+        assert proj.shape == (len(group), n, n * n, n * n)
+        for pi, per_y in zip(group, proj):
             q = query_unitary_xl_reference(pi, n)
             for y, got in enumerate(per_y):
                 want = mixers[y][0].copy()
                 for i in range(1, t + 1):
                     want = mixers[y][i] @ (q @ want)
+                v = np.zeros(n * n)
+                v[pi.index(y) * n : (pi.index(y) + 1) * n] = 1.0
+                want = want.conj().T @ (v[:, None] * want)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (pi, y, seed)
 
 
@@ -446,17 +465,10 @@ def test_random_unitary_is_unitary():
 
 def test_alternating_game_one_round_is_plain_success():
     n, t = 3, 1
-    adv = qs.random_query_adversary(n, t, seed=0)
-    rep = qs.alternating_game(adv, g=1, t=t)
-    # Independent evaluation of the plain success probability.
-    group = regrep.enumerate_group(n)
-    init = adv.initial_state()
-    delta = np.mean(
-        [
-            np.mean([float(np.real(init.conj() @ (py @ init))) for py in adv.success_projectors(pi)])
-            for pi in group
-        ]
-    )
+    proj = qs.random_query_adversary(n, t, seed=0)
+    rep = qs.alternating_game(proj, g=1, t=t)
+    # Independent evaluation of the plain success probability <0|P|0>.
+    delta = np.mean(proj[:, :, 0, 0].real)
     assert abs(rep.simulated[0] - delta) < 1e-12
     assert rep.passed
 
@@ -464,27 +476,12 @@ def test_alternating_game_one_round_is_plain_success():
 def test_alternating_game_projector_adversary_is_g_independent():
     # If the averaged measurement is itself a projector, every round repeats
     # the same verdict and the game value does not depend on g.
-    class ProjectorAdversary(qs.AltAdversary):
-        def __init__(self, n):
-            super().__init__(n, 1, {})
-            v = np.zeros(n)
-            v[0] = 1.0
-            self.proj = np.outer(v, v)
-
-        def initial_state(self):
-            v = np.zeros(self.n, dtype=np.complex128)
-            v[0] = 1 / np.sqrt(2)
-            v[1] = 1 / np.sqrt(2)
-            return v
-
-        def success_projectors(self, pi):
-            return [self.proj for _ in range(self.n)]
-
-    adv = ProjectorAdversary(3)
-    rep = qs.alternating_game(adv, g=4)
-    assert np.allclose(rep.simulated, rep.simulated[0])
-    assert abs(rep.simulated[0] - 0.5) < 1e-12
-    assert rep.passed
+    v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
+    proj = np.broadcast_to(np.outer(v, v).astype(np.complex128), (6, 3, 3, 3))
+    for g in range(1, 5):
+        rep = qs.alternating_game(proj, g=g)
+        assert np.allclose(rep.simulated, 0.5, rtol=0, atol=1e-12)
+        assert rep.passed
 
 
 def test_alternating_game_simulation_matches_formula():
