@@ -545,6 +545,7 @@ def test_program_over_budget_is_refused_before_any_draw(command, capsys, monkeyp
         raise AssertionError("a unitary was drawn before the budget check")
 
     monkeypatch.setattr(querysim, "random_unitary", must_not_run)
+    assert querysim.RegisterLayout(n=6, w=100).total_dim <= querysim.DEFAULT_BUDGET
     code = cli.main([command, "--n", "6", "--w", "100"])
     captured = capsys.readouterr()
     assert code == 2

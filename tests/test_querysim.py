@@ -148,18 +148,6 @@ def test_program_fixes_its_own_layout():
         qs.AlgorithmProgram(offline=(), online=((),) * 6, p=0, t=0, w=400)
 
 
-def test_random_program_refuses_over_budget_before_any_draw(monkeypatch):
-    # n = 6, w = 100 fits the state budget (5,184,000 entries) but its
-    # unitaries hold 207,360,000 entries, which used to be drawn eagerly.
-    def refuse(dim, rng):
-        raise AssertionError("a unitary was drawn before the budget check")
-
-    monkeypatch.setattr(qs, "random_unitary", refuse)
-    assert qs.RegisterLayout(n=6, w=100).total_dim <= qs.DEFAULT_BUDGET
-    with pytest.raises(MemoryError, match="207360000 entries, exceeding budget 16777216"):
-        qs.random_program(6, 0, 1, w=100)
-
-
 # ---------------------------------------------------------------------------
 # Bit-fixing transcripts.
 
