@@ -209,6 +209,7 @@ def cmd_game(args) -> int:
             challenge = int(challenge)
         except ValueError:
             raise ValueError(f"--challenge must be 'all' or an integer, got {challenge!r}") from None
+    querysim.check_challenge(args.n, challenge)  # before the draw, which can take seconds
     program = querysim.random_program(args.n, args.p, args.t, w=args.w, seed=args.seed)
     transcript = querysim.run_bit_fixing(program, challenge=challenge)
     return _emit(args, _fields(transcript), transcript.passed)
@@ -225,6 +226,7 @@ def cmd_altgame(args) -> int:
         rep = querysim.alternating_game(proj, args.g, t=args.t, seed=args.seed + i)
         ok &= rep.passed
         reports.append(_fields(rep))
+        del proj  # free its (N!, N, N^2, N^2) array before the next one is drawn
     return _emit(args, {"n": args.n, "t": args.t, "g": args.g, "games": reports}, ok)
 
 

@@ -275,6 +275,13 @@ def _game(
     return transcript, highs
 
 
+def check_challenge(n: int, challenge: int | str) -> None:
+    """ValueError unless challenge is "all" or in range(n); known from n
+    alone, so a caller can check it before drawing a program."""
+    if challenge != "all" and challenge not in range(n):
+        raise ValueError(f"challenge must be 'all' or in range({n}), got {challenge!r}")
+
+
 def run_bit_fixing(program: AlgorithmProgram, challenge: int | str = "all") -> GameTranscript:
     """Play the bit-fixing game and measure success per challenge.
 
@@ -286,8 +293,7 @@ def run_bit_fixing(program: AlgorithmProgram, challenge: int | str = "all") -> G
     the current query count.
     """
     n = program.layout.n
-    if challenge != "all" and challenge not in range(n):
-        raise ValueError(f"challenge must be 'all' or in range({n}), got {challenge!r}")
+    check_challenge(n, challenge)
     ys = range(n) if challenge == "all" else [int(challenge)]
     return _game(program, ys)[0]
 

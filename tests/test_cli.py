@@ -291,6 +291,38 @@ def test_lemma_check_drops_each_program_before_the_next_draw(capsys, monkeypatch
     assert len(drawn) == 3
 
 
+@pytest.mark.parametrize("challenge", ["4", "-1"])
+def test_game_refuses_an_out_of_range_challenge_before_the_draw(challenge, capsys, monkeypatch):
+    # Drawing the program can take seconds; the range is known from --n.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a program was drawn before the challenge was checked")
+
+    monkeypatch.setattr(querysim, "random_program", refuse)
+    code = cli.main(["game", "--n", "4", "--challenge", challenge])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: challenge must be 'all' or in range(4), got {int(challenge)}\n"
+
+
+def test_altgame_drops_each_adversary_before_the_next_draw(capsys, monkeypatch):
+    # An adversary at n = 6 is an (N!, N, N^2, N^2) array of 89.6 MB; only
+    # one may be alive at a time.
+    drawn = []
+
+    def tracking(*args, **kwargs):
+        assert all(ref() is None for ref in drawn), "the previous adversary is still alive"
+        proj = random_query_adversary(*args, **kwargs)
+        drawn.append(weakref.ref(proj))
+        return proj
+
+    random_query_adversary = querysim.random_query_adversary
+    monkeypatch.setattr(querysim, "random_query_adversary", tracking)
+    code, _ = run_cli(["altgame", "--n", "3", "--t", "1", "--g", "2", "--adversaries", "3"], capsys)
+    assert code == 0
+    assert len(drawn) == 3
+
+
 def test_decomp_check_cli(capsys):
     code, out = run_cli(["decomp-check", "--n", "4", "--trials", "5"], capsys)
     assert code == 0
@@ -352,17 +384,19 @@ def test_decomp_check_fails_on_a_wrong_containment(capsys, monkeypatch):
 
 
 def test_decomp_check_fails_on_an_incomplete_complement(capsys, monkeypatch):
-    # D L_2 with one symmetric pair moved by 1: still symmetric with the same
-    # trace, but D P_2 + D L_2 misses D I by 1.
+    # The column of D L_2 with the entries of some pi and pi^-1 != pi moved
+    # by 1: still symmetric with the same trace, but D P_2 + D L_2 misses D I
+    # by 1.
     exact = regrep._scaled_low
+    inv = regrep._inverses(4)
+    k = int(np.flatnonzero(inv != np.arange(inv.size))[0])
 
     def nudged(n, y):
         low = exact(n, y)
         if y != 2:
             return low
         low = low.copy()
-        low[0, 1] += 1
-        low[1, 0] += 1
+        low[[k, inv[k]]] += 1
         return low
 
     monkeypatch.setattr(regrep, "_scaled_low", nudged)

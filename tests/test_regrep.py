@@ -7,12 +7,15 @@ kernel witness, plus numpy's SVD-based matrix_rank as a third opinion.
 Each rank check is also shown able to fail: an unlucky prime, a prime that
 divides a Schur pivot, a perturbed witness and an over-reported rank.
 Projector references: the direct Stab(y) character sum against the
-relabeled D P_0, and a test-local SVD projector of the constructive
-increments; each exact projector check is shown able to fail on its own.
+conjugated column of D P_0, a test-local SVD projector of the constructive
+increments, the dense certificates (a)-(c) against the column ones, and the
+dense two-sided action against the column residuals of the change of
+challenge; each exact projector check is shown able to fail on its own.
 Character cross-check: traces of the one-sided action restricted to an
 isotypic block, from a test-local float isotypic projector.
 """
 
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -91,6 +94,15 @@ def perm_compose(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
 
+def act_index_map(n: int, pi_d, pi_r) -> np.ndarray:
+    """Index map of the two-sided action |pi> -> |pi_r . pi . pi_d^{-1}>,
+    from the composition table: the dense reference for the conjugations of
+    columns in regrep."""
+    comp = regrep.composition_table(n)
+    right = comp[:, regrep.perm_index(np.argsort(pi_d))]  # pi . pi_d^{-1}
+    return comp[regrep.perm_index(pi_r), right].astype(np.int64)
+
+
 def act(pi_d, pi_r, v: np.ndarray) -> np.ndarray:
     """Apply the two-sided action |pi> -> |pi_r . pi . pi_d^{-1}> to an
     amplitude vector over S_n."""
@@ -98,7 +110,7 @@ def act(pi_d, pi_r, v: np.ndarray) -> np.ndarray:
     if len(pi_r) != n or v.shape != (factorial(n),):
         raise ValueError("dimension mismatch")
     out = np.empty_like(v)
-    out[regrep.act_index_map(n, pi_d, pi_r)] = v
+    out[act_index_map(n, pi_d, pi_r)] = v
     return out
 
 
@@ -542,25 +554,6 @@ def test_float32_gram_is_exact_on_the_tall_n6_sets():
             assert np.array_equal(regrep._gram_int(rows), _perm_gram(n, k, y)), (k, y)
 
 
-def test_a_projector_gram_sums_run_in_float32_and_are_exact(monkeypatch):
-    # Certificate (b) of N! P_{A_k} at N = 6: the largest diagonal entry of
-    # its Gram matrix is at most 518400 < 2^24, so each sum runs in float32.
-    chosen = []
-    exact_float = regrep._exact_float
-
-    def recording(bound):
-        chosen.append(exact_float(bound))
-        return chosen[-1]
-
-    monkeypatch.setattr(regrep, "_exact_float", recording)
-    for k in range(6):
-        sp = regrep._scaled_a(6, k).astype(np.int64)
-        del chosen[:]
-        gram = regrep._gram_int(sp)
-        assert chosen == [np.float32], k
-        assert np.array_equal(gram, sp.T @ sp), k
-
-
 @pytest.mark.parametrize("chunk", [1, 512])
 def test_gram_past_the_float32_range_is_exact_or_refused(chunk, monkeypatch):
     # 4096^2 + 1 = 2^24 + 1 has no float32; its Gram must not round to 2^24.
@@ -686,10 +679,10 @@ def test_high_projection_rank_and_contract():
 
 @pytest.mark.parametrize("n, ys", [(3, range(3)), (4, range(4)), (5, range(5)), (6, range(6))])
 def test_derived_high_projection_matches_constructive_build(n, ys):
-    # D P_y for y != 0 is derived from D P_0 by relabeling; the direct build
-    # from the Stab(y) character sums must give the very same integers, which
-    # keeps the relabeling check of change_of_challenge_check from being a
-    # tautology.
+    # The column of D P_y for y != 0 is the column of D P_0 conjugated by
+    # (0 y); the direct build from the Stab(y) character sums must give the
+    # very same integers, which keeps the conjugation check of
+    # change_of_challenge_check from being a tautology.
     branches = regrep._high_branches(n)
     for y in ys:
         assert np.array_equal(regrep._branch_sum(n, y, branches), regrep._scaled_high(n, y)), y
@@ -821,40 +814,109 @@ def test_restriction_of_a_k_touches_only_low_levels():
                 assert abs(mass) < 1e-8
 
 
+def _moved_pair(n: int, col: np.ndarray) -> np.ndarray:
+    """col with its entry at the transposition (0 1), which is its own
+    inverse, moved by 1: the least change of a column that keeps its gather
+    an integer symmetric matrix of the same trace, moved on the pairs of
+    off-diagonal entries [i, j] with pi_i pi_j^-1 = (0 1).  No permutation
+    fixes (0 1) under conjugation unless it maps {0, 1} onto itself, so a
+    residual of the change of challenge can see it."""
+    b = col.copy()
+    b[regrep.perm_index([1, 0, *range(2, n)])] += 1
+    b.setflags(write=False)
+    return b
+
+
 def test_each_certificate_check_can_fail():
     # 6 P_{A_1} at n = 3 has rank 1 + 2^2 = 5 and holds A_1, not A_2 (all of C^6).
     p = regrep._scaled_a(3, 1)
-    regrep._certify("P", p, 6, 5, [regrep.subspace_a(3, 1).span.T])
-    skew = p.astype(np.int64)
-    skew[0, 1] += 1
+    regrep._certify("P", 3, p, 6, 5, [regrep.subspace_a(3, 1).span.T])
+    inv = regrep._inverses(3)
+    skew = p.copy()
+    skew[np.flatnonzero(inv != np.arange(6))[0]] += 1
     with pytest.raises(ArithmeticError, match=r"P: \(a\) not symmetric"):
-        regrep._certify("P", skew, 6, 5)
+        regrep._certify("P", 3, skew, 6, 5)
     with pytest.raises(ArithmeticError, match=r"P: \(b\) its square is not 6 times itself"):
-        regrep._certify("P", 2 * p, 6, 5)
+        regrep._certify("P", 3, 2 * p, 6, 5)
     with pytest.raises(ArithmeticError, match=r"P: \(c\) trace 30 is not 6 \* rank 4"):
-        regrep._certify("P", p, 6, 4)
+        regrep._certify("P", 3, p, 6, 4)
     with pytest.raises(ArithmeticError, match=r"P: \(d\) moves a vector its range must hold"):
-        regrep._certify("P", p, 6, 5, [regrep.subspace_a(3, 2).span.T])
+        regrep._certify("P", 3, p, 6, 5, [regrep.subspace_a(3, 2).span.T])
     with pytest.raises(ArithmeticError, match="integer product bound .* is not below 2"):
-        regrep._certify("P", p, 6, 5, [np.full((6, 1), 2**50)])
+        regrep._certify("P", 3, p, 6, 5, [np.full((6, 1), 2**50)])
+
+
+def dense_verdict(n: int, col: np.ndarray, scale: int, rank: int) -> str | None:
+    """The first of the dense certificates that S = _gather(n, col) fails,
+    or None: (a) S == S.T, (b) S^2 == scale S by the exact Gram sum
+    _gram_int(S), which is S^2 once S is symmetric, (c) tr S == scale rank.
+    The reference for the column certificates of regrep._certify."""
+    sp = regrep._gather(n, col)
+    if not np.array_equal(sp, sp.T):
+        return "a"
+    if not np.array_equal(regrep._gram_int(sp), scale * sp):
+        return "b"
+    if np.trace(sp) != scale * rank:
+        return "c"
+    return None
+
+
+def column_verdict(n: int, col: np.ndarray, scale: int, rank: int) -> str | None:
+    """The certificate regrep._certify refuses col by, or None."""
+    try:
+        regrep._certify("S", n, col, scale, rank)
+    except ArithmeticError as exc:
+        return re.match(r"S: \((\w)\)", str(exc)).group(1)
+    return None
+
+
+def _certified_columns(n: int):
+    """(name, column, scale, rank) of every certified operator at n; at
+    n = 6, of challenge 0 only, the ones the CLI builds there (D L_y for
+    y != 0 would certify five more sets of A_i^y ranks)."""
+    f, d = factorial(n), regrep._scale(n)
+    for k in range(n):
+        yield f"N! P_A{k}", regrep._scaled_a(n, k), f, regrep.predicted_a_dim(n, k)
+    for y in range(n if n <= 5 else 1):
+        yield f"D P_{y}", regrep._scaled_high(n, y), d, regrep.predicted_high_rank(n)
+        yield f"D L_{y}", regrep._scaled_low(n, y), d, regrep.predicted_low_rank(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_column_certificates_match_the_dense_ones(n):
+    # Every certified column passes both; up to n = 5, a column mutant for
+    # each of (a), (b) and (c) fails both at the same check.
+    inv = regrep._inverses(n)
+    k = int(np.flatnonzero(inv != np.arange(inv.size))[0])
+    for name, col, scale, rank in _certified_columns(n):
+        assert col.shape == (factorial(n),), name
+        assert dense_verdict(n, col, scale, rank) is None is column_verdict(n, col, scale, rank), name
+        if n == 6:
+            continue
+        skew = col.copy()
+        skew[k] += 1
+        for mutant, r, check in ((skew, rank, "a"), (2 * col, rank, "b"), (col, rank + 1, "c")):
+            assert dense_verdict(n, mutant, scale, r) == check == column_verdict(n, mutant, scale, r), name
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_certified_projectors_to_n6(n):
-    # Traces are the predicted ranks times the scale, D P_0 + D L_0 == D I,
-    # and D P_0 and D M are int32 with 2 n max|D P_0| < 2^31, so every entry
-    # of D M and every difference of two of them is an int32 too.
+    # Every certified operator is kept as a column of N! integers whose
+    # trace N! c[0] is the predicted rank times the scale, the column of
+    # D P_0 + D L_0 is that of D I, and the entries of D P_0 and D M stay
+    # within their known bounds.
     d, f = regrep._scale(n), factorial(n)
     dq = regrep._scaled_high(n, 0)
-    assert np.trace(dq) == d * regrep.predicted_high_rank(n)
+    assert regrep._scaled_high_0(n).shape == regrep._scaled_m(n).shape == dq.shape == (f,)
+    assert f * dq[0] == np.trace(regrep._gather(n, dq)) == d * regrep.predicted_high_rank(n)
     for k in range(n):
-        assert np.trace(regrep._scaled_a(n, k), dtype=np.int64) == f * regrep.predicted_a_dim(n, k)
+        col = regrep._scaled_a(n, k)
+        assert col.shape == (f,) and f * col[0] == f * regrep.predicted_a_dim(n, k)
     assert np.abs(dq).max() <= {3: 6, 4: 84, 5: 1800, 6: 56280}[n]
     assert np.abs(regrep._scaled_m(n)).max() <= {3: 18, 4: 336, 5: 9000, 6: 337680}[n]
-    assert dq.dtype == regrep._scaled_m(n).dtype == np.int32
-    assert 2 * n * np.abs(dq).max() < 2**31
     dl = regrep._scaled_low(n, 0)  # certified by (a)-(c) as it is built
-    assert np.array_equal(dq + dl, d * np.eye(f, dtype=np.int64))
+    assert dl.shape == (f,)
+    assert np.array_equal(dq + dl, d * (np.arange(f) == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +954,7 @@ def test_central_element_is_the_weighted_sum_of_isotypic_projectors(n):
         float(young.eigenvalue_m(lam)) * isotypic_projector(n, lam)
         for lam in young.partitions(n)
     )
-    assert np.abs(regrep._central_element(n) / regrep._scale(n) - total).max() <= 1e-12
+    assert np.abs(regrep._gather(n, regrep._central_element(n)) / regrep._scale(n) - total).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -916,12 +978,15 @@ def test_dense_block_residuals_stay_within_the_old_tolerances(n):
 
 
 def test_spectrum_fails_on_a_relabeled_m_with_the_same_eigenvalues(monkeypatch):
-    # A relabeling of the N! basis vectors keeps every eigenvalue and
-    # multiplicity, so each block still matches; only D M == D C_f can see it.
+    # The column sgn(pi) m gathers to S M S, S = diag(sgn(pi)): M with each
+    # basis vector |pi> relabeled as sgn(pi) |pi>.  That keeps every
+    # eigenvalue and multiplicity (it swaps the blocks of lam and its
+    # transpose, of the same dimension), so each block still matches; only
+    # D M == D C_f can see it.
     n = 4
     dm = regrep._scaled_m(n)
-    p = np.random.default_rng(0).permutation(factorial(n))
-    monkeypatch.setattr(regrep, "_scaled_m", lambda n: dm[np.ix_(p, p)])
+    sgn = np.array([(-1) ** (n - len(young.cycle_type(p))) for p in regrep.enumerate_group(n)])
+    monkeypatch.setattr(regrep, "_scaled_m", lambda n: sgn * dm)
     rep = regrep.spectrum(n)
     assert all(b.ok for b in rep.blocks)
     assert rep.central_residual > 0.1
@@ -995,9 +1060,11 @@ def test_avg_bound_fails_on_a_level_eigenvalue_off_by_one_over_n(shift, monkeypa
 
 
 def test_change_of_challenge_identity_exact():
+    # The identity action fixes every basis vector and conjugates nothing.
     n = 3
-    amap = regrep.act_index_map(n, (0, 1, 2), (0, 1, 2))
-    assert np.array_equal(amap, np.arange(6))
+    ident = (0, 1, 2)
+    assert np.array_equal(act_index_map(n, ident, ident), np.arange(6))
+    assert np.array_equal(regrep._conjugation(n, ident), np.arange(6))
 
 
 def test_change_of_challenge_random():
@@ -1007,20 +1074,73 @@ def test_change_of_challenge_random():
     assert rep3.max_commutation_residual == 0
 
 
-def _moved_pair(a: np.ndarray) -> np.ndarray:
-    """a with one symmetric off-diagonal pair moved by 1, the least change
-    of an integer matrix."""
-    b = a.copy()
-    b[1, 2] += 1
-    b[2, 1] += 1
-    b.setflags(write=False)
-    return b
+def _permuted(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """U a U^-1 for the permutation matrix U |i> = |idx[i]>."""
+    out = np.empty_like(a)
+    out[np.ix_(idx, idx)] = a
+    return out
+
+
+def dense_change_of_challenge(n: int, trials: int, seed: int) -> tuple[float, float]:
+    """The (conjugation, commutation) residuals of change_of_challenge_check
+    from dense matrices and the dense two-sided action U, with the same rng
+    draws: max|U P_y U^-1 - P_{pi_r(y)}| and max|U M U^-1 - M|, times D.
+    D P_y is the gathered D P_0 relabeled by the left multiplication by
+    (0 y); pi_d enters U here, and drops out of the residuals."""
+    ident = tuple(range(n))
+    d = regrep._scale(n)
+    p0 = regrep._gather(n, regrep._scaled_high_0(n))
+    dm = regrep._gather(n, regrep._scaled_m(n))
+
+    def high(y):
+        tau = list(ident)
+        tau[0], tau[y] = y, 0
+        return _permuted(p0, act_index_map(n, ident, tau))
+
+    rng = np.random.default_rng(seed)
+    conj = comm = 0.0
+    for _ in range(trials):
+        pi_d = tuple(int(v) for v in rng.permutation(n))
+        pi_r = tuple(int(v) for v in rng.permutation(n))
+        y = int(rng.integers(n))
+        amap = act_index_map(n, pi_d, pi_r)
+        conj = max(conj, float(np.abs(_permuted(high(y), amap) - high(pi_r[y])).max()) / d)
+        comm = max(comm, float(np.abs(_permuted(dm, amap) - dm).max()) / d)
+    return conj, comm
+
+
+def _column_residuals(n: int, trials: int, seed: int) -> tuple[float, float]:
+    rep = regrep.change_of_challenge_check(n, trials=trials, seed=seed)
+    return rep.max_conjugation_residual, rep.max_commutation_residual
+
+
+@pytest.mark.parametrize("n, seeds", [(3, range(4)), (4, range(4)), (5, range(2))], ids=["3", "4", "5"])
+def test_change_of_challenge_column_residuals_match_the_dense_action(n, seeds):
+    for seed in seeds:
+        assert _column_residuals(n, 10, seed) == dense_change_of_challenge(n, 10, seed) == (0.0, 0.0), seed
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_change_of_challenge_column_residuals_match_the_dense_action_on_mutants(n, monkeypatch):
+    # A moved D P_0 with the true D M, then a moved D M: each residual reads
+    # the same nonzero number from the columns as from the dense action.
+    regrep._scaled_m(n)  # cached from the true D P_0
+    true_high = regrep._scaled_high_0(n)
+    monkeypatch.setattr(regrep, "_scaled_high_0", lambda n, col=_moved_pair(n, true_high): col)
+    moved_high = _column_residuals(n, 10, 0)
+    assert moved_high == dense_change_of_challenge(n, 10, 0)
+    assert moved_high[0] > 0 == moved_high[1]
+    monkeypatch.setattr(regrep, "_scaled_high_0", lambda n: true_high)
+    monkeypatch.setattr(regrep, "_scaled_m", lambda n, col=_moved_pair(n, regrep._scaled_m(n)): col)
+    moved_m = _column_residuals(n, 10, 0)
+    assert moved_m == dense_change_of_challenge(n, 10, 0)
+    assert moved_m[0] == 0 < moved_m[1]
 
 
 def test_change_of_challenge_fails_on_a_moved_high_projector(monkeypatch):
     n = 4
     regrep._scaled_m(n)  # D M stays the true sum; only D P_0 moves
-    moved = _moved_pair(regrep._scaled_high_0(n))
+    moved = _moved_pair(n, regrep._scaled_high_0(n))
     monkeypatch.setattr(regrep, "_scaled_high_0", lambda n: moved)
     rep = regrep.change_of_challenge_check(n, trials=20, seed=0)
     assert rep.max_conjugation_residual == 1 / regrep._scale(n)
@@ -1030,7 +1150,7 @@ def test_change_of_challenge_fails_on_a_moved_high_projector(monkeypatch):
 
 def test_change_of_challenge_fails_on_a_moved_m(monkeypatch):
     n = 4
-    moved = _moved_pair(regrep._scaled_m(n))
+    moved = _moved_pair(n, regrep._scaled_m(n))
     monkeypatch.setattr(regrep, "_scaled_m", lambda n: moved)
     rep = regrep.change_of_challenge_check(n, trials=20, seed=0)
     assert rep.max_conjugation_residual == 0
@@ -1041,35 +1161,26 @@ def test_change_of_challenge_fails_on_a_moved_m(monkeypatch):
 @pytest.mark.parametrize(
     "entry, reason",
     [
-        (357913942, r"D P_0 too large for int32: 2 n max\|D P_0\| = 2147483652 is not below 2\^31"),
-        (357913941, "Gram entries too large"),  # inside the int32 bound: refused by (b)
+        (2**26, r"integer product bound .* is not below 2\^53"),
+        (2**25, r"\(b\) its square is not 12 times itself"),  # multiplied exactly, then refused
     ],
     ids=["past", "inside"],
 )
-def test_int32_guard_refuses_a_high_projector_past_the_bound(entry, reason, fresh_caches, monkeypatch):
-    # At n = 3 the guard 2 n max|D P_0| < 2^31 admits entries up to 357913941.
+def test_oversized_high_projector_is_refused_by_the_product_bound(entry, reason, fresh_caches, monkeypatch):
+    # At n = 3 certificate (b)'s product S c is exact while 6 max|c|^2 < 2^53,
+    # so an entry of 2^26 is refused before any product.
     branch_sum = regrep._branch_sum
+    inv = regrep._inverses(3)
+    k = int(np.flatnonzero(inv != np.arange(6))[0])
 
     def grown(n, y, branches):
         dq = branch_sum(n, y, branches)
-        dq[1, 2] = dq[2, 1] = entry
+        dq[[k, inv[k]]] = entry
         return dq
 
     monkeypatch.setattr(regrep, "_branch_sum", grown)
-    with pytest.raises(OverflowError, match=reason):
+    with pytest.raises(ArithmeticError, match=reason):
         regrep._scaled_high_0(3)
-
-
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
-def test_relabeling_residual_matches_the_ix_gather(dtype):
-    rng = np.random.default_rng(7)
-    for f in (6, 24, 120):
-        a = rng.integers(-337680, 337681, size=(f, f)).astype(dtype)
-        for _ in range(5):
-            idx = rng.permutation(f)
-            expected = float(np.abs(a[np.ix_(idx, idx)].astype(np.int64) - a).max())
-            assert regrep._relabeling_residual(a, idx) == expected
-        assert regrep._relabeling_residual(a, np.arange(f)) == 0.0
 
 
 @pytest.mark.parametrize("trials", [0, -1])
