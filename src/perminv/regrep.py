@@ -11,21 +11,25 @@ Everything up to the eigensolves is exact integer arithmetic.  Ranks of
 spanning sets (unnormalized assignment vectors are 0/1 integer vectors) are
 decided by one path at every N: the rank of the integer Gram matrix modulo
 one prime bounds the rank over Q from below, and an integer kernel witness,
-checked exactly, bounds it from above; the pivots give independent integer
-vectors spanning the subspace.  Every projector is one construction from
-characters, scaled to an integer operator: N! P_{A_k}, D P_y and D L_y with
-D = N! (N-1)!.  Each commutes with right multiplication, so it is kept as
-its column 0, N! integers, and the dense matrix is gathered from that column
-only where a product or an eigensolve needs one.  Each is certified exactly
-against the certified ranks and spanning vectors, on its column where it
-can be: symmetric, idempotent, of the certified trace, and fixing the
-subspace it must hold.  Only the challenge-0 high projector is built; the
-column of each other one is its conjugate by a range transposition, and
-the challenge relabelings of change_of_challenge_check are conjugations of
-columns too.  Products and Gram sums run in float32 while a bound checked
-beforehand keeps every partial sum below 2^24, and in float64 below 2^53.
-Floats enter at the public readers, which divide by the scale, and at the
-eigensolves.
+checked exactly, bounds it from above.  Every projector is one construction
+from characters, scaled to an integer operator: N! P_{A_k}, D P_y and D L_y
+with D = N! (N-1)!.  Each commutes with right multiplication, so it is kept
+as its column 0, N! integers, and the dense matrix is gathered from that
+column only where a product or an eigensolve needs one.  Each is certified
+exactly against the certified ranks, on its column where it can be:
+symmetric, idempotent, of the certified trace, and fixing the subspace it
+must hold.  That last check reads one indicator per image set.  Right
+multiplication by b maps the indicator of {(x_i, v_i)} to that of
+{(b^-1 x_i, v_i)}, so the right translates of the rows {(0, v_1), ...,
+(k-1, v_k)}, one per k-set v_1 < ... < v_k, are all the k-assignment
+vectors, and an operator that commutes with right multiplication fixes
+them all iff it fixes these C(N, k) rows.  Only the challenge-0 high
+projector is built; the column of each other one is its conjugate by a
+range transposition, and the challenge relabelings of
+change_of_challenge_check are conjugations of columns too.  Products and
+Gram sums run in float32 while a bound checked beforehand keeps every
+partial sum below 2^24, and in float64 below 2^53.  Floats enter at the
+public readers, which divide by the scale, and at the eigensolves.
 
 The size cap is N = 6 (dimension 720); at N = 7 each dense 5040^2 float
 matrix would cost ~200 MB.
@@ -179,6 +183,16 @@ def _indicator_rows(n: int, alphas) -> np.ndarray:
     for x, v in pairs.transpose(1, 2, 0):
         mask &= hit[x, v]
     return mask.astype(np.int8)
+
+
+def _image_set_rows(n: int, k: int, y: int | None = None) -> np.ndarray:
+    """The int8 indicator rows of the assignments {(0, v_1), ..., (k-1, v_k)},
+    one per k-set v_1 < ... < v_k of range(n), or per k-set holding y when y
+    is given.  Right multiplication by b maps the indicator of {(x_i, v_i)}
+    to that of {(b^-1 x_i, v_i)}, so the right translates of these C(n, k),
+    or C(n-1, k-1), rows are the whole spanning set of A_k, or of A_k^y."""
+    images = [v for v in combinations(range(n), k) if y is None or y in v]
+    return _indicator_rows(n, [tuple(enumerate(v)) for v in images])
 
 
 # ---------------------------------------------------------------------------
@@ -347,67 +361,46 @@ def _check_kernel_witness(gram: np.ndarray, k: np.ndarray) -> None:
         raise ArithmeticError(f"no integer kernel witness for rank {r}: max |G @ K| = {resid}")
 
 
-def exact_rank(gram: np.ndarray) -> tuple[int, list[int]]:
-    """Rank over Q of an integer matrix, and the pivot columns of its d x d
-    integer Gram matrix G (from _gram_int), proven on G by one path at every
-    N (a certificate after Kaltofen, Nehring and Saunders, ISSAC 2011).  The
-    rank r mod _RANK_PRIME is a lower bound, and the pivot columns are
-    independent over Q, as a minor nonzero mod p is nonzero; the witness K
-    of rank d - r with G @ K == 0 exactly is an upper bound.  G must be
+def exact_rank(gram: np.ndarray) -> int:
+    """Rank over Q of an integer matrix, proven on its d x d integer Gram
+    matrix G (from _gram_int) by one path at every N (a certificate after
+    Kaltofen, Nehring and Saunders, ISSAC 2011).  The rank r mod _RANK_PRIME
+    is a lower bound, as a minor nonzero mod p is nonzero; the witness K of
+    rank d - r with G @ K == 0 exactly is an upper bound.  G must be
     symmetric, as the elimination pivots on its diagonal.  An unlucky prime
     under-reports r or, dividing a nonzero Schur pivot, stops the
     elimination, and a dependent column with fractional coefficients has no
     integral K: all raise ArithmeticError.  A rank over-reported by a faulty
     elimination fails the trace check of the projector certified against
-    it."""
+    it.  The rank is that of the whole spanning set of a subspace; the
+    projector then reads only its image-set rows, whose right translates
+    are that set (_image_set_rows)."""
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError(f"exact_rank takes a square Gram matrix, got shape {gram.shape}")
     if not np.array_equal(gram, gram.T):
         raise ValueError("exact_rank takes a symmetric Gram matrix")
     r, pivots = _rank_mod_p(gram, _RANK_PRIME)
     _check_kernel_witness(gram, _kernel_witness(gram, pivots))
-    return r, pivots
+    return r
 
 
 # ---------------------------------------------------------------------------
-# Subspaces and their spanning vectors.
-
-
-@dataclass(eq=False)
-class Subspace:
-    """A subspace of the group algebra with an exactly certified dimension."""
-
-    dim: int
-    span: np.ndarray  # shape (dim, n!), int8, independent rows spanning it, read-only
-
-
-def _make_subspace(n: int, alphas) -> Subspace:
-    """The span of the indicator rows V of alphas.  Its dim independent
-    integer vectors are the pivot rows of V when G = V V^T, or the pivot
-    columns of G when G = V^T V: each column of V^T V lies in the row space
-    of V, and columns independent in G are independent rows in V.  Either
-    way the entries are at most C(N, N/2) <= 20 at N <= 6, and int8 holds
-    them."""
-    rows = _indicator_rows(n, alphas)
-    gram = _gram_int(rows)
-    r, pivots = exact_rank(gram)
-    span = (rows[pivots] if rows.shape[0] <= rows.shape[1] else gram[pivots]).astype(np.int8)
-    span.setflags(write=False)
-    return Subspace(dim=r, span=span)
+# Certified dimensions of A_k and A_k^y.
 
 
 @cache
-def subspace_a(n: int, k: int) -> Subspace:
-    """A_k: span of all k-partial-assignment vectors, exact rank attached."""
+def subspace_a(n: int, k: int) -> int:
+    """dim A_k, the exact rank of all k-partial-assignment vectors."""
     _check_level(n, k)
-    return _make_subspace(n, assignments(n, k))
+    return exact_rank(_gram_int(_indicator_rows(n, assignments(n, k))))
 
 
 @cache
-def subspace_a_y(n: int, k: int, y: int) -> Subspace:
-    """A_k^y: span of k-assignment vectors with y in the image; A_0^y = {0}."""
+def subspace_a_y(n: int, k: int, y: int) -> int:
+    """dim A_k^y, the exact rank of the k-assignment vectors with y in the
+    image; A_0^y = {0}."""
     _check_level(n, k)
-    return _make_subspace(n, assignments_with_image(n, k, y))
+    return exact_rank(_gram_int(_indicator_rows(n, assignments_with_image(n, k, y))))
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +459,17 @@ def _moved(sp: np.ndarray, scale: int, vectors: np.ndarray) -> float:
 def _certify(name: str, n: int, col: np.ndarray, scale: int, rank: int, fixed=()) -> None:
     """Raise ArithmeticError unless S / scale, S = _gather(n, col) for an
     integer column col, is the orthogonal projector of the certified rank
-    whose range holds the columns of each matrix in fixed.  Four exact
-    checks: (a) col[index of pi^-1] == col, so S is symmetric; (b)
-    S col == scale * col, one exact matrix-vector product: S^2 and scale S
-    both commute with right multiplication, so they are equal iff their
-    columns 0 are, and S / scale is an orthogonal projector; (c)
-    tr S = N! col[0] == scale * rank, so it has that rank; (d) S w == scale w
-    for every column w of fixed.  Each product is exact under the bound
-    _exact_matmul checks.  Once the columns of fixed span a space of the
-    certified rank, (a)-(d) make S / scale its projector."""
+    whose range holds the columns of each matrix in fixed and all their
+    right translates.  Four exact checks: (a) col[index of pi^-1] == col, so
+    S is symmetric; (b) S col == scale * col, one exact matrix-vector
+    product: S^2 and scale S both commute with right multiplication, so they
+    are equal iff their columns 0 are, and S / scale is an orthogonal
+    projector; (c) tr S = N! col[0] == scale * rank, so it has that rank;
+    (d) S w == scale w for every column w of fixed.  S commutes with right
+    multiplication, so (d) holds for every right translate of w as well.
+    Each product is exact under the bound _exact_matmul checks.  Once those
+    translates span a space of the certified rank, (a)-(d) make S / scale
+    its projector."""
     if not np.array_equal(col[_inverses(n)], col):
         raise ArithmeticError(f"{name}: (a) not symmetric")
     sp = _gather(n, col)
@@ -516,14 +511,14 @@ def _low_branches(n: int) -> list[tuple[Partition, list[Partition]]]:
 def _scaled_a(n: int, k: int) -> np.ndarray:
     """The column of N! P_{A_k} = sum of d_lam X_lam over the lam of level
     <= k, with X_lam[i, j] = chi_lam(pi_i^-1 pi_j): integer class values,
-    certified against the spanning vectors of A_k, and of A_{k-1} for the
-    chain A_{k-1} < A_k."""
-    sub = subspace_a(n, k)
+    certified on the image-set rows of A_k, and of A_{k-1} for the chain
+    A_{k-1} < A_k.  It commutes with right multiplication, so fixing those
+    rows fixes their right translates, the whole spanning sets."""
     elem_class, types = _class_data(n)
     values = sum(young.dim(lam) * _characters(lam, types) for lam in _up_to_level(n, k))
     col = values[elem_class]
-    fixed = [sub.span.T] + ([subspace_a(n, k - 1).span.T] if k else [])
-    _certify(f"a_projector({n}, {k})", n, col, factorial(n), sub.dim, fixed)
+    fixed = [_image_set_rows(n, j).T for j in range(max(k - 1, 0), k + 1)]
+    _certify(f"a_projector({n}, {k})", n, col, factorial(n), subspace_a(n, k), fixed)
     col.setflags(write=False)
     return col
 
@@ -567,18 +562,23 @@ def _high_increments(n: int, y: int) -> tuple[float, list[np.ndarray]]:
     """(outside, increments) of the constructive high subspace for challenge
     y, the sum over i = 1..n-1 of A_i^y with A_{i-1} projected out.
 
-    outside is the largest exact residual max|P_{A_i} v - v| over v spanning
-    A_i^y, 0.0 exactly when every A_i^y lies in A_i.  increments[i - 1] has
-    the integer columns N! v - (N! P_{A_{i-1}}) v.  Given the chain
-    A_{i-1} < A_i, the i-th increment then lies in A_i minus A_{i-1}, so the
-    increments are mutually orthogonal and each spans at least
-    dim A_i^y - dim A_{i-1} dimensions, with equality only when A_{i-1} lies
-    in A_i^y."""
+    Both read the image-set rows v of each A_i^y (_image_set_rows).  outside
+    is the largest exact residual max|P_{A_i} v - v| over them, 0.0 exactly
+    when every A_i^y lies in A_i.  increments[i - 1] has the integer columns
+    N! v - (N! P_{A_{i-1}}) v.  The map v -> N! v - (N! P_{A_{i-1}}) v and
+    P_{A_i} commute with right multiplication, so the right translates of
+    these columns are the residuals and increments of the whole spanning
+    set of A_i^y, and an operator that commutes with right multiplication
+    fixes all of them iff it fixes these.  Given the chain A_{i-1} < A_i,
+    the i-th increment then lies in A_i minus A_{i-1}, so the increments are
+    mutually orthogonal and their translates span at least
+    dim A_i^y - dim A_{i-1} dimensions, with equality only when A_{i-1}
+    lies in A_i^y."""
     f = factorial(n)
     outside, increments = 0.0, []
     below = _gather(n, _scaled_a(n, 0))
     for i in range(1, n):
-        v = subspace_a_y(n, i, y).span.T  # int8, cast only by the products
+        v = _image_set_rows(n, i, y).T  # int8, cast only by the products
         level = _gather(n, _scaled_a(n, i))
         outside = max(outside, _moved(level, f, v))
         increments.append(np.int64(f) * v - _exact_matmul(below, v))
@@ -587,20 +587,22 @@ def _high_increments(n: int, y: int) -> tuple[float, list[np.ndarray]]:
 
 
 def _high_rank(n: int, y: int) -> int:
-    return sum(subspace_a_y(n, i, y).dim - subspace_a(n, i - 1).dim for i in range(1, n))
+    return sum(subspace_a_y(n, i, y) - subspace_a(n, i - 1) for i in range(1, n))
 
 
 def _low_rank(n: int, y: int) -> int:
-    return sum(subspace_a(n, i).dim - subspace_a_y(n, i, y).dim for i in range(n))
+    return sum(subspace_a(n, i) - subspace_a_y(n, i, y) for i in range(n))
 
 
 @cache
 def _scaled_high_0(n: int) -> np.ndarray:
     """The column of D P_0, the one high projector that is built and kept:
     the branch sum over _high_branches, certified by (a)-(d) against the
-    increments of _high_increments.  With the certified trace, (d) forces
-    each increment to its least dimension, so A_{i-1} < A_i^0 < A_i, and P_0
-    is the projector onto their sum."""
+    increments of _high_increments, one per image set of each level.  D P_0
+    commutes with right multiplication, so (d) holds for their right
+    translates, the increments of every spanning vector.  With the certified
+    trace, (d) forces each increment to its least dimension, so
+    A_{i-1} < A_i^0 < A_i, and P_0 is the projector onto their sum."""
     dq = _branch_sum(n, 0, _high_branches(n))
     outside, increments = _high_increments(n, 0)
     if outside:
@@ -731,9 +733,10 @@ def spectrum(n: int) -> SpectrumReport:
     claimed twice.  Readout failures are reported, not raised.  The run
     passes only if every eigenvalue is claimed, every block is ok and
     D M == D C_f exactly, read on their columns; central_residual is
-    max|D M - D C_f| / D, 0.0 exactly when they are equal.  M = C_f then acts as e_lam on each
-    isotypic block and has no part between two blocks, exactly, and the
-    eigenvalue readout is an independent float check of the same identity.
+    max|D M - D C_f| / D, 0.0 exactly when they are equal.  M = C_f then
+    acts as e_lam on each isotypic block and has no part between two
+    blocks, exactly, and the eigenvalue readout is an independent float
+    check of the same identity.
     """
     eigs = np.sort(np.linalg.eigvalsh(build_m(n)))
     lams = young.partitions(n)
@@ -875,18 +878,22 @@ def decomposition_report(n: int) -> DecompReport:
 
     A_k dimensions are checked for any n within the cap.  Up to n = 5, one
     pass per challenge y checks the high/low ranks against the exact
-    projector traces N! c[0], c the operator's column, the containments A_{i-1} < A_i^y < A_i (chain_residual:
-    A_i^y inside A_i under the certified P_{A_i}, and D P_y fixing the
-    increments of _high_increments, which with the trace forces A_{i-1}
-    into A_i^y) and D P_y + D L_y == D I (complement_residual, read on the
-    columns against D e_0).  Both
-    residuals are exact integer residuals over their scale and must be 0.
+    projector traces N! c[0], c the operator's column; the containments
+    A_{i-1} < A_i^y < A_i (chain_residual: A_i^y inside A_i under the
+    certified P_{A_i}, and D P_y fixing the increments of _high_increments,
+    which with the trace forces A_{i-1} into A_i^y); and D P_y + D L_y ==
+    D I (complement_residual, read on the columns against D e_0).  The chain
+    reads one image-set row per k-set holding y: D P_y, the conjugate of
+    D P_0 by a left multiplication, commutes with right multiplication like
+    P_{A_i}, so the residuals of those rows are the largest over their right
+    translates, the whole spanning sets.  Both residuals are exact integer
+    residuals over their scale and must be 0.
     """
     _check_n(n)
     a_dims = []
     ok = True
     for k in range(n):
-        computed = subspace_a(n, k).dim
+        computed = subspace_a(n, k)
         pred = predicted_a_dim(n, k)
         good = computed == pred
         ok &= good

@@ -359,24 +359,33 @@ def test_decomp_check_fails_on_a_wrong_prediction(name, rows, capsys, monkeypatc
     assert report["complement_residual"] == 0
 
 
+def _with_a_row_of_the_next_level(level: int, challenge: int):
+    """regrep._image_set_rows with row 0 of A_level^challenge replaced by
+    row 0 of A_{level+1}.  At n = 4 every indicator of A_{level+1} lies
+    outside A_level: both spaces are closed under the two-sided action,
+    which is transitive on the (level+1)-assignments, so one inside would
+    put all of A_{level+1}, the larger space, inside A_level."""
+    exact = regrep._image_set_rows
+
+    def replaced(n, k, y=None):
+        rows = exact(n, k, y)
+        if (k, y) == (level, challenge):
+            rows = rows.copy()
+            rows[0] = exact(n, k + 1)[0]
+        return rows
+
+    return replaced
+
+
 def test_decomp_check_fails_on_a_wrong_containment(capsys, monkeypatch):
     # D P_0 and every N! P_{A_k} are certified first, so only the chain read
-    # sees one spanning vector of A_2^1 replaced by 4 e_0, a vector of A_3
-    # (all of C^24 at n = 4) outside A_2.  Dimensions stay as certified.
+    # sees one image-set row of A_2^1 replaced by e_0, the image-set row of
+    # A_3 (all of C^24 at n = 4) for {0, 1, 2}, outside A_2.  Dimensions
+    # stay as certified.
     n = 4
     regrep.spectrum(n)
-    exact = regrep.subspace_a_y
-
-    def replaced(n, k, y):
-        sub = exact(n, k, y)
-        if (k, y) != (2, 1):
-            return sub
-        span = sub.span.copy()
-        span[0] = regrep.subspace_a(n, 3).span[0]
-        return regrep.Subspace(dim=sub.dim, span=span)
-
-    assert np.array_equal(regrep.subspace_a(n, 3).span[0], 4 * np.eye(24, dtype=np.int8)[0])
-    monkeypatch.setattr(regrep, "subspace_a_y", replaced)
+    assert np.array_equal(regrep._image_set_rows(n, 3)[0], np.eye(24, dtype=np.int8)[0])
+    monkeypatch.setattr(regrep, "_image_set_rows", _with_a_row_of_the_next_level(2, 1))
     report = run_decomp_check_n4(capsys)
     assert report["chain_residual"] > 0
     assert report["complement_residual"] == 0
@@ -427,18 +436,8 @@ def _wrong_level_set(monkeypatch):
 
 
 def _vector_of_the_next_level(monkeypatch):
-    # One spanning vector of A_1^0 replaced by one of A_2 outside A_1.
-    exact = regrep.subspace_a_y
-
-    def replaced(n, k, y):
-        sub = exact(n, k, y)
-        if (k, y) != (1, 0):
-            return sub
-        span = sub.span.copy()
-        span[0] = regrep.subspace_a(n, 2).span[0]
-        return regrep.Subspace(dim=sub.dim, span=span)
-
-    monkeypatch.setattr(regrep, "subspace_a_y", replaced)
+    # One image-set row of A_1^0 replaced by one of A_2, outside A_1.
+    monkeypatch.setattr(regrep, "_image_set_rows", _with_a_row_of_the_next_level(1, 0))
 
 
 @pytest.mark.parametrize(

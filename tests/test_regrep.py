@@ -11,6 +11,9 @@ conjugated column of D P_0, a test-local SVD projector of the constructive
 increments, the dense certificates (a)-(c) against the column ones, and the
 dense two-sided action against the column residuals of the change of
 challenge; each exact projector check is shown able to fail on its own.
+The image-set rows the projectors are certified on are checked against the
+whole spanning sets by their right translates, and every gathered column
+against right multiplication.
 Character cross-check: traces of the one-sided action restricted to an
 isotypic block, from a test-local float isotypic projector.
 """
@@ -315,7 +318,7 @@ def test_modp_rank_and_witness_match_fraction_elimination():
             m[3] = m[0] ^ m[1] if trial % 2 else m[0]
         ref = fraction_rank(m)
         assert regrep._rank_mod_p(regrep._gram_int(m), regrep._RANK_PRIME)[0] == ref
-        assert regrep.exact_rank(regrep._gram_int(m))[0] == ref
+        assert regrep.exact_rank(regrep._gram_int(m)) == ref
 
 
 def test_unlucky_prime_has_no_witness():
@@ -600,20 +603,40 @@ def test_exact_matmul_past_the_float32_range_is_exact(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_basis_from_shared_gram_is_the_row_basis(n):
-    # The spanning vectors read off the pivots of the shared Gram matrix, on
-    # either side, are a basis of the row space: as many as the rank, all
-    # independent, and none outside the span of the rows.
+def test_dim_from_shared_gram_is_the_row_rank(n):
+    # The certified dimension, read off the Gram matrix on the smaller side,
+    # is the rank of the rows, with both sides in use.
     tall = short = 0
     for k, y, rows in _subspace_rows(n):
-        sub = regrep.subspace_a(n, k) if y is None else regrep.subspace_a_y(n, k, y)
-        r = np.linalg.matrix_rank(rows.astype(float))
-        assert sub.dim == r and sub.span.shape == (r, factorial(n)) and sub.span.dtype == np.int8
-        assert np.linalg.matrix_rank(sub.span.astype(float)) == r, (k, y)
-        assert np.linalg.matrix_rank(np.vstack([rows, sub.span]).astype(float)) == r, (k, y)
+        dim = regrep.subspace_a(n, k) if y is None else regrep.subspace_a_y(n, k, y)
+        assert dim == np.linalg.matrix_rank(rows.astype(float)), (k, y)
         tall += rows.shape[0] > rows.shape[1]
         short += rows.shape[0] <= rows.shape[1]
     assert tall and short
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_right_translates_of_image_set_rows_are_the_spanning_set(n):
+    # Row r moved by b, r[index of pi b] for each pi, for every b: as a set
+    # of rows, the indicator rows of every k-assignment of A_k or A_k^y.
+    comp = regrep.composition_table(n)
+    for k, y, rows in _subspace_rows(n):
+        base = regrep._image_set_rows(n, k, y)
+        assert len(base) == (comb(n, k) if y is None else comb(n - 1, k - 1)), (k, y)
+        translates = {row[comp[:, b]].tobytes() for row in base for b in range(factorial(n))}
+        assert translates == {row.tobytes() for row in rows}, (k, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gather_commutes_with_right_multiplication(n):
+    # S = _gather(n, c) of a column with no symmetry: S[r_b][:, r_b] == S
+    # for every b, r_b[i] the index of pi_i b, so S R_b = R_b S.
+    comp = regrep.composition_table(n)
+    col = np.random.default_rng(n).integers(-9, 10, size=factorial(n))
+    sp = regrep._gather(n, col)
+    for b in range(factorial(n)):
+        r_b = comp[:, b]
+        assert np.array_equal(sp[r_b][:, r_b], sp), b
 
 
 def test_exact_rank_needs_a_square_gram():
@@ -627,8 +650,7 @@ def test_rank_claimed_one_too_high_fails_the_trace_check(fresh_caches, monkeypat
     true_rank = regrep.exact_rank
 
     def over(gram):
-        r, pivots = true_rank(gram)
-        return r + 1, pivots
+        return true_rank(gram) + 1
 
     monkeypatch.setattr(regrep, "exact_rank", over)
     with pytest.raises(ArithmeticError, match=r"a_projector\(6, 1\): \(c\) trace 18720 is not 720 \* rank 27"):
@@ -639,7 +661,7 @@ def test_exact_rank_matches_numpy_on_spanning_sets():
     for n in (3, 4):
         for k in range(n):
             rows = regrep._indicator_rows(n, regrep.assignments(n, k))
-            assert regrep.exact_rank(regrep._gram_int(rows))[0] == np.linalg.matrix_rank(rows.astype(float))
+            assert regrep.exact_rank(regrep._gram_int(rows)) == np.linalg.matrix_rank(rows.astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -647,20 +669,20 @@ def test_exact_rank_matches_numpy_on_spanning_sets():
 
 
 def test_subspace_dims_n4():
-    assert regrep.subspace_a(4, 0).dim == 1
-    assert regrep.subspace_a(4, 1).dim == 10  # 1 + (4-1)^2
-    assert regrep.subspace_a(4, 2).dim == 23  # 1 + 9 + 4 + 9
+    assert regrep.subspace_a(4, 0) == 1
+    assert regrep.subspace_a(4, 1) == 10  # 1 + (4-1)^2
+    assert regrep.subspace_a(4, 2) == 23  # 1 + 9 + 4 + 9
 
 
 def test_subspace_dims_match_prediction():
     for n in range(2, 6):
         for k in range(n):
-            assert regrep.subspace_a(n, k).dim == regrep.predicted_a_dim(n, k)
+            assert regrep.subspace_a(n, k) == regrep.predicted_a_dim(n, k)
 
 
 def test_subspace_a_y_zero():
-    s = regrep.subspace_a_y(4, 0, 2)
-    assert s.dim == 0 and s.span.shape == (0, 24)
+    assert regrep.subspace_a_y(4, 0, 2) == 0
+    assert regrep._image_set_rows(4, 0, 2).shape == (0, 24)
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -830,7 +852,7 @@ def _moved_pair(n: int, col: np.ndarray) -> np.ndarray:
 def test_each_certificate_check_can_fail():
     # 6 P_{A_1} at n = 3 has rank 1 + 2^2 = 5 and holds A_1, not A_2 (all of C^6).
     p = regrep._scaled_a(3, 1)
-    regrep._certify("P", 3, p, 6, 5, [regrep.subspace_a(3, 1).span.T])
+    regrep._certify("P", 3, p, 6, 5, [regrep._image_set_rows(3, 1).T])
     inv = regrep._inverses(3)
     skew = p.copy()
     skew[np.flatnonzero(inv != np.arange(6))[0]] += 1
@@ -841,7 +863,7 @@ def test_each_certificate_check_can_fail():
     with pytest.raises(ArithmeticError, match=r"P: \(c\) trace 30 is not 6 \* rank 4"):
         regrep._certify("P", 3, p, 6, 4)
     with pytest.raises(ArithmeticError, match=r"P: \(d\) moves a vector its range must hold"):
-        regrep._certify("P", 3, p, 6, 5, [regrep.subspace_a(3, 2).span.T])
+        regrep._certify("P", 3, p, 6, 5, [regrep._image_set_rows(3, 2).T])
     with pytest.raises(ArithmeticError, match="integer product bound .* is not below 2"):
         regrep._certify("P", 3, p, 6, 5, [np.full((6, 1), 2**50)])
 
