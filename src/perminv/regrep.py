@@ -7,29 +7,36 @@ projectors, their sum M over all challenges, and the projectors onto A_k,
 then verifies the predicted decompositions by brute force and the spectrum
 of M against one exact central element.
 
-Everything up to the eigensolves is exact integer arithmetic.  Ranks of
-spanning sets (unnormalized assignment vectors are 0/1 integer vectors) are
-decided by one path at every N: the rank of the integer Gram matrix modulo
-one prime bounds the rank over Q from below, and an integer kernel witness,
-checked exactly, bounds it from above.  Every projector is one construction
-from characters, scaled to an integer operator: N! P_{A_k}, D P_y and D L_y
-with D = N! (N-1)!.  Each commutes with right multiplication, so it is kept
-as its column 0, N! integers, and the dense matrix is gathered from that
-column only where a product or an eigensolve needs one.  Each is certified
-exactly against the certified ranks, on its column where it can be:
-symmetric, idempotent, of the certified trace, and fixing the subspace it
-must hold.  That last check reads one indicator per image set.  Right
-multiplication by b maps the indicator of {(x_i, v_i)} to that of
-{(b^-1 x_i, v_i)}, so the right translates of the rows {(0, v_1), ...,
-(k-1, v_k)}, one per k-set v_1 < ... < v_k, are all the k-assignment
-vectors, and an operator that commutes with right multiplication fixes
-them all iff it fixes these C(N, k) rows.  Only the challenge-0 high
-projector is built; the column of each other one is its conjugate by a
-range transposition, and the challenge relabelings of
-change_of_challenge_check are conjugations of columns too.  Products and
-Gram sums run in float32 while a bound checked beforehand keeps every
-partial sum below 2^24, and in float64 below 2^53.  Floats enter at the
-public readers, which divide by the scale, and at the eigensolves.
+Everything up to the eigensolves is exact integer arithmetic.  The
+dimensions of A_k and A_k^y are counted from characters, not read off a
+matrix.  Left and right multiplication make C[S_N] the sum of the
+V_lam (x) V_lam*, each once, and restricting the left side to Stab(y)
+keeps it multiplicity-free by the branching rule (Okounkov and Vershik,
+1996).  A_k and A_k^y are each spanned by the orbit of one indicator, so
+each is the sum of the components that indicator does not vanish on, and
+each such test is an exact integer sum of characters.  The tests pin every
+count to an exact elimination of the Gram matrix of the whole spanning set
+at N <= 6.
+
+Every projector is one construction from characters, scaled to an integer
+operator: N! P_{A_k}, D P_y and D L_y with D = N! (N-1)!.  Each commutes
+with right multiplication, so it is kept as its column 0, N! integers, and
+the dense matrix is gathered from that column only where a product or an
+eigensolve needs one.  Each is certified exactly against the counted
+dimensions, on its column where it can be: symmetric, idempotent, of the
+counted trace, and fixing the subspace it must hold.  That last check
+reads one indicator per image set.  Right multiplication by b maps the
+indicator of {(x_i, v_i)} to that of {(b^-1 x_i, v_i)}, so the right
+translates of the rows {(0, v_1), ..., (k-1, v_k)}, one per k-set
+v_1 < ... < v_k, are all the k-assignment vectors, and an operator that
+commutes with right multiplication fixes them all iff it fixes these
+C(N, k) rows.  Only the challenge-0 high projector is built; the column of
+each other one is its conjugate by a range transposition, and the
+challenge relabelings of change_of_challenge_check are conjugations of
+columns too.  Products run in float32 while a bound checked beforehand
+keeps every partial sum below 2^24, and in float64 below 2^53.  Floats
+enter at the public readers, which divide by the scale, and at the
+eigensolves.
 
 The size cap is N = 6 (dimension 720); at N = 7 each dense 5040^2 float
 matrix would cost ~200 MB.
@@ -49,9 +56,6 @@ from perminv import young
 from perminv.young import Partition
 
 _MAX_N = 6  # dense N! x N! matrices
-_RANK_PRIME = 1_000_003
-_RANK_BLOCK = 32  # panel width of the blocked prime-field elimination
-_GRAM_ROWS = 512  # lines of the longer side per float chunk of a Gram matrix
 
 
 class CapacityError(ValueError):
@@ -69,6 +73,12 @@ def _check_level(n: int, k: int) -> None:
     _check_n(n)
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}")
+
+
+def _check_challenge(n: int, y: int) -> None:
+    _check_n(n)
+    if not 0 <= y < n:
+        raise ValueError(f"challenge {y} not in range({n})")
 
 
 # ---------------------------------------------------------------------------
@@ -146,30 +156,7 @@ def _transposition(n: int, y: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Partial assignments and their spanning vectors.
-
-
-@cache
-def assignments(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All k-partial assignments as tuples of (input, output) pairs.
-
-    Deterministic lexicographic order: domains in combination order, images
-    in permutation order.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= {n}, got {k}")
-    out = []
-    for dom in combinations(range(n), k):
-        for img in permutations(range(n), k):
-            out.append(tuple(zip(dom, img)))
-    return tuple(out)
-
-
-@cache
-def assignments_with_image(n: int, k: int, y: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    if not 0 <= y < n:
-        raise ValueError(f"challenge {y} not in range({n})")
-    return tuple(a for a in assignments(n, k) if any(v == y for _, v in a))
+# Indicator vectors of partial assignments.
 
 
 def _indicator_rows(n: int, alphas) -> np.ndarray:
@@ -196,8 +183,7 @@ def _image_set_rows(n: int, k: int, y: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exact ranks: one prime field for the lower bound, an integer kernel witness
-# for the upper bound.
+# Exact integer products.
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -214,133 +200,6 @@ def _exact_float(bound: int) -> type:
     return np.float32 if bound < 2**24 else np.float64
 
 
-def _gram_int(rows: np.ndarray) -> np.ndarray:
-    """Exact integer Gram matrix of an integer row matrix, on the smaller side.
-
-    The longer side is summed over float copies of _GRAM_ROWS of its lines
-    at a time, so the rows never exist in float whole.  The float type comes
-    from one bound read before the sum: the largest diagonal entry of G,
-    the largest squared column norm of the lines.  By Cauchy-Schwarz it
-    bounds every product and every partial sum of every entry, so the sums
-    run in float32 while it is below 2^24 (_exact_float; at N <= 6 it is at
-    most N! = 720 for the 0/1 rows of the spanning sets) and in float64
-    below 2^52, and any chunking gives the same bits; from 2^52 on they are
-    refused.  The diagonal itself is summed in float64: its partial sums
-    are nonnegative and at most the total, so it is exact while the total
-    is below 2^53 and at least 2^52 otherwise.
-    """
-    m, d = rows.shape
-    lines = rows if m > d else rows.T
-    bound = np.einsum("ij,ij->j", lines, lines, dtype=np.float64).max(initial=0)
-    if bound >= 2**52:
-        raise OverflowError("Gram entries too large for exact float accumulation")
-    dtype = _exact_float(int(bound))
-    g = np.zeros((lines.shape[1],) * 2, dtype=dtype)
-    for start in range(0, lines.shape[0], _GRAM_ROWS):
-        chunk = lines[start : start + _GRAM_ROWS].astype(dtype)
-        g += chunk.T @ chunk
-    return g.astype(np.int64)
-
-
-def _reduce_mod_p(x: np.ndarray, p: int) -> np.ndarray:
-    """The balanced residue of x mod p, of magnitude at most p/2, in place,
-    for float64 integers of magnitude below 2^50.  x * (1/p) is within
-    |x/p| 2^-52 < 1/(2p) of x/p, so the rounded quotient q has
-    |x - q p| < (p + 1)/2, and q p and x - q p are exact."""
-    q = x * (1 / p)
-    np.rint(q, out=q)
-    q *= p
-    x -= q
-    return x
-
-
-def _diagonal_pivots_mod_p(block: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Pivots P of a symmetric block of residues, taken on its diagonal, and
-    block[P, P]^-1 mod p, by one Gauss-Jordan pass over [block | I].
-
-    Column c is a pivot iff its Schur diagonal (its entry after the pivot
-    rows left of it are eliminated) is nonzero mod p.  Otherwise its whole
-    Schur row in the block must vanish, else ArithmeticError: a symmetric
-    Schur complement then has a nonzero column that no diagonal pivot can
-    take.  Row ops only combine pivot rows, so the identity half of the
-    pivot rows ends as block[P, P]^-1 on the columns P."""
-    b = block.shape[0]
-    w = np.hstack([block, np.eye(b)])
-    pivots: list[int] = []
-    for c in range(b):
-        if not w[c, c]:
-            if w[c, :b].any():
-                raise ArithmeticError(f"zero diagonal pivot over a nonzero column mod {p}")
-            continue
-        w[c] = _reduce_mod_p(w[c] * pow(int(w[c, c]) % p, p - 2, p), p)
-        mult = w[:, c].copy()
-        mult[c] = 0
-        if mult.any():
-            w = _reduce_mod_p(w - np.outer(mult, w[c]), p)
-        pivots.append(c)
-    return pivots, w[np.ix_(pivots, [b + c for c in pivots])]
-
-
-def _rank_mod_p(mat: np.ndarray, p: int) -> tuple[int, list[int]]:
-    """Rank mod p and the pivot columns of a symmetric integer matrix, by
-    blocked symmetric elimination with float64 matmul updates.
-
-    Pivots are taken on the diagonal of the Schur complement, so pivot rows
-    are pivot columns and no row is searched or reordered.  For each panel
-    of _RANK_BLOCK columns, with diagonal block B, rows below C and trailing
-    block T, the column loop runs on B alone and gives its pivots P and
-    B[P, P]^-1; then X = C[:, P] B[P, P]^-1, the other columns must vanish
-    below the block, C[:, F] - X B[P, F] == 0, and T takes one update
-    T - X C[:, P]^T in place, skipped when X is zero.  A zero Schur diagonal
-    over a nonzero column raises ArithmeticError; in a positive semidefinite
-    matrix such as a Gram matrix a zero diagonal entry has a zero column, so
-    that happens only when p divides a nonzero Schur pivot.  Whenever it
-    returns, each non-pivot column's Schur column is zero inside its block
-    and below it, so it depends on the pivots left of it: every column is a
-    pivot iff it is independent mod p of all the columns left of it, as in
-    row-pivoted elimination.  Residues have magnitude below p (reduced ones
-    at most p/2), so each product sums at most _RANK_BLOCK + 1 terms of
-    magnitude below p^2 and needs one reduction: it is exact in float64,
-    and within the range _reduce_mod_p takes, while (_RANK_BLOCK + 1) *
-    (p - 1)^2 < 2^50 (Dumas, Giorgi and Pernet, ACM TOMS 2008).
-    """
-    if (_RANK_BLOCK + 1) * (p - 1) ** 2 >= 2**50:
-        raise ArithmeticError(f"prime {p} too large for exact float64 blocks of {_RANK_BLOCK}")
-    a = (mat % p).astype(np.float64)
-    pivots: list[int] = []
-    for s in range(0, a.shape[0], _RANK_BLOCK):
-        e = s + _RANK_BLOCK
-        block, below, trailing = a[s:e, s:e], a[e:, s:e], a[e:, e:]
-        piv, inv = _diagonal_pivots_mod_p(block, p)
-        free = [c for c in range(block.shape[0]) if c not in piv]
-        below_piv = below[:, piv]
-        x = _reduce_mod_p(below_piv @ inv, p)
-        if free and _reduce_mod_p(below[:, free] - x @ block[np.ix_(piv, free)], p).any():
-            raise ArithmeticError(f"zero diagonal pivot over a nonzero column mod {p}")
-        if x.any():
-            trailing -= x @ below_piv.T
-            _reduce_mod_p(trailing, p)
-        pivots += [s + c for c in piv]
-    return len(pivots), pivots
-
-
-def _kernel_witness(gram: np.ndarray, pivots: list[int]) -> np.ndarray:
-    """d x (d - r) float64 matrix K of integers, of rank d - r by its identity
-    block on the non-pivot rows F, with -rint(G[J, J]^-1 G[J, F]) on the
-    pivot rows J; at full rank K is empty and nothing is solved."""
-    free = np.setdiff1d(np.arange(gram.shape[0]), pivots)
-    if not free.size:
-        return np.zeros((gram.shape[0], 0))
-    try:
-        x = np.linalg.solve(gram[np.ix_(pivots, pivots)], gram[np.ix_(pivots, free)])
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"singular pivot block for rank {len(pivots)}") from exc
-    k = np.zeros((gram.shape[0], free.size))
-    k[free, np.arange(free.size)] = 1
-    k[pivots] = -np.rint(x)
-    return k
-
-
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for integer matrices, as int64.  Every partial sum is an integer
     of magnitude at most d * max|a| * max|b|, d the inner dimension, so the
@@ -353,63 +212,8 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype)).astype(np.int64)
 
 
-def _check_kernel_witness(gram: np.ndarray, k: np.ndarray) -> None:
-    """Raise unless gram @ k == 0 exactly."""
-    resid = int(np.abs(_exact_matmul(gram, k)).max(initial=0))
-    if resid:
-        r = gram.shape[0] - k.shape[1]
-        raise ArithmeticError(f"no integer kernel witness for rank {r}: max |G @ K| = {resid}")
-
-
-def exact_rank(gram: np.ndarray) -> int:
-    """Rank over Q of an integer matrix, proven on its d x d integer Gram
-    matrix G (from _gram_int) by one path at every N (a certificate after
-    Kaltofen, Nehring and Saunders, ISSAC 2011).  The rank r mod _RANK_PRIME
-    is a lower bound, as a minor nonzero mod p is nonzero; the witness K of
-    rank d - r with G @ K == 0 exactly is an upper bound.  G must be
-    symmetric, as the elimination pivots on its diagonal.  An unlucky prime
-    under-reports r or, dividing a nonzero Schur pivot, stops the
-    elimination, and a dependent column with fractional coefficients has no
-    integral K: all raise ArithmeticError.  A rank over-reported by a faulty
-    elimination fails the trace check of the projector certified against
-    it.  The rank is that of the whole spanning set of a subspace; the
-    projector then reads only its image-set rows, whose right translates
-    are that set (_image_set_rows)."""
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ValueError(f"exact_rank takes a square Gram matrix, got shape {gram.shape}")
-    if not np.array_equal(gram, gram.T):
-        raise ValueError("exact_rank takes a symmetric Gram matrix")
-    r, pivots = _rank_mod_p(gram, _RANK_PRIME)
-    _check_kernel_witness(gram, _kernel_witness(gram, pivots))
-    return r
-
-
 # ---------------------------------------------------------------------------
-# Certified dimensions of A_k and A_k^y.
-
-
-@cache
-def subspace_a(n: int, k: int) -> int:
-    """dim A_k, the exact rank of all k-partial-assignment vectors."""
-    _check_level(n, k)
-    return exact_rank(_gram_int(_indicator_rows(n, assignments(n, k))))
-
-
-@cache
-def subspace_a_y(n: int, k: int, y: int) -> int:
-    """dim A_k^y, the exact rank of the k-assignment vectors with y in the
-    image; A_0^y = {0}."""
-    _check_level(n, k)
-    return exact_rank(_gram_int(_indicator_rows(n, assignments_with_image(n, k, y))))
-
-
-# ---------------------------------------------------------------------------
-# Projectors from characters, as certified integer matrices.
-
-
-def _scale(n: int) -> int:
-    """D = N! (N-1)!, which makes every high and low projector integral."""
-    return factorial(n) * factorial(n - 1)
+# Characters on S_N and on Stab(y).
 
 
 @cache
@@ -426,6 +230,94 @@ def _class_data(n: int) -> tuple[np.ndarray, tuple[Partition, ...]]:
 
 def _characters(lam: Partition, types) -> np.ndarray:
     return np.array([young.character(lam, t) for t in types], dtype=np.int64)
+
+
+def _drop_fixed_point(ct: Partition) -> Partition:
+    """Cycle type on the complement of one fixed point: remove a 1-cycle."""
+    parts = list(ct)
+    parts.remove(1)
+    return tuple(parts)
+
+
+def _stab_classes(n: int, y: int) -> tuple[np.ndarray, list[int]]:
+    """(cls, sub_class) over the elements g_s of Stab(y) in enumeration
+    order: cls[i, s] is the class of pi_i^-1 g_s in S_N (_class_data), and
+    sub_class[s] the index in young.partitions(n - 1) of the cycle type of
+    g_s off y, its class in Stab(y) = S_{N-1}."""
+    elem_class, types = _class_data(n)
+    stab = np.flatnonzero(perms_matrix(n)[:, y] == y)
+    sub_types = young.partitions(n - 1)
+    sub_class = [sub_types.index(_drop_fixed_point(types[elem_class[g]])) for g in stab]
+    cls = elem_class[composition_table(n)[np.ix_(_inverses(n), stab)]]
+    return cls, sub_class
+
+
+# ---------------------------------------------------------------------------
+# Dimensions of A_k and A_k^y, counted from characters.
+#
+# Let v be the indicator of one k-assignment and I its image set.  Left and
+# right multiplication act transitively on the k-assignments, and Stab(y)
+# on the left with S_N on the right on those with y in the image, so A_k
+# (or A_k^y, y in I) is the span of the orbit of v: by the multiplicity-free
+# decompositions of the module docstring, the sum of the components that v
+# does not vanish on.  Each component's projector E is a positive multiple
+# of some S = _gather(n, c), and v^T S v = (N-k)! times the sum of c over
+# the pointwise stabilizer K_I of I, as pi_i pi_j^-1 over the support of v
+# runs over K_I, (N-k)! times each.  v^T E v = |E v|^2, so E v != 0 iff
+# that integer sum is nonzero.
+
+
+def _fixing(n: int, points) -> np.ndarray:
+    """The indices of the permutations that fix each of points: K_I."""
+    points = list(points)
+    return np.flatnonzero((perms_matrix(n)[:, points] == points).all(axis=1))
+
+
+def _spanned_dim(sums) -> int:
+    """The sum of d_a d_b over the (a, b, s) in sums with s != 0: the
+    dimensions of the components V_a (x) V_b that v does not vanish on."""
+    return sum(young.dim(a) * young.dim(b) for a, b, s in sums if s)
+
+
+@cache
+def subspace_a(n: int, k: int) -> int:
+    """dim A_k: the sum of d_lam^2 over every lam of size n with
+    Pi_lam v != 0, for v the indicator of {(0, 0), ..., (k-1, k-1)}.
+    N! Pi_lam gathers d_lam chi_lam, so the test is the sum of chi_lam over
+    the pointwise stabilizer of {0, ..., k-1}."""
+    _check_level(n, k)
+    elem_class, types = _class_data(n)
+    fixed = elem_class[_fixing(n, range(k))]
+    return _spanned_dim((lam, lam, _characters(lam, types)[fixed].sum()) for lam in young.partitions(n))
+
+
+@cache
+def subspace_a_y(n: int, k: int, y: int) -> int:
+    """dim A_k^y: the sum of d_lam d_mu over every lam of size n and mu of
+    size n - 1 with Pi_lam R_mu^y v != 0 (see _branch_sum), for v the
+    indicator of one k-assignment whose image set I holds y.  The test reads
+    the K_I entries of the _branch_sum column of (lam, mu).  A_0^y = {0}."""
+    _check_level(n, k)
+    _check_challenge(n, y)
+    if not k:
+        return 0
+    _, types = _class_data(n)
+    sub_types = young.partitions(n - 1)
+    cls, sub_class = _stab_classes(n, y)
+    image = [y, *(x for x in range(n) if x != y)][:k]  # a k-set holding y
+    rows = cls[_fixing(n, image)]
+    lam_sums = {lam: _characters(lam, types)[rows].sum(axis=0) for lam in young.partitions(n)}
+    mu_chars = {mu: _characters(mu, sub_types)[sub_class] for mu in sub_types}
+    return _spanned_dim((lam, mu, a @ b) for lam, a in lam_sums.items() for mu, b in mu_chars.items())
+
+
+# ---------------------------------------------------------------------------
+# Projectors from characters, as certified integer matrices.
+
+
+def _scale(n: int) -> int:
+    """D = N! (N-1)!, which makes every high and low projector integral."""
+    return factorial(n) * factorial(n - 1)
 
 
 def _gather(n: int, column: np.ndarray) -> np.ndarray:
@@ -458,8 +350,8 @@ def _moved(sp: np.ndarray, scale: int, vectors: np.ndarray) -> float:
 
 def _certify(name: str, n: int, col: np.ndarray, scale: int, rank: int, fixed=()) -> None:
     """Raise ArithmeticError unless S / scale, S = _gather(n, col) for an
-    integer column col, is the orthogonal projector of the certified rank
-    whose range holds the columns of each matrix in fixed and all their
+    integer column col, is the orthogonal projector of rank `rank` whose
+    range holds the columns of each matrix in fixed and all their
     right translates.  Four exact checks: (a) col[index of pi^-1] == col, so
     S is symmetric; (b) S col == scale * col, one exact matrix-vector
     product: S^2 and scale S both commute with right multiplication, so they
@@ -468,7 +360,7 @@ def _certify(name: str, n: int, col: np.ndarray, scale: int, rank: int, fixed=()
     (d) S w == scale w for every column w of fixed.  S commutes with right
     multiplication, so (d) holds for every right translate of w as well.
     Each product is exact under the bound _exact_matmul checks.  Once those
-    translates span a space of the certified rank, (a)-(d) make S / scale
+    translates span a space of dimension `rank`, (a)-(d) make S / scale
     its projector."""
     if not np.array_equal(col[_inverses(n)], col):
         raise ArithmeticError(f"{name}: (a) not symmetric")
@@ -528,13 +420,6 @@ def a_projector(n: int, k: int) -> np.ndarray:
     return _divided(n, _scaled_a(n, k), factorial(n))
 
 
-def _drop_fixed_point(ct: Partition) -> Partition:
-    """Cycle type on the complement of one fixed point: remove a 1-cycle."""
-    parts = list(ct)
-    parts.remove(1)
-    return tuple(parts)
-
-
 def _branch_sum(n: int, y: int, branches) -> np.ndarray:
     """The column of D * sum of Pi_lam R_mu^y over the (lam, mus) in branches
     and each mu in mus, an integer operator: Pi_lam = d_lam X_lam / N! is
@@ -546,11 +431,9 @@ def _branch_sum(n: int, y: int, branches) -> np.ndarray:
     commute with right multiplication and the sum is the _gather of its
     column 0, whose entry i is sum over g in Stab(y) of d_lam d_mu chi_mu(g)
     chi_lam(pi_i^-1 g), with chi_mu read on the cycles of g off y."""
-    elem_class, types = _class_data(n)
-    stab = np.flatnonzero(perms_matrix(n)[:, y] == y)
+    _, types = _class_data(n)
     sub_types = young.partitions(n - 1)
-    sub_class = [sub_types.index(_drop_fixed_point(types[elem_class[g]])) for g in stab]
-    cls = elem_class[composition_table(n)[np.ix_(_inverses(n), stab)]]
+    cls, sub_class = _stab_classes(n, y)
     column = np.zeros(factorial(n), dtype=np.int64)
     for lam, mus in branches:
         weight = sum(young.dim(mu) * _characters(mu, sub_types) for mu in mus)
@@ -610,12 +493,6 @@ def _scaled_high_0(n: int) -> np.ndarray:
     _certify(f"high_projection({n}, 0)", n, dq, _scale(n), _high_rank(n, 0), increments)
     dq.setflags(write=False)
     return dq
-
-
-def _check_challenge(n: int, y: int) -> None:
-    _check_n(n)
-    if not 0 <= y < n:
-        raise ValueError(f"challenge {y} not in range({n})")
 
 
 def _scaled_high(n: int, y: int) -> np.ndarray:

@@ -416,6 +416,8 @@ def test_decomp_check_fails_on_an_incomplete_complement(capsys, monkeypatch):
 
 
 def _wrong_character(monkeypatch):
+    # The counts read the characters too: chi_(3, 1) no longer sums to 0
+    # over S_4, so A_0 is counted with the block of (3, 1), 1 + 9 = 10.
     real = young.character
     monkeypatch.setattr(
         young, "character", lambda lam, ct: real(lam, ct) + ((lam, ct) == ((3, 1), (2, 1, 1)))
@@ -440,15 +442,43 @@ def _vector_of_the_next_level(monkeypatch):
     monkeypatch.setattr(regrep, "_image_set_rows", _with_a_row_of_the_next_level(1, 0))
 
 
+def _stabilizer_of_one_more_point(monkeypatch):
+    # Each count sums over the pointwise stabilizer of one point too many,
+    # so A_0 is counted as A_1.
+    real = regrep._fixing
+
+    def fixing(n, points):
+        return real(n, [*points, min(set(range(n)) - set(points))])
+
+    monkeypatch.setattr(regrep, "_fixing", fixing)
+
+
+def _dropped_pair(monkeypatch):
+    # The count of every A_k^y skips the pair lam = (3, 1), mu = (2, 1).
+    real = regrep._spanned_dim
+    monkeypatch.setattr(
+        regrep, "_spanned_dim", lambda sums: real(s for s in sums if s[:2] != ((3, 1), (2, 1)))
+    )
+
+
 @pytest.mark.parametrize(
     "mutate, n, reason",
     [
-        (_wrong_character, 4, r"a_projector\(4, 1\): \(b\)"),
+        (_wrong_character, 4, r"a_projector\(4, 0\): \(c\) trace 24 is not 24 \* rank 10"),
         (_dropped_rho, 5, r"high_projection\(5, 0\): \(c\) trace"),
         (_wrong_level_set, 4, r"a_projector\(4, 2\): \(c\) trace"),
         (_vector_of_the_next_level, 4, r"high_projection\(4, 0\): some A_i\^0 is not inside A_i"),
+        (_stabilizer_of_one_more_point, 4, r"a_projector\(4, 0\): \(c\) trace 24 is not 24 \* rank 10"),
+        (_dropped_pair, 4, r"high_projection\(4, 0\): \(c\) trace"),
     ],
-    ids=["wrong-character", "dropped-rho", "wrong-level-set", "vector-of-the-next-level"],
+    ids=[
+        "wrong-character",
+        "dropped-rho",
+        "wrong-level-set",
+        "vector-of-the-next-level",
+        "stabilizer-of-one-more-point",
+        "dropped-pair",
+    ],
 )
 def test_projector_certificate_mutants_are_failing_verdicts(mutate, n, reason, fresh_caches, capsys, monkeypatch):
     mutate(monkeypatch)
@@ -471,18 +501,18 @@ def test_module_entry_point():
 
 
 def test_certification_failure_is_a_failing_verdict(capsys, monkeypatch):
-    def refuse(rows):
-        raise ArithmeticError("no integer kernel witness for rank 3: max |G @ K| = 1")
+    def refuse(sums):
+        raise ArithmeticError("dimension count refused")
 
-    # A fresh cache, so decomp-check --n 3 certifies its ranks in this test
-    # even when an earlier test built them; monkeypatch restores both.
+    # A fresh cache, so decomp-check --n 3 counts its dimensions in this
+    # test even when an earlier test counted them; monkeypatch restores both.
     monkeypatch.setattr(regrep, "subspace_a", cache(regrep.subspace_a.__wrapped__))
-    monkeypatch.setattr(regrep, "exact_rank", refuse)
+    monkeypatch.setattr(regrep, "_spanned_dim", refuse)
     code, out = run_cli(["decomp-check", "--n", "3"], capsys)
     assert code == 1
     payload = json.loads(out)
     assert payload["pass"] is False
-    reason = "ArithmeticError: no integer kernel witness for rank 3: max |G @ K| = 1"
+    reason = "ArithmeticError: dimension count refused"
     assert payload["report"]["reason"] == reason
 
 

@@ -1,11 +1,13 @@
 """Regular-representation machinery against exact predictions.
 
-Rank oracles: plain Fraction Gaussian elimination and per-column
-prime-field eliminations, row-pivoted and symmetric (all test-local),
-versus the library's blocked symmetric prime-field rank and its integer
-kernel witness, plus numpy's SVD-based matrix_rank as a third opinion.
-Each rank check is also shown able to fail: an unlucky prime, a prime that
-divides a Schur pivot, a perturbed witness and an over-reported rank.
+Dimension oracles: the counted dimensions of A_k and A_k^y against a
+test-local exact rank of the Gram matrix of each spanning set (a
+per-column prime-field elimination for the lower bound, an integer kernel
+witness checked exactly for the upper bound), and against numpy's
+SVD-based matrix_rank.  The test-local rank agrees with plain Fraction
+Gaussian elimination on seeded matrices and is shown able to fail on an
+unlucky prime; a dimension counted too high is shown failing the trace
+check.
 Projector references: the direct Stab(y) character sum against the
 conjugated column of D P_0, a test-local SVD projector of the constructive
 increments, the dense certificates (a)-(c) against the column ones, and the
@@ -20,6 +22,8 @@ isotypic block, from a test-local float isotypic projector.
 
 import re
 from fractions import Fraction
+from functools import cache
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import numpy as np
@@ -48,9 +52,13 @@ def fraction_rank(mat) -> int:
     return rank
 
 
-def rank_mod_p_reference(mat, p: int) -> tuple[int, list[int]]:
-    """Per-column Gaussian elimination mod p: (rank, pivot columns), the
-    reference for the blocked elimination in regrep._rank_mod_p."""
+PRIME = 1_000_003
+
+
+def rank_mod_p_reference(mat, p: int = PRIME) -> tuple[int, list[int]]:
+    """Per-column Gaussian elimination mod p: (rank, pivot columns).  A minor
+    that is nonzero mod p is nonzero over Q, so the rank is a lower bound on
+    the rank over Q."""
     a = (np.asarray(mat) % p).astype(np.int64)
     nrows, ncols = a.shape
     rank = 0
@@ -64,32 +72,52 @@ def rank_mod_p_reference(mat, p: int) -> tuple[int, list[int]]:
         r = rank + int(nz[0])
         if r != rank:
             a[[rank, r]] = a[[r, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
-        below = a[rank + 1 :]
-        if below.size:
-            below -= below[:, c : c + 1] * a[rank]
+        a[rank, c:] = a[rank, c:] * pow(int(a[rank, c]), p - 2, p) % p
+        below = a[rank + 1 :, c:]
+        if below[:, 0].any():
+            below -= below[:, :1] * a[rank, c:]
             below %= p
         rank += 1
         pivots.append(c)
     return rank, pivots
 
 
-def symmetric_rank_mod_p_reference(mat, p: int) -> tuple[int, list[int]]:
-    """Per-column symmetric elimination mod p, pivoting on the diagonal:
-    (rank, pivot columns), or ArithmeticError where a zero diagonal entry
-    sits over a nonzero column.  The reference for when the blocked
-    elimination in regrep._rank_mod_p must refuse."""
-    a = (np.asarray(mat) % p).astype(np.int64)
-    pivots = []
-    for c in range(a.shape[0]):
-        if a[c, c] == 0:
-            if a[:, c].any():
-                raise ArithmeticError(f"zero diagonal over a nonzero column {c}")
-            continue
-        row = a[c] * pow(int(a[c, c]), p - 2, p) % p
-        a = (a - np.outer(a[:, c], row)) % p  # clears row and column c
-        pivots.append(c)
-    return len(pivots), pivots
+def kernel_witness_reference(gram, pivots) -> np.ndarray:
+    """A d x (d - r) integer matrix K of rank d - r, by its identity block on
+    the non-pivot columns F, with -rint(G[J, J]^-1 G[J, F]) on the pivot
+    rows J."""
+    free = np.setdiff1d(np.arange(gram.shape[0]), pivots)
+    k = np.eye(gram.shape[0])[:, free]
+    if free.size:
+        k[pivots] = -np.rint(np.linalg.solve(gram[np.ix_(pivots, pivots)], gram[np.ix_(pivots, free)]))
+    return k
+
+
+def exact_rank_reference(gram, p: int = PRIME) -> int:
+    """Rank over Q of a symmetric integer matrix (a Gram matrix G), proven
+    from both sides, after Kaltofen, Nehring and Saunders (ISSAC 2011): the
+    rank r mod p is a lower bound, and the witness K of rank d - r with
+    G @ K == 0 exactly is an upper bound.  An unlucky prime under-reports r,
+    and then no witness exists: ArithmeticError."""
+    r, pivots = rank_mod_p_reference(gram, p)
+    k = kernel_witness_reference(gram, pivots)
+    if np.abs(regrep._exact_matmul(gram, k)).max(initial=0):
+        raise ArithmeticError(f"no integer kernel witness for rank {r}")
+    return r
+
+
+@cache
+def assignments(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All k-partial assignments as tuples of (input, output) pairs:
+    domains in combination order, images in permutation order."""
+    return tuple(
+        tuple(zip(dom, img)) for dom in combinations(range(n), k) for img in permutations(range(n), k)
+    )
+
+
+def assignments_with_image(n: int, k: int, y: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The k-partial assignments with y among their outputs."""
+    return tuple(a for a in assignments(n, k) if any(v == y for _, v in a))
 
 
 def perm_compose(p, q):
@@ -262,7 +290,7 @@ def test_indicator_rows_match_per_permutation_loop():
     for n in range(1, 6):
         perms = regrep.enumerate_group(n)
         for k in range(n + 1):
-            alphas = regrep.assignments(n, k)
+            alphas = assignments(n, k)
             expect = [[all(p[x] == v for x, v in a) for p in perms] for a in alphas]
             rows = regrep._indicator_rows(n, alphas)
             assert rows.dtype == np.int8
@@ -275,9 +303,9 @@ def test_assignment_rejects_non_injective():
 
 
 def test_assignment_counts():
-    assert len(regrep.assignments(4, 1)) == 16
-    assert len(regrep.assignments(4, 2)) == 72
-    assert len(regrep.assignments_with_image(4, 1, 0)) == 4
+    assert len(assignments(4, 1)) == 16
+    assert len(assignments(4, 2)) == 72
+    assert len(assignments_with_image(4, 1, 0)) == 4
 
 
 def test_chain_refinement_integer_identity():
@@ -289,7 +317,7 @@ def test_chain_refinement_integer_identity():
     n = 5
     rng = np.random.default_rng(7)
     for k in range(1, n):
-        alphas = regrep.assignments(n, k - 1)
+        alphas = assignments(n, k - 1)
         for _ in range(5):
             alpha = alphas[rng.integers(len(alphas))]
             dom = {x for x, _ in alpha}
@@ -307,7 +335,7 @@ def test_chain_refinement_integer_identity():
 
 
 # ---------------------------------------------------------------------------
-# Exact rank machinery.
+# The counted dimensions against an exact elimination.
 
 
 def test_modp_rank_and_witness_match_fraction_elimination():
@@ -317,189 +345,26 @@ def test_modp_rank_and_witness_match_fraction_elimination():
         if trial % 3 == 0:  # force rank deficiency
             m[3] = m[0] ^ m[1] if trial % 2 else m[0]
         ref = fraction_rank(m)
-        assert regrep._rank_mod_p(regrep._gram_int(m), regrep._RANK_PRIME)[0] == ref
-        assert regrep.exact_rank(regrep._gram_int(m)) == ref
+        assert rank_mod_p_reference(m.T @ m)[0] == ref
+        assert exact_rank_reference(m.T @ m) == ref
 
 
 def test_unlucky_prime_has_no_witness():
     # Rank 2 over Q but 1 mod the prime: the lower bound under-reports, so
     # no kernel witness of width d - 1 exists and the check fails loudly.
-    rows = np.array([[regrep._RANK_PRIME, 0], [0, 1]])
+    rows = np.array([[PRIME, 0], [0, 1]])
     assert fraction_rank(rows) == 2
-    assert regrep._rank_mod_p(regrep._gram_int(rows), regrep._RANK_PRIME)[0] == 1
+    assert rank_mod_p_reference(rows.T @ rows)[0] == 1
     with pytest.raises(ArithmeticError, match="no integer kernel witness for rank 1"):
-        regrep.exact_rank(regrep._gram_int(rows))
-
-
-def test_fractional_dependency_is_refused_not_guessed():
-    # Row 0 is twice row 1, so the second Gram column is half the first: the
-    # rank is 1, but no integer witness with an identity block exists.
-    rows = np.array([[2, 4], [1, 2]])
-    assert fraction_rank(rows) == 1
-    with pytest.raises(ArithmeticError, match="no integer kernel witness for rank 1"):
-        regrep.exact_rank(regrep._gram_int(rows))
-
-
-def test_perturbed_witness_fails_the_exact_check():
-    rows = regrep._indicator_rows(4, regrep.assignments_with_image(4, 2, 0))
-    gram = regrep._gram_int(rows)
-    r, pivots = regrep._rank_mod_p(gram, regrep._RANK_PRIME)
-    k = regrep._kernel_witness(gram, pivots)
-    assert k.shape == (24, 24 - r) and r == fraction_rank(rows)
-    regrep._check_kernel_witness(gram, k)
-    # Every single-entry change breaks G @ K == 0: no Gram column is zero.
-    for i, j in np.ndindex(k.shape):
-        bad = k.copy()
-        bad[i, j] += 1
-        with pytest.raises(ArithmeticError, match=f"no integer kernel witness for rank {r}"):
-            regrep._check_kernel_witness(gram, bad)
-    with pytest.raises(ArithmeticError, match="not below 2"):
-        regrep._check_kernel_witness(gram, k * 2.0**50)
-
-
-def _certified_grams():
-    """Every Gram matrix the operator build certifies for n <= 6: A_k for all
-    k and A_k^0 for k >= 1."""
-    for n in range(2, 7):
-        for k in range(n):
-            yield f"A_{k}(n={n})", regrep._gram_int(regrep._indicator_rows(n, regrep.assignments(n, k)))
-            if k:
-                rows = regrep._indicator_rows(n, regrep.assignments_with_image(n, k, 0))
-                yield f"A_{k}^0(n={n})", regrep._gram_int(rows)
-
-
-def kernel_witness_reference(gram, pivots) -> np.ndarray:
-    """The witness with its identity block cut from a dense identity."""
-    free = np.setdiff1d(np.arange(gram.shape[0]), pivots)
-    k = np.eye(gram.shape[0])[:, free]
-    if free.size:
-        k[pivots] = -np.rint(np.linalg.solve(gram[np.ix_(pivots, pivots)], gram[np.ix_(pivots, free)]))
-    return k
-
-
-def test_blocked_modp_matches_reference_on_certified_grams():
-    # Rank and pivot columns, and the kernel witness built from them.
-    p = regrep._RANK_PRIME
-    seen = 0
-    for name, gram in _certified_grams():
-        r, pivots = regrep._rank_mod_p(gram, p)
-        assert (r, pivots) == rank_mod_p_reference(gram, p), name
-        assert np.array_equal(regrep._kernel_witness(gram, pivots), kernel_witness_reference(gram, pivots)), name
-        seen += 1
-    assert seen == sum(2 * n - 1 for n in range(2, 7))
-
-
-def _assert_matches_references(mat, p) -> bool:
-    """The blocked elimination refuses exactly where the per-column symmetric
-    one does, and otherwise agrees with row-pivoted elimination; returns
-    whether it refused."""
-    try:
-        expect = symmetric_rank_mod_p_reference(mat, p)
-    except ArithmeticError:
-        with pytest.raises(ArithmeticError, match="zero diagonal pivot over a nonzero column"):
-            regrep._rank_mod_p(mat, p)
-        return True
-    assert regrep._rank_mod_p(mat, p) == expect == rank_mod_p_reference(mat, p)
-    return False
-
-
-def test_blocked_modp_matches_reference_on_random_matrices(monkeypatch):
-    # Seeded Gram matrices A^T A.  A block much smaller than the matrices
-    # gives several panels per matrix; zeroed leading columns give a panel
-    # with no pivot, and low rank or a repeated column gives panels with
-    # fewer pivots than columns.
-    monkeypatch.setattr(regrep, "_RANK_BLOCK", 4)
-    rng = np.random.default_rng(3)
-    refused = {regrep._RANK_PRIME: 0, 7: 0}
-    for trial in range(60):
-        n = int(rng.integers(5, 30))
-        r = int(rng.integers(0, n + 1))
-        a = rng.integers(-9, 10, size=(r, n))
-        if trial % 3 == 0:
-            a[:, :4] = 0
-        if trial % 3 == 1:
-            a[:, 1] = a[:, 0]
-        # The small prime divides a nonzero Schur pivot far more often.
-        for p in refused:
-            refused[p] += _assert_matches_references(a.T @ a, p)
-    assert refused[regrep._RANK_PRIME] == 0 and 0 < refused[7] < 60, refused
-
-
-@pytest.mark.parametrize("block", [4, 32])
-def test_balanced_residues_match_reference_at_their_edges(block, monkeypatch):
-    # Symmetric matrices with entries at 0, +-(p - 1)/2, +-(p + 1)/2 and
-    # p - 1, where a balanced residue sits at its edge or just past it.  In
-    # every other one, rows and columns repeat four distinct ones, so every
-    # panel has fewer pivots than columns; at p = 7 most of the others are
-    # refused, as a random Schur diagonal vanishes with chance 1/7.
-    monkeypatch.setattr(regrep, "_RANK_BLOCK", block)
-    rng = np.random.default_rng(14)
-    for p in (regrep._RANK_PRIME, 7):
-        edges = np.array([0, (p - 1) // 2, -(p - 1) // 2, (p + 1) // 2, -(p + 1) // 2, p - 1])
-        outcomes = []
-        for trial in range(12):
-            n = int(rng.integers(block + 1, 3 * block))
-            mat = np.triu(rng.choice(edges, size=(n, n)))
-            mat += np.triu(mat, 1).T
-            if trial % 2:
-                idx = rng.integers(0, 4, size=n)
-                mat = mat[np.ix_(idx, idx)]
-            outcomes.append(_assert_matches_references(mat, p))
-        assert set(outcomes) == {False, True}, (p, outcomes)
-
-
-def test_exact_rank_needs_a_symmetric_gram():
-    with pytest.raises(ValueError, match="symmetric Gram matrix"):
-        regrep.exact_rank(np.array([[1, 0], [1, 1]], dtype=np.int64))
-
-
-def test_prime_dividing_a_schur_pivot_is_refused():
-    # [[p, 1], [1, 1]] is positive definite of rank 2, and row pivoting finds
-    # rank 2 mod p; its diagonal entry p vanishes mod p over a nonzero column.
-    p = regrep._RANK_PRIME
-    gram = np.array([[p, 1], [1, 1]], dtype=np.int64)
-    assert fraction_rank(gram) == rank_mod_p_reference(gram, p)[0] == 2
-    with pytest.raises(ArithmeticError, match="zero diagonal pivot over a nonzero column"):
-        regrep.exact_rank(gram)
-
-
-def test_diagonal_gram_skips_every_trailing_update(monkeypatch):
-    # A_{n-1} at n = 4 has Gram 4I: each panel's multipliers are zero, so no
-    # trailing update runs and no reduced array is wider than the augmented
-    # pivot block.  A_2 at n = 4 is the control that does update.
-    monkeypatch.setattr(regrep, "_RANK_BLOCK", 4)
-    widths: list[int] = []
-    reduce_mod_p = regrep._reduce_mod_p
-
-    def spy(x, p):
-        widths.append(x.shape[-1])
-        return reduce_mod_p(x, p)
-
-    monkeypatch.setattr(regrep, "_reduce_mod_p", spy)
-    p = regrep._RANK_PRIME
-    diag = regrep._gram_int(regrep._indicator_rows(4, regrep.assignments(4, 3)))
-    assert np.array_equal(diag, 4 * np.eye(24, dtype=np.int64))
-    assert regrep._rank_mod_p(diag, p) == rank_mod_p_reference(diag, p) == (24, list(range(24)))
-    assert max(widths) <= 2 * regrep._RANK_BLOCK
-    widths.clear()
-    dense = regrep._gram_int(regrep._indicator_rows(4, regrep.assignments(4, 2)))
-    assert regrep._rank_mod_p(dense, p) == rank_mod_p_reference(dense, p)
-    assert max(widths) > 2 * regrep._RANK_BLOCK
-
-
-def test_full_rank_witness_is_empty():
-    gram = 5 * np.eye(7, dtype=np.int64)
-    k = regrep._kernel_witness(gram, list(range(7)))
-    assert k.shape == (7, 0)
-    regrep._check_kernel_witness(gram, k)
+        exact_rank_reference(rows.T @ rows)
 
 
 def _subspace_rows(n: int):
     """(k, y, indicator rows) of A_k (y None) and of A_k^y for k >= 1."""
     for k in range(n):
-        yield k, None, regrep._indicator_rows(n, regrep.assignments(n, k))
+        yield k, None, regrep._indicator_rows(n, assignments(n, k))
         for y in range(n) if k else ():
-            yield k, y, regrep._indicator_rows(n, regrep.assignments_with_image(n, k, y))
+            yield k, y, regrep._indicator_rows(n, assignments_with_image(n, k, y))
 
 
 def _perm_gram(n: int, k: int, y) -> np.ndarray:
@@ -528,46 +393,54 @@ def _assignment_gram(n: int, alphas) -> np.ndarray:
     return out
 
 
-def test_chunked_gram_matches_closed_forms(monkeypatch):
-    # Chunks of 7 rows: many chunks per tall matrix, most ending short.
-    monkeypatch.setattr(regrep, "_GRAM_ROWS", 7)
+def _smaller_gram(n: int, k: int, y) -> np.ndarray:
+    """The Gram matrix of the spanning set of A_k (y None) or A_k^y on its
+    smaller side, from the closed forms."""
+    alphas = assignments(n, k) if y is None else assignments_with_image(n, k, y)
+    return _perm_gram(n, k, y) if len(alphas) > factorial(n) else _assignment_gram(n, alphas)
+
+
+def test_closed_form_grams_match_int64_products():
     tall = short = 0
     for n in range(1, 6):
         for k, y, rows in _subspace_rows(n):
-            gram = regrep._gram_int(rows)
+            rows = rows.astype(np.int64)
             if rows.shape[0] > rows.shape[1]:
                 tall += 1
-                assert np.array_equal(gram, _perm_gram(n, k, y)), (n, k, y)
+                assert np.array_equal(rows.T @ rows, _perm_gram(n, k, y)), (n, k, y)
             else:
                 short += 1
-                alphas = regrep.assignments(n, k) if y is None else regrep.assignments_with_image(n, k, y)
-                assert np.array_equal(gram, _assignment_gram(n, alphas)), (n, k, y)
+                alphas = assignments(n, k) if y is None else assignments_with_image(n, k, y)
+                assert np.array_equal(rows @ rows.T, _assignment_gram(n, alphas)), (n, k, y)
     assert (tall, short) == (29, 26)  # tall: 1, 5, 10 and 13 at n = 2..5
 
 
-def test_float32_gram_is_exact_on_the_tall_n6_sets():
-    # The six tall N = 6 spanning sets, A_3..A_5 and A_3^0..A_5^0: 0/1 rows
-    # whose Gram diagonal is at most C(6, 3) = 20, so every sum runs in float32.
-    n = 6
-    for k in (3, 4, 5):
-        for y in (None, 0):
-            alphas = regrep.assignments(n, k) if y is None else regrep.assignments_with_image(n, k, y)
-            rows = regrep._indicator_rows(n, alphas)
-            assert rows.shape[0] > rows.shape[1]
-            assert np.array_equal(regrep._gram_int(rows), _perm_gram(n, k, y)), (k, y)
+def test_counted_dims_match_the_exact_elimination_on_certified_grams():
+    # Every Gram matrix the operator build certified its ranks on before the
+    # dimensions were counted: A_k for all k and A_k^0 for k >= 1, n <= 6.
+    seen = 0
+    for n in range(2, 7):
+        for k in range(n):
+            for y in (None, 0) if k else (None,):
+                count = regrep.subspace_a(n, k) if y is None else regrep.subspace_a_y(n, k, y)
+                assert exact_rank_reference(_smaller_gram(n, k, y)) == count, (n, k, y)
+                seen += 1
+    assert seen == sum(2 * n - 1 for n in range(2, 7)) == 35
 
 
-@pytest.mark.parametrize("chunk", [1, 512])
-def test_gram_past_the_float32_range_is_exact_or_refused(chunk, monkeypatch):
-    # 4096^2 + 1 = 2^24 + 1 has no float32; its Gram must not round to 2^24.
-    monkeypatch.setattr(regrep, "_GRAM_ROWS", chunk)
-    tall = np.array([[4096], [1]])
-    assert regrep._gram_int(tall).tolist() == [[2**24 + 1]]
-    assert regrep._gram_int(tall.T).tolist() == [[2**24 + 1]]
-    wide = np.array([[4096, 1, 0], [4095, 0, 3]])
-    assert regrep._gram_int(wide).tolist() == [[2**24 + 1, 4096**2 - 4096], [4096**2 - 4096, 4095**2 + 9]]
-    with pytest.raises(OverflowError, match="too large for exact float"):
-        regrep._gram_int(np.array([[2**26]]))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_counted_dim_is_the_row_rank(n):
+    # Every count, of A_k and of A_k^y at every y, against numpy's rank of
+    # the whole spanning set.
+    for k, y, rows in _subspace_rows(n):
+        dim = regrep.subspace_a(n, k) if y is None else regrep.subspace_a_y(n, k, y)
+        assert dim == np.linalg.matrix_rank(rows.astype(float)), (k, y)
+
+
+def test_counted_dims_at_n6_do_not_depend_on_the_challenge():
+    for y in range(6):
+        assert [regrep.subspace_a_y(6, k, y) for k in range(6)] == [0, 6, 102, 468, 714, 720], y
+    assert [regrep.subspace_a(6, k) for k in range(6)] == [1, 26, 207, 588, 719, 720]
 
 
 def test_exact_matmul_just_below_2_24_runs_in_float32_and_is_exact(monkeypatch):
@@ -602,19 +475,6 @@ def test_exact_matmul_past_the_float32_range_is_exact(monkeypatch):
     assert regrep._exact_matmul(a, b).tolist() != expected
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_dim_from_shared_gram_is_the_row_rank(n):
-    # The certified dimension, read off the Gram matrix on the smaller side,
-    # is the rank of the rows, with both sides in use.
-    tall = short = 0
-    for k, y, rows in _subspace_rows(n):
-        dim = regrep.subspace_a(n, k) if y is None else regrep.subspace_a_y(n, k, y)
-        assert dim == np.linalg.matrix_rank(rows.astype(float)), (k, y)
-        tall += rows.shape[0] > rows.shape[1]
-        short += rows.shape[0] <= rows.shape[1]
-    assert tall and short
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_right_translates_of_image_set_rows_are_the_spanning_set(n):
     # Row r moved by b, r[index of pi b] for each pi, for every b: as a set
@@ -639,29 +499,13 @@ def test_gather_commutes_with_right_multiplication(n):
         assert np.array_equal(sp[r_b][:, r_b], sp), b
 
 
-def test_exact_rank_needs_a_square_gram():
-    with pytest.raises(ValueError, match="square Gram matrix"):
-        regrep.exact_rank(np.ones((3, 2), dtype=np.int64))
-
-
 def test_rank_claimed_one_too_high_fails_the_trace_check(fresh_caches, monkeypatch):
-    # A rank claimed one too high must still be caught: certificate (c)
-    # compares the trace of N! P_{A_1} with N! times the claimed rank 27.
-    true_rank = regrep.exact_rank
-
-    def over(gram):
-        return true_rank(gram) + 1
-
-    monkeypatch.setattr(regrep, "exact_rank", over)
+    # A dimension counted one too high must still be caught: certificate (c)
+    # compares the trace of N! P_{A_1} with N! times the counted rank 27.
+    count = regrep._spanned_dim
+    monkeypatch.setattr(regrep, "_spanned_dim", lambda sums: count(sums) + 1)
     with pytest.raises(ArithmeticError, match=r"a_projector\(6, 1\): \(c\) trace 18720 is not 720 \* rank 27"):
         regrep.a_projector(6, 1)
-
-
-def test_exact_rank_matches_numpy_on_spanning_sets():
-    for n in (3, 4):
-        for k in range(n):
-            rows = regrep._indicator_rows(n, regrep.assignments(n, k))
-            assert regrep.exact_rank(regrep._gram_int(rows)) == np.linalg.matrix_rank(rows.astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +568,8 @@ def test_high_projection_matches_an_svd_of_the_constructive_increments(n):
     f = factorial(n)
     total = np.zeros((f, f))
     for i in range(1, n):
-        prev = _row_space_projector(regrep._indicator_rows(n, regrep.assignments(n, i - 1)))
-        rows = regrep._indicator_rows(n, regrep.assignments_with_image(n, i, 0))
+        prev = _row_space_projector(regrep._indicator_rows(n, assignments(n, i - 1)))
+        rows = regrep._indicator_rows(n, assignments_with_image(n, i, 0))
         total += _row_space_projector(rows @ (np.eye(f) - prev))
     assert np.abs(regrep.high_projection(n, 0) - total).max() <= 1e-12
 
@@ -870,13 +714,13 @@ def test_each_certificate_check_can_fail():
 
 def dense_verdict(n: int, col: np.ndarray, scale: int, rank: int) -> str | None:
     """The first of the dense certificates that S = _gather(n, col) fails,
-    or None: (a) S == S.T, (b) S^2 == scale S by the exact Gram sum
-    _gram_int(S), which is S^2 once S is symmetric, (c) tr S == scale rank.
-    The reference for the column certificates of regrep._certify."""
+    or None: (a) S == S.T, (b) S^2 == scale S by the exact int64 S^T S,
+    which is S^2 once S is symmetric, (c) tr S == scale rank.  The
+    reference for the column certificates of regrep._certify."""
     sp = regrep._gather(n, col)
     if not np.array_equal(sp, sp.T):
         return "a"
-    if not np.array_equal(regrep._gram_int(sp), scale * sp):
+    if not np.array_equal(regrep._exact_matmul(sp.T, sp), scale * sp):
         return "b"
     if np.trace(sp) != scale * rank:
         return "c"

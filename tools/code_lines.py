@@ -1,4 +1,5 @@
-"""Print the code lines of each module of a package and their total.
+"""Print the code lines of each module of a package and their total, then
+the total of the repository's tests/ directory.
 
 A code line holds at least one token that is not a comment and is not part
 of a docstring (the leading string of a module, class or function body, as
@@ -6,6 +7,9 @@ ast finds it).  Blank lines, comment lines and docstring lines are not
 counted; a line with code and a trailing comment is.  Standard library only.
 
 Usage: python tools/code_lines.py [package directory, default src/perminv]
+
+The tests total is printed apart, so that code moved from the package into
+the tests reads as a move and not as a reduction.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import sys
 import tokenize
 from pathlib import Path
 
+_TESTS = Path(__file__).resolve().parent.parent / "tests"
 _NOT_CODE = {
     tokenize.COMMENT,
     tokenize.NL,
@@ -64,6 +69,7 @@ def main(argv: list[str]) -> int:
         total += count
         print(f"{count:6d}  {path.name}")
     print(f"{total:6d}  total")
+    print(f"{sum(code_lines(path) for path in sorted(_TESTS.glob('*.py'))):6d}  tests/ total")
     return 0
 
 
