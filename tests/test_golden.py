@@ -17,6 +17,7 @@ GOLDEN = {
     "young characters --n 5": "2a01cc912d57aff1f0415109475bce304a9f61d7f2cd1e1581e7b0cec516afc1",
     "young eigenvalues --n 6": "eded4329d30727cb797c1e2ed311c90842716f3d932e0f3d4b7042869f1f1682",
     "young identities --max-n 12": "85efb73b307e1dd37ad3ba666ba2936fb2abc25e29e2700fac9d3bfb283105c3",
+    "young identities --max-n 30": "8a63d4e18c772a54748b8b12c9c6b28b4dda744f8835733073e3681acbcc075f",
     "young eigenvalues --n 4 --format text": "7648c4259314005b9cfc6e51919668bf6d3884f2f0a9961c5a5f01f3b9c782a6",
     "spectrum --n 4": "7661f472e3fe71485073a7d9e83e5f50af81feb23eaa6f222449d4322e7cc112",
     "spectrum --n 4 --format text": "d1b39d876c9b7228232d7dc7343a5a1dec900b689317f1ed3405959bba855af2",
