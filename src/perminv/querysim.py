@@ -158,10 +158,20 @@ def _oracle_gather(n: int) -> np.ndarray:
     return src
 
 
+@cache
+def _oracle_rows(n: int) -> np.ndarray:
+    """The query as a row gather of the state reshaped to (n! n n, -1): row
+    (p n + x) n + z' reads row (p n + x) n + source[p, x, z']."""
+    src = _oracle_gather(n)
+    rows = (np.arange(src.shape[0] * n)[:, None] * n + src.reshape(-1, n)).ravel()
+    rows.setflags(write=False)
+    return rows
+
+
 def apply_oracle(amps: np.ndarray) -> np.ndarray:
     """One query: z -> z + pi(x) mod n on each permutation branch."""
-    src = _oracle_gather(amps.shape[1])
-    return np.take_along_axis(amps, src[:, :, :, None, None], axis=2)
+    rows = _oracle_rows(amps.shape[1])
+    return amps.reshape(len(rows), -1)[rows].reshape(amps.shape)
 
 
 def apply_unitary(amps: np.ndarray, step: Unitary) -> np.ndarray:

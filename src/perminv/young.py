@@ -14,17 +14,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from itertools import combinations, starmap
+from math import factorial, prod
+from operator import sub
 
 Partition = tuple[int, ...]
 
 
 def is_partition(parts) -> bool:
     """True if *parts* is a weakly decreasing sequence of positive ints."""
-    parts = tuple(parts)
-    if any((not isinstance(p, int)) or p < 1 for p in parts):
-        return False
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+    prev = None
+    for p in parts:
+        if not isinstance(p, int) or p < 1 or (prev is not None and p > prev):
+            return False
+        prev = p
+    return True
 
 
 def check_partition(parts) -> Partition:
@@ -61,20 +65,17 @@ def _partitions_bounded(n: int, max_part: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def transpose(lam: Partition) -> Partition:
-    """Conjugate diagram: column lengths become row lengths."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
-
-
 def hook_product(lam: Partition) -> int:
-    tr = transpose(lam)
-    prod = 1
-    for i, row in enumerate(lam, start=1):
-        for j in range(1, row + 1):
-            prod *= (row - j) + (tr[j - 1] - i) + 1
-    return prod
+    """Product of the hook lengths of all boxes of lam.
+
+    With r rows, the first box of row i (0-indexed) has hook
+    h_i = lam_i + r - 1 - i, and the hooks along row i are 1..h_i without
+    the h_i - h_j for j > i.  So the product is
+    prod_i h_i! / prod_{i<j} (h_i - h_j), with no per-box loop.
+    """
+    r = len(lam)
+    h = [p + r - 1 - i for i, p in enumerate(lam)]
+    return prod(map(factorial, h)) // prod(starmap(sub, combinations(h, 2)))
 
 
 def dim(lam: Partition) -> int:
@@ -92,17 +93,14 @@ def _dim(lam: Partition) -> int:
 
 
 def removable(lam: Partition) -> list[Partition]:
-    """All partitions obtained from lam by deleting one corner box."""
-    out = []
-    for i in range(len(lam)):
-        below = lam[i + 1] if i + 1 < len(lam) else 0
-        if lam[i] > below:
-            parts = list(lam)
-            parts[i] -= 1
-            if parts[i] == 0:
-                parts.pop(i)
-            out.append(tuple(parts))
-    return out
+    """All partitions obtained from lam by deleting one corner box, top
+    row first."""
+    lam = tuple(lam)
+    return [
+        lam[:i] + ((p - 1,) if p > 1 else ()) + lam[i + 1 :]
+        for i, (p, below) in enumerate(zip(lam, lam[1:] + (0,)))
+        if p > below
+    ]
 
 
 def level(lam: Partition) -> int:
@@ -136,7 +134,8 @@ def eigenvalue_m(lam: Partition) -> Fraction:
     trimmed = trim_first_row(lam)
     if trimmed is None:
         return Fraction(n)
-    return n * (1 - Fraction(dim(trimmed), dim(lam)))
+    d = dim(lam)
+    return Fraction(n * (d - dim(trimmed)), d)
 
 
 def ratio_bound_check(lam: Partition) -> tuple[Fraction, Fraction, bool]:
@@ -152,9 +151,9 @@ def ratio_bound_check(lam: Partition) -> tuple[Fraction, Fraction, bool]:
     trimmed = trim_first_row(lam)
     if trimmed is None:
         raise ValueError(f"trim_first_row({lam}) is not a valid diagram")
-    ratio = Fraction(dim(trimmed), dim(lam))
-    bound = Fraction(n - 2 * k, n)
-    return ratio, bound, ratio >= bound
+    d_trimmed, d = dim(trimmed), dim(lam)
+    holds = n * d_trimmed >= (n - 2 * k) * d
+    return Fraction(d_trimmed, d), Fraction(n - 2 * k, n), holds
 
 
 # ---------------------------------------------------------------------------

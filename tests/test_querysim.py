@@ -110,6 +110,28 @@ def test_oracle_preserves_norm_random():
     assert abs(np.linalg.norm(st) - 1.0) < 1e-12
 
 
+def take_along_axis_oracle(amps):
+    """The query as a gather along Y with one broadcast 5-D index, the
+    reference the row gather of apply_oracle is pinned to."""
+    src = qs._oracle_gather(amps.shape[1])
+    return np.take_along_axis(amps, src[:, :, :, None, None], axis=2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("w", [1, 3])
+def test_oracle_row_gather_matches_take_along_axis(n, w):
+    lay = qs.RegisterLayout(n=n, w=w)
+    rng = np.random.default_rng(10 * n + w)
+    amps = rng.standard_normal(lay.dims) + 1j * rng.standard_normal(lay.dims)
+    # apply_unitary hands the next step a strided view, not a contiguous copy.
+    mixed = qs.apply_unitary(amps, qs.Unitary(qs.random_unitary(n * n * w, rng), ("x", "y", "w")))
+    assert not mixed.flags.c_contiguous
+    for state in (amps, mixed):
+        got, want = qs.apply_oracle(state), take_along_axis_oracle(state)
+        assert got.shape == want.shape == lay.dims
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_unitary_validation():
     with pytest.raises(ValueError):
         qs.Unitary(np.ones((2, 2)), ("b",))

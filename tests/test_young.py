@@ -42,21 +42,26 @@ def partition_count_pentagonal(n: int) -> int:
     return total
 
 
+def removable_by_pop(lam):
+    """Corner removal row by row on a list, dropping a row that empties."""
+    out = []
+    for i in range(len(lam)):
+        below = lam[i + 1] if i + 1 < len(lam) else 0
+        if lam[i] > below:
+            parts = list(lam)
+            parts[i] -= 1
+            if parts[i] == 0:
+                parts.pop(i)
+            out.append(tuple(parts))
+    return out
+
+
 @lru_cache(maxsize=None)
 def syt_count(lam: tuple[int, ...]) -> int:
     """Standard fillings counted by removing corners one box at a time."""
     if not lam:
         return 1
-    total = 0
-    for i in range(len(lam)):
-        below = lam[i + 1] if i + 1 < len(lam) else 0
-        if lam[i] > below:
-            smaller = list(lam)
-            smaller[i] -= 1
-            if smaller[i] == 0:
-                smaller.pop(i)
-            total += syt_count(tuple(smaller))
-    return total
+    return sum(syt_count(mu) for mu in removable_by_pop(lam))
 
 
 def frobenius_character(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
@@ -116,6 +121,20 @@ def test_partitions_unique_and_valid():
             assert sum(lam) == n
 
 
+def is_partition_two_pass(parts) -> bool:
+    parts = tuple(parts)
+    if any((not isinstance(p, int)) or p < 1 for p in parts):
+        return False
+    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+
+
+@settings(deadline=None)
+@given(parts=st.lists(st.one_of(st.integers(-2, 6), st.booleans(), st.floats(0, 6), st.just("1"))))
+def test_is_partition_accepts_what_a_two_pass_check_accepts(parts):
+    assert young.is_partition(parts) == is_partition_two_pass(parts)
+    assert young.is_partition(iter(parts)) == is_partition_two_pass(parts)
+
+
 def test_partitions_negative_raises():
     with pytest.raises(ValueError):
         young.partitions(-1)
@@ -123,6 +142,13 @@ def test_partitions_negative_raises():
 
 # ---------------------------------------------------------------------------
 # Hooks and dimensions.
+
+
+def transpose(lam):
+    """Conjugate diagram: column lengths become row lengths."""
+    if not lam:
+        return ()
+    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
 def hook_length(lam, i: int, j: int) -> int:
@@ -152,7 +178,9 @@ def test_hook_length_outside_diagram_raises():
 
 
 def test_hook_product_is_the_product_of_box_hooks():
-    for n in range(0, 11):
+    # The box-by-box product is the one construction of the hook product
+    # that does not go through the first-column hooks.
+    for n in range(0, 19):
         for lam in young.partitions(n):
             boxes = [(i, j) for i, row in enumerate(lam, start=1) for j in range(1, row + 1)]
             assert young.hook_product(lam) == prod(hook_length(lam, i, j) for i, j in boxes), lam
@@ -185,6 +213,15 @@ def test_dim_empty():
 
 # ---------------------------------------------------------------------------
 # Branching, transpose, level.
+
+
+def test_removable_matches_list_and_pop_in_order():
+    # regrep._high_branches reads this order.
+    for n in range(0, 15):
+        for lam in young.partitions(n):
+            want = removable_by_pop(lam)
+            assert young.removable(lam) == want, lam
+            assert young.removable(list(lam)) == want, lam
 
 
 def test_removable_6_3_1():
@@ -230,11 +267,11 @@ def test_dim_branching_and_hook_formula_property(lam):
 
 
 def test_transpose_involution_and_examples():
-    assert young.transpose((5, 3, 2)) == (3, 3, 2, 1, 1)
-    assert young.transpose(()) == ()
+    assert transpose((5, 3, 2)) == (3, 3, 2, 1, 1)
+    assert transpose(()) == ()
     for n in range(0, 10):
         for lam in young.partitions(n):
-            assert young.transpose(young.transpose(lam)) == lam
+            assert transpose(transpose(lam)) == lam
 
 
 def test_level():
@@ -518,6 +555,34 @@ def test_identities_fail_on_a_wrong_hook_product(monkeypatch):
     assert report["burnside_failures"] == [{"n": 4, "sum": 16}]
     # (4, 1) trims to (3, 1): ratio 1/4 < 3/5 and e = 15/4 > 2, named by theta.
     assert report["ratio_failures"] == report["eigenvalue_failures"] == [{"n": 5, "theta": [1]}]
+
+
+def test_identities_fail_on_a_wrong_eigenvalue(monkeypatch):
+    # The sweep checks young.eigenvalue_m itself, the function regrep reads:
+    # e = 1 on the trivial diagram of n = 4, level 0, breaks e <= 2k there.
+    true_eigenvalue_m = young.eigenvalue_m
+    monkeypatch.setattr(young, "eigenvalue_m", lambda lam: true_eigenvalue_m(lam) + (lam == (4,)))
+    report = young.identities_report(6)
+    assert not report["pass"]
+    assert report["eigenvalue_failures"] == [{"n": 4, "theta": []}]
+    assert report["ratio_failures"] == report["branching_failures"] == report["burnside_failures"] == []
+    assert report["orthogonality_failures"] == []
+
+
+def test_identities_fail_on_a_wrong_ratio_verdict(monkeypatch):
+    # The sweep takes holds from young.ratio_bound_check itself.
+    true_check = young.ratio_bound_check
+
+    def check(lam):
+        ratio, bound, holds = true_check(lam)
+        return ratio, bound, holds and lam != (3, 1)
+
+    monkeypatch.setattr(young, "ratio_bound_check", check)
+    report = young.identities_report(6)
+    assert not report["pass"]
+    assert report["ratio_failures"] == [{"n": 4, "theta": [1]}]
+    assert report["eigenvalue_failures"] == report["branching_failures"] == report["burnside_failures"] == []
+    assert report["orthogonality_failures"] == []
 
 
 def test_identities_report_small():
