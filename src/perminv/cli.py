@@ -154,6 +154,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_avgbound(args) -> int:
+    _at_least("--samples", args.samples, 1)
     report = regrep.avg_bound_check(args.n, args.k, samples=args.samples, seed=args.seed)
     return _emit(args, _fields(report), report.passed)
 
@@ -170,6 +171,7 @@ def cmd_lemma_check(args) -> int:
     _at_least("--programs", args.programs, 1)
     _at_least("--p", args.p, 0)
     _at_least("--t", args.t, 0)
+    _at_least("--w", args.w, 1)
     runs = []
     ok = True
     worst_support = 0.0
@@ -203,6 +205,7 @@ def cmd_lemma_check(args) -> int:
 def cmd_game(args) -> int:
     _at_least("--p", args.p, 0)
     _at_least("--t", args.t, 0)
+    _at_least("--w", args.w, 1)
     challenge = args.challenge
     if challenge != "all":
         try:
@@ -231,6 +234,8 @@ def cmd_altgame(args) -> int:
 
 
 def cmd_grover(args) -> int:
+    _at_least("--n", args.n, 2)
+    _at_least("--t", args.t, 0)
     p_sim, p_formula = querysim.grover_invert(args.n, args.t)
     report: dict = {
         "n": args.n,

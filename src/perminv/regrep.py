@@ -24,19 +24,17 @@ with right multiplication, so it is kept as its column 0, N! integers, and
 the dense matrix is gathered from that column only where a product or an
 eigensolve needs one.  Each is certified exactly against the counted
 dimensions, on its column where it can be: symmetric, idempotent, of the
-counted trace, and fixing the subspace it must hold.  That last check
-reads one indicator per image set.  Right multiplication by b maps the
-indicator of {(x_i, v_i)} to that of {(b^-1 x_i, v_i)}, so the right
-translates of the rows {(0, v_1), ..., (k-1, v_k)}, one per k-set
-v_1 < ... < v_k, are all the k-assignment vectors, and an operator that
-commutes with right multiplication fixes them all iff it fixes these
-C(N, k) rows.  Only the challenge-0 high projector is built; the column of
-each other one is its conjugate by a range transposition, and the
-challenge relabelings of change_of_challenge_check are conjugations of
-columns too.  Products run in float32 while a bound checked beforehand
-keeps every partial sum below 2^24, and in float64 below 2^53.  Floats
-enter at the public readers, which divide by the scale, and at the
-eigensolves.
+counted trace, fixing the subspace it must hold, and commuting with left
+multiplication by S_N, or by Stab(y).  The subspace is read on the same
+indicator its dimension is counted from: an operator that commutes with
+multiplication on both sides fixes the whole two-sided orbit of a vector,
+the spanning set, iff it fixes that vector.  Only the challenge-0 high
+projector is built; the column of each other one is its conjugate by a
+range transposition, and the challenge relabelings of
+change_of_challenge_check are conjugations of columns too.  Products run in
+float32 while a bound checked beforehand keeps every partial sum below
+2^24, and in float64 below 2^53.  Floats enter at the public readers, which
+divide by the scale, and at the eigensolves.
 
 The size cap is N = 6 (dimension 720); at N = 7 each dense 5040^2 float
 matrix would cost ~200 MB.
@@ -47,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -155,31 +153,14 @@ def _transposition(n: int, y: int) -> np.ndarray:
     return tau
 
 
-# ---------------------------------------------------------------------------
-# Indicator vectors of partial assignments.
-
-
-def _indicator_rows(n: int, alphas) -> np.ndarray:
-    """Row i marks the permutations compatible with alphas[i]; all alphas
-    have the same size k, so the mask is k gathers of (alphas, perms)."""
-    perms = perms_matrix(n)
-    hit = perms.T[:, None, :] == np.arange(n)[:, None]  # hit[x, v, j]: perms[j][x] == v
-    k = len(alphas[0]) if len(alphas) else 0
-    pairs = np.array(alphas, dtype=np.intp).reshape(len(alphas), k, 2)
-    mask = np.ones((len(alphas), len(perms)), dtype=bool)
-    for x, v in pairs.transpose(1, 2, 0):
-        mask &= hit[x, v]
-    return mask.astype(np.int8)
-
-
-def _image_set_rows(n: int, k: int, y: int | None = None) -> np.ndarray:
-    """The int8 indicator rows of the assignments {(0, v_1), ..., (k-1, v_k)},
-    one per k-set v_1 < ... < v_k of range(n), or per k-set holding y when y
-    is given.  Right multiplication by b maps the indicator of {(x_i, v_i)}
-    to that of {(b^-1 x_i, v_i)}, so the right translates of these C(n, k),
-    or C(n-1, k-1), rows are the whole spanning set of A_k, or of A_k^y."""
-    images = [v for v in combinations(range(n), k) if y is None or y in v]
-    return _indicator_rows(n, [tuple(enumerate(v)) for v in images])
+def _generators(n: int, y: int | None = None) -> list[np.ndarray]:
+    """A transposition and a cycle on the points other than y, in one-line
+    form: together they generate S_N, or Stab(y) when y is given."""
+    others = np.array([x for x in range(n) if x != y], dtype=np.intp)
+    swap, cycle = np.arange(n), np.arange(n)
+    swap[others[:2]] = others[:2][::-1]
+    cycle[others] = np.roll(others, -1)
+    return [swap, cycle]
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +239,33 @@ def _stab_classes(n: int, y: int) -> tuple[np.ndarray, list[int]]:
 # Let v be the indicator of one k-assignment and I its image set.  Left and
 # right multiplication act transitively on the k-assignments, and Stab(y)
 # on the left with S_N on the right on those with y in the image, so A_k
-# (or A_k^y, y in I) is the span of the orbit of v: by the multiplicity-free
-# decompositions of the module docstring, the sum of the components that v
-# does not vanish on.  Each component's projector E is a positive multiple
-# of some S = _gather(n, c), and v^T S v = (N-k)! times the sum of c over
-# the pointwise stabilizer K_I of I, as pi_i pi_j^-1 over the support of v
-# runs over K_I, (N-k)! times each.  v^T E v = |E v|^2, so E v != 0 iff
-# that integer sum is nonzero.
+# (or A_k^y, y in I) is the span of the two-sided orbit of v: by the
+# multiplicity-free decompositions of the module docstring, the sum of the
+# components that v does not vanish on.  Each component's projector E is a
+# positive multiple of some S = _gather(n, c), and v^T S v = (N-k)! times
+# the sum of c over the pointwise stabilizer K_I of I, as pi_i pi_j^-1 over
+# the support of v runs over K_I, (N-k)! times each.  v^T E v = |E v|^2, so
+# E v != 0 iff that integer sum is nonzero.  The v of _indicator fixes I
+# pointwise, so its support is K_I itself, and the certificates read the
+# same v.
 
 
 def _fixing(n: int, points) -> np.ndarray:
     """The indices of the permutations that fix each of points: K_I."""
     points = list(points)
     return np.flatnonzero((perms_matrix(n)[:, points] == points).all(axis=1))
+
+
+def _indicator(n: int, k: int, y: int | None = None) -> np.ndarray:
+    """The int8 indicator of {(v_0, v_0), ..., (v_{k-1}, v_{k-1})} for
+    v = 0, 1, ..., or v = y, 0, 1, ... without the second y when y is given:
+    the one vector A_k, or A_k^y, is counted from and certified on.  It
+    fixes I = {v_0, ..., v_{k-1}} pointwise, so its support is K_I
+    (_fixing); at y = 0 it is the vector of A_k."""
+    image = list(range(k)) if y is None else [y, *(x for x in range(n) if x != y)][:k]
+    v = np.zeros(factorial(n), dtype=np.int8)
+    v[_fixing(n, image)] = 1
+    return v
 
 
 def _spanned_dim(sums) -> int:
@@ -282,21 +277,22 @@ def _spanned_dim(sums) -> int:
 @cache
 def subspace_a(n: int, k: int) -> int:
     """dim A_k: the sum of d_lam^2 over every lam of size n with
-    Pi_lam v != 0, for v the indicator of {(0, 0), ..., (k-1, k-1)}.
-    N! Pi_lam gathers d_lam chi_lam, so the test is the sum of chi_lam over
+    Pi_lam v != 0, for v = _indicator(n, k).  N! Pi_lam gathers
+    d_lam chi_lam, so the test is the sum of chi_lam over the support of v,
     the pointwise stabilizer of {0, ..., k-1}."""
     _check_level(n, k)
     elem_class, types = _class_data(n)
-    fixed = elem_class[_fixing(n, range(k))]
+    fixed = elem_class[np.flatnonzero(_indicator(n, k))]
     return _spanned_dim((lam, lam, _characters(lam, types)[fixed].sum()) for lam in young.partitions(n))
 
 
 @cache
 def subspace_a_y(n: int, k: int, y: int) -> int:
     """dim A_k^y: the sum of d_lam d_mu over every lam of size n and mu of
-    size n - 1 with Pi_lam R_mu^y v != 0 (see _branch_sum), for v the
-    indicator of one k-assignment whose image set I holds y.  The test reads
-    the K_I entries of the _branch_sum column of (lam, mu).  A_0^y = {0}."""
+    size n - 1 with Pi_lam R_mu^y v != 0 (see _branch_sum), for
+    v = _indicator(n, k, y), whose image set I holds y.  The test reads the
+    K_I entries of the _branch_sum column of (lam, mu), K_I the support of
+    v.  A_0^y = {0}."""
     _check_level(n, k)
     _check_challenge(n, y)
     if not k:
@@ -304,8 +300,7 @@ def subspace_a_y(n: int, k: int, y: int) -> int:
     _, types = _class_data(n)
     sub_types = young.partitions(n - 1)
     cls, sub_class = _stab_classes(n, y)
-    image = [y, *(x for x in range(n) if x != y)][:k]  # a k-set holding y
-    rows = cls[_fixing(n, image)]
+    rows = cls[np.flatnonzero(_indicator(n, k, y))]
     lam_sums = {lam: _characters(lam, types)[rows].sum(axis=0) for lam in young.partitions(n)}
     mu_chars = {mu: _characters(mu, sub_types)[sub_class] for mu in sub_types}
     return _spanned_dim((lam, mu, a @ b) for lam, a in lam_sums.items() for mu, b in mu_chars.items())
@@ -341,27 +336,36 @@ def _divided(n: int, column: np.ndarray, scale: int) -> np.ndarray:
     return p
 
 
-def _moved(sp: np.ndarray, scale: int, vectors: np.ndarray) -> float:
-    """max |sp w / scale - w| over the integer columns w of vectors, from an
-    exact integer product: 0.0 exactly when sp / scale fixes every one."""
-    diff = _exact_matmul(sp, vectors) - np.int64(scale) * vectors
+def _moved(sp: np.ndarray, scale: int, w: np.ndarray) -> float:
+    """max |sp w / scale - w| for an integer vector w, from an exact integer
+    product: 0.0 exactly when sp / scale fixes w."""
+    diff = _exact_matmul(sp, w) - np.int64(scale) * w
     return float(np.abs(diff).max(initial=0)) / scale
 
 
-def _certify(name: str, n: int, col: np.ndarray, scale: int, rank: int, fixed=()) -> None:
+def _unfixed(n: int, col: np.ndarray, perms) -> int:
+    """max |col[index of g pi g^-1] - col[pi]| over the one-line g in perms:
+    0 exactly when _gather(n, col) commutes with left multiplication by
+    each g (see _gather), and so by the group they generate."""
+    return max(_max_abs(col[_conjugation(n, g)] - col) for g in perms)
+
+
+def _certify(name: str, n: int, col: np.ndarray, scale: int, rank: int, y: int | None = None, fixed=()) -> None:
     """Raise ArithmeticError unless S / scale, S = _gather(n, col) for an
-    integer column col, is the orthogonal projector of rank `rank` whose
-    range holds the columns of each matrix in fixed and all their
-    right translates.  Four exact checks: (a) col[index of pi^-1] == col, so
-    S is symmetric; (b) S col == scale * col, one exact matrix-vector
-    product: S^2 and scale S both commute with right multiplication, so they
-    are equal iff their columns 0 are, and S / scale is an orthogonal
-    projector; (c) tr S = N! col[0] == scale * rank, so it has that rank;
-    (d) S w == scale w for every column w of fixed.  S commutes with right
-    multiplication, so (d) holds for every right translate of w as well.
-    Each product is exact under the bound _exact_matmul checks.  Once those
-    translates span a space of dimension `rank`, (a)-(d) make S / scale
-    its projector."""
+    integer column col, is the orthogonal projector of rank `rank` that
+    commutes with left multiplication by G = S_N, or G = Stab(y) when y is
+    given, and whose range holds each vector in fixed.  Five exact checks:
+    (a) col[index of pi^-1] == col, so S is symmetric; (b) S col == scale *
+    col, one exact matrix-vector product: S^2 and scale S both commute with
+    right multiplication, so they are equal iff their columns 0 are, and
+    S / scale is an orthogonal projector; (c) tr S = N! col[0] == scale *
+    rank, so it has that rank; (d) S w == scale w for every w in fixed;
+    (e) col is fixed by conjugation by the two _generators of G, so S
+    commutes with left multiplication by G as it does with right
+    multiplication.  By (d) and (e), S fixes the whole two-sided orbit of
+    each w, G on the left and S_N on the right.  Each product is exact under
+    the bound _exact_matmul checks.  Once those orbits span a space of
+    dimension `rank`, (a)-(e) make S / scale its projector."""
     if not np.array_equal(col[_inverses(n)], col):
         raise ArithmeticError(f"{name}: (a) not symmetric")
     sp = _gather(n, col)
@@ -373,6 +377,9 @@ def _certify(name: str, n: int, col: np.ndarray, scale: int, rank: int, fixed=()
     for w in fixed:
         if _moved(sp, scale, w):
             raise ArithmeticError(f"{name}: (d) moves a vector its range must hold")
+    if _unfixed(n, col, _generators(n, y)):
+        group = f"S_{n}" if y is None else f"Stab({y})"
+        raise ArithmeticError(f"{name}: (e) does not commute with left multiplication by {group}")
 
 
 def _up_to_level(n: int, k: int) -> list[Partition]:
@@ -403,14 +410,14 @@ def _low_branches(n: int) -> list[tuple[Partition, list[Partition]]]:
 def _scaled_a(n: int, k: int) -> np.ndarray:
     """The column of N! P_{A_k} = sum of d_lam X_lam over the lam of level
     <= k, with X_lam[i, j] = chi_lam(pi_i^-1 pi_j): integer class values,
-    certified on the image-set rows of A_k, and of A_{k-1} for the chain
-    A_{k-1} < A_k.  It commutes with right multiplication, so fixing those
-    rows fixes their right translates, the whole spanning sets."""
+    certified with G = S_N on the indicator of A_k, and on that of A_{k-1}
+    for the chain A_{k-1} < A_k.  The two-sided orbit of each indicator is
+    the whole spanning set of its subspace."""
     elem_class, types = _class_data(n)
     values = sum(young.dim(lam) * _characters(lam, types) for lam in _up_to_level(n, k))
     col = values[elem_class]
-    fixed = [_image_set_rows(n, j).T for j in range(max(k - 1, 0), k + 1)]
-    _certify(f"a_projector({n}, {k})", n, col, factorial(n), subspace_a(n, k), fixed)
+    fixed = [_indicator(n, j) for j in range(max(k - 1, 0), k + 1)]
+    _certify(f"a_projector({n}, {k})", n, col, factorial(n), subspace_a(n, k), fixed=fixed)
     col.setflags(write=False)
     return col
 
@@ -441,32 +448,21 @@ def _branch_sum(n: int, y: int, branches) -> np.ndarray:
     return column
 
 
-def _high_increments(n: int, y: int) -> tuple[float, list[np.ndarray]]:
-    """(outside, increments) of the constructive high subspace for challenge
-    y, the sum over i = 1..n-1 of A_i^y with A_{i-1} projected out.
-
-    Both read the image-set rows v of each A_i^y (_image_set_rows).  outside
-    is the largest exact residual max|P_{A_i} v - v| over them, 0.0 exactly
-    when every A_i^y lies in A_i.  increments[i - 1] has the integer columns
-    N! v - (N! P_{A_{i-1}}) v.  The map v -> N! v - (N! P_{A_{i-1}}) v and
-    P_{A_i} commute with right multiplication, so the right translates of
-    these columns are the residuals and increments of the whole spanning
-    set of A_i^y, and an operator that commutes with right multiplication
-    fixes all of them iff it fixes these.  Given the chain A_{i-1} < A_i,
-    the i-th increment then lies in A_i minus A_{i-1}, so the increments are
-    mutually orthogonal and their translates span at least
-    dim A_i^y - dim A_{i-1} dimensions, with equality only when A_{i-1}
-    lies in A_i^y."""
-    f = factorial(n)
-    outside, increments = 0.0, []
-    below = _gather(n, _scaled_a(n, 0))
-    for i in range(1, n):
-        v = _image_set_rows(n, i, y).T  # int8, cast only by the products
-        level = _gather(n, _scaled_a(n, i))
-        outside = max(outside, _moved(level, f, v))
-        increments.append(np.int64(f) * v - _exact_matmul(below, v))
-        below = level
-    return outside, increments
+def _high_increments(n: int, y: int) -> list[np.ndarray]:
+    """The increments of the constructive high subspace for challenge y, the
+    sum over i = 1..n-1 of A_i^y with A_{i-1} projected out: the int64
+    vectors N! v - (N! P_{A_{i-1}}) v for v = _indicator(n, i, y), one per
+    level.  The map v -> N! v - (N! P_{A_{i-1}}) v commutes with
+    multiplication on both sides, so the two-sided orbit of the i-th
+    increment, Stab(y) on the left, is the increments of the whole spanning
+    set of A_i^y.  Each v lies in A_i, so given the chain A_{i-1} < A_i, the
+    i-th increment lies in A_i minus A_{i-1}: the increments of different
+    levels are orthogonal, and the orbit of the i-th spans at least
+    dim A_i^y - dim A_{i-1} dimensions, with equality only when A_{i-1} lies
+    in A_i^y."""
+    f = np.int64(factorial(n))
+    vs = [_indicator(n, i, y) for i in range(1, n)]  # int8, cast only by the products
+    return [f * v - _exact_matmul(_gather(n, _scaled_a(n, i)), v) for i, v in enumerate(vs)]
 
 
 def _high_rank(n: int, y: int) -> int:
@@ -480,17 +476,13 @@ def _low_rank(n: int, y: int) -> int:
 @cache
 def _scaled_high_0(n: int) -> np.ndarray:
     """The column of D P_0, the one high projector that is built and kept:
-    the branch sum over _high_branches, certified by (a)-(d) against the
-    increments of _high_increments, one per image set of each level.  D P_0
-    commutes with right multiplication, so (d) holds for their right
-    translates, the increments of every spanning vector.  With the certified
-    trace, (d) forces each increment to its least dimension, so
+    the branch sum over _high_branches, certified by (a)-(e) with
+    G = Stab(0) against the n - 1 vectors of _high_increments(n, 0).  By (d)
+    and (e) its range holds the increments of every spanning vector; with
+    the certified trace that forces each level to its least dimension, so
     A_{i-1} < A_i^0 < A_i, and P_0 is the projector onto their sum."""
     dq = _branch_sum(n, 0, _high_branches(n))
-    outside, increments = _high_increments(n, 0)
-    if outside:
-        raise ArithmeticError(f"high_projection({n}, 0): some A_i^0 is not inside A_i")
-    _certify(f"high_projection({n}, 0)", n, dq, _scale(n), _high_rank(n, 0), increments)
+    _certify(f"high_projection({n}, 0)", n, dq, _scale(n), _high_rank(n, 0), 0, _high_increments(n, 0))
     dq.setflags(write=False)
     return dq
 
@@ -512,10 +504,10 @@ def high_projection(n: int, y: int) -> np.ndarray:
 def _scaled_low(n: int, y: int) -> np.ndarray:
     """The column of D L_y, the branch sum over _low_branches, built directly
     for each y and certified by (a)-(c) against the rank sum of
-    dim A_i - dim A_i^y."""
+    dim A_i - dim A_i^y, and by (e) with G = Stab(y)."""
     _check_challenge(n, y)
     dl = _branch_sum(n, y, _low_branches(n))
-    _certify(f"low_projection({n}, {y})", n, dl, _scale(n), _low_rank(n, y))
+    _certify(f"low_projection({n}, {y})", n, dl, _scale(n), _low_rank(n, y), y)
     return dl
 
 
@@ -733,8 +725,8 @@ def change_of_challenge_check(n: int, trials: int = 20, seed: int = 0) -> Change
         y = int(rng.integers(n))
         r_inv = np.argsort(pi_r)
         a = _transposition(n, y)[r_inv][_transposition(n, pi_r[y])]
-        conj_res = max(conj_res, float(np.abs(dq[_conjugation(n, a)] - dq).max()) / _scale(n))
-        comm_res = max(comm_res, float(np.abs(dm[_conjugation(n, r_inv)] - dm).max()) / _scale(n))
+        conj_res = max(conj_res, _unfixed(n, dq, [a]) / _scale(n))
+        comm_res = max(comm_res, _unfixed(n, dm, [r_inv]) / _scale(n))
     passed = conj_res == 0 and comm_res == 0
     return ChangeChallengeReport(n, trials, seed, conj_res, comm_res, passed)
 
@@ -756,15 +748,15 @@ def decomposition_report(n: int) -> DecompReport:
     A_k dimensions are checked for any n within the cap.  Up to n = 5, one
     pass per challenge y checks the high/low ranks against the exact
     projector traces N! c[0], c the operator's column; the containments
-    A_{i-1} < A_i^y < A_i (chain_residual: A_i^y inside A_i under the
-    certified P_{A_i}, and D P_y fixing the increments of _high_increments,
-    which with the trace forces A_{i-1} into A_i^y); and D P_y + D L_y ==
-    D I (complement_residual, read on the columns against D e_0).  The chain
-    reads one image-set row per k-set holding y: D P_y, the conjugate of
-    D P_0 by a left multiplication, commutes with right multiplication like
-    P_{A_i}, so the residuals of those rows are the largest over their right
-    translates, the whole spanning sets.  Both residuals are exact integer
-    residuals over their scale and must be 0.
+    A_{i-1} < A_i^y < A_i (chain_residual: D P_y fixing the increments of
+    _high_increments, one per level, and its column fixed by conjugation by
+    the generators of Stab(y), which with the trace forces A_{i-1} into
+    A_i^y; each A_i^y lies in A_i by definition); and D P_y + D L_y == D I
+    (complement_residual, read on the columns against D e_0).  D P_y, the
+    conjugate of D P_0 by a left multiplication, commutes with right
+    multiplication, so with the Stab(y) residual 0 it fixes the increments
+    of the whole spanning sets iff it fixes these.  Both residuals are exact
+    integer residuals over their scale and must be 0.
     """
     _check_n(n)
     a_dims = []
@@ -787,9 +779,9 @@ def decomposition_report(n: int) -> DecompReport:
         chain_res = comp_res = 0.0
         for y in range(n):
             dq, dl = _scaled_high(n, y), _scaled_low(n, y)
-            outside, increments = _high_increments(n, y)
             sp = _gather(n, dq)
-            chain_res = max(chain_res, outside, *(_moved(sp, d, w) for w in increments))
+            moved = [_moved(sp, d, w) for w in _high_increments(n, y)]
+            chain_res = max(chain_res, _unfixed(n, dq, _generators(n, y)) / d, *moved)
             rest = dq + dl
             rest[0] -= d  # the column of D P_y + D L_y - D I
             comp_res = max(comp_res, float(np.abs(rest).max()) / d)

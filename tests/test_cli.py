@@ -359,35 +359,31 @@ def test_decomp_check_fails_on_a_wrong_prediction(name, rows, capsys, monkeypatc
     assert report["complement_residual"] == 0
 
 
-def _with_a_row_of_the_next_level(level: int, challenge: int):
-    """regrep._image_set_rows with row 0 of A_level^challenge replaced by
-    row 0 of A_{level+1}.  At n = 4 every indicator of A_{level+1} lies
+def _with_the_vector_of_the_next_level(level: int, challenge: int):
+    """regrep._indicator with the vector of A_level^challenge replaced by
+    that of A_{level+1}.  At n = 4 every indicator of A_{level+1} lies
     outside A_level: both spaces are closed under the two-sided action,
     which is transitive on the (level+1)-assignments, so one inside would
     put all of A_{level+1}, the larger space, inside A_level."""
-    exact = regrep._image_set_rows
+    exact = regrep._indicator
 
     def replaced(n, k, y=None):
-        rows = exact(n, k, y)
-        if (k, y) == (level, challenge):
-            rows = rows.copy()
-            rows[0] = exact(n, k + 1)[0]
-        return rows
+        return exact(n, k + 1) if (k, y) == (level, challenge) else exact(n, k, y)
 
     return replaced
 
 
 def test_decomp_check_fails_on_a_wrong_containment(capsys, monkeypatch):
-    # D P_0 and every N! P_{A_k} are certified first, so only the chain read
-    # sees one image-set row of A_2^1 replaced by e_0, the image-set row of
-    # A_3 (all of C^24 at n = 4) for {0, 1, 2}, outside A_2.  Dimensions
-    # stay as certified.
+    # The counts at every challenge, D P_0 and every N! P_{A_k} are taken
+    # first, so only the chain read sees the vector of A_2^1 replaced by
+    # e_0, the vector of A_3 (all of C^24 at n = 4), outside A_2.
+    # Dimensions stay as counted.
     n = 4
-    regrep.spectrum(n)
-    assert np.array_equal(regrep._image_set_rows(n, 3)[0], np.eye(24, dtype=np.int8)[0])
-    monkeypatch.setattr(regrep, "_image_set_rows", _with_a_row_of_the_next_level(2, 1))
+    regrep.decomposition_report(n)
+    assert np.array_equal(regrep._indicator(n, 3), np.eye(24, dtype=np.int8)[0])
+    monkeypatch.setattr(regrep, "_indicator", _with_the_vector_of_the_next_level(2, 1))
     report = run_decomp_check_n4(capsys)
-    assert report["chain_residual"] > 0
+    assert report["chain_residual"] == 3.0
     assert report["complement_residual"] == 0
     assert all(row["ok"] for key in ("a_dims", "high_ranks", "low_ranks") for row in report[key])
 
@@ -438,8 +434,11 @@ def _wrong_level_set(monkeypatch):
 
 
 def _vector_of_the_next_level(monkeypatch):
-    # One image-set row of A_1^0 replaced by one of A_2, outside A_1.
-    monkeypatch.setattr(regrep, "_image_set_rows", _with_a_row_of_the_next_level(1, 0))
+    # The vector of A_1^0 replaced by that of A_2, outside A_1, after the
+    # counts of A_k^0 are taken: only certificate (d) of D P_0 reads it.
+    for k in range(4):
+        regrep.subspace_a_y(4, k, 0)
+    monkeypatch.setattr(regrep, "_indicator", _with_the_vector_of_the_next_level(1, 0))
 
 
 def _stabilizer_of_one_more_point(monkeypatch):
@@ -467,7 +466,7 @@ def _dropped_pair(monkeypatch):
         (_wrong_character, 4, r"a_projector\(4, 0\): \(c\) trace 24 is not 24 \* rank 10"),
         (_dropped_rho, 5, r"high_projection\(5, 0\): \(c\) trace"),
         (_wrong_level_set, 4, r"a_projector\(4, 2\): \(c\) trace"),
-        (_vector_of_the_next_level, 4, r"high_projection\(4, 0\): some A_i\^0 is not inside A_i"),
+        (_vector_of_the_next_level, 4, r"high_projection\(4, 0\): \(d\) moves a vector its range must hold"),
         (_stabilizer_of_one_more_point, 4, r"a_projector\(4, 0\): \(c\) trace 24 is not 24 \* rank 10"),
         (_dropped_pair, 4, r"high_projection\(4, 0\): \(c\) trace"),
     ],
@@ -563,12 +562,19 @@ def test_bad_input_exit_2(argv, capsys):
         (["game", "--n", "3", "--t", "-2"], "--t"),
         (["lemma-check", "--n", "3", "--p", "-1"], "--p"),
         (["lemma-check", "--n", "3", "--t", "-2"], "--t"),
+        (["avgbound", "--n", "3", "--k", "1", "--samples", "0"], "--samples"),
+        (["grover", "--n", "1"], "--n"),
+        (["grover", "--t", "-1"], "--t"),
+        (["game", "--n", "3", "--w", "0"], "--w"),
+        (["lemma-check", "--n", "3", "--w", "0"], "--w"),
     ],
 )
 def test_empty_or_negative_count_exits_2(argv, flag, capsys, monkeypatch):
     # Each would otherwise check nothing and pass, or crash mid-run; a
     # negative game count used to draw the program first and then fail on
-    # a query-count mismatch that named no flag.
+    # a query-count mismatch that named no flag.  --samples, grover's --n
+    # and --t, and --w (inside random_program) were refused by the library
+    # in words that name no flag.
     def must_not_run(*args, **kwargs):
         raise AssertionError("a program was drawn before the flag check")
 

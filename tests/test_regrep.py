@@ -10,12 +10,15 @@ unlucky prime; a dimension counted too high is shown failing the trace
 check.
 Projector references: the direct Stab(y) character sum against the
 conjugated column of D P_0, a test-local SVD projector of the constructive
-increments, the dense certificates (a)-(c) against the column ones, and the
-dense two-sided action against the column residuals of the change of
-challenge; each exact projector check is shown able to fail on its own.
-The image-set rows the projectors are certified on are checked against the
-whole spanning sets by their right translates, and every gathered column
-against right multiplication.
+increments, the reference certificates (a)-(c) and (e), the last over
+every group element, against the column ones, and the dense two-sided
+action against the column residuals of the change of challenge; each
+exact projector check is shown able to fail on its own.
+The one indicator per subspace that the dimensions are counted from and
+the projectors certified on is checked against the whole spanning set by
+its two-sided orbit, the generators of certificate (e) against the groups
+they must generate, and every gathered column against right
+multiplication.
 Character cross-check: traces of the one-sided action restricted to an
 isotypic block, from a test-local float isotypic projector.
 """
@@ -145,6 +148,21 @@ def act(pi_d, pi_r, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def indicator_rows(n: int, alphas) -> np.ndarray:
+    """The int8 indicator rows of the partial assignments alphas, all of one
+    size k: row i marks the permutations compatible with alphas[i], by k
+    gathers of (alphas, perms).  The spanning-set reference of A_k and
+    A_k^y."""
+    perms = regrep.perms_matrix(n)
+    hit = perms.T[:, None, :] == np.arange(n)[:, None]  # hit[x, v, j]: perms[j][x] == v
+    k = len(alphas[0]) if len(alphas) else 0
+    pairs = np.array(alphas, dtype=np.intp).reshape(len(alphas), k, 2)
+    mask = np.ones((len(alphas), len(perms)), dtype=bool)
+    for x, v in pairs.transpose(1, 2, 0):
+        mask &= hit[x, v]
+    return mask.astype(np.int8)
+
+
 def assignment_indicator(n: int, alpha) -> np.ndarray:
     """0/1 vector marking the permutations compatible with alpha (exact)."""
     alpha = tuple(alpha)
@@ -152,7 +170,7 @@ def assignment_indicator(n: int, alpha) -> np.ndarray:
     vs = [v for _, v in alpha]
     if len(set(xs)) != len(xs) or len(set(vs)) != len(vs):
         raise ValueError(f"assignment not injective: {alpha}")
-    return regrep._indicator_rows(n, [alpha])[0]
+    return indicator_rows(n, [alpha])[0]
 
 
 def assignment_vector(n: int, alpha) -> np.ndarray:
@@ -292,7 +310,7 @@ def test_indicator_rows_match_per_permutation_loop():
         for k in range(n + 1):
             alphas = assignments(n, k)
             expect = [[all(p[x] == v for x, v in a) for p in perms] for a in alphas]
-            rows = regrep._indicator_rows(n, alphas)
+            rows = indicator_rows(n, alphas)
             assert rows.dtype == np.int8
             assert np.array_equal(rows, np.array(expect, dtype=np.int8))
 
@@ -362,9 +380,9 @@ def test_unlucky_prime_has_no_witness():
 def _subspace_rows(n: int):
     """(k, y, indicator rows) of A_k (y None) and of A_k^y for k >= 1."""
     for k in range(n):
-        yield k, None, regrep._indicator_rows(n, assignments(n, k))
+        yield k, None, indicator_rows(n, assignments(n, k))
         for y in range(n) if k else ():
-            yield k, y, regrep._indicator_rows(n, assignments_with_image(n, k, y))
+            yield k, y, indicator_rows(n, assignments_with_image(n, k, y))
 
 
 def _perm_gram(n: int, k: int, y) -> np.ndarray:
@@ -475,16 +493,75 @@ def test_exact_matmul_past_the_float32_range_is_exact(monkeypatch):
     assert regrep._exact_matmul(a, b).tolist() != expected
 
 
+def _group(n: int, y=None) -> np.ndarray:
+    """The indices of S_n, or of Stab(y) when y is given, from the
+    enumeration alone."""
+    perms = regrep.perms_matrix(n)
+    return np.arange(len(perms)) if y is None else np.flatnonzero(perms[:, y] == y)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_right_translates_of_image_set_rows_are_the_spanning_set(n):
-    # Row r moved by b, r[index of pi b] for each pi, for every b: as a set
-    # of rows, the indicator rows of every k-assignment of A_k or A_k^y.
+def test_two_sided_orbit_of_the_indicator_is_the_spanning_set(n):
+    # v moved by g on the left and b on the right, v[index of g pi b] for
+    # each pi, for every g in S_n, or in Stab(y), and every b: as a set of
+    # rows, the indicator rows of every k-assignment of A_k, or of every one
+    # with y in its image for A_k^y.
     comp = regrep.composition_table(n)
     for k, y, rows in _subspace_rows(n):
-        base = regrep._image_set_rows(n, k, y)
-        assert len(base) == (comb(n, k) if y is None else comb(n - 1, k - 1)), (k, y)
-        translates = {row[comp[:, b]].tobytes() for row in base for b in range(factorial(n))}
-        assert translates == {row.tobytes() for row in rows}, (k, y)
+        v = regrep._indicator(n, k, y)
+        assert v.dtype == np.int8 and v.sum() == factorial(n - k), (k, y)
+        orbit = {row.tobytes() for g in _group(n, y) for row in v[comp[g][comp]].T}
+        assert orbit == {row.tobytes() for row in rows}, (k, y)
+    assert np.array_equal(regrep._indicator(n, n - 1, 0), regrep._indicator(n, n - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_generators_close_to_the_group(n):
+    # The transposition and the cycle generate all of S_n, and of Stab(y)
+    # for every y: the closure under right multiplication by them, from the
+    # identity, has n! elements, or (n-1)!, and stays in the group.
+    comp = regrep.composition_table(n)
+    for y in [None, *range(n)]:
+        gens = regrep.perm_index(np.array(regrep._generators(n, y)))
+        reached, frontier = {0}, [0]
+        while frontier:
+            step = {int(comp[a, g]) for a in frontier for g in gens} - reached
+            reached |= step
+            frontier = list(step)
+        assert reached == set(_group(n, y).tolist()), (n, y)
+        assert len(reached) == factorial(n if y is None else n - 1), (n, y)
+
+
+def test_a_transposition_alone_does_not_certify_left_commutation(monkeypatch):
+    # At n = 4 the column of D P_3 commutes with left multiplication by
+    # (1 2), which fixes 3, but not by the cycle (1 2 3): certified as
+    # challenge 0, it passes (a)-(c), and (e) refuses it only with the cycle.
+    n, d = 4, regrep._scale(4)
+    col, rank = regrep._scaled_high(n, 3), regrep.predicted_high_rank(n)
+    swap, cycle = regrep._generators(n, 0)
+    assert swap.tolist() == [0, 2, 1, 3] and cycle.tolist() == [0, 2, 3, 1]
+    assert regrep._unfixed(n, col, regrep._generators(n, 3)) == 0
+    with pytest.raises(ArithmeticError, match=r"P: \(e\) does not commute with left multiplication by Stab\(0\)"):
+        regrep._certify("P", n, col, d, rank, 0)
+    monkeypatch.setattr(regrep, "_generators", lambda n, y=None, real=regrep._generators: real(n, y)[:1])
+    regrep._certify("P", n, col, d, rank, 0)
+
+
+def test_cold_build_m_reads_few_product_columns(fresh_caches, monkeypatch):
+    # One vector per level: a cold build_m(6) reads 25 product columns, one
+    # for (b) of each of N! P_{A_0} .. N! P_{A_4} and of D P_0, one for (d)
+    # of N! P_{A_0} and two of each other, and two per level for the five
+    # increments, their product and (d) of D P_0.
+    columns = []
+    exact_matmul = regrep._exact_matmul
+
+    def recording(a, b):
+        columns.append(1 if b.ndim == 1 else b.shape[1])
+        return exact_matmul(a, b)
+
+    monkeypatch.setattr(regrep, "_exact_matmul", recording)
+    regrep.build_m(6)
+    assert sum(columns) <= 26, columns
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -526,7 +603,7 @@ def test_subspace_dims_match_prediction():
 
 def test_subspace_a_y_zero():
     assert regrep.subspace_a_y(4, 0, 2) == 0
-    assert regrep._image_set_rows(4, 0, 2).shape == (0, 24)
+    assert assignments_with_image(4, 0, 2) == ()
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -568,8 +645,8 @@ def test_high_projection_matches_an_svd_of_the_constructive_increments(n):
     f = factorial(n)
     total = np.zeros((f, f))
     for i in range(1, n):
-        prev = _row_space_projector(regrep._indicator_rows(n, assignments(n, i - 1)))
-        rows = regrep._indicator_rows(n, assignments_with_image(n, i, 0))
+        prev = _row_space_projector(indicator_rows(n, assignments(n, i - 1)))
+        rows = indicator_rows(n, assignments_with_image(n, i, 0))
         total += _row_space_projector(rows @ (np.eye(f) - prev))
     assert np.abs(regrep.high_projection(n, 0) - total).max() <= 1e-12
 
@@ -696,7 +773,7 @@ def _moved_pair(n: int, col: np.ndarray) -> np.ndarray:
 def test_each_certificate_check_can_fail():
     # 6 P_{A_1} at n = 3 has rank 1 + 2^2 = 5 and holds A_1, not A_2 (all of C^6).
     p = regrep._scaled_a(3, 1)
-    regrep._certify("P", 3, p, 6, 5, [regrep._image_set_rows(3, 1).T])
+    regrep._certify("P", 3, p, 6, 5, fixed=[regrep._indicator(3, 1)])
     inv = regrep._inverses(3)
     skew = p.copy()
     skew[np.flatnonzero(inv != np.arange(6))[0]] += 1
@@ -707,16 +784,24 @@ def test_each_certificate_check_can_fail():
     with pytest.raises(ArithmeticError, match=r"P: \(c\) trace 30 is not 6 \* rank 4"):
         regrep._certify("P", 3, p, 6, 4)
     with pytest.raises(ArithmeticError, match=r"P: \(d\) moves a vector its range must hold"):
-        regrep._certify("P", 3, p, 6, 5, [regrep._image_set_rows(3, 2).T])
+        regrep._certify("P", 3, p, 6, 5, fixed=[regrep._indicator(3, 2)])
     with pytest.raises(ArithmeticError, match="integer product bound .* is not below 2"):
-        regrep._certify("P", 3, p, 6, 5, [np.full((6, 1), 2**50)])
+        regrep._certify("P", 3, p, 6, 5, fixed=[np.full(6, 2**50)])
+    # The column of D P_1 commutes with left multiplication by Stab(1), not
+    # by Stab(0): certified as challenge 0 it passes (a)-(c) and fails (e).
+    dq, rank = regrep._scaled_high(3, 1), regrep.predicted_high_rank(3)
+    regrep._certify("P", 3, dq, 12, rank, 1)
+    with pytest.raises(ArithmeticError, match=r"P: \(e\) does not commute with left multiplication by Stab\(0\)"):
+        regrep._certify("P", 3, dq, 12, rank, 0)
 
 
-def dense_verdict(n: int, col: np.ndarray, scale: int, rank: int) -> str | None:
-    """The first of the dense certificates that S = _gather(n, col) fails,
-    or None: (a) S == S.T, (b) S^2 == scale S by the exact int64 S^T S,
-    which is S^2 once S is symmetric, (c) tr S == scale rank.  The
-    reference for the column certificates of regrep._certify."""
+def dense_verdict(n: int, col: np.ndarray, scale: int, rank: int, y=None) -> str | None:
+    """The first of the reference certificates that S = _gather(n, col)
+    fails, or None: (a) S == S.T, (b) S^2 == scale S by the exact int64
+    S^T S, which is S^2 once S is symmetric, (c) tr S == scale rank, and
+    (e) col fixed by conjugation by every element of S_n, or of Stab(y),
+    not only by the two generators.  The reference for the column
+    certificates of regrep._certify."""
     sp = regrep._gather(n, col)
     if not np.array_equal(sp, sp.T):
         return "a"
@@ -724,45 +809,54 @@ def dense_verdict(n: int, col: np.ndarray, scale: int, rank: int) -> str | None:
         return "b"
     if np.trace(sp) != scale * rank:
         return "c"
+    perms = regrep.perms_matrix(n)
+    if any(not np.array_equal(col[regrep._conjugation(n, perms[g])], col) for g in _group(n, y)):
+        return "e"
     return None
 
 
-def column_verdict(n: int, col: np.ndarray, scale: int, rank: int) -> str | None:
+def column_verdict(n: int, col: np.ndarray, scale: int, rank: int, y=None) -> str | None:
     """The certificate regrep._certify refuses col by, or None."""
     try:
-        regrep._certify("S", n, col, scale, rank)
+        regrep._certify("S", n, col, scale, rank, y)
     except ArithmeticError as exc:
         return re.match(r"S: \((\w)\)", str(exc)).group(1)
     return None
 
 
 def _certified_columns(n: int):
-    """(name, column, scale, rank) of every certified operator at n; at
-    n = 6, of challenge 0 only, the ones the CLI builds there (D L_y for
-    y != 0 would certify five more sets of A_i^y ranks)."""
+    """(name, column, scale, rank, y) of every certified operator at n, y
+    None for S_n and the challenge for Stab(y); at n = 6, of challenge 0
+    only, the ones the CLI builds there (D L_y for y != 0 would certify
+    five more sets of A_i^y ranks)."""
     f, d = factorial(n), regrep._scale(n)
     for k in range(n):
-        yield f"N! P_A{k}", regrep._scaled_a(n, k), f, regrep.predicted_a_dim(n, k)
+        yield f"N! P_A{k}", regrep._scaled_a(n, k), f, regrep.predicted_a_dim(n, k), None
     for y in range(n if n <= 5 else 1):
-        yield f"D P_{y}", regrep._scaled_high(n, y), d, regrep.predicted_high_rank(n)
-        yield f"D L_{y}", regrep._scaled_low(n, y), d, regrep.predicted_low_rank(n)
+        yield f"D P_{y}", regrep._scaled_high(n, y), d, regrep.predicted_high_rank(n), y
+        yield f"D L_{y}", regrep._scaled_low(n, y), d, regrep.predicted_low_rank(n), y
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_column_certificates_match_the_dense_ones(n):
     # Every certified column passes both; up to n = 5, a column mutant for
-    # each of (a), (b) and (c) fails both at the same check.
+    # each of (a), (b) and (c), and for (e) each D P_y and D L_y read as
+    # challenge y + 1, fails both at the same check.
     inv = regrep._inverses(n)
     k = int(np.flatnonzero(inv != np.arange(inv.size))[0])
-    for name, col, scale, rank in _certified_columns(n):
+    for name, col, scale, rank, y in _certified_columns(n):
         assert col.shape == (factorial(n),), name
-        assert dense_verdict(n, col, scale, rank) is None is column_verdict(n, col, scale, rank), name
+        assert dense_verdict(n, col, scale, rank, y) is None is column_verdict(n, col, scale, rank, y), name
         if n == 6:
             continue
         skew = col.copy()
         skew[k] += 1
-        for mutant, r, check in ((skew, rank, "a"), (2 * col, rank, "b"), (col, rank + 1, "c")):
-            assert dense_verdict(n, mutant, scale, r) == check == column_verdict(n, mutant, scale, r), name
+        mutants = [(skew, rank, y, "a"), (2 * col, rank, y, "b"), (col, rank + 1, y, "c")]
+        if y is not None:
+            mutants.append((col, rank, (y + 1) % n, "e"))
+        for mutant, r, group, check in mutants:
+            verdicts = dense_verdict(n, mutant, scale, r, group), column_verdict(n, mutant, scale, r, group)
+            assert verdicts == (check, check), name
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
