@@ -324,11 +324,32 @@ def test_altgame_drops_each_adversary_before_the_next_draw(capsys, monkeypatch):
 
 
 def test_decomp_check_cli(capsys):
-    code, out = run_cli(["decomp-check", "--n", "4", "--trials", "5"], capsys)
+    code, out = run_cli(["decomp-check", "--n", "4"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["report"]["decomposition"]["pass"] is True
-    assert payload["report"]["change_of_challenge"]["pass"] is True
+    assert payload["report"]["change_of_challenge"] == {"n": 4, "max_commutation_residual": 0.0, "pass": True}
+    assert payload["config"]["seed"] == 0 and "trials" not in payload["config"]
+    # The change of challenge is proven, not sampled: it has no trial count.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decomp-check", "--n", "4", "--trials", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+
+
+def test_decomp_check_fails_on_a_high_projector_of_another_challenge(fresh_caches, capsys, monkeypatch):
+    # The column of D P_1 built as D P_0, with the increments of (d)
+    # dropped: it passes (a)-(c), and only (e) with Stab(0), which every
+    # challenge relabeling rests on, refuses it.  At n = 6 decomp-check
+    # reads D P_0 first through the change of challenge.
+    branch_sum = regrep._branch_sum
+    monkeypatch.setattr(regrep, "_branch_sum", lambda n, y, branches: branch_sum(n, y or 1, branches))
+    monkeypatch.setattr(regrep, "_high_increments", lambda n, y: [])
+    code, out = run_cli(["decomp-check", "--n", "6"], capsys)
+    payload = json.loads(out)
+    assert code == 1 and payload["pass"] is False
+    reason = "ArithmeticError: high_projection(6, 0): (e) does not commute with left multiplication by Stab(0)"
+    assert payload["report"] == {"reason": reason}
 
 
 def run_decomp_check_n4(capsys) -> dict:
@@ -552,7 +573,7 @@ def test_bad_input_exit_2(argv, capsys):
         (["lemma-check", "--n", "3", "--programs", "0"], "--programs"),
         (["young", "identities", "--max-n", "0"], "--max-n"),
         (["altgame", "--n", "3", "--adversaries", "0"], "--adversaries"),
-        (["decomp-check", "--n", "3", "--trials", "0"], "--trials"),
+        (["altgame", "--n", "3", "--t", "-1"], "--t"),
         (["young", "dims", "--n", "0"], "--n"),
         (["young", "characters", "--n", "0"], "--n"),
         (["young", "branching", "--n", "0"], "--n"),
@@ -584,6 +605,38 @@ def test_empty_or_negative_count_exits_2(argv, flag, capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be >= ")
+
+
+class _Enumerated(Exception):
+    """Raised by a young.partitions patched to stand for the enumeration."""
+
+
+def _enumeration(n):
+    raise _Enumerated(n)
+
+
+@pytest.mark.parametrize(
+    "mode, flag, high",
+    [
+        ("dims", "--n", 40),
+        ("branching", "--n", 40),
+        ("eigenvalues", "--n", 40),
+        ("identities", "--max-n", 40),
+        ("characters", "--n", 20),
+    ],
+)
+def test_young_size_past_its_bound_exits_2(mode, flag, high, capsys, monkeypatch):
+    # Past the bound the enumeration would take minutes or run out of
+    # memory; it is refused before young.partitions is called.  At the bound
+    # the enumeration starts.
+    monkeypatch.setattr(young, "partitions", _enumeration)
+    code = cli.main(["young", mode, flag, str(high + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be <= {high}, got {high + 1}\n"
+    with pytest.raises(_Enumerated):
+        cli.main(["young", mode, flag, str(high)])
 
 
 @pytest.mark.parametrize(

@@ -624,8 +624,8 @@ def test_high_projection_rank_and_contract():
 def test_derived_high_projection_matches_constructive_build(n, ys):
     # The column of D P_y for y != 0 is the column of D P_0 conjugated by
     # (0 y); the direct build from the Stab(y) character sums must give the
-    # very same integers, which keeps the conjugation check of
-    # change_of_challenge_check from being a tautology.
+    # very same integers, which keeps certificate (e) of D P_0 standing in
+    # for every challenge relabeling from being a tautology.
     branches = regrep._high_branches(n)
     for y in ys:
         assert np.array_equal(regrep._branch_sum(n, y, branches), regrep._scaled_high(n, y)), y
@@ -906,6 +906,17 @@ def test_spectrum_n5_passes():
     assert rep.central_residual == 0
 
 
+@pytest.mark.parametrize(
+    "n, gap",
+    [(2, Fraction(2)), (3, Fraction(3, 2)), (4, Fraction(4, 3)), (5, Fraction(1, 2)), (6, Fraction(4, 15)), (7, Fraction(2, 15))],
+)
+def test_least_gap_between_distinct_block_eigenvalues(n, gap):
+    # spectrum lets each e_lam claim the eigenvalues within 1e-6 of it,
+    # which claims none twice while distinct e_lam lie further apart.
+    values = sorted({young.eigenvalue_m(lam) for lam in young.partitions(n)})
+    assert min(b - a for a, b in zip(values, values[1:])) == gap
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_central_element_is_the_weighted_sum_of_isotypic_projectors(n):
     # Second construction of C_f: sum_lam e_lam Pi_lam from the character
@@ -1028,10 +1039,10 @@ def test_change_of_challenge_identity_exact():
 
 
 def test_change_of_challenge_random():
-    rep = regrep.change_of_challenge_check(4, trials=20, seed=0)
-    assert rep.passed
-    rep3 = regrep.change_of_challenge_check(3, trials=10, seed=1)
-    assert rep3.max_commutation_residual == 0
+    for n in (3, 4):
+        rep = regrep.change_of_challenge_check(n)
+        assert rep.passed and rep.max_commutation_residual == 0, n
+    assert list(vars(rep)) == ["n", "max_commutation_residual", "passed"]
 
 
 def _permuted(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -1041,70 +1052,70 @@ def _permuted(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_change_of_challenge(n: int, trials: int, seed: int) -> tuple[float, float]:
-    """The (conjugation, commutation) residuals of change_of_challenge_check
-    from dense matrices and the dense two-sided action U, with the same rng
-    draws: max|U P_y U^-1 - P_{pi_r(y)}| and max|U M U^-1 - M|, times D.
-    D P_y is the gathered D P_0 relabeled by the left multiplication by
-    (0 y); pi_d enters U here, and drops out of the residuals."""
+def dense_change_of_challenge(n: int) -> tuple[float, float]:
+    """The (relabeling, commutation) residuals of the change of challenge
+    from dense matrices and the dense two-sided action U, over every pi_r in
+    S_n and every y, with one fixed non-identity pi_d: max|U P_y U^-1 -
+    P_{pi_r(y)}| and max|U M U^-1 - M|, times D.  D P_y is the gathered
+    D P_0 relabeled by the left multiplication by (0 y); pi_d enters U
+    here, and drops out of the residuals."""
     ident = tuple(range(n))
     d = regrep._scale(n)
     p0 = regrep._gather(n, regrep._scaled_high_0(n))
     dm = regrep._gather(n, regrep._scaled_m(n))
-
-    def high(y):
+    pi_d = ident[1:] + ident[:1]
+    highs = []
+    for y in range(n):
         tau = list(ident)
         tau[0], tau[y] = y, 0
-        return _permuted(p0, act_index_map(n, ident, tau))
-
-    rng = np.random.default_rng(seed)
-    conj = comm = 0.0
-    for _ in range(trials):
-        pi_d = tuple(int(v) for v in rng.permutation(n))
-        pi_r = tuple(int(v) for v in rng.permutation(n))
-        y = int(rng.integers(n))
+        highs.append(_permuted(p0, act_index_map(n, ident, tau)))
+    relabel = comm = 0.0
+    for pi_r in permutations(range(n)):
         amap = act_index_map(n, pi_d, pi_r)
-        conj = max(conj, float(np.abs(_permuted(high(y), amap) - high(pi_r[y])).max()) / d)
+        for y in range(n):
+            relabel = max(relabel, float(np.abs(_permuted(highs[y], amap) - highs[pi_r[y]]).max()) / d)
         comm = max(comm, float(np.abs(_permuted(dm, amap) - dm).max()) / d)
-    return conj, comm
+    return relabel, comm
 
 
-def _column_residuals(n: int, trials: int, seed: int) -> tuple[float, float]:
-    rep = regrep.change_of_challenge_check(n, trials=trials, seed=seed)
-    return rep.max_conjugation_residual, rep.max_commutation_residual
-
-
-@pytest.mark.parametrize("n, seeds", [(3, range(4)), (4, range(4)), (5, range(2))], ids=["3", "4", "5"])
-def test_change_of_challenge_column_residuals_match_the_dense_action(n, seeds):
-    for seed in seeds:
-        assert _column_residuals(n, 10, seed) == dense_change_of_challenge(n, 10, seed) == (0.0, 0.0), seed
+@pytest.mark.parametrize("n", [3, 4, 5], ids=["3", "4", "5"])
+def test_change_of_challenge_column_residuals_match_the_dense_action(n):
+    # The two conjugations of the check and certificate (e) of D P_0 read 0,
+    # as the dense action does over all of S_n and every challenge.
+    assert dense_change_of_challenge(n) == (0.0, 0.0)
+    assert regrep.change_of_challenge_check(n).max_commutation_residual == 0.0
+    assert regrep._unfixed(n, regrep._scaled_high_0(n), regrep._generators(n, 0)) == 0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_change_of_challenge_column_residuals_match_the_dense_action_on_mutants(n, monkeypatch):
-    # A moved D P_0 with the true D M, then a moved D M: each residual reads
-    # the same nonzero number from the columns as from the dense action.
+    # A moved D M: the check reads the same 1/D the dense action does over
+    # all of S_n, and fails.  A moved D P_0 with the true D M: the dense
+    # relabeling residual is nonzero, and so is certificate (e) of D P_0,
+    # which stands in for it.
     regrep._scaled_m(n)  # cached from the true D P_0
     true_high = regrep._scaled_high_0(n)
-    monkeypatch.setattr(regrep, "_scaled_high_0", lambda n, col=_moved_pair(n, true_high): col)
-    moved_high = _column_residuals(n, 10, 0)
-    assert moved_high == dense_change_of_challenge(n, 10, 0)
-    assert moved_high[0] > 0 == moved_high[1]
+    moved = _moved_pair(n, true_high)
+    monkeypatch.setattr(regrep, "_scaled_high_0", lambda n: moved)
+    relabel, comm = dense_change_of_challenge(n)
+    assert relabel > 0 == comm
+    assert regrep._unfixed(n, moved, regrep._generators(n, 0)) > 0
     monkeypatch.setattr(regrep, "_scaled_high_0", lambda n: true_high)
     monkeypatch.setattr(regrep, "_scaled_m", lambda n, col=_moved_pair(n, regrep._scaled_m(n)): col)
-    moved_m = _column_residuals(n, 10, 0)
-    assert moved_m == dense_change_of_challenge(n, 10, 0)
-    assert moved_m[0] == 0 < moved_m[1]
+    rep = regrep.change_of_challenge_check(n)
+    assert dense_change_of_challenge(n) == (0.0, rep.max_commutation_residual)
+    assert rep.max_commutation_residual == 1 / regrep._scale(n)
+    assert not rep.passed
 
 
-def test_change_of_challenge_fails_on_a_moved_high_projector(monkeypatch):
+def test_change_of_challenge_fails_on_a_moved_high_projector(fresh_caches, monkeypatch):
+    # A D P_0 moved past its certificate: the D M summed from its conjugates
+    # is no longer fixed by S_4, and the check fails.
     n = 4
-    regrep._scaled_m(n)  # D M stays the true sum; only D P_0 moves
     moved = _moved_pair(n, regrep._scaled_high_0(n))
     monkeypatch.setattr(regrep, "_scaled_high_0", lambda n: moved)
-    rep = regrep.change_of_challenge_check(n, trials=20, seed=0)
-    assert rep.max_conjugation_residual == 1 / regrep._scale(n)
-    assert rep.max_commutation_residual == 0
+    rep = regrep.change_of_challenge_check(n)
+    assert rep.max_commutation_residual > 0
     assert not rep.passed
 
 
@@ -1112,8 +1123,7 @@ def test_change_of_challenge_fails_on_a_moved_m(monkeypatch):
     n = 4
     moved = _moved_pair(n, regrep._scaled_m(n))
     monkeypatch.setattr(regrep, "_scaled_m", lambda n: moved)
-    rep = regrep.change_of_challenge_check(n, trials=20, seed=0)
-    assert rep.max_conjugation_residual == 0
+    rep = regrep.change_of_challenge_check(n)
     assert rep.max_commutation_residual == 1 / regrep._scale(n)
     assert not rep.passed
 
@@ -1141,13 +1151,6 @@ def test_oversized_high_projector_is_refused_by_the_product_bound(entry, reason,
     monkeypatch.setattr(regrep, "_branch_sum", grown)
     with pytest.raises(ArithmeticError, match=reason):
         regrep._scaled_high_0(3)
-
-
-@pytest.mark.parametrize("trials", [0, -1])
-def test_change_of_challenge_without_trials_is_refused(trials):
-    # It used to check nothing and report passed=True.
-    with pytest.raises(ValueError, match="trials must be >= 1"):
-        regrep.change_of_challenge_check(3, trials=trials)
 
 
 def test_decomposition_report_n4_n5():
