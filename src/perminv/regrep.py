@@ -21,20 +21,24 @@ at N <= 6.
 Every projector is one construction from characters, scaled to an integer
 operator: N! P_{A_k}, D P_y and D L_y with D = N! (N-1)!.  Each commutes
 with right multiplication, so it is kept as its column 0, N! integers, and
-the dense matrix is gathered from that column only where a product or an
-eigensolve needs one.  Each is certified exactly against the counted
-dimensions, on its column where it can be: symmetric, idempotent, of the
-counted trace, fixing the subspace it must hold, and commuting with left
-multiplication by S_N, or by Stab(y).  The subspace is read on the same
-indicator its dimension is counted from: an operator that commutes with
-multiplication on both sides fixes the whole two-sided orbit of a vector,
-the spanning set, iff it fixes that vector.  Only the challenge-0 high
-projector is built; the column of each other one is its conjugate by a
-range transposition, which carries Stab(0) onto Stab(y).  So certificate
-(e) of the challenge-0 projector proves every challenge relabeling, and
-change_of_challenge_check is (e) with G = S_N on the column of M.  Products
-run in float32 while a bound checked beforehand keeps every partial sum
-below 2^24, and in float64 below 2^53.  Floats enter at the public
+S[i, j] is the column's entry at pi_i pi_j^-1, read through one cached
+quotient table.  A dense matrix is gathered only in float: for an
+eigensolve, from the column over its scale, and for an exact product S w,
+from the column cast to a float that holds every partial sum, and then only
+on the columns of S where w is nonzero.  No integer N! x N! matrix is
+formed.  Each is certified exactly against the counted dimensions, on its
+column where it can be: symmetric, idempotent, of the counted trace, fixing
+the subspace it must hold, and commuting with left multiplication by S_N,
+or by Stab(y).  The subspace is read on the same indicator its dimension is
+counted from: an operator that commutes with multiplication on both sides
+fixes the whole two-sided orbit of a vector, the spanning set, iff it fixes
+that vector.  Only the challenge-0 high projector is built; the column of
+each other one is its conjugate by a range transposition, which carries
+Stab(0) onto Stab(y).  So certificate (e) of the challenge-0 projector
+proves every challenge relabeling, and change_of_challenge_check is (e)
+with G = S_N on the column of M.  Products run in float32 while a bound
+checked beforehand keeps every partial sum below 2^24, and in float64 below
+2^53; past that they raise.  Inexact floats enter only at the public
 readers, which divide by the scale, and at the eigensolves.
 
 The size cap is N = 6 (dimension 720); at N = 7 each dense 5040^2 float
@@ -126,19 +130,21 @@ def perm_index(p) -> np.ndarray:
 
 
 @cache
-def composition_table(n: int) -> np.ndarray:
-    """comp[a, b] = index of compose(perms[a], perms[b])."""
+def _quotient_table(n: int) -> np.ndarray:
+    """quot[i, j] = index of pi_i pi_j^-1, read-only: the one index every
+    gathered operator reads.  int16 holds every index, N! <= 720, so it
+    takes 1 MB at N = 6."""
     perms = perms_matrix(n)
-    comp = np.empty((len(perms),) * 2, dtype=np.int32)
-    for a, p in enumerate(perms):
-        comp[a] = perm_index(p[perms])
-    comp.setflags(write=False)
-    return comp
+    inverse = np.argsort(perms, axis=1)
+    quot = np.array([perm_index(p[inverse]) for p in perms], dtype=np.int16)
+    quot.setflags(write=False)
+    return quot
 
 
 def _inverses(n: int) -> np.ndarray:
-    """Index of pi^-1 for each pi in enumeration order."""
-    return perm_index(np.argsort(perms_matrix(n), axis=1))
+    """Index of pi^-1 for each pi in enumeration order: row 0 of the
+    quotient table, pi_0 being the identity."""
+    return _quotient_table(n)[0]
 
 
 def _conjugation(n: int, a) -> np.ndarray:
@@ -175,23 +181,44 @@ def _max_abs(a: np.ndarray) -> int:
 
 def _exact_float(bound: int) -> type:
     """The float type for an integer product or sum whose partial sums are
-    bounded by bound in magnitude: float32 below 2^24, float64 otherwise.
-    Every integer below 2^24 is a float32, so each product and partial sum
-    is exact and any summation order gives the same bits (Dumas, Giorgi and
-    Pernet, ACM TOMS 2008); the callers check the float64 range."""
+    bounded by bound in magnitude: float32 below 2^24, float64 below 2^53;
+    past that it raises.  Every integer below 2^24 is a float32, so each
+    product and partial sum is exact and any summation order gives the same
+    bits (Dumas, Giorgi and Pernet, ACM TOMS 2008); so is every integer
+    below 2^53 a float64."""
+    if not bound < 2**53:
+        raise ArithmeticError(f"integer product bound {float(bound):.3e} is not below 2^53")
     return np.float32 if bound < 2**24 else np.float64
 
 
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for integer matrices, as int64.  Every partial sum is an integer
-    of magnitude at most d * max|a| * max|b|, d the inner dimension, so the
-    product is exact in float32 while that bound is below 2^24 and in
-    float64 while it is below 2^53; above that it raises."""
-    bound = a.shape[1] * _max_abs(a) * _max_abs(b)
-    if not bound < 2**53:
-        raise ArithmeticError(f"integer product bound {float(bound):.3e} is not below 2^53")
-    dtype = _exact_float(bound)
-    return (np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype)).astype(np.int64)
+def _gather(n: int, column: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """The N! x N! matrix with entry [i, j] = column[index of pi_i pi_j^-1],
+    or its columns cols: one gather through the cached quotient table, in
+    the dtype of column.
+
+    Any matrix that commutes with right multiplication has this form, with
+    its own column 0 as column; so has a class function of pi_i^-1 pi_j,
+    which is conjugate to the inverse of pi_i pi_j^-1.  Every entry of the
+    matrix is an entry of the column, and every entry of the column is one
+    in column 0, so a max over the matrix is the max over its column.
+    Conjugating the column by a, column[index of a pi a^-1], gathers
+    A^-1 S A for A the left multiplication by a."""
+    return column[_quotient_table(n)[:, cols]]
+
+
+def _product(n: int, col: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """S w for S = _gather(n, col), col an integer column and w an integer
+    vector or matrix of N! rows, exact, as int64: the one exact product of
+    an operator.  Every partial sum is an integer of magnitude at most
+    N! max|col| max|w|, so the column is cast to the float _exact_float
+    picks for that bound before it is gathered, and every vector of w is
+    multiplied in one matrix product.  Only the columns of S on the rows
+    where w is nonzero are gathered: for an indicator of K_I, (S v)[i] is
+    the sum of col[index of pi_i pi_j^-1] over the pi_j in K_I."""
+    dtype = _exact_float(factorial(n) * _max_abs(col) * _max_abs(w))
+    rows = np.flatnonzero(w if w.ndim == 1 else w.any(axis=1))
+    cols = slice(None) if rows.size == len(w) else rows
+    return (_gather(n, col.astype(dtype), cols) @ w[cols].astype(dtype)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +248,20 @@ def _drop_fixed_point(ct: Partition) -> Partition:
     return tuple(parts)
 
 
-def _stab_classes(n: int, y: int) -> tuple[np.ndarray, list[int]]:
+@cache
+def _stab_classes(n: int, y: int) -> tuple[np.ndarray, np.ndarray]:
     """(cls, sub_class) over the elements g_s of Stab(y) in enumeration
-    order: cls[i, s] is the class of pi_i^-1 g_s in S_N (_class_data), and
-    sub_class[s] the index in young.partitions(n - 1) of the cycle type of
-    g_s off y, its class in Stab(y) = S_{N-1}."""
+    order, read-only: cls[i, s] is the class of pi_i^-1 g_s in S_N
+    (_class_data), read off the quotient table as that of pi_i g_s^-1, its
+    inverse's conjugate; sub_class[s] is the index in young.partitions(n - 1)
+    of the cycle type of g_s off y, its class in Stab(y) = S_{N-1}."""
     elem_class, types = _class_data(n)
     stab = np.flatnonzero(perms_matrix(n)[:, y] == y)
     sub_types = young.partitions(n - 1)
-    sub_class = [sub_types.index(_drop_fixed_point(types[elem_class[g]])) for g in stab]
-    cls = elem_class[composition_table(n)[np.ix_(_inverses(n), stab)]]
+    sub_class = np.array([sub_types.index(_drop_fixed_point(types[elem_class[g]])) for g in stab])
+    cls = elem_class[_quotient_table(n)[:, stab]]
+    cls.setflags(write=False)
+    sub_class.setflags(write=False)
     return cls, sub_class
 
 
@@ -316,32 +347,12 @@ def _scale(n: int) -> int:
     return factorial(n) * factorial(n - 1)
 
 
-def _gather(n: int, column: np.ndarray) -> np.ndarray:
-    """The N! x N! matrix with entry [i, j] = column[index of pi_i pi_j^-1].
-
-    Any matrix that commutes with right multiplication has this form, with
-    its own column 0 as column; so has a class function of pi_i^-1 pi_j,
-    which is conjugate to the inverse of pi_i pi_j^-1.  Every entry of the
-    matrix is an entry of the column, and every entry of the column is one
-    in column 0, so a max over the matrix is the max over its column.
-    Conjugating the column by a, column[index of a pi a^-1], gathers
-    A^-1 S A for A the left multiplication by a."""
-    return column[composition_table(n)[:, _inverses(n)]]
-
-
 def _divided(n: int, column: np.ndarray, scale: int) -> np.ndarray:
     """The float matrix gathered from column / scale, read-only: the public
     readers' one way from an integer column to a dense operator."""
     p = _gather(n, column / scale)
     p.setflags(write=False)
     return p
-
-
-def _moved(sp: np.ndarray, scale: int, w: np.ndarray) -> float:
-    """max |sp w / scale - w| for an integer vector w, from an exact integer
-    product: 0.0 exactly when sp / scale fixes w."""
-    diff = _exact_matmul(sp, w) - np.int64(scale) * w
-    return float(np.abs(diff).max(initial=0)) / scale
 
 
 def _unfixed(n: int, col: np.ndarray, perms) -> int:
@@ -357,27 +368,28 @@ def _certify(name: str, n: int, col: np.ndarray, scale: int, rank: int, y: int |
     commutes with left multiplication by G = S_N, or G = Stab(y) when y is
     given, and whose range holds each vector in fixed.  Five exact checks:
     (a) col[index of pi^-1] == col, so S is symmetric; (b) S col == scale *
-    col, one exact matrix-vector product: S^2 and scale S both commute with
-    right multiplication, so they are equal iff their columns 0 are, and
-    S / scale is an orthogonal projector; (c) tr S = N! col[0] == scale *
-    rank, so it has that rank; (d) S w == scale w for every w in fixed;
+    col: S^2 and scale S both commute with right multiplication, so they
+    are equal iff their columns 0 are, and S / scale is an orthogonal
+    projector; (c) tr S = N! col[0] == scale * rank, so it has that rank;
+    (d) S w == scale w for every w in fixed;
     (e) col is fixed by conjugation by the two _generators of G, so S
     commutes with left multiplication by G as it does with right
     multiplication.  By (d) and (e), S fixes the whole two-sided orbit of
-    each w, G on the left and S_N on the right.  Each product is exact under
-    the bound _exact_matmul checks.  Once those orbits span a space of
-    dimension `rank`, (a)-(e) make S / scale its projector."""
+    each w, G on the left and S_N on the right.  (b) and (d) are one exact
+    _product, S [col, *fixed], which refuses past its bound before either
+    is read.  Once those orbits span a space of dimension `rank`, (a)-(e)
+    make S / scale its projector."""
     if not np.array_equal(col[_inverses(n)], col):
         raise ArithmeticError(f"{name}: (a) not symmetric")
-    sp = _gather(n, col)
-    if not np.array_equal(_exact_matmul(sp, col), scale * col):
+    w = np.column_stack([col, *fixed])
+    moved = _product(n, col, w) - scale * w
+    if _max_abs(moved[:, 0]):
         raise ArithmeticError(f"{name}: (b) its square is not {scale} times itself")
     trace = factorial(n) * int(col[0])
     if trace != scale * rank:
         raise ArithmeticError(f"{name}: (c) trace {trace} is not {scale} * rank {rank}")
-    for w in fixed:
-        if _moved(sp, scale, w):
-            raise ArithmeticError(f"{name}: (d) moves a vector its range must hold")
+    if _max_abs(moved[:, 1:]):
+        raise ArithmeticError(f"{name}: (d) moves a vector its range must hold")
     if _unfixed(n, col, _generators(n, y)):
         group = f"S_{n}" if y is None else f"Stab({y})"
         raise ArithmeticError(f"{name}: (e) does not commute with left multiplication by {group}")
@@ -449,21 +461,25 @@ def _branch_sum(n: int, y: int, branches) -> np.ndarray:
     return column
 
 
-def _high_increments(n: int, y: int) -> list[np.ndarray]:
+def _high_increments(n: int, y: int) -> np.ndarray:
     """The increments of the constructive high subspace for challenge y, the
-    sum over i = 1..n-1 of A_i^y with A_{i-1} projected out: the int64
-    vectors N! v - (N! P_{A_{i-1}}) v for v = _indicator(n, i, y), one per
-    level.  The map v -> N! v - (N! P_{A_{i-1}}) v commutes with
-    multiplication on both sides, so the two-sided orbit of the i-th
-    increment, Stab(y) on the left, is the increments of the whole spanning
-    set of A_i^y.  Each v lies in A_i, so given the chain A_{i-1} < A_i, the
-    i-th increment lies in A_i minus A_{i-1}: the increments of different
-    levels are orthogonal, and the orbit of the i-th spans at least
-    dim A_i^y - dim A_{i-1} dimensions, with equality only when A_{i-1} lies
-    in A_i^y."""
+    sum over i = 1..n-1 of A_i^y with A_{i-1} projected out: the rows
+    N! v - (N! P_{A_{i-1}}) v of an int64 (n - 1) x N! array, for
+    v = _indicator(n, i, y), one per level, each product reading only the
+    columns of N! P_{A_{i-1}} on the support of v (_product).  The map
+    v -> N! v - (N! P_{A_{i-1}}) v commutes with multiplication on both
+    sides, so the two-sided orbit of the i-th increment, Stab(y) on the
+    left, is the increments of the whole spanning set of A_i^y.  Each v lies
+    in A_i, so given the chain A_{i-1} < A_i, the i-th increment lies in A_i
+    minus A_{i-1}: the increments of different levels are orthogonal, and
+    the orbit of the i-th spans at least dim A_i^y - dim A_{i-1} dimensions,
+    with equality only when A_{i-1} lies in A_i^y."""
     f = np.int64(factorial(n))
-    vs = [_indicator(n, i, y) for i in range(1, n)]  # int8, cast only by the products
-    return [f * v - _exact_matmul(_gather(n, _scaled_a(n, i)), v) for i, v in enumerate(vs)]
+    increments = np.empty((n - 1, f), dtype=np.int64)
+    for i in range(1, n):
+        v = _indicator(n, i, y)  # int8, cast only by the product
+        increments[i - 1] = f * v - _product(n, _scaled_a(n, i - 1), v)
+    return increments
 
 
 def _high_rank(n: int, y: int) -> int:
@@ -765,8 +781,8 @@ def decomposition_report(n: int) -> DecompReport:
         chain_res = comp_res = 0.0
         for y in range(n):
             dq, dl = _scaled_high(n, y), _scaled_low(n, y)
-            sp = _gather(n, dq)
-            chain_res = max([chain_res, *(_moved(sp, d, w) for w in _high_increments(n, y))])
+            w = _high_increments(n, y).T
+            chain_res = max(chain_res, _max_abs(_product(n, dq, w) - d * w) / d)
             rest = dq + dl
             rest[0] -= d  # the column of D P_y + D L_y - D I
             comp_res = max(comp_res, float(np.abs(rest).max()) / d)

@@ -21,6 +21,9 @@ they must generate, and every gathered column against right
 multiplication.
 Character cross-check: traces of the one-sided action restricted to an
 isotypic block, from a test-local float isotypic projector.
+Exact products: the quotient table and the Stab(y) classes against a
+test-local composition table, and every product against the dense exact
+product of the gathered int64 matrix, which regrep itself never forms.
 """
 
 import re
@@ -104,9 +107,29 @@ def exact_rank_reference(gram, p: int = PRIME) -> int:
     and then no witness exists: ArithmeticError."""
     r, pivots = rank_mod_p_reference(gram, p)
     k = kernel_witness_reference(gram, pivots)
-    if np.abs(regrep._exact_matmul(gram, k)).max(initial=0):
+    if np.abs(exact_matmul(gram, k)).max(initial=0):
         raise ArithmeticError(f"no integer kernel witness for rank {r}")
     return r
+
+
+@cache
+def composition_table(n: int) -> np.ndarray:
+    """comp[a, b] = index of compose(perms[a], perms[b]), one row at a time:
+    the reference for the quotient table and the two-sided action."""
+    perms = regrep.perms_matrix(n)
+    comp = np.empty((len(perms),) * 2, dtype=np.int32)
+    for a, p in enumerate(perms):
+        comp[a] = regrep.perm_index(p[perms])
+    comp.setflags(write=False)
+    return comp
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for integer matrices, as int64, in the float regrep._exact_float
+    picks for the bound d max|a| max|b|, d the inner dimension: the dense
+    reference for regrep._product, which gathers no integer matrix."""
+    dtype = regrep._exact_float(a.shape[1] * regrep._max_abs(a) * regrep._max_abs(b))
+    return (np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype)).astype(np.int64)
 
 
 @cache
@@ -132,7 +155,7 @@ def act_index_map(n: int, pi_d, pi_r) -> np.ndarray:
     """Index map of the two-sided action |pi> -> |pi_r . pi . pi_d^{-1}>,
     from the composition table: the dense reference for the conjugations of
     columns in regrep."""
-    comp = regrep.composition_table(n)
+    comp = composition_table(n)
     right = comp[:, regrep.perm_index(np.argsort(pi_d))]  # pi . pi_d^{-1}
     return comp[regrep.perm_index(pi_r), right].astype(np.int64)
 
@@ -208,13 +231,52 @@ def test_perm_index_of_the_enumeration_is_arange(n):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_perm_index_matches_compose_and_argsort_inverse(n):
     perms = regrep.enumerate_group(n)
-    comp = regrep.composition_table(n)
+    comp = composition_table(n)
     for a, p in enumerate(perms):
         inv = perms[regrep.perm_index(np.argsort(p))]
         assert perm_compose(p, inv) == perm_compose(inv, p) == tuple(range(n))
         for b, q in enumerate(perms):
             pq = perm_compose(p, q)
             assert regrep.perm_index(pq) == comp[a, b] == perms.index(pq)
+
+
+def argsort_inverses(n: int) -> np.ndarray:
+    """Index of pi^-1 for each pi, from the one-line inverses."""
+    return regrep.perm_index(np.argsort(regrep.perms_matrix(n), axis=1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_quotient_table_is_the_composition_with_inverses(n):
+    # quot[i, j] = index of pi_i pi_j^-1, and its row 0 the inverses.
+    quot, inv = regrep._quotient_table(n), argsort_inverses(n)
+    assert quot.dtype == np.int16 and quot.shape == (factorial(n),) * 2
+    assert np.array_equal(quot, composition_table(n)[:, inv])
+    assert np.array_equal(regrep._inverses(n), inv)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_stab_classes_match_the_composition_reference(n):
+    # cls[i, s], the class of pi_i^-1 g_s, read off the quotient table as
+    # that of pi_i g_s^-1, against the composition table; sub_class against
+    # the cycle types off y, for every y.
+    elem_class, types = regrep._class_data(n)
+    comp, inv = composition_table(n), argsort_inverses(n)
+    sub_types = young.partitions(n - 1)
+    for y in range(n):
+        stab = np.flatnonzero(regrep.perms_matrix(n)[:, y] == y)
+        cls, sub_class = regrep._stab_classes(n, y)
+        assert np.array_equal(cls, elem_class[comp[np.ix_(inv, stab)]]), y
+        cycle_types = [young.cycle_type(regrep.enumerate_group(n)[g]) for g in stab]
+        assert [sub_types[c] for c in sub_class] == [regrep._drop_fixed_point(ct) for ct in cycle_types], y
+
+
+def test_cached_tables_are_read_only():
+    n = 4
+    for table in (regrep._quotient_table(n), regrep._inverses(n), *regrep._stab_classes(n, 1)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    assert regrep._stab_classes(n, 1) is regrep._stab_classes(n, 1)
 
 
 @pytest.mark.parametrize("bad", [(0, 0, 1), (3, 0, 1), (3, 1, 1)], ids=["repeat", "outside", "aliases-a-permutation"])
@@ -476,7 +538,7 @@ def test_exact_matmul_just_below_2_24_runs_in_float32_and_is_exact(monkeypatch):
     a = rng.integers(-255, 256, size=(300, 256)).astype(np.int16)
     b = rng.integers(-255, 256, size=(256, 200)).astype(np.int16)
     a[0], b[:, 0] = 255, 255
-    prod = regrep._exact_matmul(a, b)
+    prod = exact_matmul(a, b)
     assert chosen == [np.float32]
     assert prod.dtype == np.int64 and prod[0, 0] == 256 * 255**2
     assert np.array_equal(prod, a.astype(np.int64) @ b.astype(np.int64))
@@ -487,10 +549,76 @@ def test_exact_matmul_past_the_float32_range_is_exact(monkeypatch):
     a = np.array([[4096, 1], [4095, 3]])
     b = np.array([[4096, 0], [1, 3]])
     expected = [[2**24 + 1, 3], [4095 * 4096 + 3, 9]]
-    assert regrep._exact_matmul(a, b).tolist() == expected
+    assert exact_matmul(a, b).tolist() == expected
     # A float32 product, whatever the bound, rounds 2^24 + 1 and is caught.
     monkeypatch.setattr(regrep, "_exact_float", lambda bound: np.float32)
-    assert regrep._exact_matmul(a, b).tolist() != expected
+    assert exact_matmul(a, b).tolist() != expected
+
+
+def random_product_operands(n: int, bound: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random integer column and an N! x 3 w with entries in [-bound,
+    bound], bound reached in both, and the rows of a third of w zero, so
+    that the product reads part of the columns of S only."""
+    rng = np.random.default_rng(seed)
+    f = factorial(n)
+    col = rng.integers(-bound, bound + 1, size=f)
+    w = rng.integers(-bound, bound + 1, size=(f, 3))
+    col[0], w[-1, 0] = bound, -bound
+    w[rng.permutation(f)[: f // 3]] = 0
+    return col, w
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("side", ["float32", "float64"])
+def test_product_is_the_dense_exact_product(n, side, monkeypatch):
+    # N! bound^2 just below 2^24, or far above it: _product picks that float
+    # for the column, gathers only the nonzero rows of w, and is bitwise the
+    # dense exact_matmul of the gathered int64 matrix and the int64 product.
+    chosen = []
+    exact_float = regrep._exact_float
+
+    def recording(bound):
+        chosen.append(exact_float(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(regrep, "_exact_float", recording)
+    bound = int(np.sqrt((2**24 - 1) / factorial(n))) if side == "float32" else 50_000
+    col, w = random_product_operands(n, bound, seed=n)
+    sp = regrep._gather(n, col)
+    assert sp.dtype == np.int64
+    for ws in (w, w[:, 0], w[:, 1:]):
+        prod = regrep._product(n, col, ws)
+        assert prod.dtype == np.int64 and chosen[-1] == np.dtype(side).type
+        assert np.array_equal(prod, exact_matmul(sp, ws))
+        assert np.array_equal(prod, sp @ ws)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_product_past_2_53_is_refused(n):
+    # N! max|col| max|w| at 2^53 has no exact float64 sum: both the product
+    # and the dense reference refuse it; one below that is exact.
+    f = factorial(n)
+    col, w = np.zeros(f, dtype=np.int64), np.zeros(f, dtype=np.int64)
+    col[0], w[0] = 2**53 // f + 1, 1
+    for product in (lambda: regrep._product(n, col, w), lambda: exact_matmul(regrep._gather(n, col), w)):
+        with pytest.raises(ArithmeticError, match=r"integer product bound .* is not below 2\^53"):
+            product()
+    col[0] -= 1
+    assert regrep._product(n, col, w)[0] == col[0] == 2**53 // f
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_high_increments_match_the_dense_products(n):
+    # Each increment, from the columns on the support of its indicator
+    # only, against N! v - S v with S the whole gathered int64 N! P_{A_{i-1}}.
+    f = factorial(n)
+    for y in range(n):
+        increments = regrep._high_increments(n, y)
+        assert increments.dtype == np.int64 and increments.shape == (n - 1, f)
+        for i in range(1, n):
+            v = regrep._indicator(n, i, y)
+            dense = f * v.astype(np.int64) - exact_matmul(regrep._gather(n, regrep._scaled_a(n, i - 1)), v)
+            assert np.array_equal(increments[i - 1], dense), (y, i)
 
 
 def _group(n: int, y=None) -> np.ndarray:
@@ -506,7 +634,7 @@ def test_two_sided_orbit_of_the_indicator_is_the_spanning_set(n):
     # each pi, for every g in S_n, or in Stab(y), and every b: as a set of
     # rows, the indicator rows of every k-assignment of A_k, or of every one
     # with y in its image for A_k^y.
-    comp = regrep.composition_table(n)
+    comp = composition_table(n)
     for k, y, rows in _subspace_rows(n):
         v = regrep._indicator(n, k, y)
         assert v.dtype == np.int8 and v.sum() == factorial(n - k), (k, y)
@@ -520,7 +648,7 @@ def test_generators_close_to_the_group(n):
     # The transposition and the cycle generate all of S_n, and of Stab(y)
     # for every y: the closure under right multiplication by them, from the
     # identity, has n! elements, or (n-1)!, and stays in the group.
-    comp = regrep.composition_table(n)
+    comp = composition_table(n)
     for y in [None, *range(n)]:
         gens = regrep.perm_index(np.array(regrep._generators(n, y)))
         reached, frontier = {0}, [0]
@@ -547,28 +675,69 @@ def test_a_transposition_alone_does_not_certify_left_commutation(monkeypatch):
     regrep._certify("P", n, col, d, rank, 0)
 
 
-def test_cold_build_m_reads_few_product_columns(fresh_caches, monkeypatch):
-    # One vector per level: a cold build_m(6) reads 25 product columns, one
-    # for (b) of each of N! P_{A_0} .. N! P_{A_4} and of D P_0, one for (d)
-    # of N! P_{A_0} and two of each other, and two per level for the five
-    # increments, their product and (d) of D P_0.
+def cold_build_m_product_columns(monkeypatch) -> int:
+    """The number of vectors that the exact products of one build_m(6)
+    multiply, each call of regrep._product counted by the columns of its w;
+    cold only under fresh_caches."""
     columns = []
-    exact_matmul = regrep._exact_matmul
+    product = regrep._product
 
-    def recording(a, b):
-        columns.append(1 if b.ndim == 1 else b.shape[1])
-        return exact_matmul(a, b)
+    def recording(n, col, w):
+        columns.append(1 if w.ndim == 1 else w.shape[1])
+        return product(n, col, w)
 
-    monkeypatch.setattr(regrep, "_exact_matmul", recording)
+    monkeypatch.setattr(regrep, "_product", recording)
     regrep.build_m(6)
-    assert sum(columns) <= 26, columns
+    return sum(columns)
+
+
+def test_cold_build_m_reads_few_product_columns(fresh_caches, monkeypatch):
+    # One vector per level: a cold build_m(6) multiplies 25 product columns,
+    # one for (b) of each of N! P_{A_0} .. N! P_{A_4} and of D P_0, one for
+    # (d) of N! P_{A_0} and two of each other, and two per level for the five
+    # increments, their product and (d) of D P_0.
+    assert cold_build_m_product_columns(monkeypatch) == 25
+
+
+def test_one_more_product_column_breaks_the_column_pin(fresh_caches, monkeypatch):
+    # The last increment read twice by (d) of D P_0 still certifies, and
+    # reads 26 columns: the pin above sees one extra column.
+    increments = regrep._high_increments
+
+    def repeated_last(n, y):
+        rows = increments(n, y)
+        return np.vstack([rows, rows[-1:]])
+
+    monkeypatch.setattr(regrep, "_high_increments", repeated_last)
+    assert cold_build_m_product_columns(monkeypatch) == 26
+
+
+def test_no_integer_operator_is_gathered_at_n6(fresh_caches, monkeypatch):
+    # A cold spectrum(6), decomposition_report(6) and avg_bound_check(6, 3)
+    # gather every dense operator in float, and the exact products gather
+    # their columns in float too: no integer 720 x 720 matrix is formed.
+    gathered = []
+    gather = regrep._gather
+
+    def recording(n, column, cols=slice(None)):
+        sp = gather(n, column, cols)
+        gathered.append((sp.dtype, sp.shape))
+        return sp
+
+    monkeypatch.setattr(regrep, "_gather", recording)
+    assert regrep.spectrum(6).passed
+    assert regrep.decomposition_report(6).passed
+    assert regrep.avg_bound_check(6, 3).passed
+    assert all(dtype.kind == "f" for dtype, _ in gathered), gathered
+    assert (720, 720) in {shape for _, shape in gathered}
+    assert any(shape[1] < 720 for _, shape in gathered)  # the increments read only their supports
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gather_commutes_with_right_multiplication(n):
     # S = _gather(n, c) of a column with no symmetry: S[r_b][:, r_b] == S
     # for every b, r_b[i] the index of pi_i b, so S R_b = R_b S.
-    comp = regrep.composition_table(n)
+    comp = composition_table(n)
     col = np.random.default_rng(n).integers(-9, 10, size=factorial(n))
     sp = regrep._gather(n, col)
     for b in range(factorial(n)):
@@ -695,8 +864,7 @@ def isotypic_projector(n: int, lam) -> np.ndarray:
     f = factorial(n)
     elem_class, types = regrep._class_data(n)
     chars = np.array([young.character(lam, ct) for ct in types], dtype=float)
-    comp = regrep.composition_table(n)
-    inv = regrep.perm_index(np.argsort(regrep.perms_matrix(n), axis=1))
+    comp, inv = composition_table(n), argsort_inverses(n)
     p = np.zeros((f, f))
     cols = np.arange(f)
     for g in range(f):
@@ -732,7 +900,7 @@ def test_character_from_isotypic_block_trace():
     # Trace of the range-side action restricted to an isotypic block equals
     # the block dimension times the character.
     n = 4
-    comp = regrep.composition_table(n)
+    comp = composition_table(n)
     f = factorial(n)
     cols = np.arange(f)
     for lam in young.partitions(n):
@@ -805,7 +973,7 @@ def dense_verdict(n: int, col: np.ndarray, scale: int, rank: int, y=None) -> str
     sp = regrep._gather(n, col)
     if not np.array_equal(sp, sp.T):
         return "a"
-    if not np.array_equal(regrep._exact_matmul(sp.T, sp), scale * sp):
+    if not np.array_equal(exact_matmul(sp.T, sp), scale * sp):
         return "b"
     if np.trace(sp) != scale * rank:
         return "c"
