@@ -64,19 +64,25 @@ def _fields(report) -> dict:
     )
 
 
+def _nested(value) -> bool:
+    """A non-empty dict or list, rendered on the lines below its key; an
+    empty one is rendered in place, as [] or {}."""
+    return isinstance(value, (dict, list)) and bool(value)
+
+
 def _render_text(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
         lines = []
         for key, val in obj.items():
-            if isinstance(val, (dict, list)):
+            if _nested(val):
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_text(val, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {val}")
         return "\n".join(lines)
     if isinstance(obj, list):
-        return "\n".join(_render_text(v, indent) if isinstance(v, (dict, list)) else f"{pad}- {v}" for v in obj)
+        return "\n".join(_render_text(v, indent) if _nested(v) else f"{pad}- {v}" for v in obj)
     return f"{pad}{obj}"
 
 

@@ -18,28 +18,31 @@ each such test is an exact integer sum of characters.  The tests pin every
 count to an exact elimination of the Gram matrix of the whole spanning set
 at N <= 6.
 
-Every projector is one construction from characters, scaled to an integer
-operator: N! P_{A_k}, D P_y and D L_y with D = N! (N-1)!.  Each commutes
-with right multiplication, so it is kept as its column 0, N! integers, and
-S[i, j] is the column's entry at pi_i pi_j^-1, read through one cached
-quotient table.  A dense matrix is gathered only in float: for an
-eigensolve, from the column over its scale, and for an exact product S w,
-from the column cast to a float that holds every partial sum, and then only
-on the columns of S where w is nonzero.  No integer N! x N! matrix is
-formed.  Each is certified exactly against the counted dimensions, on its
-column where it can be: symmetric, idempotent, of the counted trace, fixing
-the subspace it must hold, and commuting with left multiplication by S_N,
-or by Stab(y).  The subspace is read on the same indicator its dimension is
-counted from: an operator that commutes with multiplication on both sides
-fixes the whole two-sided orbit of a vector, the spanning set, iff it fixes
-that vector.  Only the challenge-0 high projector is built; the column of
-each other one is its conjugate by a range transposition, which carries
-Stab(0) onto Stab(y).  So certificate (e) of the challenge-0 projector
-proves every challenge relabeling, and change_of_challenge_check is (e)
-with G = S_N on the column of M.  Products run in float32 while a bound
-checked beforehand keeps every partial sum below 2^24, and in float64 below
-2^53; past that they raise.  Inexact floats enter only at the public
-readers, which divide by the scale, and at the eigensolves.
+Every projector is one construction from characters, scaled by N! to an
+integer operator: N! P_{A_k}, N! P_y and N! L_y.  The Stab(y) character sum
+of a high or low projector comes out as (N-1)! times that, and the
+division by (N-1)! is exact or raises.  Each commutes with right
+multiplication, so it is kept as its column 0, N! integers whose entry at
+the identity is the rank, and S[i, j] is the column's entry at
+pi_i pi_j^-1, read through one cached quotient table.  A dense matrix is
+gathered only in float: for an eigensolve, from the column over N!, and
+for an exact product S w, from the column cast to a float that holds every
+partial sum, and then only on the columns of S where w is nonzero.  No
+integer N! x N! matrix is formed.  Each is certified exactly against the
+counted dimensions, on its column where it can be: symmetric, idempotent,
+of the counted trace, fixing the subspace it must hold, and commuting with
+left multiplication by S_N, or by Stab(y).  The subspace is read on the
+same indicator its dimension is counted from: an operator that commutes
+with multiplication on both sides fixes the whole two-sided orbit of a
+vector, the spanning set, iff it fixes that vector.  Only the challenge-0
+high and low projectors are built; the column of each other one is its
+conjugate by a range transposition, which carries Stab(0) onto Stab(y).
+So certificate (e) of the challenge-0 projectors proves every challenge
+relabeling, and change_of_challenge_check is (e) with G = S_N on the
+column of M.  Products run in float32 while a bound checked beforehand
+keeps every partial sum below 2^24, and in float64 below 2^53; past that
+they raise.  Inexact floats enter only at the public readers, which divide
+by N!, and at the eigensolves.
 
 The size cap is N = 6 (dimension 720); at N = 7 each dense 5040^2 float
 matrix would cost ~200 MB.
@@ -227,9 +230,10 @@ def _product(n: int, col: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @cache
 def _class_data(n: int) -> tuple[np.ndarray, tuple[Partition, ...]]:
-    """Per-element conjugacy class index and the list of cycle types."""
+    """Per-element conjugacy class index, read-only int8 (15 classes at
+    N = 7), and the list of cycle types."""
     types: dict[Partition, int] = {}
-    elem_class = np.empty(factorial(n), dtype=np.int64)
+    elem_class = np.empty(factorial(n), dtype=np.int8)
     for i, p in enumerate(enumerate_group(n)):
         ct = young.cycle_type(p)
         elem_class[i] = types.setdefault(ct, len(types))
@@ -251,14 +255,17 @@ def _drop_fixed_point(ct: Partition) -> Partition:
 @cache
 def _stab_classes(n: int, y: int) -> tuple[np.ndarray, np.ndarray]:
     """(cls, sub_class) over the elements g_s of Stab(y) in enumeration
-    order, read-only: cls[i, s] is the class of pi_i^-1 g_s in S_N
-    (_class_data), read off the quotient table as that of pi_i g_s^-1, its
-    inverse's conjugate; sub_class[s] is the index in young.partitions(n - 1)
-    of the cycle type of g_s off y, its class in Stab(y) = S_{N-1}."""
+    order, read-only int8 like _class_data: cls[i, s] is the class of
+    pi_i^-1 g_s in S_N (_class_data), read off the quotient table as that of
+    pi_i g_s^-1, its inverse's conjugate; sub_class[s] is the index in
+    young.partitions(n - 1) of the cycle type of g_s off y, its class in
+    Stab(y) = S_{N-1}."""
     elem_class, types = _class_data(n)
     stab = np.flatnonzero(perms_matrix(n)[:, y] == y)
     sub_types = young.partitions(n - 1)
-    sub_class = np.array([sub_types.index(_drop_fixed_point(types[elem_class[g]])) for g in stab])
+    sub_class = np.array(
+        [sub_types.index(_drop_fixed_point(types[elem_class[g]])) for g in stab], dtype=np.int8
+    )
     cls = elem_class[_quotient_table(n)[:, stab]]
     cls.setflags(write=False)
     sub_class.setflags(write=False)
@@ -342,15 +349,10 @@ def subspace_a_y(n: int, k: int, y: int) -> int:
 # Projectors from characters, as certified integer matrices.
 
 
-def _scale(n: int) -> int:
-    """D = N! (N-1)!, which makes every high and low projector integral."""
-    return factorial(n) * factorial(n - 1)
-
-
-def _divided(n: int, column: np.ndarray, scale: int) -> np.ndarray:
-    """The float matrix gathered from column / scale, read-only: the public
+def _divided(n: int, column: np.ndarray) -> np.ndarray:
+    """The float matrix gathered from column / N!, read-only: the public
     readers' one way from an integer column to a dense operator."""
-    p = _gather(n, column / scale)
+    p = _gather(n, column / factorial(n))
     p.setflags(write=False)
     return p
 
@@ -362,32 +364,32 @@ def _unfixed(n: int, col: np.ndarray, perms) -> int:
     return max(_max_abs(col[_conjugation(n, g)] - col) for g in perms)
 
 
-def _certify(name: str, n: int, col: np.ndarray, scale: int, rank: int, y: int | None = None, fixed=()) -> None:
-    """Raise ArithmeticError unless S / scale, S = _gather(n, col) for an
+def _certify(name: str, n: int, col: np.ndarray, rank: int, y: int | None = None, fixed=()) -> None:
+    """Raise ArithmeticError unless S / N!, S = _gather(n, col) for an
     integer column col, is the orthogonal projector of rank `rank` that
     commutes with left multiplication by G = S_N, or G = Stab(y) when y is
     given, and whose range holds each vector in fixed.  Five exact checks:
-    (a) col[index of pi^-1] == col, so S is symmetric; (b) S col == scale *
-    col: S^2 and scale S both commute with right multiplication, so they
-    are equal iff their columns 0 are, and S / scale is an orthogonal
-    projector; (c) tr S = N! col[0] == scale * rank, so it has that rank;
-    (d) S w == scale w for every w in fixed;
-    (e) col is fixed by conjugation by the two _generators of G, so S
-    commutes with left multiplication by G as it does with right
-    multiplication.  By (d) and (e), S fixes the whole two-sided orbit of
-    each w, G on the left and S_N on the right.  (b) and (d) are one exact
-    _product, S [col, *fixed], which refuses past its bound before either
-    is read.  Once those orbits span a space of dimension `rank`, (a)-(e)
-    make S / scale its projector."""
+    (a) col[index of pi^-1] == col, so S is symmetric; (b) S col == N! col:
+    S^2 and N! S both commute with right multiplication, so they are equal
+    iff their columns 0 are, and S / N! is an orthogonal projector;
+    (c) tr S = N! col[0] == N! rank, so it has that rank; (d) S w == N! w
+    for every w in fixed; (e) col is fixed by conjugation by the two
+    _generators of G, so S commutes with left multiplication by G as it
+    does with right multiplication.  By (d) and (e), S fixes the whole
+    two-sided orbit of each w, G on the left and S_N on the right.  (b) and
+    (d) are one exact _product, S [col, *fixed], which refuses past its
+    bound before either is read.  Once those orbits span a space of
+    dimension `rank`, (a)-(e) make S / N! its projector."""
+    f = factorial(n)
     if not np.array_equal(col[_inverses(n)], col):
         raise ArithmeticError(f"{name}: (a) not symmetric")
     w = np.column_stack([col, *fixed])
-    moved = _product(n, col, w) - scale * w
+    moved = _product(n, col, w) - f * w
     if _max_abs(moved[:, 0]):
-        raise ArithmeticError(f"{name}: (b) its square is not {scale} times itself")
-    trace = factorial(n) * int(col[0])
-    if trace != scale * rank:
-        raise ArithmeticError(f"{name}: (c) trace {trace} is not {scale} * rank {rank}")
+        raise ArithmeticError(f"{name}: (b) its square is not {f} times itself")
+    trace = f * int(col[0])
+    if trace != f * rank:
+        raise ArithmeticError(f"{name}: (c) trace {trace} is not {f} * rank {rank}")
     if _max_abs(moved[:, 1:]):
         raise ArithmeticError(f"{name}: (d) moves a vector its range must hold")
     if _unfixed(n, col, _generators(n, y)):
@@ -430,27 +432,29 @@ def _scaled_a(n: int, k: int) -> np.ndarray:
     values = sum(young.dim(lam) * _characters(lam, types) for lam in _up_to_level(n, k))
     col = values[elem_class]
     fixed = [_indicator(n, j) for j in range(max(k - 1, 0), k + 1)]
-    _certify(f"a_projector({n}, {k})", n, col, factorial(n), subspace_a(n, k), fixed=fixed)
+    _certify(f"a_projector({n}, {k})", n, col, subspace_a(n, k), fixed=fixed)
     col.setflags(write=False)
     return col
 
 
 def a_projector(n: int, k: int) -> np.ndarray:
     """Orthogonal projector onto A_k, divided out of N! P_{A_k}."""
-    return _divided(n, _scaled_a(n, k), factorial(n))
+    return _divided(n, _scaled_a(n, k))
 
 
 def _branch_sum(n: int, y: int, branches) -> np.ndarray:
-    """The column of D * sum of Pi_lam R_mu^y over the (lam, mus) in branches
-    and each mu in mus, an integer operator: Pi_lam = d_lam X_lam / N! is
-    the isotypic projector of lam and R_mu^y = d_mu Y_mu^y / (N-1)! the
-    mu-isotypic projector of Stab(y) acting by left multiplication (on the
-    range side), Y_mu^y = sum over g in Stab(y) of chi_mu(g) |g pi> <pi|.
+    """The column of N! * sum of Pi_lam R_mu^y over the (lam, mus) in
+    branches and each mu in mus: Pi_lam = d_lam X_lam / N! is the isotypic
+    projector of lam and R_mu^y = d_mu Y_mu^y / (N-1)! the mu-isotypic
+    projector of Stab(y) acting by left multiplication (on the range side),
+    Y_mu^y = sum over g in Stab(y) of chi_mu(g) |g pi> <pi|.
 
     X_lam is central and Y_mu^y is a sum of left multiplications, so both
     commute with right multiplication and the sum is the _gather of its
     column 0, whose entry i is sum over g in Stab(y) of d_lam d_mu chi_mu(g)
-    chi_lam(pi_i^-1 g), with chi_mu read on the cycles of g off y."""
+    chi_lam(pi_i^-1 g), with chi_mu read on the cycles of g off y, divided
+    by (N-1)!.  For the high and low branches that division is exact;
+    any remainder raises ArithmeticError, naming the challenge."""
     _, types = _class_data(n)
     sub_types = young.partitions(n - 1)
     cls, sub_class = _stab_classes(n, y)
@@ -458,26 +462,30 @@ def _branch_sum(n: int, y: int, branches) -> np.ndarray:
     for lam, mus in branches:
         weight = sum(young.dim(mu) * _characters(mu, sub_types) for mu in mus)
         column += young.dim(lam) * (_characters(lam, types)[cls] @ weight[sub_class])
+    m = factorial(n - 1)
+    column, remainder = np.divmod(column, m)
+    if remainder.any():
+        raise ArithmeticError(f"branch sum over Stab({y}): not a multiple of ({n}-1)! = {m}")
     return column
 
 
-def _high_increments(n: int, y: int) -> np.ndarray:
-    """The increments of the constructive high subspace for challenge y, the
-    sum over i = 1..n-1 of A_i^y with A_{i-1} projected out: the rows
+def _high_increments(n: int) -> np.ndarray:
+    """The increments of the constructive high subspace for challenge 0, the
+    sum over i = 1..n-1 of A_i^0 with A_{i-1} projected out: the rows
     N! v - (N! P_{A_{i-1}}) v of an int64 (n - 1) x N! array, for
-    v = _indicator(n, i, y), one per level, each product reading only the
+    v = _indicator(n, i, 0), one per level, each product reading only the
     columns of N! P_{A_{i-1}} on the support of v (_product).  The map
     v -> N! v - (N! P_{A_{i-1}}) v commutes with multiplication on both
-    sides, so the two-sided orbit of the i-th increment, Stab(y) on the
-    left, is the increments of the whole spanning set of A_i^y.  Each v lies
+    sides, so the two-sided orbit of the i-th increment, Stab(0) on the
+    left, is the increments of the whole spanning set of A_i^0.  Each v lies
     in A_i, so given the chain A_{i-1} < A_i, the i-th increment lies in A_i
     minus A_{i-1}: the increments of different levels are orthogonal, and
-    the orbit of the i-th spans at least dim A_i^y - dim A_{i-1} dimensions,
-    with equality only when A_{i-1} lies in A_i^y."""
+    the orbit of the i-th spans at least dim A_i^0 - dim A_{i-1} dimensions,
+    with equality only when A_{i-1} lies in A_i^0."""
     f = np.int64(factorial(n))
     increments = np.empty((n - 1, f), dtype=np.int64)
     for i in range(1, n):
-        v = _indicator(n, i, y)  # int8, cast only by the product
+        v = _indicator(n, i, 0)  # int8, cast only by the product
         increments[i - 1] = f * v - _product(n, _scaled_a(n, i - 1), v)
     return increments
 
@@ -492,78 +500,79 @@ def _low_rank(n: int, y: int) -> int:
 
 @cache
 def _scaled_high_0(n: int) -> np.ndarray:
-    """The column of D P_0, the one high projector that is built and kept:
+    """The column of N! P_0, the one high projector that is built and kept:
     the branch sum over _high_branches, certified by (a)-(e) with
-    G = Stab(0) against the n - 1 vectors of _high_increments(n, 0).  By (d)
+    G = Stab(0) against the n - 1 vectors of _high_increments(n).  By (d)
     and (e) its range holds the increments of every spanning vector; with
     the certified trace that forces each level to its least dimension, so
     A_{i-1} < A_i^0 < A_i, and P_0 is the projector onto their sum."""
-    dq = _branch_sum(n, 0, _high_branches(n))
-    _certify(f"high_projection({n}, 0)", n, dq, _scale(n), _high_rank(n, 0), 0, _high_increments(n, 0))
-    dq.setflags(write=False)
-    return dq
+    col = _branch_sum(n, 0, _high_branches(n))
+    _certify(f"high_projection({n}, 0)", n, col, _high_rank(n, 0), 0, _high_increments(n))
+    col.setflags(write=False)
+    return col
 
 
-def _scaled_high(n: int, y: int) -> np.ndarray:
-    """The column of D P_y: the column of D P_0 conjugated by the range
-    transposition tau = (0 y), which maps A_k^0 onto A_k^y and fixes A_k, so
-    D P_y = T (D P_0) T for T the left multiplication by tau, T^-1 = T."""
+@cache
+def _scaled_low_0(n: int) -> np.ndarray:
+    """The column of N! L_0, the one low projector that is built and kept:
+    the branch sum over _low_branches, certified by (a)-(c) against the rank
+    sum of dim A_i - dim A_i^0, and by (e) with G = Stab(0)."""
+    col = _branch_sum(n, 0, _low_branches(n))
+    _certify(f"low_projection({n}, 0)", n, col, _low_rank(n, 0), 0)
+    col.setflags(write=False)
+    return col
+
+
+def _relabeled(n: int, col: np.ndarray, y: int) -> np.ndarray:
+    """The column of a challenge-0 operator moved to challenge y: col
+    conjugated by the range transposition tau = (0 y), which maps A_k^0
+    onto A_k^y and fixes A_k, so N! P_y = T (N! P_0) T, and so for L_y, with
+    T the left multiplication by tau, T^-1 = T."""
     _check_challenge(n, y)
-    return _scaled_high_0(n)[_conjugation(n, _transposition(n, y))]
+    return col[_conjugation(n, _transposition(n, y))]
 
 
 def high_projection(n: int, y: int) -> np.ndarray:
     """Orthogonal projector onto the high subspace for challenge y, divided
-    out of D P_y."""
-    return _divided(n, _scaled_high(n, y), _scale(n))
-
-
-def _scaled_low(n: int, y: int) -> np.ndarray:
-    """The column of D L_y, the branch sum over _low_branches, built directly
-    for each y and certified by (a)-(c) against the rank sum of
-    dim A_i - dim A_i^y, and by (e) with G = Stab(y)."""
-    _check_challenge(n, y)
-    dl = _branch_sum(n, y, _low_branches(n))
-    _certify(f"low_projection({n}, {y})", n, dl, _scale(n), _low_rank(n, y), y)
-    return dl
+    out of N! P_y."""
+    return _divided(n, _relabeled(n, _scaled_high_0(n), y))
 
 
 def low_projection(n: int, y: int) -> np.ndarray:
-    """Orthogonal projector onto the low subspace for challenge y."""
-    return _divided(n, _scaled_low(n, y), _scale(n))
+    """Orthogonal projector onto the low subspace for challenge y, divided
+    out of N! L_y."""
+    return _divided(n, _relabeled(n, _scaled_low_0(n), y))
 
 
 @cache
 def _scaled_m(n: int) -> np.ndarray:
-    """The column of D M, the sum of the columns of D P_y over all challenges."""
+    """The column of N! M, the sum of the columns of N! P_y over all
+    challenges."""
     _check_n(n)
-    dm = sum(_scaled_high(n, y) for y in range(n))
+    dm = sum(_relabeled(n, _scaled_high_0(n), y) for y in range(n))
     dm.setflags(write=False)
     return dm
 
 
 def build_m(n: int) -> np.ndarray:
     """Sum of the high projectors over all challenges: symmetric PSD, not
-    idempotent.  Gathered from the kept column of D M on each call."""
-    return _divided(n, _scaled_m(n), _scale(n))
+    idempotent.  Gathered from the kept column of N! M on each call."""
+    return _divided(n, _scaled_m(n))
 
 
 def _central_element(n: int) -> np.ndarray:
-    """The column of D C_f: C_f[i, j] = f(pi_i^-1 pi_j), convolution by the
+    """The column of N! C_f: C_f[i, j] = f(pi_i^-1 pi_j), convolution by the
     class function f = sum_lam e_lam d_lam chi_lam / N!, which is
     sum_lam e_lam Pi_lam.
 
-    D f = (N-1)! sum_lam e_lam d_lam chi_lam is summed exactly as a Fraction
-    on each class.  e_lam d_lam = N (d_lam - d'_lam) makes it an integer,
-    which float64 holds exactly; a wrong e_lam may leave a fraction, which
-    then cannot equal the integer D M."""
+    N! f = sum_lam e_lam d_lam chi_lam is summed exactly as a Fraction on
+    each class.  e_lam d_lam = N (d_lam - d'_lam) makes it an integer, which
+    float64 holds exactly; a wrong e_lam may leave a fraction, which then
+    cannot equal the integer N! M."""
     elem_class, types = _class_data(n)
     lams = young.partitions(n)
     values = [
-        float(
-            factorial(n - 1)
-            * sum(young.eigenvalue_m(lam) * young.dim(lam) * young.character(lam, ct) for lam in lams)
-        )
+        float(sum(young.eigenvalue_m(lam) * young.dim(lam) * young.character(lam, ct) for lam in lams))
         for ct in types
     ]
     return np.array(values)[elem_class]
@@ -609,7 +618,7 @@ class SpectrumReport:
 
 def spectrum(n: int) -> SpectrumReport:
     """Read M's sorted eigenvalues against each predicted block eigenvalue
-    e_lam and multiplicity, then check the integer D M against D C_f, D
+    e_lam and multiplicity, then check the integer N! M against N! C_f, N!
     times the central element C_f = sum_lam e_lam Pi_lam.
 
     Each e_lam claims the eigenvalues within 1e-6 of it; the block is ok
@@ -618,8 +627,8 @@ def spectrum(n: int) -> SpectrumReport:
     predictions lie at least 4/15 apart at N <= 6, so no eigenvalue is
     claimed twice.  Readout failures are reported, not raised.  The run
     passes only if every eigenvalue is claimed, every block is ok and
-    D M == D C_f exactly, read on their columns; central_residual is
-    max|D M - D C_f| / D, 0.0 exactly when they are equal.  M = C_f then
+    N! M == N! C_f exactly, read on their columns; central_residual is
+    max|N! M - N! C_f| / N!, 0.0 exactly when they are equal.  M = C_f then
     acts as e_lam on each isotypic block and has no part between two
     blocks, exactly, and the eigenvalue readout is an independent float
     check of the same identity.
@@ -637,7 +646,7 @@ def spectrum(n: int) -> SpectrumReport:
         mean = float(eigs[near].mean()) if count else None
         blocks.append(SpectrumBlock(lam, e[lam], mean, young.dim(lam) ** 2, count, count == mult))
 
-    central_res = float(np.abs(_scaled_m(n) - _central_element(n)).max()) / _scale(n)
+    central_res = float(np.abs(_scaled_m(n) - _central_element(n)).max()) / factorial(n)
     passed = bool(claimed.all()) and all(b.ok for b in blocks) and central_res == 0
     return SpectrumReport(n, blocks, central_res, passed)
 
@@ -718,17 +727,17 @@ def change_of_challenge_check(n: int) -> ChangeChallengeReport:
     which every operator here commutes with, so pi_d drops out: U S U^-1
     has the column of S conjugated by pi_r^-1 (see _gather).  The relabeling
     U P_y U^-1 = P_{pi_r(y)} for every (pi_r, y) holds iff the column of
-    D P_0 is fixed by conjugation by Stab(0): each D P_y is its conjugate
+    N! P_0 is fixed by conjugation by Stab(0): each N! P_y is its conjugate
     by (0 y), which carries Stab(0) onto Stab(y).  That is certificate (e)
-    of D P_0, which _scaled_m runs before this reads anything, and whose
+    of N! P_0, which _scaled_m runs before this reads anything, and whose
     failure is an ArithmeticError.  What is left is certificate (e) with
-    G = S_N on the column of D M: two exact conjugations, by the generators
-    of S_N, prove U M U^-1 = M for every two-sided action.  Every entry of
-    a gathered matrix is an entry of its column, so the residual is the max
-    over the whole matrices; it is an exact integer over D, and the check
-    passes only when it is 0.
+    G = S_N on the column of N! M: two exact conjugations, by the
+    generators of S_N, prove U M U^-1 = M for every two-sided action.
+    Every entry of a gathered matrix is an entry of its column, so the
+    residual is the max over the whole matrices; it is an exact integer
+    over N!, and the check passes only when it is 0.
     """
-    residual = _unfixed(n, _scaled_m(n), _generators(n)) / _scale(n)
+    residual = _unfixed(n, _scaled_m(n), _generators(n)) / factorial(n)
     return ChangeChallengeReport(n, residual, residual == 0)
 
 
@@ -738,7 +747,6 @@ class DecompReport:
     a_dims: list[dict]
     high_ranks: list[dict]
     low_ranks: list[dict]
-    chain_residual: float | None
     complement_residual: float | None
     passed: bool
 
@@ -747,18 +755,16 @@ def decomposition_report(n: int) -> DecompReport:
     """Exact dimension identities for A_k and the high/low projector ranks.
 
     A_k dimensions are checked for any n within the cap.  Up to n = 5, one
-    pass per challenge y checks the high/low ranks against the exact
-    projector traces N! c[0], c the operator's column; the containments
-    A_{i-1} < A_i^y < A_i (chain_residual: D P_y fixing the increments of
-    _high_increments, one per level, which with the trace forces A_{i-1}
-    into A_i^y; each A_i^y lies in A_i by definition); and D P_y + D L_y ==
-    D I (complement_residual, read on the columns against D e_0).  D P_y,
-    the conjugate of D P_0 by the left multiplication by (0 y), commutes
-    with right multiplication, and with left multiplication by Stab(y):
-    (0 y) carries Stab(0) onto Stab(y), and certificate (e) of D P_0 proves
-    the commutation with Stab(0).  So D P_y fixes the increments of the
-    whole spanning sets iff it fixes these.  Both residuals are exact
-    integer residuals over their scale and must be 0.
+    row per challenge y checks the ranks counted at y against the
+    prediction and against the trace c[0] of the certified column c of
+    N! P_y, and of N! L_y.  The relabeling by (0 y) fixes the identity, so
+    the trace is that of N! P_0, or N! L_0, at every y.  N! P_0 + N! L_0 ==
+    N! I is read once, on the columns against N! e_0 (complement_residual,
+    an exact integer residual over N! that must be 0); the relabeling
+    carries it to every y.  The containments A_{i-1} < A_i^y < A_i need no
+    read of their own: certificates (d) and (e) of N! P_0 prove them at
+    y = 0, and the relabeling, which maps A_i^0 onto A_i^y and fixes A_i,
+    at every y.
     """
     _check_n(n)
     a_dims = []
@@ -772,31 +778,22 @@ def decomposition_report(n: int) -> DecompReport:
 
     high_rows: list[dict] = []
     low_rows: list[dict] = []
-    chain_res: float | None = None
     comp_res: float | None = None
     if n <= 5:
-        pred_high = predicted_high_rank(n)
-        pred_low = predicted_low_rank(n)
-        d, f = _scale(n), factorial(n)
-        chain_res = comp_res = 0.0
-        for y in range(n):
-            dq, dl = _scaled_high(n, y), _scaled_low(n, y)
-            w = _high_increments(n, y).T
-            chain_res = max(chain_res, _max_abs(_product(n, dq, w) - d * w) / d)
-            rest = dq + dl
-            rest[0] -= d  # the column of D P_y + D L_y - D I
-            comp_res = max(comp_res, float(np.abs(rest).max()) / d)
-            exact_high, exact_low = _high_rank(n, y), _low_rank(n, y)
-            tr_high, rem_high = divmod(f * int(dq[0]), d)
-            tr_low, rem_low = divmod(f * int(dl[0]), d)
-            good_h = not rem_high and exact_high == pred_high == tr_high
-            good_l = not rem_low and exact_low == pred_low == tr_low
-            ok &= good_h and good_l
-            high_rows.append(
-                {"y": y, "rank": exact_high, "trace": tr_high, "predicted": pred_high, "ok": good_h}
-            )
-            low_rows.append(
-                {"y": y, "rank": exact_low, "trace": tr_low, "predicted": pred_low, "ok": good_l}
-            )
-        ok &= chain_res == 0 and comp_res == 0
-    return DecompReport(n, a_dims, high_rows, low_rows, chain_res, comp_res, ok)
+        f = factorial(n)
+        high, low = _scaled_high_0(n), _scaled_low_0(n)
+        rest = high + low
+        rest[0] -= f  # the column of N! P_0 + N! L_0 - N! I
+        comp_res = _max_abs(rest) / f
+        ok &= comp_res == 0
+        for rows, col, rank, pred in (
+            (high_rows, high, _high_rank, predicted_high_rank(n)),
+            (low_rows, low, _low_rank, predicted_low_rank(n)),
+        ):
+            trace = int(col[0])
+            for y in range(n):
+                exact = rank(n, y)
+                good = exact == pred == trace
+                ok &= good
+                rows.append({"y": y, "rank": exact, "trace": trace, "predicted": pred, "ok": good})
+    return DecompReport(n, a_dims, high_rows, low_rows, comp_res, ok)

@@ -170,6 +170,16 @@ def test_text_format(capsys):
     assert "sum_of_squares: 6" in out
 
 
+def test_text_format_renders_an_empty_container_in_place(capsys):
+    # decomp-check --n 6 has no rank rows: each empty list reads [] on its
+    # key's line, where it used to leave a blank line below it.
+    code, out = run_cli(["decomp-check", "--n", "6", "--format", "text"], capsys)
+    assert code == 0
+    assert "\n    high_ranks: []\n    low_ranks: []\n" in out
+    assert "\n\n" not in out
+    assert cli._render_text({"a": {}, "b": [[], [1]]}) == "a: {}\nb:\n  - []\n  - 1"
+
+
 def test_altgame_cli(capsys):
     code, out = run_cli(
         ["altgame", "--n", "3", "--t", "1", "--g", "2", "--adversaries", "2", "--seed", "0"],
@@ -183,7 +193,7 @@ def test_altgame_cli(capsys):
 
 
 def test_criterion_01_can_fail(capsys, monkeypatch):
-    # e on (2, 1) off by 1/N: neither the readout nor D M == D C_f holds.
+    # e on (2, 1) off by 1/N: neither the readout nor N! M == N! C_f holds.
     real = young.eigenvalue_m
     monkeypatch.setattr(
         young, "eigenvalue_m", lambda lam: real(lam) + (Fraction(1, 3) if lam == (2, 1) else 0)
@@ -338,13 +348,13 @@ def test_decomp_check_cli(capsys):
 
 
 def test_decomp_check_fails_on_a_high_projector_of_another_challenge(fresh_caches, capsys, monkeypatch):
-    # The column of D P_1 built as D P_0, with the increments of (d)
+    # The column of N! P_1 built as N! P_0, with the increments of (d)
     # dropped: it passes (a)-(c), and only (e) with Stab(0), which every
     # challenge relabeling rests on, refuses it.  At n = 6 decomp-check
-    # reads D P_0 first through the change of challenge.
+    # reads N! P_0 first through the change of challenge.
     branch_sum = regrep._branch_sum
     monkeypatch.setattr(regrep, "_branch_sum", lambda n, y, branches: branch_sum(n, y or 1, branches))
-    monkeypatch.setattr(regrep, "_high_increments", lambda n, y: [])
+    monkeypatch.setattr(regrep, "_high_increments", lambda n: [])
     code, out = run_cli(["decomp-check", "--n", "6"], capsys)
     payload = json.loads(out)
     assert code == 1 and payload["pass"] is False
@@ -376,7 +386,6 @@ def test_decomp_check_fails_on_a_wrong_prediction(name, rows, capsys, monkeypatc
     report = run_decomp_check_n4(capsys)
     for key in ("a_dims", "high_ranks", "low_ranks"):
         assert all(row["ok"] is (key != rows) for row in report[key]), key
-    assert report["chain_residual"] == 0
     assert report["complement_residual"] == 0
 
 
@@ -394,47 +403,25 @@ def _with_the_vector_of_the_next_level(level: int, challenge: int):
     return replaced
 
 
-def test_decomp_check_fails_on_a_wrong_containment(capsys, monkeypatch):
-    # The counts at every challenge, D P_0 and every N! P_{A_k} are taken
-    # first, so only the chain read sees the vector of A_2^1 replaced by
-    # e_0, the vector of A_3 (all of C^24 at n = 4), outside A_2.
-    # Dimensions stay as counted.
-    n = 4
-    regrep.decomposition_report(n)
-    assert np.array_equal(regrep._indicator(n, 3), np.eye(24, dtype=np.int8)[0])
-    monkeypatch.setattr(regrep, "_indicator", _with_the_vector_of_the_next_level(2, 1))
-    report = run_decomp_check_n4(capsys)
-    assert report["chain_residual"] == 3.0
-    assert report["complement_residual"] == 0
-    assert all(row["ok"] for key in ("a_dims", "high_ranks", "low_ranks") for row in report[key])
-
-
 def test_decomp_check_fails_on_an_incomplete_complement(capsys, monkeypatch):
-    # The column of D L_2 with the entries of some pi and pi^-1 != pi moved
-    # by 1: still symmetric with the same trace, but D P_2 + D L_2 misses D I
-    # by 1.
-    exact = regrep._scaled_low
+    # The column of N! L_0 with the entries of some pi and pi^-1 != pi moved
+    # by 1: still symmetric with the same trace, but N! P_0 + N! L_0 misses
+    # N! I by 1, and so every relabeling of it.
+    exact = regrep._scaled_low_0(4)
     inv = regrep._inverses(4)
     k = int(np.flatnonzero(inv != np.arange(inv.size))[0])
-
-    def nudged(n, y):
-        low = exact(n, y)
-        if y != 2:
-            return low
-        low = low.copy()
-        low[[k, inv[k]]] += 1
-        return low
-
-    monkeypatch.setattr(regrep, "_scaled_low", nudged)
+    nudged = exact.copy()
+    nudged[[k, inv[k]]] += 1
+    monkeypatch.setattr(regrep, "_scaled_low_0", lambda n: nudged)
     report = run_decomp_check_n4(capsys)
-    assert report["complement_residual"] == 1 / regrep._scale(4)
-    assert report["chain_residual"] == 0
+    assert report["complement_residual"] == 1 / 24
     assert all(row["ok"] for key in ("a_dims", "high_ranks", "low_ranks") for row in report[key])
 
 
 def _wrong_character(monkeypatch):
     # The counts read the characters too: chi_(3, 1) no longer sums to 0
     # over S_4, so A_0 is counted with the block of (3, 1), 1 + 9 = 10.
+    # The Stab(0) sum of N! P_0, built first, is then no multiple of 3!.
     real = young.character
     monkeypatch.setattr(
         young, "character", lambda lam, ct: real(lam, ct) + ((lam, ct) == ((3, 1), (2, 1, 1)))
@@ -442,8 +429,9 @@ def _wrong_character(monkeypatch):
 
 
 def _dropped_rho(monkeypatch):
-    # The first corner of (2, 2, 1) dropped: D P_0 misses its high branch
-    # (2, 1, 1), the one of rho = (1, 1) for theta = (2, 1).
+    # The first corner of (2, 2, 1) dropped: N! P_0 misses its high branch
+    # (2, 1, 1), the one of rho = (1, 1) for theta = (2, 1), and its Stab(0)
+    # sum is no multiple of 4!.
     real = young.removable
     monkeypatch.setattr(young, "removable", lambda lam: real(lam)[1:] if lam == (2, 2, 1) else real(lam))
 
@@ -456,7 +444,7 @@ def _wrong_level_set(monkeypatch):
 
 def _vector_of_the_next_level(monkeypatch):
     # The vector of A_1^0 replaced by that of A_2, outside A_1, after the
-    # counts of A_k^0 are taken: only certificate (d) of D P_0 reads it.
+    # counts of A_k^0 are taken: only certificate (d) of N! P_0 reads it.
     for k in range(4):
         regrep.subspace_a_y(4, k, 0)
     monkeypatch.setattr(regrep, "_indicator", _with_the_vector_of_the_next_level(1, 0))
@@ -484,8 +472,8 @@ def _dropped_pair(monkeypatch):
 @pytest.mark.parametrize(
     "mutate, n, reason",
     [
-        (_wrong_character, 4, r"a_projector\(4, 0\): \(c\) trace 24 is not 24 \* rank 10"),
-        (_dropped_rho, 5, r"high_projection\(5, 0\): \(c\) trace"),
+        (_wrong_character, 4, r"branch sum over Stab\(0\): not a multiple of \(4-1\)! = 6$"),
+        (_dropped_rho, 5, r"branch sum over Stab\(0\): not a multiple of \(5-1\)! = 24$"),
         (_wrong_level_set, 4, r"a_projector\(4, 2\): \(c\) trace"),
         (_vector_of_the_next_level, 4, r"high_projection\(4, 0\): \(d\) moves a vector its range must hold"),
         (_stabilizer_of_one_more_point, 4, r"a_projector\(4, 0\): \(c\) trace 24 is not 24 \* rank 10"),

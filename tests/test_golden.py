@@ -22,9 +22,9 @@ GOLDEN = {
     "spectrum --n 4": "7661f472e3fe71485073a7d9e83e5f50af81feb23eaa6f222449d4322e7cc112",
     "spectrum --n 4 --format text": "d1b39d876c9b7228232d7dc7343a5a1dec900b689317f1ed3405959bba855af2",
     "spectrum --n 5": "71247ec612d3b3a299d302960758524a6e7f10ad9eadc9ef1a541fff1edab9dd",
-    "decomp-check --n 4 --seed 1": "2925851045c55cce4b1549f27bfe7cae230f29512ae601a5d3e28337425acb6d",
-    "decomp-check --n 5 --seed 0": "49afa7ed29ad7065e1d928d228725b6c73a342327da8acf1535dd4b9f0eae1b7",
-    "decomp-check --n 6 --seed 0": "e30aaa02bc327340a9be6d01a18154455b9c981373cfd9cca1d6775144d95b5d",
+    "decomp-check --n 4 --seed 1": "7dbbcc5db29959ce824d180761ab1b6d56d799adf97f6968d2f4c232e0bfea91",
+    "decomp-check --n 5 --seed 0": "ca9ec3e9634327a25aaed561a2cd653f6d6029a3a96693234761e2fefb65a310",
+    "decomp-check --n 6 --seed 0": "1effd803685c64b97c048b58e608f441965342379ff7ab682e10d31ae4345888",
     "avgbound --n 4 --k 1 --samples 10 --seed 3": "08831696251386ca955c48f4d9c463407404305efdf00297eceeb86e662f7d08",
     "lemma-check --n 3 --p 1 --t 1 --programs 3 --seed 2": "0b091008d49923cffcf16fe9845df38e07db6c0825e08290ca68d35bebbb3bad",
     "game --n 3 --p 1 --t 1 --seed 5": "2c615323fad89670fdaed36c469d6122a730cc4f3a6d5a4c1979b0bf76f22624",

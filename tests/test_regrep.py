@@ -8,8 +8,9 @@ SVD-based matrix_rank.  The test-local rank agrees with plain Fraction
 Gaussian elimination on seeded matrices and is shown able to fail on an
 unlucky prime; a dimension counted too high is shown failing the trace
 check.
-Projector references: the direct Stab(y) character sum against the
-conjugated column of D P_0, a test-local SVD projector of the constructive
+Projector references: the direct Stab(y) character sums against the
+conjugated columns of N! P_0 and N! L_0, a test-side D-scaled sum with no
+division against the kept columns, a test-local SVD projector of the constructive
 increments, the reference certificates (a)-(c) and (e), the last over
 every group element, against the column ones, and the dense two-sided
 action against the column residuals of the change of challenge; each
@@ -130,6 +131,11 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     reference for regrep._product, which gathers no integer matrix."""
     dtype = regrep._exact_float(a.shape[1] * regrep._max_abs(a) * regrep._max_abs(b))
     return (np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype)).astype(np.int64)
+
+
+def relabeled_high(n: int, y: int) -> np.ndarray:
+    """The column of N! P_y, the certified N! P_0 relabeled to challenge y."""
+    return regrep._relabeled(n, regrep._scaled_high_0(n), y)
 
 
 @cache
@@ -254,25 +260,29 @@ def test_quotient_table_is_the_composition_with_inverses(n):
     assert np.array_equal(regrep._inverses(n), inv)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(1, 7))
 def test_stab_classes_match_the_composition_reference(n):
-    # cls[i, s], the class of pi_i^-1 g_s, read off the quotient table as
-    # that of pi_i g_s^-1, against the composition table; sub_class against
-    # the cycle types off y, for every y.
+    # The class of each element against an int64 rebuild from its cycle
+    # type; cls[i, s], the class of pi_i^-1 g_s, read off the quotient table
+    # as that of pi_i g_s^-1, against the composition table; sub_class
+    # against the cycle types off y, for every y.  All three are int8.
     elem_class, types = regrep._class_data(n)
+    rebuilt = np.array([types.index(young.cycle_type(p)) for p in regrep.enumerate_group(n)], dtype=np.int64)
+    assert elem_class.dtype == np.int8 and np.array_equal(elem_class, rebuilt)
     comp, inv = composition_table(n), argsort_inverses(n)
     sub_types = young.partitions(n - 1)
     for y in range(n):
         stab = np.flatnonzero(regrep.perms_matrix(n)[:, y] == y)
         cls, sub_class = regrep._stab_classes(n, y)
-        assert np.array_equal(cls, elem_class[comp[np.ix_(inv, stab)]]), y
+        assert cls.dtype == sub_class.dtype == np.int8, y
+        assert np.array_equal(cls, rebuilt[comp[np.ix_(inv, stab)]]), y
         cycle_types = [young.cycle_type(regrep.enumerate_group(n)[g]) for g in stab]
         assert [sub_types[c] for c in sub_class] == [regrep._drop_fixed_point(ct) for ct in cycle_types], y
 
 
 def test_cached_tables_are_read_only():
     n = 4
-    for table in (regrep._quotient_table(n), regrep._inverses(n), *regrep._stab_classes(n, 1)):
+    for table in (regrep._quotient_table(n), regrep._inverses(n), regrep._class_data(n)[0], *regrep._stab_classes(n, 1)):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
@@ -612,13 +622,12 @@ def test_high_increments_match_the_dense_products(n):
     # Each increment, from the columns on the support of its indicator
     # only, against N! v - S v with S the whole gathered int64 N! P_{A_{i-1}}.
     f = factorial(n)
-    for y in range(n):
-        increments = regrep._high_increments(n, y)
-        assert increments.dtype == np.int64 and increments.shape == (n - 1, f)
-        for i in range(1, n):
-            v = regrep._indicator(n, i, y)
-            dense = f * v.astype(np.int64) - exact_matmul(regrep._gather(n, regrep._scaled_a(n, i - 1)), v)
-            assert np.array_equal(increments[i - 1], dense), (y, i)
+    increments = regrep._high_increments(n)
+    assert increments.dtype == np.int64 and increments.shape == (n - 1, f)
+    for i in range(1, n):
+        v = regrep._indicator(n, i, 0)
+        dense = f * v.astype(np.int64) - exact_matmul(regrep._gather(n, regrep._scaled_a(n, i - 1)), v)
+        assert np.array_equal(increments[i - 1], dense), i
 
 
 def _group(n: int, y=None) -> np.ndarray:
@@ -661,18 +670,18 @@ def test_generators_close_to_the_group(n):
 
 
 def test_a_transposition_alone_does_not_certify_left_commutation(monkeypatch):
-    # At n = 4 the column of D P_3 commutes with left multiplication by
+    # At n = 4 the column of N! P_3 commutes with left multiplication by
     # (1 2), which fixes 3, but not by the cycle (1 2 3): certified as
     # challenge 0, it passes (a)-(c), and (e) refuses it only with the cycle.
-    n, d = 4, regrep._scale(4)
-    col, rank = regrep._scaled_high(n, 3), regrep.predicted_high_rank(n)
+    n = 4
+    col, rank = relabeled_high(n, 3), regrep.predicted_high_rank(n)
     swap, cycle = regrep._generators(n, 0)
     assert swap.tolist() == [0, 2, 1, 3] and cycle.tolist() == [0, 2, 3, 1]
     assert regrep._unfixed(n, col, regrep._generators(n, 3)) == 0
     with pytest.raises(ArithmeticError, match=r"P: \(e\) does not commute with left multiplication by Stab\(0\)"):
-        regrep._certify("P", n, col, d, rank, 0)
+        regrep._certify("P", n, col, rank, 0)
     monkeypatch.setattr(regrep, "_generators", lambda n, y=None, real=regrep._generators: real(n, y)[:1])
-    regrep._certify("P", n, col, d, rank, 0)
+    regrep._certify("P", n, col, rank, 0)
 
 
 def cold_build_m_product_columns(monkeypatch) -> int:
@@ -693,19 +702,19 @@ def cold_build_m_product_columns(monkeypatch) -> int:
 
 def test_cold_build_m_reads_few_product_columns(fresh_caches, monkeypatch):
     # One vector per level: a cold build_m(6) multiplies 25 product columns,
-    # one for (b) of each of N! P_{A_0} .. N! P_{A_4} and of D P_0, one for
+    # one for (b) of each of N! P_{A_0} .. N! P_{A_4} and of N! P_0, one for
     # (d) of N! P_{A_0} and two of each other, and two per level for the five
-    # increments, their product and (d) of D P_0.
+    # increments, their product and (d) of N! P_0.
     assert cold_build_m_product_columns(monkeypatch) == 25
 
 
 def test_one_more_product_column_breaks_the_column_pin(fresh_caches, monkeypatch):
-    # The last increment read twice by (d) of D P_0 still certifies, and
+    # The last increment read twice by (d) of N! P_0 still certifies, and
     # reads 26 columns: the pin above sees one extra column.
     increments = regrep._high_increments
 
-    def repeated_last(n, y):
-        rows = increments(n, y)
+    def repeated_last(n):
+        rows = increments(n)
         return np.vstack([rows, rows[-1:]])
 
     monkeypatch.setattr(regrep, "_high_increments", repeated_last)
@@ -791,13 +800,82 @@ def test_high_projection_rank_and_contract():
 
 @pytest.mark.parametrize("n, ys", [(3, range(3)), (4, range(4)), (5, range(5)), (6, range(6))])
 def test_derived_high_projection_matches_constructive_build(n, ys):
-    # The column of D P_y for y != 0 is the column of D P_0 conjugated by
-    # (0 y); the direct build from the Stab(y) character sums must give the
-    # very same integers, which keeps certificate (e) of D P_0 standing in
-    # for every challenge relabeling from being a tautology.
-    branches = regrep._high_branches(n)
-    for y in ys:
-        assert np.array_equal(regrep._branch_sum(n, y, branches), regrep._scaled_high(n, y)), y
+    # The columns of N! P_y and N! L_y for y != 0 are those of N! P_0 and
+    # N! L_0 conjugated by (0 y); the direct builds from the Stab(y)
+    # character sums must give the very same integers, which keeps
+    # certificate (e) of the challenge-0 projectors standing in for every
+    # challenge relabeling from being a tautology.
+    for branches, built in (
+        (regrep._high_branches(n), regrep._scaled_high_0(n)),
+        (regrep._low_branches(n), regrep._scaled_low_0(n)),
+    ):
+        for y in ys:
+            assert np.array_equal(regrep._branch_sum(n, y, branches), regrep._relabeled(n, built, y)), y
+
+
+def d_scaled_branch_sum(n: int, y: int, branches) -> np.ndarray:
+    """The column of D * sum of Pi_lam R_mu^y, D = N! (N-1)!, with no
+    division: entry i is the sum over g in Stab(y) of d_lam d_mu chi_mu(g)
+    chi_lam(pi_i^-1 g), each class read from the cycle type of pi_i^-1 g on
+    the composition table, and chi_mu on the cycles of g off y.  The
+    reference for the exact division of regrep._branch_sum."""
+    perms = regrep.enumerate_group(n)
+    cycle_types = [young.cycle_type(p) for p in perms]
+    comp, inv = composition_table(n), argsort_inverses(n)
+    col = np.zeros(factorial(n), dtype=np.int64)
+    for lam, mus in branches:
+        chi_lam = np.array([young.character(lam, ct) for ct in cycle_types], dtype=np.int64)
+        for mu in mus:
+            for g in np.flatnonzero(regrep.perms_matrix(n)[:, y] == y):
+                chi_mu = young.character(mu, regrep._drop_fixed_point(cycle_types[g]))
+                col += young.dim(lam) * young.dim(mu) * chi_mu * chi_lam[comp[inv, g]]
+    return col
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_d_scaled_branch_sums_are_n_minus_1_factorial_times_the_kept_columns(n):
+    # The Stab(0) character sums of P_0 and L_0 come out as D = N! (N-1)!
+    # times their operators; divided by (N-1)! they are the kept N! columns.
+    for branches, kept in (
+        (regrep._high_branches(n), regrep._scaled_high_0(n)),
+        (regrep._low_branches(n), regrep._scaled_low_0(n)),
+    ):
+        assert np.array_equal(d_scaled_branch_sum(n, 0, branches), factorial(n - 1) * kept)
+
+
+def test_a_branch_sum_with_a_remainder_is_refused(monkeypatch):
+    # chi_(3, 1) moved by 1 on the class (2, 1, 1): the D-scaled high branch
+    # sum at n = 4 is no longer a multiple of 3! at any challenge, and the
+    # division refuses it, naming the challenge, instead of rounding.
+    real = young.character
+    monkeypatch.setattr(young, "character", lambda lam, ct: real(lam, ct) + ((lam, ct) == ((3, 1), (2, 1, 1))))
+    branches = regrep._high_branches(4)
+    for y in range(4):
+        assert (d_scaled_branch_sum(4, y, branches) % 6).any(), y
+        with pytest.raises(ArithmeticError, match=rf"branch sum over Stab\({y}\): not a multiple of \(4-1\)! = 6$"):
+            regrep._branch_sum(4, y, branches)
+
+
+def test_the_n7_high_product_bound_is_below_2_53():
+    # Each certified column's largest entry is its rank (pinned to N = 6
+    # above), so the bound of (b)'s product is N! rank^2: for N! P_0 at
+    # N = 7, 5040 * 3402^2 = 5.8e10, exact in float64.  Under the scale
+    # N! (N-1)! it was 5040 * (720 * 3402)^2 = 3.0e16, past 2^53.
+    rank = regrep.predicted_high_rank(7)
+    assert rank == 3402
+    assert regrep._exact_float(5040 * rank**2) is np.float64
+    with pytest.raises(ArithmeticError, match=r"integer product bound 3\.0\d*e\+16 is not below 2\^53"):
+        regrep._exact_float(5040 * (720 * rank) ** 2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_degenerate_sizes_pass(n):
+    # At n = 1 the high branch sum is empty and A_0 is everything; at n = 2
+    # the division is by (N-1)! = 1.
+    assert regrep.spectrum(n).passed
+    assert regrep.decomposition_report(n).passed
+    assert regrep.change_of_challenge_check(n).passed
+    assert regrep.avg_bound_check(n, n - 1).passed
 
 
 def _row_space_projector(vectors) -> np.ndarray:
@@ -941,41 +1019,41 @@ def _moved_pair(n: int, col: np.ndarray) -> np.ndarray:
 def test_each_certificate_check_can_fail():
     # 6 P_{A_1} at n = 3 has rank 1 + 2^2 = 5 and holds A_1, not A_2 (all of C^6).
     p = regrep._scaled_a(3, 1)
-    regrep._certify("P", 3, p, 6, 5, fixed=[regrep._indicator(3, 1)])
+    regrep._certify("P", 3, p, 5, fixed=[regrep._indicator(3, 1)])
     inv = regrep._inverses(3)
     skew = p.copy()
     skew[np.flatnonzero(inv != np.arange(6))[0]] += 1
     with pytest.raises(ArithmeticError, match=r"P: \(a\) not symmetric"):
-        regrep._certify("P", 3, skew, 6, 5)
+        regrep._certify("P", 3, skew, 5)
     with pytest.raises(ArithmeticError, match=r"P: \(b\) its square is not 6 times itself"):
-        regrep._certify("P", 3, 2 * p, 6, 5)
+        regrep._certify("P", 3, 2 * p, 5)
     with pytest.raises(ArithmeticError, match=r"P: \(c\) trace 30 is not 6 \* rank 4"):
-        regrep._certify("P", 3, p, 6, 4)
+        regrep._certify("P", 3, p, 4)
     with pytest.raises(ArithmeticError, match=r"P: \(d\) moves a vector its range must hold"):
-        regrep._certify("P", 3, p, 6, 5, fixed=[regrep._indicator(3, 2)])
+        regrep._certify("P", 3, p, 5, fixed=[regrep._indicator(3, 2)])
     with pytest.raises(ArithmeticError, match="integer product bound .* is not below 2"):
-        regrep._certify("P", 3, p, 6, 5, fixed=[np.full(6, 2**50)])
-    # The column of D P_1 commutes with left multiplication by Stab(1), not
+        regrep._certify("P", 3, p, 5, fixed=[np.full(6, 2**50)])
+    # The column of N! P_1 commutes with left multiplication by Stab(1), not
     # by Stab(0): certified as challenge 0 it passes (a)-(c) and fails (e).
-    dq, rank = regrep._scaled_high(3, 1), regrep.predicted_high_rank(3)
-    regrep._certify("P", 3, dq, 12, rank, 1)
+    col, rank = relabeled_high(3, 1), regrep.predicted_high_rank(3)
+    regrep._certify("P", 3, col, rank, 1)
     with pytest.raises(ArithmeticError, match=r"P: \(e\) does not commute with left multiplication by Stab\(0\)"):
-        regrep._certify("P", 3, dq, 12, rank, 0)
+        regrep._certify("P", 3, col, rank, 0)
 
 
-def dense_verdict(n: int, col: np.ndarray, scale: int, rank: int, y=None) -> str | None:
+def dense_verdict(n: int, col: np.ndarray, rank: int, y=None) -> str | None:
     """The first of the reference certificates that S = _gather(n, col)
-    fails, or None: (a) S == S.T, (b) S^2 == scale S by the exact int64
-    S^T S, which is S^2 once S is symmetric, (c) tr S == scale rank, and
+    fails, or None: (a) S == S.T, (b) S^2 == N! S by the exact int64
+    S^T S, which is S^2 once S is symmetric, (c) tr S == N! rank, and
     (e) col fixed by conjugation by every element of S_n, or of Stab(y),
     not only by the two generators.  The reference for the column
     certificates of regrep._certify."""
-    sp = regrep._gather(n, col)
+    sp, f = regrep._gather(n, col), factorial(n)
     if not np.array_equal(sp, sp.T):
         return "a"
-    if not np.array_equal(exact_matmul(sp.T, sp), scale * sp):
+    if not np.array_equal(exact_matmul(sp.T, sp), f * sp):
         return "b"
-    if np.trace(sp) != scale * rank:
+    if np.trace(sp) != f * rank:
         return "c"
     perms = regrep.perms_matrix(n)
     if any(not np.array_equal(col[regrep._conjugation(n, perms[g])], col) for g in _group(n, y)):
@@ -983,38 +1061,36 @@ def dense_verdict(n: int, col: np.ndarray, scale: int, rank: int, y=None) -> str
     return None
 
 
-def column_verdict(n: int, col: np.ndarray, scale: int, rank: int, y=None) -> str | None:
+def column_verdict(n: int, col: np.ndarray, rank: int, y=None) -> str | None:
     """The certificate regrep._certify refuses col by, or None."""
     try:
-        regrep._certify("S", n, col, scale, rank, y)
+        regrep._certify("S", n, col, rank, y)
     except ArithmeticError as exc:
         return re.match(r"S: \((\w)\)", str(exc)).group(1)
     return None
 
 
 def _certified_columns(n: int):
-    """(name, column, scale, rank, y) of every certified operator at n, y
-    None for S_n and the challenge for Stab(y); at n = 6, of challenge 0
-    only, the ones the CLI builds there (D L_y for y != 0 would certify
-    five more sets of A_i^y ranks)."""
-    f, d = factorial(n), regrep._scale(n)
+    """(name, column, rank, y) of every certified operator at n and of its
+    relabelings, y None for S_n and the challenge for Stab(y); at n = 6, of
+    challenge 0 only."""
     for k in range(n):
-        yield f"N! P_A{k}", regrep._scaled_a(n, k), f, regrep.predicted_a_dim(n, k), None
+        yield f"N! P_A{k}", regrep._scaled_a(n, k), regrep.predicted_a_dim(n, k), None
     for y in range(n if n <= 5 else 1):
-        yield f"D P_{y}", regrep._scaled_high(n, y), d, regrep.predicted_high_rank(n), y
-        yield f"D L_{y}", regrep._scaled_low(n, y), d, regrep.predicted_low_rank(n), y
+        yield f"N! P_{y}", relabeled_high(n, y), regrep.predicted_high_rank(n), y
+        yield f"N! L_{y}", regrep._relabeled(n, regrep._scaled_low_0(n), y), regrep.predicted_low_rank(n), y
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_column_certificates_match_the_dense_ones(n):
     # Every certified column passes both; up to n = 5, a column mutant for
-    # each of (a), (b) and (c), and for (e) each D P_y and D L_y read as
+    # each of (a), (b) and (c), and for (e) each N! P_y and N! L_y read as
     # challenge y + 1, fails both at the same check.
     inv = regrep._inverses(n)
     k = int(np.flatnonzero(inv != np.arange(inv.size))[0])
-    for name, col, scale, rank, y in _certified_columns(n):
+    for name, col, rank, y in _certified_columns(n):
         assert col.shape == (factorial(n),), name
-        assert dense_verdict(n, col, scale, rank, y) is None is column_verdict(n, col, scale, rank, y), name
+        assert dense_verdict(n, col, rank, y) is None is column_verdict(n, col, rank, y), name
         if n == 6:
             continue
         skew = col.copy()
@@ -1023,28 +1099,29 @@ def test_column_certificates_match_the_dense_ones(n):
         if y is not None:
             mutants.append((col, rank, (y + 1) % n, "e"))
         for mutant, r, group, check in mutants:
-            verdicts = dense_verdict(n, mutant, scale, r, group), column_verdict(n, mutant, scale, r, group)
+            verdicts = dense_verdict(n, mutant, r, group), column_verdict(n, mutant, r, group)
             assert verdicts == (check, check), name
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_certified_projectors_to_n6(n):
     # Every certified operator is kept as a column of N! integers whose
-    # trace N! c[0] is the predicted rank times the scale, the column of
-    # D P_0 + D L_0 is that of D I, and the entries of D P_0 and D M stay
-    # within their known bounds.
-    d, f = regrep._scale(n), factorial(n)
-    dq = regrep._scaled_high(n, 0)
-    assert regrep._scaled_high_0(n).shape == regrep._scaled_m(n).shape == dq.shape == (f,)
-    assert f * dq[0] == np.trace(regrep._gather(n, dq)) == d * regrep.predicted_high_rank(n)
+    # trace N! c[0] is N! times the predicted rank, the column of
+    # N! P_0 + N! L_0 is that of N! I, and the largest entry of each
+    # column, N! M's too, is its entry at the identity: the rank, or the
+    # sum of the n ranks.
+    f = factorial(n)
+    high, low, m = regrep._scaled_high_0(n), regrep._scaled_low_0(n), regrep._scaled_m(n)
+    assert high.shape == low.shape == m.shape == (f,)
+    assert f * high[0] == np.trace(regrep._gather(n, high)) == f * regrep.predicted_high_rank(n)
+    assert low[0] == regrep.predicted_low_rank(n)
     for k in range(n):
         col = regrep._scaled_a(n, k)
-        assert col.shape == (f,) and f * col[0] == f * regrep.predicted_a_dim(n, k)
-    assert np.abs(dq).max() <= {3: 6, 4: 84, 5: 1800, 6: 56280}[n]
-    assert np.abs(regrep._scaled_m(n)).max() <= {3: 18, 4: 336, 5: 9000, 6: 337680}[n]
-    dl = regrep._scaled_low(n, 0)  # certified by (a)-(c) as it is built
-    assert dl.shape == (f,)
-    assert np.array_equal(dq + dl, d * (np.arange(f) == 0))
+        assert col.shape == (f,) and regrep._max_abs(col) == col[0] == regrep.predicted_a_dim(n, k)
+    assert regrep._max_abs(high) == high[0] == {3: 3, 4: 14, 5: 75, 6: 469}[n]
+    assert regrep._max_abs(low) == low[0] == {3: 3, 4: 10, 5: 45, 6: 251}[n]
+    assert regrep._max_abs(m) == m[0] == {3: 9, 4: 56, 5: 375, 6: 2814}[n]
+    assert np.array_equal(high + low, f * (np.arange(f) == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -1093,7 +1170,7 @@ def test_central_element_is_the_weighted_sum_of_isotypic_projectors(n):
         float(young.eigenvalue_m(lam)) * isotypic_projector(n, lam)
         for lam in young.partitions(n)
     )
-    assert np.abs(regrep._gather(n, regrep._central_element(n)) / regrep._scale(n) - total).max() <= 1e-12
+    assert np.abs(regrep._gather(n, regrep._central_element(n)) / factorial(n) - total).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -1121,7 +1198,7 @@ def test_spectrum_fails_on_a_relabeled_m_with_the_same_eigenvalues(monkeypatch):
     # basis vector |pi> relabeled as sgn(pi) |pi>.  That keeps every
     # eigenvalue and multiplicity (it swaps the blocks of lam and its
     # transpose, of the same dimension), so each block still matches; only
-    # D M == D C_f can see it.
+    # N! M == N! C_f can see it.
     n = 4
     dm = regrep._scaled_m(n)
     sgn = np.array([(-1) ** (n - len(young.cycle_type(p))) for p in regrep.enumerate_group(n)])
@@ -1224,11 +1301,11 @@ def dense_change_of_challenge(n: int) -> tuple[float, float]:
     """The (relabeling, commutation) residuals of the change of challenge
     from dense matrices and the dense two-sided action U, over every pi_r in
     S_n and every y, with one fixed non-identity pi_d: max|U P_y U^-1 -
-    P_{pi_r(y)}| and max|U M U^-1 - M|, times D.  D P_y is the gathered
-    D P_0 relabeled by the left multiplication by (0 y); pi_d enters U
+    P_{pi_r(y)}| and max|U M U^-1 - M|, times N!.  N! P_y is the gathered
+    N! P_0 relabeled by the left multiplication by (0 y); pi_d enters U
     here, and drops out of the residuals."""
     ident = tuple(range(n))
-    d = regrep._scale(n)
+    d = factorial(n)
     p0 = regrep._gather(n, regrep._scaled_high_0(n))
     dm = regrep._gather(n, regrep._scaled_m(n))
     pi_d = ident[1:] + ident[:1]
@@ -1248,7 +1325,7 @@ def dense_change_of_challenge(n: int) -> tuple[float, float]:
 
 @pytest.mark.parametrize("n", [3, 4, 5], ids=["3", "4", "5"])
 def test_change_of_challenge_column_residuals_match_the_dense_action(n):
-    # The two conjugations of the check and certificate (e) of D P_0 read 0,
+    # The two conjugations of the check and certificate (e) of N! P_0 read 0,
     # as the dense action does over all of S_n and every challenge.
     assert dense_change_of_challenge(n) == (0.0, 0.0)
     assert regrep.change_of_challenge_check(n).max_commutation_residual == 0.0
@@ -1257,11 +1334,11 @@ def test_change_of_challenge_column_residuals_match_the_dense_action(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_change_of_challenge_column_residuals_match_the_dense_action_on_mutants(n, monkeypatch):
-    # A moved D M: the check reads the same 1/D the dense action does over
-    # all of S_n, and fails.  A moved D P_0 with the true D M: the dense
-    # relabeling residual is nonzero, and so is certificate (e) of D P_0,
-    # which stands in for it.
-    regrep._scaled_m(n)  # cached from the true D P_0
+    # A moved N! M: the check reads the same 1/N! the dense action does
+    # over all of S_n, and fails.  A moved N! P_0 with the true N! M: the
+    # dense relabeling residual is nonzero, and so is certificate (e) of
+    # N! P_0, which stands in for it.
+    regrep._scaled_m(n)  # cached from the true N! P_0
     true_high = regrep._scaled_high_0(n)
     moved = _moved_pair(n, true_high)
     monkeypatch.setattr(regrep, "_scaled_high_0", lambda n: moved)
@@ -1272,12 +1349,12 @@ def test_change_of_challenge_column_residuals_match_the_dense_action_on_mutants(
     monkeypatch.setattr(regrep, "_scaled_m", lambda n, col=_moved_pair(n, regrep._scaled_m(n)): col)
     rep = regrep.change_of_challenge_check(n)
     assert dense_change_of_challenge(n) == (0.0, rep.max_commutation_residual)
-    assert rep.max_commutation_residual == 1 / regrep._scale(n)
+    assert rep.max_commutation_residual == 1 / factorial(n)
     assert not rep.passed
 
 
 def test_change_of_challenge_fails_on_a_moved_high_projector(fresh_caches, monkeypatch):
-    # A D P_0 moved past its certificate: the D M summed from its conjugates
+    # An N! P_0 moved past its certificate: the N! M summed from its conjugates
     # is no longer fixed by S_4, and the check fails.
     n = 4
     moved = _moved_pair(n, regrep._scaled_high_0(n))
@@ -1292,7 +1369,7 @@ def test_change_of_challenge_fails_on_a_moved_m(monkeypatch):
     moved = _moved_pair(n, regrep._scaled_m(n))
     monkeypatch.setattr(regrep, "_scaled_m", lambda n: moved)
     rep = regrep.change_of_challenge_check(n)
-    assert rep.max_commutation_residual == 1 / regrep._scale(n)
+    assert rep.max_commutation_residual == 1 / factorial(n)
     assert not rep.passed
 
 
@@ -1300,7 +1377,7 @@ def test_change_of_challenge_fails_on_a_moved_m(monkeypatch):
     "entry, reason",
     [
         (2**26, r"integer product bound .* is not below 2\^53"),
-        (2**25, r"\(b\) its square is not 12 times itself"),  # multiplied exactly, then refused
+        (2**25, r"\(b\) its square is not 6 times itself"),  # multiplied exactly, then refused
     ],
     ids=["past", "inside"],
 )
@@ -1328,7 +1405,6 @@ def test_decomposition_report_n4_n5():
         assert all(row["ok"] for row in rep.a_dims)
         assert all(row["ok"] for row in rep.high_ranks)
         assert all(row["ok"] for row in rep.low_ranks)
-        assert rep.chain_residual == 0
         assert rep.complement_residual == 0
         highs = {row["rank"] for row in rep.high_ranks}
         assert len(highs) == 1  # independent of y
