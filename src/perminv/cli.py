@@ -82,7 +82,12 @@ def _render_text(obj, indent: int = 0) -> str:
                 lines.append(f"{pad}{key}: {val}")
         return "\n".join(lines)
     if isinstance(obj, list):
-        return "\n".join(_render_text(v, indent) if _nested(v) else f"{pad}- {v}" for v in obj)
+        # Each item gets its own "- ", a nested one on its first line, with
+        # the rest of it indented under that line.
+        return "\n".join(
+            f"{pad}- {_render_text(v, indent + 1)[len(pad) + 2:]}" if _nested(v) else f"{pad}- {v}"
+            for v in obj
+        )
     return f"{pad}{obj}"
 
 

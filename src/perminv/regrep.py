@@ -136,10 +136,18 @@ def perm_index(p) -> np.ndarray:
 def _quotient_table(n: int) -> np.ndarray:
     """quot[i, j] = index of pi_i pi_j^-1, read-only: the one index every
     gathered operator reads.  int16 holds every index, N! <= 720, so it
-    takes 1 MB at N = 6."""
+    takes 1 MB at N = 6.
+
+    The code of pi_i pi_j^-1 in _index_table is sum_x pi_i(pi_j^-1(x)) n^x
+    = sum_y pi_i(y) n^(pi_j(y)), so all N!^2 codes are the one integer
+    product perms @ (n ** perms).T.  ArithmeticError if a code is not a
+    permutation's, which only a row of perms that is not one can cause; a
+    code past either end of the table reads its end, all 0s or all n-1s,
+    which is -1 for n >= 2."""
     perms = perms_matrix(n)
-    inverse = np.argsort(perms, axis=1)
-    quot = np.array([perm_index(p[inverse]) for p in perms], dtype=np.int16)
+    quot = _index_table(n).take(perms @ (n**perms).T, mode="clip")
+    if (quot < 0).any():
+        raise ArithmeticError(f"quotient table of S_{n}: a product is not a permutation")
     quot.setflags(write=False)
     return quot
 
@@ -688,10 +696,14 @@ def avg_bound_check(n: int, k: int, samples: int = 100, seed: int = 0) -> AvgBou
     predicted = max_level_eigenvalue(n, k) / n
     bound = Fraction(2 * k, n)
 
-    # Sample s is x = P g / |P g| for g = g[s, 0] + i g[s, 1]; M is real
-    # symmetric, so x^H M x sums the real and imaginary parts' forms.
-    g = np.random.default_rng(seed).standard_normal((samples, 2, p.shape[0])) @ p
-    mass = np.einsum("sij,sij->s", g, g @ m) / np.einsum("sij,sij->s", g, g)
+    # Sample s is x = P g / |P g| for g = g[2s] + i g[2s + 1]; M is real
+    # symmetric, so x^H M x sums the real and imaginary parts' forms.  The
+    # draw is the (samples, 2, N!) stream in the same order, flattened, so
+    # each operator is one matrix product over all 2 * samples rows.
+    g = np.random.default_rng(seed).standard_normal((2 * samples, p.shape[0])) @ p
+    gm = (g @ m).reshape(samples, 2, -1)
+    g = g.reshape(samples, 2, -1)
+    mass = np.einsum("sij,sij->s", g, gm) / np.einsum("sij,sij->s", g, g)
     worst = max(0.0, float(mass.max()) / n)
     passed = (
         abs(exact_max - float(predicted)) <= 1e-6

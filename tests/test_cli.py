@@ -177,7 +177,21 @@ def test_text_format_renders_an_empty_container_in_place(capsys):
     assert code == 0
     assert "\n    high_ranks: []\n    low_ranks: []\n" in out
     assert "\n\n" not in out
-    assert cli._render_text({"a": {}, "b": [[], [1]]}) == "a: {}\nb:\n  - []\n  - 1"
+    assert cli._render_text({"a": {}, "b": [[], [1]]}) == "a: {}\nb:\n  - []\n  - - 1"
+
+
+def test_text_format_marks_each_list_item(capsys):
+    # Each item of a list has its own "- ", a nested one with its fields
+    # indented under it: the rows of a list of lists, or of a list of
+    # dicts, no longer run together.
+    code, out = run_cli(["young", "characters", "--n", "3", "--format", "text"], capsys)
+    assert code == 0
+    assert "\n  classes:\n    - - 3\n    - - 2\n      - 1\n    - - 1\n      - 1\n      - 1\n" in out
+    assert out.count("\n    - lambda:\n") == 3
+    assert "\n    - lambda:\n        - 2\n        - 1\n      values:\n        [3]: -1\n" in out
+    assert cli._render_text([{"x": [4], "y": 5}, [[2, 3]], 6], 1) == (
+        "  - x:\n      - 4\n    y: 5\n  - - - 2\n      - 3\n  - 6"
+    )
 
 
 def test_altgame_cli(capsys):

@@ -18,9 +18,9 @@ GOLDEN = {
     "young eigenvalues --n 6": "eded4329d30727cb797c1e2ed311c90842716f3d932e0f3d4b7042869f1f1682",
     "young identities --max-n 12": "85efb73b307e1dd37ad3ba666ba2936fb2abc25e29e2700fac9d3bfb283105c3",
     "young identities --max-n 30": "8a63d4e18c772a54748b8b12c9c6b28b4dda744f8835733073e3681acbcc075f",
-    "young eigenvalues --n 4 --format text": "7648c4259314005b9cfc6e51919668bf6d3884f2f0a9961c5a5f01f3b9c782a6",
+    "young eigenvalues --n 4 --format text": "1b651294890f2280b99d6a25acf5f581270a0210fad80d08da34238b5ccdbfa6",
     "spectrum --n 4": "7661f472e3fe71485073a7d9e83e5f50af81feb23eaa6f222449d4322e7cc112",
-    "spectrum --n 4 --format text": "d1b39d876c9b7228232d7dc7343a5a1dec900b689317f1ed3405959bba855af2",
+    "spectrum --n 4 --format text": "48d27dd9b24a237fed72485c98d44989064b48757df3d4d907f448daa68ea697",
     "spectrum --n 5": "71247ec612d3b3a299d302960758524a6e7f10ad9eadc9ef1a541fff1edab9dd",
     "decomp-check --n 4 --seed 1": "7dbbcc5db29959ce824d180761ab1b6d56d799adf97f6968d2f4c232e0bfea91",
     "decomp-check --n 5 --seed 0": "ca9ec3e9634327a25aaed561a2cd653f6d6029a3a96693234761e2fefb65a310",
@@ -28,7 +28,7 @@ GOLDEN = {
     "avgbound --n 4 --k 1 --samples 10 --seed 3": "08831696251386ca955c48f4d9c463407404305efdf00297eceeb86e662f7d08",
     "lemma-check --n 3 --p 1 --t 1 --programs 3 --seed 2": "0b091008d49923cffcf16fe9845df38e07db6c0825e08290ca68d35bebbb3bad",
     "game --n 3 --p 1 --t 1 --seed 5": "2c615323fad89670fdaed36c469d6122a730cc4f3a6d5a4c1979b0bf76f22624",
-    "game --n 3 --p 1 --t 1 --seed 5 --format text": "5d831227562c76c1cd5da3c88683eab3fe5951a6b02dcc5118fb553f951bd45b",
+    "game --n 3 --p 1 --t 1 --seed 5 --format text": "260302c1e1dcca59db70d2adc1080322f30ce0fd82b923f2af1138000bd734e4",
     "altgame --n 3 --t 1 --g 3 --adversaries 2 --seed 1": "cdbf4ff95580e9e5ff44fdc8af958eb670133cb27e8d5fd22806d5fcf73bdd3d",
     "altgame --n 4 --t 1 --g 3 --seed 0": "390c4707bc8afc6d75621ccb2f64d4874bd80740385a4fdfd34fedbd77550c06",
     "grover --grid": "41340412cddcdb65e7ee76329287768e069aca6d65e59ba0f99327b67d2a3aa2",

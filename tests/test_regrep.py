@@ -251,13 +251,37 @@ def argsort_inverses(n: int) -> np.ndarray:
     return regrep.perm_index(np.argsort(regrep.perms_matrix(n), axis=1))
 
 
+def quotient_table_reference(n: int) -> np.ndarray:
+    """quot[i, j] = index of pi_i pi_j^-1, one perm_index call per row:
+    the reference for the one integer product of regrep._quotient_table."""
+    perms = regrep.perms_matrix(n)
+    inverse = np.argsort(perms, axis=1)
+    return np.array([regrep.perm_index(p[inverse]) for p in perms], dtype=np.int16)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_quotient_table_is_the_composition_with_inverses(n):
     # quot[i, j] = index of pi_i pi_j^-1, and its row 0 the inverses.
     quot, inv = regrep._quotient_table(n), argsort_inverses(n)
     assert quot.dtype == np.int16 and quot.shape == (factorial(n),) * 2
+    assert not quot.flags.writeable
+    assert np.array_equal(quot, quotient_table_reference(n))
     assert np.array_equal(quot, composition_table(n)[:, inv])
     assert np.array_equal(regrep._inverses(n), inv)
+    assert np.array_equal(quot[0], inv)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_quotient_table_of_a_non_permutation_is_refused(n, fresh_caches, monkeypatch):
+    # A row that repeats an entry makes some product pi_i pi_j^-1 repeat one
+    # too, so its code is off S_n.  (A duplicated row would not do: every
+    # product of two permutations is still a permutation.)
+    regrep._index_table(n)
+    mutant = regrep.perms_matrix(n).copy()
+    mutant[-1, -1] = mutant[-1, 0]
+    monkeypatch.setattr(regrep, "perms_matrix", lambda n: mutant)
+    with pytest.raises(ArithmeticError, match=rf"quotient table of S_{n}: a product is not a permutation"):
+        regrep._quotient_table(n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -706,6 +730,22 @@ def test_cold_build_m_reads_few_product_columns(fresh_caches, monkeypatch):
     # (d) of N! P_{A_0} and two of each other, and two per level for the five
     # increments, their product and (d) of N! P_0.
     assert cold_build_m_product_columns(monkeypatch) == 25
+
+
+def test_cold_build_m_indexes_few_permutations(fresh_caches, monkeypatch):
+    # The quotient table is one integer product, not a perm_index call per
+    # row: a cold build_m(6) calls perm_index at most 3n times, for the
+    # certificates' conjugations and the challenge relabelings.
+    calls = []
+    perm_index = regrep.perm_index
+
+    def counting(p):
+        calls.append(1)
+        return perm_index(p)
+
+    monkeypatch.setattr(regrep, "perm_index", counting)
+    regrep.build_m(6)
+    assert 0 < len(calls) <= 18
 
 
 def test_one_more_product_column_breaks_the_column_pin(fresh_caches, monkeypatch):
@@ -1263,6 +1303,27 @@ def test_avg_bound_n5_k2_sampled():
     rep = regrep.avg_bound_check(5, 2, samples=100, seed=0)
     assert rep.passed
     assert rep.sample_max <= 4 / 5 + 1e-9
+
+
+def stacked_sample_max(n: int, k: int, samples: int, seed: int) -> float:
+    """The sampled maximum of avg_bound_check as (samples, 2, N!) stacked
+    products, one (2 x N!) matrix per sample: the reference for its two
+    flat products over the same draw."""
+    p, m = regrep.a_projector(n, k), regrep.build_m(n)
+    g = np.random.default_rng(seed).standard_normal((samples, 2, p.shape[0])) @ p
+    mass = np.einsum("sij,sij->s", g, g @ m) / np.einsum("sij,sij->s", g, g)
+    return max(0.0, float(mass.max()) / n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_avg_bound_samples_match_the_stacked_products(n):
+    # The same draw read as 2 * samples flat rows gives the same bits, for
+    # every level, two seeds and one single sample.
+    for k, seed, samples in [(k, seed, 100) for k in range(n) for seed in (0, 7)] + [(n - 1, 3, 1)]:
+        rep = regrep.avg_bound_check(n, k, samples=samples, seed=seed)
+        worst = stacked_sample_max(n, k, samples, seed)
+        assert rep.sample_max == worst, (k, seed, samples)
+        assert rep.sample_slack == 2 * k / n - worst, (k, seed, samples)
 
 
 @pytest.mark.parametrize("shift", [Fraction(1, 4), Fraction(-1, 4)])
