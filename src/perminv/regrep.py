@@ -25,8 +25,9 @@ division by (N-1)! is exact or raises.  Each commutes with right
 multiplication, so it is kept as its column 0, N! integers whose entry at
 the identity is the rank, and S[i, j] is the column's entry at
 pi_i pi_j^-1, read through one cached quotient table.  A dense matrix is
-gathered only in float: for an eigensolve, from the column over N!, and
-for an exact product S w, from the column cast to a float that holds every
+gathered only in float: for an eigensolve, from the column over N!, or
+over (N!)^3 for the exact column of (N!)^3 P_{A_k} M P_{A_k}, and for an
+exact product S w, from the column cast to a float that holds every
 partial sum, and then only on the columns of S where w is nonzero.  No
 integer N! x N! matrix is formed.  Each is certified exactly against the
 counted dimensions, on its column where it can be: symmetric, idempotent,
@@ -140,12 +141,15 @@ def _quotient_table(n: int) -> np.ndarray:
 
     The code of pi_i pi_j^-1 in _index_table is sum_x pi_i(pi_j^-1(x)) n^x
     = sum_y pi_i(y) n^(pi_j(y)), so all N!^2 codes are the one integer
-    product perms @ (n ** perms).T.  ArithmeticError if a code is not a
+    product perms @ (n ** perms).T, in int32: every code is below n**n,
+    which int32 holds for n <= 9, and an int32 index array is read without
+    the intp copy that take would make.  ArithmeticError if a code is not a
     permutation's, which only a row of perms that is not one can cause; a
-    code past either end of the table reads its end, all 0s or all n-1s,
-    which is -1 for n >= 2."""
-    perms = perms_matrix(n)
-    quot = _index_table(n).take(perms @ (n**perms).T, mode="clip")
+    code past either end of the table is clipped to its end, all 0s or all
+    n-1s, which is -1 for n >= 2."""
+    perms = perms_matrix(n).astype(np.int32)
+    codes = perms @ (n**perms).T
+    quot = _index_table(n)[codes.clip(0, n**n - 1, out=codes)]
     if (quot < 0).any():
         raise ArithmeticError(f"quotient table of S_{n}: a product is not a permutation")
     quot.setflags(write=False)
@@ -684,24 +688,31 @@ def avg_bound_check(n: int, k: int, samples: int = 100, seed: int = 0) -> AvgBou
 
     The exact maximum is the top eigenvalue of P_{A_k} M P_{A_k} divided by
     n; it must match max_{level <= k} e / n and respect the 2k/n bound.
+    Both operators commute with right multiplication, so (N!)^3 P M P is
+    the _gather of one exact integer column, S (T c) for c the column of
+    S = N! P_{A_k} and T = N! M: two _products of a column, which refuse
+    past their bound, and no product of two N! x N! matrices.  The column
+    over (N!)^3 is gathered once in float64 for the eigensolve, the
+    check's independent float readout, and freed before the samples run.
     Seeded random vectors P_{A_k} g / |P_{A_k} g|, g complex Gaussian, sample
     the bound's slack.
     """
     _check_level(n, k)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    p = a_projector(n, k)
-    m = build_m(n)
-    exact_max = float(np.linalg.eigvalsh(p @ m @ p)[-1]) / n
+    col_p = _scaled_a(n, k)
+    pmp = _product(n, col_p, _product(n, _scaled_m(n), col_p))
+    exact_max = float(np.linalg.eigvalsh(_gather(n, pmp / factorial(n) ** 3))[-1]) / n
     predicted = max_level_eigenvalue(n, k) / n
     bound = Fraction(2 * k, n)
 
     # Sample s is x = P g / |P g| for g = g[2s] + i g[2s + 1]; M is real
     # symmetric, so x^H M x sums the real and imaginary parts' forms.  The
     # draw is the (samples, 2, N!) stream in the same order, flattened, so
-    # each operator is one matrix product over all 2 * samples rows.
-    g = np.random.default_rng(seed).standard_normal((2 * samples, p.shape[0])) @ p
-    gm = (g @ m).reshape(samples, 2, -1)
+    # each operator is one matrix product over all 2 * samples rows, and
+    # only one dense operator is gathered at a time.
+    g = np.random.default_rng(seed).standard_normal((2 * samples, factorial(n))) @ a_projector(n, k)
+    gm = (g @ build_m(n)).reshape(samples, 2, -1)
     g = g.reshape(samples, 2, -1)
     mass = np.einsum("sij,sij->s", g, gm) / np.einsum("sij,sij->s", g, g)
     worst = max(0.0, float(mass.max()) / n)

@@ -25,7 +25,7 @@ GOLDEN = {
     "decomp-check --n 4 --seed 1": "7dbbcc5db29959ce824d180761ab1b6d56d799adf97f6968d2f4c232e0bfea91",
     "decomp-check --n 5 --seed 0": "ca9ec3e9634327a25aaed561a2cd653f6d6029a3a96693234761e2fefb65a310",
     "decomp-check --n 6 --seed 0": "1effd803685c64b97c048b58e608f441965342379ff7ab682e10d31ae4345888",
-    "avgbound --n 4 --k 1 --samples 10 --seed 3": "08831696251386ca955c48f4d9c463407404305efdf00297eceeb86e662f7d08",
+    "avgbound --n 4 --k 1 --samples 10 --seed 3": "a23bd60700b42200d88ccdd39bce58783ae28f1392846f0ffafe119519438f8f",
     "lemma-check --n 3 --p 1 --t 1 --programs 3 --seed 2": "0b091008d49923cffcf16fe9845df38e07db6c0825e08290ca68d35bebbb3bad",
     "game --n 3 --p 1 --t 1 --seed 5": "2c615323fad89670fdaed36c469d6122a730cc4f3a6d5a4c1979b0bf76f22624",
     "game --n 3 --p 1 --t 1 --seed 5 --format text": "260302c1e1dcca59db70d2adc1080322f30ce0fd82b923f2af1138000bd734e4",

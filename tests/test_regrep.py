@@ -25,9 +25,13 @@ isotypic block, from a test-local float isotypic projector.
 Exact products: the quotient table and the Stab(y) classes against a
 test-local composition table, and every product against the dense exact
 product of the gathered int64 matrix, which regrep itself never forms.
+The average bound's readout, P_{A_k} M P_{A_k}, against its column summed
+from characters, and the peak memory of its build and of the quotient
+table's under tracemalloc.
 """
 
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
@@ -282,6 +286,27 @@ def test_quotient_table_of_a_non_permutation_is_refused(n, fresh_caches, monkeyp
     monkeypatch.setattr(regrep, "perms_matrix", lambda n: mutant)
     with pytest.raises(ArithmeticError, match=rf"quotient table of S_{n}: a product is not a permutation"):
         regrep._quotient_table(n)
+
+
+def traced_peak(call) -> int:
+    """The peak bytes tracemalloc traces while call() runs; numpy reports
+    its array buffers to it."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quotient_table_build_holds_no_intp_code_matrix(fresh_caches):
+    # The codes are int32 and indexed without an intp copy: a cold
+    # _quotient_table(6) traces less than one 720 x 720 intp matrix, 4.1 MB,
+    # where intp codes read through take traced 5.2 MB.
+    regrep._index_table(6)
+    peak = traced_peak(lambda: regrep._quotient_table(6))
+    assert peak < 720**2 * np.dtype(np.intp).itemsize, peak
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -1324,6 +1349,61 @@ def test_avg_bound_samples_match_the_stacked_products(n):
         worst = stacked_sample_max(n, k, samples, seed)
         assert rep.sample_max == worst, (k, seed, samples)
         assert rep.sample_slack == 2 * k / n - worst, (k, seed, samples)
+
+
+def scaled_pmp_reference(n: int, k: int) -> np.ndarray:
+    """The column of (N!)^3 P_{A_k} M P_{A_k} from characters alone:
+    P_{A_k} is the sum of the isotypic projectors of level <= k and M the
+    central sum of e_lam times each, so the product is the sum of
+    e_lam Pi_lam over level <= k, and N! Pi_lam has the column
+    d_lam chi_lam.  Summed as Fractions per class; each must be an integer."""
+    elem_class, types = regrep._class_data(n)
+    lams = [lam for lam in young.partitions(n) if young.level(lam) <= k]
+    values = [
+        factorial(n) ** 2 * sum(young.eigenvalue_m(lam) * young.dim(lam) * young.character(lam, ct) for lam in lams)
+        for ct in types
+    ]
+    assert all(Fraction(v).denominator == 1 for v in values), values
+    return np.array([int(v) for v in values], dtype=np.int64)[elem_class]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_avg_bound_readout_is_the_level_sum_of_the_central_element(n, monkeypatch):
+    # The one matrix avg_bound_check hands its eigensolve is the integer
+    # reference column over (N!)^3, gathered, bit for bit, at every level:
+    # each entry is a correctly rounded quotient of an integer below 2^53,
+    # and distinct integers of this size give distinct quotients.
+    read = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: read.append(a) or eigvalsh(a))
+    f = factorial(n)
+    for k in range(n):
+        read.clear()
+        assert regrep.avg_bound_check(n, k, samples=1).passed, k
+        (matrix,) = read
+        assert np.array_equal(matrix, regrep._gather(n, scaled_pmp_reference(n, k) / f**3)), k
+
+
+def test_avg_bound_fails_on_the_column_of_p0_for_m(monkeypatch):
+    # With N! P_0 in place of N! M, P M P compresses a projector: its top
+    # eigenvalue is at most 1, not the level's largest e_lam, and the
+    # readout misses the prediction at some level of every n = 4..6.
+    monkeypatch.setattr(regrep, "_scaled_m", regrep._scaled_high_0)
+    for n in (4, 5, 6):
+        reports = [regrep.avg_bound_check(n, k, samples=5) for k in range(n)]
+        assert not all(rep.passed for rep in reports), n
+        assert any(abs(rep.exact_max - float(rep.predicted_max)) > 1e-6 for rep in reports), n
+
+
+def test_warm_avg_bound_check_holds_under_two_dense_operators():
+    # The readout's two exact products and its gather each hold one dense
+    # 720 x 720 float matrix, freed before the next, and the samples gather
+    # one operator at a time: a warm avg_bound_check(6, 3) traces less than
+    # two dense float64 operators, 8.3 MB, where the product of the dense
+    # P_{A_3} and M traced 16.6 MB.
+    regrep.avg_bound_check(6, 3)
+    peak = traced_peak(lambda: regrep.avg_bound_check(6, 3))
+    assert peak < 2 * 720**2 * 8, peak
 
 
 @pytest.mark.parametrize("shift", [Fraction(1, 4), Fraction(-1, 4)])
