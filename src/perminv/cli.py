@@ -7,9 +7,10 @@ the same machine with the same BLAS thread count.
 Exit status: 0 when every assertion in the invoked suite passed, 1 on a
 verification failure, 2 on usage errors.  An internal certification failure
 (an ArithmeticError from an exact projector certificate, an exact product
-past its bound or a Hellman walk off its predicted query count) is a
-verification failure: it is reported with pass false and its reason, and in
-CSV output, which has no field for the reason, by the reason on stderr.
+past its bound, the Coxeter certificate of the orthogonal form or a Hellman
+walk off its predicted query count) is a verification failure: it is
+reported with pass false and its reason, and in CSV output, which has no
+field for the reason, by the reason on stderr.
 """
 
 from __future__ import annotations

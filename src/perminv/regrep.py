@@ -7,7 +7,7 @@ projectors, their sum M over all challenges, and the projectors onto A_k,
 then verifies the predicted decompositions by brute force and the spectrum
 of M against one exact central element.
 
-Everything up to the eigensolves is exact integer arithmetic.  The
+Everything up to the eigenvalue readouts is exact integer arithmetic.  The
 dimensions of A_k and A_k^y are counted from characters, not read off a
 matrix.  Left and right multiplication make C[S_N] the sum of the
 V_lam (x) V_lam*, each once, and restricting the left side to Stab(y)
@@ -25,9 +25,8 @@ division by (N-1)! is exact or raises.  Each commutes with right
 multiplication, so it is kept as its column 0, N! integers whose entry at
 the identity is the rank, and S[i, j] is the column's entry at
 pi_i pi_j^-1, read through one cached quotient table.  A dense matrix is
-gathered only in float: for an eigensolve, from the column over N!, or
-over (N!)^3 for the exact column of (N!)^3 P_{A_k} M P_{A_k}, and for an
-exact product S w, from the column cast to a float that holds every
+gathered only in float: for a public reader, from the column over N!, and
+for an exact product S w, from the column cast to a float that holds every
 partial sum, and then only on the columns of S where w is nonzero.  No
 integer N! x N! matrix is formed.  Each is certified exactly against the
 counted dimensions, on its column where it can be: symmetric, idempotent,
@@ -43,10 +42,18 @@ relabeling, and change_of_challenge_check is (e) with G = S_N on the
 column of M.  Products run in float32 while a bound checked beforehand
 keeps every partial sum below 2^24, and in float64 below 2^53; past that
 they raise.  Inexact floats enter only at the public readers, which divide
-by N!, and at the eigensolves.
+by N!, and at the eigenvalue readouts.
 
-The size cap is N = 6 (dimension 720); at N = 7 each dense 5040^2 float
-matrix would cost ~200 MB.
+The eigenvalues of M and of P_{A_k} M P_{A_k} are read off their Fourier
+blocks, one d_lam x d_lam matrix per irrep lam (d_lam <= 16 at N = 6), in
+Young's orthogonal form: a representation built from the adjacent
+transpositions by axial distances alone, certified against the Coxeter
+relations, and independent of the characters everything else is built
+from.  No N! x N! matrix is gathered or solved for a spectrum.
+
+The size cap is N = 6 (dimension 720).  At N = 7 the int16 quotient table
+takes 51 MB, and each dense 5040^2 float matrix that an exact product with
+a full-support vector or a public reader gathers takes 203 MB.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ import numpy as np
 from perminv import young
 from perminv.young import Partition
 
-_MAX_N = 6  # dense N! x N! matrices
+_MAX_N = 6  # the N! x N! quotient table and the dense float gathers it indexes
 
 
 class CapacityError(ValueError):
@@ -607,6 +614,127 @@ def predicted_low_rank(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Fourier blocks in Young's orthogonal form.
+#
+# Every operator here is a left convolution, S = sum_g c(g) L_g for c its
+# column (see _gather), and the left regular representation is the sum of
+# d_lam copies of each irrep rho_lam.  So S is the sum of d_lam copies of its
+# Fourier block F_lam = sum_g c(g) rho_lam(g), a d_lam x d_lam matrix, and
+# the eigenvalues of S are those of the blocks, each d_lam times.  rho_lam
+# is built from the adjacent transpositions alone, by axial distances, with
+# no character: the blocks are a construction independent of everything the
+# characters above give.  Its basis, the standard tableaux, is adapted to
+# S_{n-1} = Stab(n-1) (Okounkov and Vershik, 1996).
+
+_FORM_TOL = 1e-12  # Coxeter and orthogonality residual of the generators
+
+
+@cache
+def _tableaux(lam: Partition) -> tuple[tuple[int, ...], ...]:
+    """The standard tableaux of shape lam, each as the contents col - row of
+    the boxes that hold 0, 1, ..., n-1, which fix the tableau: ordered by the
+    corner that holds n-1, top row first."""
+    if not lam:
+        return ((),)
+    tabs: list[tuple[int, ...]] = []
+    for r, (p, below) in enumerate(zip(lam, lam[1:] + (0,))):
+        if p > below:
+            mu = lam[:r] + ((p - 1,) if p > 1 else ()) + lam[r + 1 :]
+            tabs += [t + (p - 1 - r,) for t in _tableaux(mu)]
+    return tuple(tabs)
+
+
+def _coxeter_residual(gens: np.ndarray) -> float:
+    """max |(s_i s_j)^m_ij - I| over every i, j, with m_ii = 1, m_ij = 3
+    for |i - j| = 1 and 2 otherwise, and max |s_i s_i^T - I|: 0 up to
+    rounding iff the matrices are orthogonal and satisfy the Coxeter
+    presentation of S_n, so that s_i -> gens[i] extends to an orthogonal
+    representation."""
+    eye = np.eye(gens.shape[-1])
+    pairs = gens[:, None] @ gens[None, :]
+    squares = pairs @ pairs
+    i, j = np.indices(pairs.shape[:2])[..., None, None]
+    powers = np.where(i == j, pairs, np.where(abs(i - j) == 1, squares @ pairs, squares))
+    orthogonal = gens @ gens.transpose(0, 2, 1)
+    return max(np.abs(powers - eye).max(initial=0), np.abs(orthogonal - eye).max(initial=0))
+
+
+@cache
+def _orthogonal_form(lam: Partition) -> np.ndarray:
+    """rho_lam(s_i) for the adjacent transpositions s_i = (i i+1), i < n-1,
+    stacked (n-1) x d_lam x d_lam, read-only, in Young's orthogonal form: on
+    the tableau T with axial distance r = c_T(i+1) - c_T(i), s_i is 1/r times
+    T plus sqrt(1 - 1/r^2) times T with i and i+1 swapped, a standard
+    tableau iff |r| > 1.  ArithmeticError unless _coxeter_residual is within
+    _FORM_TOL."""
+    tabs = _tableaux(lam)
+    where = {t: a for a, t in enumerate(tabs)}
+    n = len(tabs[0])
+    gens = np.zeros((n - 1, len(tabs), len(tabs)))
+    for i in range(n - 1):
+        for a, t in enumerate(tabs):
+            r = t[i + 1] - t[i]
+            gens[i, a, a] = 1 / r
+            if abs(r) > 1:
+                gens[i, where[t[:i] + (t[i + 1], t[i]) + t[i + 2 :]], a] = np.sqrt(1 - 1 / r**2)
+    residual = _coxeter_residual(gens)
+    if not residual <= _FORM_TOL:
+        raise ArithmeticError(f"orthogonal form of {lam}: Coxeter residual {residual:.3e} > {_FORM_TOL:.0e}")
+    gens.setflags(write=False)
+    return gens
+
+
+@cache
+def _cayley_levels(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The breadth-first levels of the Cayley graph of S_n on the adjacent
+    transpositions, after the identity's: per level, (nodes, parents, via)
+    with the element nodes[a] = s_via[a] g for g the parents[a]-th node of
+    the level before, each element once.  The edge g -> s_i g is read off
+    the quotient table as the index of s_i (g^-1)^-1."""
+    quot = _quotient_table(n)
+    swaps = np.tile(np.arange(n), (n - 1, 1))
+    for i in range(n - 1):
+        swaps[i, [i, i + 1]] = i + 1, i
+    s = perm_index(swaps)
+    seen = np.zeros(factorial(n), dtype=bool)
+    seen[0] = True
+    nodes, levels = np.zeros(1, dtype=np.intp), []
+    while True:
+        reached, first = np.unique(quot[s[:, None], quot[0, nodes]], return_index=True)
+        new = ~seen[reached]
+        if not new.any():
+            return tuple(levels)
+        via, parents = np.divmod(first[new], len(nodes))
+        nodes = reached[new]
+        seen[nodes] = True
+        levels.append((nodes, parents, via))
+
+
+def _fourier_blocks(n: int, col: np.ndarray) -> dict[Partition, np.ndarray]:
+    """F_lam = sum_g col[g] rho_lam(g) for every lam of size n: rho_lam of
+    each level of _cayley_levels is rho_lam(s_i) rho_lam(g) of the level
+    before, one batched product per level, and only one level is held."""
+    blocks = {}
+    for lam in young.partitions(n):
+        gens = _orthogonal_form(lam)
+        rho = np.eye(gens.shape[-1])[None]
+        block = col[0] * rho[0]
+        for nodes, parents, via in _cayley_levels(n):
+            rho = gens[via] @ rho[parents]
+            block += (col[nodes] @ rho.reshape(len(nodes), -1)).reshape(block.shape)
+        blocks[lam] = block
+    return blocks
+
+
+def _block_eigenvalues(n: int, col: np.ndarray) -> np.ndarray:
+    """The eigenvalues of _gather(n, col), col a float column of a symmetric
+    operator (col[index of pi^-1] == col, so each F_lam is symmetric): the
+    eigenvalues of each Fourier block, repeated d_lam times, unsorted.  No
+    N! x N! matrix is formed."""
+    return np.concatenate([np.repeat(np.linalg.eigvalsh(f), len(f)) for f in _fourier_blocks(n, col).values()])
+
+
+# ---------------------------------------------------------------------------
 # Reports.
 
 
@@ -629,23 +757,26 @@ class SpectrumReport:
 
 
 def spectrum(n: int) -> SpectrumReport:
-    """Read M's sorted eigenvalues against each predicted block eigenvalue
-    e_lam and multiplicity, then check the integer N! M against N! C_f, N!
-    times the central element C_f = sum_lam e_lam Pi_lam.
+    """Read M's eigenvalues off its Fourier blocks against each predicted
+    block eigenvalue e_lam and multiplicity, then check the integer N! M
+    against N! C_f, N! times the central element C_f = sum_lam e_lam Pi_lam.
 
-    Each e_lam claims the eigenvalues within 1e-6 of it; the block is ok
-    when their count equals the summed d_mu^2 over every mu with e_mu =
-    e_lam, so blocks sharing an eigenvalue read the same claim.  Distinct
-    predictions lie at least 4/15 apart at N <= 6, so no eigenvalue is
-    claimed twice.  Readout failures are reported, not raised.  The run
-    passes only if every eigenvalue is claimed, every block is ok and
-    N! M == N! C_f exactly, read on their columns; central_residual is
-    max|N! M - N! C_f| / N!, 0.0 exactly when they are equal.  M = C_f then
-    acts as e_lam on each isotypic block and has no part between two
-    blocks, exactly, and the eigenvalue readout is an independent float
-    check of the same identity.
+    The eigenvalues are those of the blocks F_lam of the column of M, in
+    Young's orthogonal form (_block_eigenvalues), each d_lam times: no
+    N! x N! matrix is gathered or solved.  Each e_lam claims the eigenvalues
+    within 1e-6 of it; the block is ok when their count equals the summed
+    d_mu^2 over every mu with e_mu = e_lam, so blocks sharing an eigenvalue
+    read the same claim.  Distinct predictions lie at least 4/15 apart at
+    N <= 6, so no eigenvalue is claimed twice.  Readout failures are
+    reported, not raised.  The run passes only if every eigenvalue is
+    claimed, every block is ok and N! M == N! C_f exactly, read on their
+    columns; central_residual is max|N! M - N! C_f| / N!, 0.0 exactly when
+    they are equal.  M = C_f then acts as e_lam on each isotypic block and
+    has no part between two blocks, exactly, and the block readout, which
+    shares no character with C_f, is an independent float check of the same
+    identity.
     """
-    eigs = np.sort(np.linalg.eigvalsh(build_m(n)))
+    eigs = np.sort(_block_eigenvalues(n, _scaled_m(n) / factorial(n)))
     lams = young.partitions(n)
     e = {lam: young.eigenvalue_m(lam) for lam in lams}
     claimed = np.zeros(eigs.size, dtype=bool)
@@ -691,18 +822,18 @@ def avg_bound_check(n: int, k: int, samples: int = 100, seed: int = 0) -> AvgBou
     Both operators commute with right multiplication, so (N!)^3 P M P is
     the _gather of one exact integer column, S (T c) for c the column of
     S = N! P_{A_k} and T = N! M: two _products of a column, which refuse
-    past their bound, and no product of two N! x N! matrices.  The column
-    over (N!)^3 is gathered once in float64 for the eigensolve, the
-    check's independent float readout, and freed before the samples run.
-    Seeded random vectors P_{A_k} g / |P_{A_k} g|, g complex Gaussian, sample
-    the bound's slack.
+    past their bound, and no product of two N! x N! matrices.  Its top
+    eigenvalue is read off the Fourier blocks of that column over (N!)^3
+    (_block_eigenvalues), the check's independent float readout, with no
+    dense gather.  Seeded random vectors P_{A_k} g / |P_{A_k} g|, g complex
+    Gaussian, sample the bound's slack.
     """
     _check_level(n, k)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     col_p = _scaled_a(n, k)
     pmp = _product(n, col_p, _product(n, _scaled_m(n), col_p))
-    exact_max = float(np.linalg.eigvalsh(_gather(n, pmp / factorial(n) ** 3))[-1]) / n
+    exact_max = float(_block_eigenvalues(n, pmp / factorial(n) ** 3).max()) / n
     predicted = max_level_eigenvalue(n, k) / n
     bound = Fraction(2 * k, n)
 

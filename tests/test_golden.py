@@ -19,13 +19,15 @@ GOLDEN = {
     "young identities --max-n 12": "85efb73b307e1dd37ad3ba666ba2936fb2abc25e29e2700fac9d3bfb283105c3",
     "young identities --max-n 30": "8a63d4e18c772a54748b8b12c9c6b28b4dda744f8835733073e3681acbcc075f",
     "young eigenvalues --n 4 --format text": "1b651294890f2280b99d6a25acf5f581270a0210fad80d08da34238b5ccdbfa6",
-    "spectrum --n 4": "7661f472e3fe71485073a7d9e83e5f50af81feb23eaa6f222449d4322e7cc112",
-    "spectrum --n 4 --format text": "48d27dd9b24a237fed72485c98d44989064b48757df3d4d907f448daa68ea697",
-    "spectrum --n 5": "71247ec612d3b3a299d302960758524a6e7f10ad9eadc9ef1a541fff1edab9dd",
+    "spectrum --n 4": "40da2abb1d89310c7859ae1cdbb24fef7d5e80c1d9a7011eef7fc87c7d7f5dde",
+    "spectrum --n 4 --format text": "aef707f6e8b01421e51a2b857718c017210df55409b440c7517951195b9c2c2b",
+    "spectrum --n 5": "16f33cc8b7c8fe55db9c1d3736da3260532180815e7de72b1992f39d3b71234c",
+    "spectrum --n 6": "daafb2adf34e94156b1f0952fd1eecd3a3033f74d219ec862e96154ce77d2e43",
     "decomp-check --n 4 --seed 1": "7dbbcc5db29959ce824d180761ab1b6d56d799adf97f6968d2f4c232e0bfea91",
     "decomp-check --n 5 --seed 0": "ca9ec3e9634327a25aaed561a2cd653f6d6029a3a96693234761e2fefb65a310",
     "decomp-check --n 6 --seed 0": "1effd803685c64b97c048b58e608f441965342379ff7ab682e10d31ae4345888",
-    "avgbound --n 4 --k 1 --samples 10 --seed 3": "a23bd60700b42200d88ccdd39bce58783ae28f1392846f0ffafe119519438f8f",
+    "avgbound --n 4 --k 1 --samples 10 --seed 3": "08272b18d2b8ba85924e190fc1e26608b38fc78a5b911c958db49e96e66727af",
+    "avgbound --n 6 --k 3 --seed 0": "854a4be477d4505f9411e23a5714a6e85cef614d33877f5ea54ad6faaee3db3c",
     "lemma-check --n 3 --p 1 --t 1 --programs 3 --seed 2": "0b091008d49923cffcf16fe9845df38e07db6c0825e08290ca68d35bebbb3bad",
     "game --n 3 --p 1 --t 1 --seed 5": "2c615323fad89670fdaed36c469d6122a730cc4f3a6d5a4c1979b0bf76f22624",
     "game --n 3 --p 1 --t 1 --seed 5 --format text": "260302c1e1dcca59db70d2adc1080322f30ce0fd82b923f2af1138000bd734e4",

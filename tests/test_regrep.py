@@ -25,9 +25,11 @@ isotypic block, from a test-local float isotypic projector.
 Exact products: the quotient table and the Stab(y) classes against a
 test-local composition table, and every product against the dense exact
 product of the gathered int64 matrix, which regrep itself never forms.
-The average bound's readout, P_{A_k} M P_{A_k}, against its column summed
-from characters, and the peak memory of its build and of the quotient
-table's under tracemalloc.
+The average bound's exact column of P_{A_k} M P_{A_k} against its column
+summed from characters.  The eigenvalue readouts off the Fourier blocks
+against the dense eigvalsh of M and of that column gathered, and the peak
+memory of the readouts and of the quotient table's build under
+tracemalloc.
 """
 
 import re
@@ -1289,18 +1291,18 @@ def test_spectrum_fails_on_a_shifted_eigenvalue_prediction(monkeypatch):
 
 @pytest.mark.parametrize("shift, passes", [(1e-3, False), (10.0, False), (5e-7, True)])
 def test_spectrum_eigenvalue_readout_fails_by_itself(shift, passes, monkeypatch):
-    # M and C_f are untouched, so only the eigvalsh readout sees M's top
+    # M and C_f are untouched, so only the block readout sees M's top
     # eigenvalue (e = 4, the merged (2, 2) and (1, 1, 1, 1) blocks) move;
     # a move within 1e-6 is still claimed by its prediction.
     n = 4
-    exact = np.linalg.eigvalsh
+    exact = regrep._block_eigenvalues
 
-    def moved(a):
-        w = exact(a)
-        w[-1] += shift
+    def moved(n, col):
+        w = exact(n, col)
+        w[w.argmax()] += shift
         return w
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+    monkeypatch.setattr(regrep, "_block_eigenvalues", moved)
     rep = regrep.spectrum(n)
     assert rep.central_residual == 0
     assert rep.passed is passes
@@ -1308,6 +1310,42 @@ def test_spectrum_eigenvalue_readout_fails_by_itself(shift, passes, monkeypatch)
     assert {b.lam for b in top} == {(2, 2), (1, 1, 1, 1)}
     assert all((b.mult_observed, b.ok) == ((5, True) if passes else (4, False)) for b in top)
     assert all(b.ok for b in rep.blocks if b not in top)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_block_readout_is_the_dense_eigensolve_of_m(n):
+    # The second construction of spectrum's readout: eigvalsh of the
+    # gathered M.
+    blocks = np.sort(regrep._block_eigenvalues(n, regrep._scaled_m(n) / factorial(n)))
+    assert np.abs(blocks - np.linalg.eigvalsh(regrep.build_m(n))).max() <= 1e-9
+
+
+def test_block_readouts_gather_and_solve_no_dense_operator(monkeypatch):
+    # A warm spectrum(6) gathers nothing, and neither it nor
+    # avg_bound_check(6, 3) hands eigvalsh more than one 16 x 16 block.
+    # avg_bound_check gathers four times: the operators of its two exact
+    # products, and P_{A_3} and M for the samples; the readout of the
+    # product's column gathers nothing.
+    regrep.avg_bound_check(6, 3)
+    gathered, solved = [], []
+    gather, eigvalsh = regrep._gather, np.linalg.eigvalsh
+    monkeypatch.setattr(regrep, "_gather", lambda n, column, cols=slice(None): gathered.append(1) or gather(n, column, cols))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.shape) or eigvalsh(a))
+    assert regrep.spectrum(6).passed
+    assert not gathered
+    assert regrep.avg_bound_check(6, 3).passed
+    assert len(gathered) == 4
+    assert len(solved) == 2 * len(young.partitions(6))
+    assert max(solved) == (16, 16)
+
+
+def test_warm_spectrum_holds_no_dense_operator():
+    # A warm spectrum(6) traces less than half of one dense 720 x 720
+    # float64 operator, 2.1 MB, where its gather of M and the eigensolve
+    # traced 4.2 MB.
+    regrep.spectrum(6)
+    peak = traced_peak(lambda: regrep.spectrum(6))
+    assert peak < 720**2 * 8 / 2, peak
 
 
 def test_avg_bound_exact_max_n4_k1():
@@ -1369,19 +1407,31 @@ def scaled_pmp_reference(n: int, k: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_avg_bound_readout_is_the_level_sum_of_the_central_element(n, monkeypatch):
-    # The one matrix avg_bound_check hands its eigensolve is the integer
-    # reference column over (N!)^3, gathered, bit for bit, at every level:
-    # each entry is a correctly rounded quotient of an integer below 2^53,
-    # and distinct integers of this size give distinct quotients.
-    read = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: read.append(a) or eigvalsh(a))
+    # The exact column of (N!)^3 P M P, the last product avg_bound_check
+    # makes, is the integer reference column at every level, and its block
+    # readout is handed that column over (N!)^3.
+    products, handed = [], []
+    product, blocks = regrep._product, regrep._block_eigenvalues
+    monkeypatch.setattr(regrep, "_product", lambda n, col, w: products.append(product(n, col, w)) or products[-1])
+    monkeypatch.setattr(regrep, "_block_eigenvalues", lambda n, col: handed.append(col) or blocks(n, col))
     f = factorial(n)
     for k in range(n):
-        read.clear()
+        products.clear()
+        handed.clear()
         assert regrep.avg_bound_check(n, k, samples=1).passed, k
-        (matrix,) = read
-        assert np.array_equal(matrix, regrep._gather(n, scaled_pmp_reference(n, k) / f**3)), k
+        assert np.array_equal(products[-1], scaled_pmp_reference(n, k)), k
+        (col,) = handed
+        assert np.array_equal(col, products[-1] / f**3), k
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exact_max_is_the_dense_eigensolve_of_the_gathered_pmp(n):
+    # The second construction of avg_bound_check's readout: the top
+    # eigvalsh of the gathered reference column.
+    f = factorial(n)
+    for k in range(n):
+        dense = np.linalg.eigvalsh(regrep._gather(n, scaled_pmp_reference(n, k) / f**3))[-1] / n
+        assert abs(regrep.avg_bound_check(n, k, samples=1).exact_max - dense) <= 1e-12, k
 
 
 def test_avg_bound_fails_on_the_column_of_p0_for_m(monkeypatch):
