@@ -132,44 +132,39 @@ def find_cycles(perm) -> Cycles:
         # Round two: every point of a cycle that no ruler lies on.
         rulers = np.flatnonzero(seg < 0).astype(np.int32)
 
-    low = np.full(base, n, dtype=np.int32)  # each segment's minimum
-    np.minimum.at(low, seg, np.arange(n, dtype=np.int32))
-    after, size = np.concatenate(after).tolist(), np.concatenate(size).tolist()
-    low, low_at = low.tolist(), step[low].tolist()
     # Chain the segments: each one's cycle and its offset from the cycle's
-    # first segment; per cycle its length, minimum and the minimum's offset.
-    cycle, offset = [-1] * base, [0] * base
-    lens, mins, min_at = [], [], []
+    # first segment, and each cycle's length.
+    after, size = np.concatenate(after).tolist(), np.concatenate(size).tolist()
+    cycle, offset, lens = [-1] * base, [0] * base, []
     for r in range(base):
         if cycle[r] >= 0:
             continue
-        length, least, least_at = 0, n, 0
-        q = r
+        length, q = 0, r
         while cycle[q] < 0:
             cycle[q], offset[q] = len(lens), length
-            if low[q] < least:
-                least, least_at = low[q], length + low_at[q]
             length += size[q]
             q = after[q]
         lens.append(length)
-        mins.append(least)
-        min_at.append(least_at)
 
-    # Rotate each cycle to its minimum and lay the cycles out by minimum.
+    # Each point's cycle and position from its cycle's first segment; rotate
+    # each cycle to its least point and lay the cycles out by that point.
+    pos = step  # computed in place
+    pos += np.array(offset, dtype=np.int32)[seg]
+    cyc = np.array(cycle, dtype=np.int32)[seg]
+    del seg
     lens = np.array(lens, dtype=np.int32)
-    by_min = np.argsort(mins)
+    least = np.full(lens.size, n, dtype=np.int32)
+    np.minimum.at(least, cyc, np.arange(n, dtype=np.int32))
+    pos -= pos[least][cyc]
+    pos %= lens[cyc]
+    by_min = np.argsort(least)
     starts = np.zeros(lens.size, dtype=np.int32)
     np.cumsum(lens[by_min][:-1], out=starts[1:])
     first = np.empty_like(starts)
     first[by_min] = starts
-    cycle = np.array(cycle, dtype=np.int32)
-    shift = np.array(offset, dtype=np.int32) - np.array(min_at, dtype=np.int32)[cycle]
-    where = step  # each point's index in order, computed in place
-    where += shift[seg]
-    where %= lens[cycle][seg]
-    where += first[cycle][seg]
+    pos += first[cyc]
     order = np.empty(n, dtype=np.int32)
-    order[where] = np.arange(n, dtype=np.int32)
+    order[pos] = np.arange(n, dtype=np.int32)
     return Cycles(order=order, starts=starts, lens=lens[by_min])
 
 
@@ -206,20 +201,19 @@ def build_table(perm, t: int) -> HellmanTable:
     """
     if t < 1:
         raise ValueError("spacing t must be >= 1")
-    perm = _as_permutation(perm)
-    return _derive_table(len(perm), t, find_cycles(perm))
+    return _derive_table(t, find_cycles(perm))
 
 
-def _derive_table(n: int, t: int, cycles: Cycles) -> HellmanTable:
-    """build_table's table for a checked spacing t >= 1 and a decomposition
-    of an n-point permutation."""
+def _derive_table(t: int, cycles: Cycles) -> HellmanTable:
+    """build_table's table for a checked spacing t >= 1 and a permutation's
+    decomposition."""
     order, long = cycles.order, cycles.lens > t
     entries: dict[int, int] = {}
     for s, ell in zip(cycles.starts[long].tolist(), cycles.lens[long].tolist()):
         pos = np.arange(0, ell, t)
         entries.update(zip(order[s + pos].tolist(), order[s + (pos - t) % ell].tolist()))
     return HellmanTable(
-        n=n,
+        n=order.size,
         t=t,
         entries=entries,
         cycle_count=cycles.lens.size,
@@ -462,7 +456,7 @@ def tradeoff_sweep(
         ys = _as_targets(targets, n)
         lengths = cycles.length_of(ys)
         for t, per_trial in zip(t_values, per_t):
-            per_trial.append(_walk_all(perm, _derive_table(n, t, cycles), ys, lengths))
+            per_trial.append(_walk_all(perm, _derive_table(t, cycles), ys, lengths))
     rows: list[AttackStats] = []
     for t, per_trial in zip(t_values, per_t):
         s_max = max(st.s_entries for st in per_trial)

@@ -26,23 +26,23 @@ multiplication, so it is kept as its column 0, N! integers whose entry at
 the identity is the rank, and S[i, j] is the column's entry at
 pi_i pi_j^-1, read through one cached quotient table.  A dense matrix is
 gathered only in float: for a public reader, from the column over N!, and
-for an exact product S w, from the column cast to a float that holds every
-partial sum, and then only on the columns of S where w is nonzero.  No
-integer N! x N! matrix is formed.  Each is certified exactly against the
-counted dimensions, on its column where it can be: symmetric, idempotent,
-of the counted trace, fixing the subspace it must hold, and commuting with
-left multiplication by S_N, or by Stab(y).  The subspace is read on the
-same indicator its dimension is counted from: an operator that commutes
-with multiplication on both sides fixes the whole two-sided orbit of a
-vector, the spanning set, iff it fixes that vector.  Only the challenge-0
-high and low projectors are built; the column of each other one is its
-conjugate by a range transposition, which carries Stab(0) onto Stab(y).
-So certificate (e) of the challenge-0 projectors proves every challenge
-relabeling, and change_of_challenge_check is (e) with G = S_N on the
-column of M.  Products run in float32 while a bound checked beforehand
-keeps every partial sum below 2^24, and in float64 below 2^53; past that
-they raise.  Inexact floats enter only at the public readers, which divide
-by N!, and at the eigenvalue readouts.
+for an exact product S w, from the column cast to float64, and then only on
+the columns of S where w is nonzero.  No integer N! x N! matrix is formed.
+Each is certified exactly against the counted dimensions, on its column
+where it can be: symmetric, idempotent, of the counted trace, fixing the
+subspace it must hold, and commuting with left multiplication by S_N, or by
+Stab(y).  The subspace is read on the same indicator its dimension is
+counted from: an operator that commutes with multiplication on both sides
+fixes the whole two-sided orbit of a vector, the spanning set, iff it
+fixes that vector.  Only the challenge-0 high and low projectors are
+built; the column of each other one is its conjugate by a range
+transposition, which carries Stab(0) onto Stab(y).  So certificate (e) of
+the challenge-0 projectors proves every challenge relabeling, and
+change_of_challenge_check is (e) with G = S_N on the column of M.  Every
+product runs in float64, and raises unless a bound checked beforehand
+keeps every partial sum below 2^53, where each is an exact integer.
+Inexact floats enter only at the public readers, which divide by N!, and
+at the eigenvalue readouts.
 
 The eigenvalues of M and of P_{A_k} M P_{A_k} are read off their Fourier
 blocks, one d_lam x d_lam matrix per irrep lam (d_lam <= 16 at N = 6), in
@@ -201,16 +201,11 @@ def _max_abs(a: np.ndarray) -> int:
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
-def _exact_float(bound: int) -> type:
-    """The float type for an integer product or sum whose partial sums are
-    bounded by bound in magnitude: float32 below 2^24, float64 below 2^53;
-    past that it raises.  Every integer below 2^24 is a float32, so each
-    product and partial sum is exact and any summation order gives the same
-    bits (Dumas, Giorgi and Pernet, ACM TOMS 2008); so is every integer
-    below 2^53 a float64."""
+def _check_exact(bound: int) -> None:
+    """ArithmeticError unless bound, a bound on the magnitude of every
+    partial sum of an integer product, is below 2^53."""
     if not bound < 2**53:
         raise ArithmeticError(f"integer product bound {float(bound):.3e} is not below 2^53")
-    return np.float32 if bound < 2**24 else np.float64
 
 
 def _gather(n: int, column: np.ndarray, cols=slice(None)) -> np.ndarray:
@@ -232,15 +227,17 @@ def _product(n: int, col: np.ndarray, w: np.ndarray) -> np.ndarray:
     """S w for S = _gather(n, col), col an integer column and w an integer
     vector or matrix of N! rows, exact, as int64: the one exact product of
     an operator.  Every partial sum is an integer of magnitude at most
-    N! max|col| max|w|, so the column is cast to the float _exact_float
-    picks for that bound before it is gathered, and every vector of w is
-    multiplied in one matrix product.  Only the columns of S on the rows
-    where w is nonzero are gathered: for an indicator of K_I, (S v)[i] is
-    the sum of col[index of pi_i pi_j^-1] over the pi_j in K_I."""
-    dtype = _exact_float(factorial(n) * _max_abs(col) * _max_abs(w))
+    N! max|col| max|w|, which _check_exact holds below 2^53.  Every such
+    integer is a float64, so each product and partial sum is exact and any
+    summation order gives the same bits (Dumas, Giorgi and Pernet, ACM TOMS
+    2008): the column is cast to float64 before it is gathered, and every
+    vector of w is multiplied in one matrix product.  Only the columns of S
+    on the rows where w is nonzero are gathered: for an indicator of K_I,
+    (S v)[i] is the sum of col[index of pi_i pi_j^-1] over the pi_j in K_I."""
+    _check_exact(factorial(n) * _max_abs(col) * _max_abs(w))
     rows = np.flatnonzero(w if w.ndim == 1 else w.any(axis=1))
     cols = slice(None) if rows.size == len(w) else rows
-    return (_gather(n, col.astype(dtype), cols) @ w[cols].astype(dtype)).astype(np.int64)
+    return (_gather(n, col.astype(np.float64), cols) @ w[cols].astype(np.float64)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -689,18 +686,15 @@ def _cayley_levels(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], .
     """The breadth-first levels of the Cayley graph of S_n on the adjacent
     transpositions, after the identity's: per level, (nodes, parents, via)
     with the element nodes[a] = s_via[a] g for g the parents[a]-th node of
-    the level before, each element once.  The edge g -> s_i g is read off
-    the quotient table as the index of s_i (g^-1)^-1."""
-    quot = _quotient_table(n)
-    swaps = np.tile(np.arange(n), (n - 1, 1))
-    for i in range(n - 1):
-        swaps[i, [i, i + 1]] = i + 1, i
-    s = perm_index(swaps)
+    the level before, each element once.  s_i g swaps the values i and i+1
+    in the one-line row of g, so each level is one perm_index call."""
+    perms, i = perms_matrix(n), np.arange(n - 1)[:, None, None]
     seen = np.zeros(factorial(n), dtype=bool)
     seen[0] = True
     nodes, levels = np.zeros(1, dtype=np.intp), []
     while True:
-        reached, first = np.unique(quot[s[:, None], quot[0, nodes]], return_index=True)
+        g = perms[nodes]
+        reached, first = np.unique(perm_index(g + (g == i) - (g == i + 1)), return_index=True)
         new = ~seen[reached]
         if not new.any():
             return tuple(levels)

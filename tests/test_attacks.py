@@ -484,6 +484,21 @@ def test_sweep_checks_each_permutation_and_targets_once(monkeypatch):
     assert calls == ["check", "describe", "length_of"] * 2
 
 
+def test_build_table_checks_the_permutation_once(monkeypatch):
+    calls = []
+    check = at._as_permutation
+
+    def counted(perm):
+        calls.append(len(perm))
+        return check(perm)
+
+    monkeypatch.setattr(at, "_as_permutation", counted)
+    table = at.build_table(np.random.default_rng(0).permutation(256), 16)
+    assert calls == [256] and table.n == 256
+    with pytest.raises(ValueError, match="not a permutation table"):
+        at.build_table([0, 0, 1], 2)
+
+
 def test_sweep_refuses_cycles_of_another_permutation(monkeypatch):
     find_cycles = at.find_cycles
     monkeypatch.setattr(at, "find_cycles", lambda perm: find_cycles(np.roll(perm, 1)))

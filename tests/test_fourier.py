@@ -134,10 +134,27 @@ def test_cayley_levels_hold_each_element_once_by_its_inversions(n):
         assert all(len(reduced_word(perms[g])) == depth for g in level), depth
 
 
+def test_cayley_levels_need_no_quotient_table(fresh_caches, monkeypatch):
+    # Each edge g -> s_i g is read off g's one-line row, so the walk builds
+    # the same levels, array for array, with the quotient table refused.
+    built = {n: regrep._cayley_levels(n) for n in SIZES}
+    regrep._cayley_levels.cache_clear()
+
+    def refused(n):
+        raise AssertionError("the Cayley walk read the quotient table")
+
+    monkeypatch.setattr(regrep, "_quotient_table", refused)
+    for n in SIZES:
+        levels = regrep._cayley_levels(n)
+        assert len(levels) == len(built[n]), n
+        for level, before in zip(levels, built[n]):
+            assert all(np.array_equal(a, b) for a, b in zip(level, before, strict=True)), n
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_blocks_are_the_sums_over_reduced_words(n):
-    # The walk reads rho(s_i g) = rho(s_i) rho(g) off the quotient table;
-    # the reference multiplies each element's own reduced word.
+    # The walk reads rho(s_i g) = rho(s_i) rho(g) level by level; the
+    # reference multiplies each element's own reduced word.
     col = np.random.default_rng(n).integers(-9, 10, factorial(n)).astype(float)
     for lam, block in regrep._fourier_blocks(n, col).items():
         assert np.abs(block - np.tensordot(col, word_forms(lam), axes=1)).max() <= 1e-9, lam

@@ -132,11 +132,11 @@ def composition_table(n: int) -> np.ndarray:
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for integer matrices, as int64, in the float regrep._exact_float
-    picks for the bound d max|a| max|b|, d the inner dimension: the dense
-    reference for regrep._product, which gathers no integer matrix."""
-    dtype = regrep._exact_float(a.shape[1] * regrep._max_abs(a) * regrep._max_abs(b))
-    return (np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype)).astype(np.int64)
+    """a @ b for integer matrices, as int64, in float64 once regrep._check_exact
+    holds the bound d max|a| max|b|, d the inner dimension, below 2^53: the
+    dense reference for regrep._product, which gathers no integer matrix."""
+    regrep._check_exact(a.shape[1] * regrep._max_abs(a) * regrep._max_abs(b))
+    return (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
 
 
 def relabeled_high(n: int, y: int) -> np.ndarray:
@@ -584,36 +584,26 @@ def test_counted_dims_at_n6_do_not_depend_on_the_challenge():
     assert [regrep.subspace_a(6, k) for k in range(6)] == [1, 26, 207, 588, 719, 720]
 
 
-def test_exact_matmul_just_below_2_24_runs_in_float32_and_is_exact(monkeypatch):
-    # d max|a| max|b| = 256 * 255^2 = 2^24 - 2^17 + 2^8: float32, and
-    # the all-255 row and column reach that bound in one entry.
-    chosen = []
-    exact_float = regrep._exact_float
-
-    def recording(bound):
-        chosen.append(exact_float(bound))
-        return chosen[-1]
-
-    monkeypatch.setattr(regrep, "_exact_float", recording)
+def test_exact_matmul_just_below_2_24_is_exact():
+    # d max|a| max|b| = 256 * 255^2 = 2^24 - 2^17 + 2^8, and the all-255
+    # row and column reach that bound in one entry.
     rng = np.random.default_rng(0)
     a = rng.integers(-255, 256, size=(300, 256)).astype(np.int16)
     b = rng.integers(-255, 256, size=(256, 200)).astype(np.int16)
     a[0], b[:, 0] = 255, 255
     prod = exact_matmul(a, b)
-    assert chosen == [np.float32]
     assert prod.dtype == np.int64 and prod[0, 0] == 256 * 255**2
     assert np.array_equal(prod, a.astype(np.int64) @ b.astype(np.int64))
 
 
-def test_exact_matmul_past_the_float32_range_is_exact(monkeypatch):
+def test_exact_matmul_past_the_float32_range_is_exact():
     # 4096^2 + 1 = 2^24 + 1 has no float32; the product must not round to 2^24.
     a = np.array([[4096, 1], [4095, 3]])
     b = np.array([[4096, 0], [1, 3]])
     expected = [[2**24 + 1, 3], [4095 * 4096 + 3, 9]]
     assert exact_matmul(a, b).tolist() == expected
-    # A float32 product, whatever the bound, rounds 2^24 + 1 and is caught.
-    monkeypatch.setattr(regrep, "_exact_float", lambda bound: np.float32)
-    assert exact_matmul(a, b).tolist() != expected
+    # A float32 product rounds 2^24 + 1, so these operands catch one.
+    assert (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int64).tolist() != expected
 
 
 def random_product_operands(n: int, bound: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -631,25 +621,18 @@ def random_product_operands(n: int, bound: int, seed: int) -> tuple[np.ndarray, 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("side", ["float32", "float64"])
-def test_product_is_the_dense_exact_product(n, side, monkeypatch):
-    # N! bound^2 just below 2^24, or far above it: _product picks that float
-    # for the column, gathers only the nonzero rows of w, and is bitwise the
-    # dense exact_matmul of the gathered int64 matrix and the int64 product.
-    chosen = []
-    exact_float = regrep._exact_float
-
-    def recording(bound):
-        chosen.append(exact_float(bound))
-        return chosen[-1]
-
-    monkeypatch.setattr(regrep, "_exact_float", recording)
+def test_product_is_the_dense_exact_product(n, side):
+    # N! bound^2 just below 2^24, within the integers float32 holds, or far
+    # above it, where only float64 does: _product gathers only the nonzero
+    # rows of w, and is bitwise the dense exact_matmul of the gathered int64
+    # matrix and the int64 product.
     bound = int(np.sqrt((2**24 - 1) / factorial(n))) if side == "float32" else 50_000
     col, w = random_product_operands(n, bound, seed=n)
     sp = regrep._gather(n, col)
     assert sp.dtype == np.int64
     for ws in (w, w[:, 0], w[:, 1:]):
         prod = regrep._product(n, col, ws)
-        assert prod.dtype == np.int64 and chosen[-1] == np.dtype(side).type
+        assert prod.dtype == np.int64
         assert np.array_equal(prod, exact_matmul(sp, ws))
         assert np.array_equal(prod, sp @ ws)
 
@@ -930,9 +913,9 @@ def test_the_n7_high_product_bound_is_below_2_53():
     # N! (N-1)! it was 5040 * (720 * 3402)^2 = 3.0e16, past 2^53.
     rank = regrep.predicted_high_rank(7)
     assert rank == 3402
-    assert regrep._exact_float(5040 * rank**2) is np.float64
+    regrep._check_exact(5040 * rank**2)
     with pytest.raises(ArithmeticError, match=r"integer product bound 3\.0\d*e\+16 is not below 2\^53"):
-        regrep._exact_float(5040 * (720 * rank) ** 2)
+        regrep._check_exact(5040 * (720 * rank) ** 2)
 
 
 @pytest.mark.parametrize("n", [1, 2])
