@@ -416,10 +416,6 @@ def _walk_all(perm: np.ndarray, table: HellmanTable, ys: np.ndarray, lengths) ->
     )
 
 
-def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.permutation(n)
-
-
 def tradeoff_sweep(
     n: int,
     t_values,
@@ -445,7 +441,7 @@ def tradeoff_sweep(
     per_t: list[list[AttackStats]] = [[] for _ in t_values]
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
-        perm = random_permutation(n, rng)
+        perm = rng.permutation(n)
         targets = None
         if sample_targets is not None and sample_targets < n:
             targets = rng.choice(n, size=sample_targets, replace=False)

@@ -121,10 +121,10 @@ def _emit(args, report: dict, passed: bool, csv_text: str | None = None) -> int:
 # Subcommand handlers.
 
 
-# The largest sizes the young modes enumerate: each finishes in under 8 s
+# The largest sizes the young modes enumerate: each finishes in under 10 s
 # and 600 MB on a 2-core host at its bound (branching --n 40: 5.9 s,
-# 540 MB; characters --n 20: 7.7 s, 255 MB), while branching --n 50 runs
-# out of 3 GB and characters --n 24 takes 52 s.
+# 540 MB; characters --n 20: 6.0-9.0 s on a loaded host, 258 MB), while
+# branching --n 50 runs out of 3 GB and characters --n 24 takes 52 s.
 _YOUNG_MAX_N = 40
 _CHARACTERS_MAX_N = 20
 
@@ -157,18 +157,16 @@ def cmd_young(args) -> int:
         return _emit(args, {"n": n, "branching": rows}, ok)
     if mode == "characters":
         # Each printed row must have norm n! (sum over classes of |C| chi^2)
-        # and its value at the identity class must be the hook-formula dim.
-        classes = lams
-        sizes = [young.conjugacy_class_size(c) for c in classes]
-        identity = (1,) * n
-        table = []
+        # and its value at the identity class, the last, must be the
+        # hook-formula dim.
+        sizes = [young.conjugacy_class_size(c) for c in lams]
+        rows = []
         ok = True
-        for lam in lams:
-            values = {c: young.character(lam, c) for c in classes}
-            norm = sum(s * values[c] ** 2 for s, c in zip(sizes, classes))
-            ok &= norm == young.factorial(n) and values[identity] == young.dim(lam)
-            table.append({"lambda": list(lam), "values": {str(list(c)): v for c, v in values.items()}})
-        return _emit(args, {"n": n, "classes": [list(c) for c in classes], "characters": table}, ok)
+        for lam, values in zip(lams, young.character_table(n)):
+            norm = sum(s * v**2 for s, v in zip(sizes, values))
+            ok &= norm == young.factorial(n) and values[-1] == young.dim(lam)
+            rows.append({"lambda": list(lam), "values": {str(list(c)): v for c, v in zip(lams, values)}})
+        return _emit(args, {"n": n, "classes": [list(c) for c in lams], "characters": rows}, ok)
     if mode == "eigenvalues":
         rows = [{"lambda": list(l), "e": _frac(young.eigenvalue_m(l))} for l in lams]
         ok = all(young.eigenvalue_m(l) <= 2 * young.level(l) for l in lams)

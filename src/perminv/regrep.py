@@ -245,27 +245,23 @@ def _product(n: int, col: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _class_data(n: int) -> tuple[np.ndarray, tuple[Partition, ...]]:
-    """Per-element conjugacy class index, read-only int8 (15 classes at
-    N = 7), and the list of cycle types."""
-    types: dict[Partition, int] = {}
-    elem_class = np.empty(factorial(n), dtype=np.int8)
-    for i, p in enumerate(enumerate_group(n)):
-        ct = young.cycle_type(p)
-        elem_class[i] = types.setdefault(ct, len(types))
+def _class_data(n: int) -> np.ndarray:
+    """The class of each element in enumeration order, read-only int8: the
+    index of its cycle type in young.partitions(n) (15 classes at N = 7)."""
+    where = {ct: c for c, ct in enumerate(young.partitions(n))}
+    elem_class = np.array([where[young.cycle_type(p)] for p in enumerate_group(n)], dtype=np.int8)
     elem_class.setflags(write=False)
-    return elem_class, tuple(types)
+    return elem_class
 
 
-def _characters(lam: Partition, types) -> np.ndarray:
-    return np.array([young.character(lam, t) for t in types], dtype=np.int64)
-
-
-def _drop_fixed_point(ct: Partition) -> Partition:
-    """Cycle type on the complement of one fixed point: remove a 1-cycle."""
-    parts = list(ct)
-    parts.remove(1)
-    return tuple(parts)
+@cache
+def _character_table(n: int) -> np.ndarray:
+    """young.character_table(n) as a read-only int64 array: row a is the
+    character of the a-th diagram of young.partitions(n) on each class of
+    _class_data, and the last column, the identity's, the dimensions."""
+    table = np.array(young.character_table(n), dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 @cache
@@ -275,13 +271,11 @@ def _stab_classes(n: int, y: int) -> tuple[np.ndarray, np.ndarray]:
     pi_i^-1 g_s in S_N (_class_data), read off the quotient table as that of
     pi_i g_s^-1, its inverse's conjugate; sub_class[s] is the index in
     young.partitions(n - 1) of the cycle type of g_s off y, its class in
-    Stab(y) = S_{N-1}."""
-    elem_class, types = _class_data(n)
+    Stab(y) = S_{N-1}.  Parts are in descending order, so that cycle type
+    is the one of g_s without its last part, the 1-cycle of y."""
+    elem_class, types, sub_types = _class_data(n), young.partitions(n), young.partitions(n - 1)
     stab = np.flatnonzero(perms_matrix(n)[:, y] == y)
-    sub_types = young.partitions(n - 1)
-    sub_class = np.array(
-        [sub_types.index(_drop_fixed_point(types[elem_class[g]])) for g in stab], dtype=np.int8
-    )
+    sub_class = np.array([sub_types.index(types[c][:-1]) for c in elem_class[stab]], dtype=np.int8)
     cls = elem_class[_quotient_table(n)[:, stab]]
     cls.setflags(write=False)
     sub_class.setflags(write=False)
@@ -323,10 +317,11 @@ def _indicator(n: int, k: int, y: int | None = None) -> np.ndarray:
     return v
 
 
-def _spanned_dim(sums) -> int:
-    """The sum of d_a d_b over the (a, b, s) in sums with s != 0: the
-    dimensions of the components V_a (x) V_b that v does not vanish on."""
-    return sum(young.dim(a) * young.dim(b) for a, b, s in sums if s)
+def _spanned_dim(sums: np.ndarray, n: int, m: int) -> int:
+    """The sum of d_a d_b over the entries sums[a, b] != 0, a the a-th
+    diagram of size n and b the b-th of size m: the dimensions of the
+    components V_a (x) V_b that v does not vanish on."""
+    return int(_character_table(n)[:, -1] @ (sums != 0) @ _character_table(m)[:, -1])
 
 
 @cache
@@ -336,9 +331,8 @@ def subspace_a(n: int, k: int) -> int:
     d_lam chi_lam, so the test is the sum of chi_lam over the support of v,
     the pointwise stabilizer of {0, ..., k-1}."""
     _check_level(n, k)
-    elem_class, types = _class_data(n)
-    fixed = elem_class[np.flatnonzero(_indicator(n, k))]
-    return _spanned_dim((lam, lam, _characters(lam, types)[fixed].sum()) for lam in young.partitions(n))
+    fixed = _class_data(n)[np.flatnonzero(_indicator(n, k))]
+    return _spanned_dim(np.diag(_character_table(n)[:, fixed].sum(axis=1)), n, n)
 
 
 @cache
@@ -352,13 +346,10 @@ def subspace_a_y(n: int, k: int, y: int) -> int:
     _check_challenge(n, y)
     if not k:
         return 0
-    _, types = _class_data(n)
-    sub_types = young.partitions(n - 1)
     cls, sub_class = _stab_classes(n, y)
     rows = cls[np.flatnonzero(_indicator(n, k, y))]
-    lam_sums = {lam: _characters(lam, types)[rows].sum(axis=0) for lam in young.partitions(n)}
-    mu_chars = {mu: _characters(mu, sub_types)[sub_class] for mu in sub_types}
-    return _spanned_dim((lam, mu, a @ b) for lam, a in lam_sums.items() for mu, b in mu_chars.items())
+    lam_sums = np.array([chi[rows].sum(axis=0) for chi in _character_table(n)])
+    return _spanned_dim(lam_sums @ _character_table(n - 1)[:, sub_class].T, n, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +435,9 @@ def _scaled_a(n: int, k: int) -> np.ndarray:
     certified with G = S_N on the indicator of A_k, and on that of A_{k-1}
     for the chain A_{k-1} < A_k.  The two-sided orbit of each indicator is
     the whole spanning set of its subspace."""
-    elem_class, types = _class_data(n)
-    values = sum(young.dim(lam) * _characters(lam, types) for lam in _up_to_level(n, k))
-    col = values[elem_class]
+    lams, table = young.partitions(n), _character_table(n)
+    rows = table[[lams.index(lam) for lam in _up_to_level(n, k)]]
+    col = (rows[:, -1] @ rows)[_class_data(n)]
     fixed = [_indicator(n, j) for j in range(max(k - 1, 0), k + 1)]
     _certify(f"a_projector({n}, {k})", n, col, subspace_a(n, k), fixed=fixed)
     col.setflags(write=False)
@@ -471,13 +462,14 @@ def _branch_sum(n: int, y: int, branches) -> np.ndarray:
     chi_lam(pi_i^-1 g), with chi_mu read on the cycles of g off y, divided
     by (N-1)!.  For the high and low branches that division is exact;
     any remainder raises ArithmeticError, naming the challenge."""
-    _, types = _class_data(n)
-    sub_types = young.partitions(n - 1)
+    lams, sub_types = young.partitions(n), young.partitions(n - 1)
+    table, sub_table = _character_table(n), _character_table(n - 1)
     cls, sub_class = _stab_classes(n, y)
     column = np.zeros(factorial(n), dtype=np.int64)
     for lam, mus in branches:
-        weight = sum(young.dim(mu) * _characters(mu, sub_types) for mu in mus)
-        column += young.dim(lam) * (_characters(lam, types)[cls] @ weight[sub_class])
+        chi = table[lams.index(lam)]
+        rows = sub_table[[sub_types.index(mu) for mu in mus]]
+        column += chi[-1] * (chi[cls] @ (rows[:, -1] @ rows)[sub_class])
     m = factorial(n - 1)
     column, remainder = np.divmod(column, m)
     if remainder.any():
@@ -585,13 +577,9 @@ def _central_element(n: int) -> np.ndarray:
     each class.  e_lam d_lam = N (d_lam - d'_lam) makes it an integer, which
     float64 holds exactly; a wrong e_lam may leave a fraction, which then
     cannot equal the integer N! M."""
-    elem_class, types = _class_data(n)
-    lams = young.partitions(n)
-    values = [
-        float(sum(young.eigenvalue_m(lam) * young.dim(lam) * young.character(lam, ct) for lam in lams))
-        for ct in types
-    ]
-    return np.array(values)[elem_class]
+    table = _character_table(n)
+    weights = [young.eigenvalue_m(lam) * int(d) for lam, d in zip(young.partitions(n), table[:, -1])]
+    return (np.array(weights) @ table.astype(object)).astype(np.float64)[_class_data(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,15 @@ def character(lam: Partition, cycles: Partition) -> int:
     return _mn(lam, tuple(sorted(cycles, reverse=True)))
 
 
+def character_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The character table of S_n: row a holds the character of the a-th
+    diagram of partitions(n), column c its value on the c-th cycle type of
+    partitions(n), so the last column, the identity's, holds the
+    dimensions.  ((1,),) at n = 0."""
+    classes = partitions(n)
+    return tuple(tuple(character(lam, c) for c in classes) for lam in classes)
+
+
 def identities_report(max_n: int) -> dict:
     """Exhaustive exact identity sweep up to max_n.
 
@@ -239,14 +248,13 @@ def identities_report(max_n: int) -> dict:
     orth_failures = []
     for n in range(1, char_max_n + 1):
         classes = partitions(n)
-        sizes = {c: conjugacy_class_size(c) for c in classes}
-        tables = {lam: {c: character(lam, c) for c in classes} for lam in classes}
+        sizes = [conjugacy_class_size(c) for c in classes]
+        table = character_table(n)
         for i, lam in enumerate(classes):
-            for mu in classes[i:]:
-                inner = sum(sizes[c] * tables[lam][c] * tables[mu][c] for c in classes)
-                want = factorial(n) if lam == mu else 0
-                if inner != want:
-                    orth_failures.append({"n": n, "lambda": list(lam), "mu": list(mu)})
+            for j in range(i, len(classes)):
+                inner = sum(map(prod, zip(sizes, table[i], table[j])))
+                if inner != (factorial(n) if i == j else 0):
+                    orth_failures.append({"n": n, "lambda": list(lam), "mu": list(classes[j])})
     passed = not (
         branching_failures or burnside_failures or ratio_failures or eig_failures or orth_failures
     )

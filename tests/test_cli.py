@@ -476,11 +476,18 @@ def _stabilizer_of_one_more_point(monkeypatch):
 
 
 def _dropped_pair(monkeypatch):
-    # The count of every A_k^y skips the pair lam = (3, 1), mu = (2, 1).
+    # The count of every A_k^y skips the pair lam = (3, 1), mu = (2, 1): its
+    # entry of the (lam, mu) sums is zeroed.
     real = regrep._spanned_dim
-    monkeypatch.setattr(
-        regrep, "_spanned_dim", lambda sums: real(s for s in sums if s[:2] != ((3, 1), (2, 1)))
-    )
+    pair = young.partitions(4).index((3, 1)), young.partitions(3).index((2, 1))
+
+    def dropped(sums, n, m):
+        if (n, m) == (4, 3):
+            sums = sums.copy()
+            sums[pair] = 0
+        return real(sums, n, m)
+
+    monkeypatch.setattr(regrep, "_spanned_dim", dropped)
 
 
 @pytest.mark.parametrize(
@@ -523,7 +530,7 @@ def test_module_entry_point():
 
 
 def test_certification_failure_is_a_failing_verdict(capsys, monkeypatch):
-    def refuse(sums):
+    def refuse(*args):
         raise ArithmeticError("dimension count refused")
 
     # A fresh cache, so decomp-check --n 3 counts its dimensions in this

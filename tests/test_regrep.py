@@ -311,13 +311,22 @@ def test_quotient_table_build_holds_no_intp_code_matrix(fresh_caches):
     assert peak < 720**2 * np.dtype(np.intp).itemsize, peak
 
 
+def drop_fixed_point(ct):
+    """The cycle type on the complement of one fixed point: ct without one
+    of its 1-cycles."""
+    parts = list(ct)
+    parts.remove(1)
+    return tuple(parts)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stab_classes_match_the_composition_reference(n):
-    # The class of each element against an int64 rebuild from its cycle
-    # type; cls[i, s], the class of pi_i^-1 g_s, read off the quotient table
-    # as that of pi_i g_s^-1, against the composition table; sub_class
-    # against the cycle types off y, for every y.  All three are int8.
-    elem_class, types = regrep._class_data(n)
+    # The class of each element against an int64 rebuild, the index of its
+    # cycle type in young.partitions(n); cls[i, s], the class of
+    # pi_i^-1 g_s, read off the quotient table as that of pi_i g_s^-1,
+    # against the composition table; sub_class against the cycle types off
+    # y, for every y.  All three are int8.
+    elem_class, types = regrep._class_data(n), young.partitions(n)
     rebuilt = np.array([types.index(young.cycle_type(p)) for p in regrep.enumerate_group(n)], dtype=np.int64)
     assert elem_class.dtype == np.int8 and np.array_equal(elem_class, rebuilt)
     comp, inv = composition_table(n), argsort_inverses(n)
@@ -328,12 +337,13 @@ def test_stab_classes_match_the_composition_reference(n):
         assert cls.dtype == sub_class.dtype == np.int8, y
         assert np.array_equal(cls, rebuilt[comp[np.ix_(inv, stab)]]), y
         cycle_types = [young.cycle_type(regrep.enumerate_group(n)[g]) for g in stab]
-        assert [sub_types[c] for c in sub_class] == [regrep._drop_fixed_point(ct) for ct in cycle_types], y
+        assert [sub_types[c] for c in sub_class] == [drop_fixed_point(ct) for ct in cycle_types], y
 
 
 def test_cached_tables_are_read_only():
     n = 4
-    for table in (regrep._quotient_table(n), regrep._inverses(n), regrep._class_data(n)[0], *regrep._stab_classes(n, 1)):
+    tables = (regrep._quotient_table(n), regrep._inverses(n), regrep._class_data(n), regrep._character_table(n))
+    for table in (*tables, *regrep._stab_classes(n, 1)):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
@@ -804,11 +814,37 @@ def test_gather_commutes_with_right_multiplication(n):
         assert np.array_equal(sp[r_b][:, r_b], sp), b
 
 
+def character_calls(monkeypatch, run) -> int:
+    """The number of young.character calls that run() makes."""
+    calls = []
+    character = young.character
+
+    def counting(lam, cycles):
+        calls.append(1)
+        return character(lam, cycles)
+
+    monkeypatch.setattr(young, "character", counting)
+    run()
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "run, most",
+    [(lambda: regrep.decomposition_report(5), 7**2 + 5**2), (lambda: regrep.spectrum(6), 11**2 + 7**2)],
+    ids=["decomposition-5", "spectrum-6"],
+)
+def test_one_character_table_per_size(run, most, fresh_caches, monkeypatch):
+    # Every character a cold run reads comes from one table of S_N and one
+    # of S_{N-1}, P(N)^2 + P(N-1)^2 calls at most: 74 at N = 5 and 170 at
+    # N = 6, where a vector rebuilt per read took 1953 and 2034.
+    assert 0 < character_calls(monkeypatch, run) <= most
+
+
 def test_rank_claimed_one_too_high_fails_the_trace_check(fresh_caches, monkeypatch):
     # A dimension counted one too high must still be caught: certificate (c)
     # compares the trace of N! P_{A_1} with N! times the counted rank 27.
     count = regrep._spanned_dim
-    monkeypatch.setattr(regrep, "_spanned_dim", lambda sums: count(sums) + 1)
+    monkeypatch.setattr(regrep, "_spanned_dim", lambda *args: count(*args) + 1)
     with pytest.raises(ArithmeticError, match=r"a_projector\(6, 1\): \(c\) trace 18720 is not 720 \* rank 27"):
         regrep.a_projector(6, 1)
 
@@ -877,7 +913,7 @@ def d_scaled_branch_sum(n: int, y: int, branches) -> np.ndarray:
         chi_lam = np.array([young.character(lam, ct) for ct in cycle_types], dtype=np.int64)
         for mu in mus:
             for g in np.flatnonzero(regrep.perms_matrix(n)[:, y] == y):
-                chi_mu = young.character(mu, regrep._drop_fixed_point(cycle_types[g]))
+                chi_mu = young.character(mu, drop_fixed_point(cycle_types[g]))
                 col += young.dim(lam) * young.dim(mu) * chi_mu * chi_lam[comp[inv, g]]
     return col
 
@@ -893,10 +929,11 @@ def test_d_scaled_branch_sums_are_n_minus_1_factorial_times_the_kept_columns(n):
         assert np.array_equal(d_scaled_branch_sum(n, 0, branches), factorial(n - 1) * kept)
 
 
-def test_a_branch_sum_with_a_remainder_is_refused(monkeypatch):
+def test_a_branch_sum_with_a_remainder_is_refused(fresh_caches, monkeypatch):
     # chi_(3, 1) moved by 1 on the class (2, 1, 1): the D-scaled high branch
     # sum at n = 4 is no longer a multiple of 3! at any challenge, and the
-    # division refuses it, naming the challenge, instead of rounding.
+    # division refuses it, naming the challenge, instead of rounding.  The
+    # fresh caches let the moved value reach the character table.
     real = young.character
     monkeypatch.setattr(young, "character", lambda lam, ct: real(lam, ct) + ((lam, ct) == ((3, 1), (2, 1, 1))))
     branches = regrep._high_branches(4)
@@ -990,8 +1027,8 @@ def isotypic_projector(n: int, lam) -> np.ndarray:
     two-sided isotypic component coincides with the one-sided one, so it has
     rank d_lam^2.  The float reference for the central element."""
     f = factorial(n)
-    elem_class, types = regrep._class_data(n)
-    chars = np.array([young.character(lam, ct) for ct in types], dtype=float)
+    elem_class = regrep._class_data(n)
+    chars = np.array([young.character(lam, ct) for ct in young.partitions(n)], dtype=float)
     comp, inv = composition_table(n), argsort_inverses(n)
     p = np.zeros((f, f))
     cols = np.arange(f)
@@ -1378,11 +1415,11 @@ def scaled_pmp_reference(n: int, k: int) -> np.ndarray:
     central sum of e_lam times each, so the product is the sum of
     e_lam Pi_lam over level <= k, and N! Pi_lam has the column
     d_lam chi_lam.  Summed as Fractions per class; each must be an integer."""
-    elem_class, types = regrep._class_data(n)
+    elem_class = regrep._class_data(n)
     lams = [lam for lam in young.partitions(n) if young.level(lam) <= k]
     values = [
         factorial(n) ** 2 * sum(young.eigenvalue_m(lam) * young.dim(lam) * young.character(lam, ct) for lam in lams)
-        for ct in types
+        for ct in young.partitions(n)
     ]
     assert all(Fraction(v).denominator == 1 for v in values), values
     return np.array([int(v) for v in values], dtype=np.int64)[elem_class]

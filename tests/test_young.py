@@ -516,6 +516,23 @@ def test_character_orthogonality_exact():
                 assert inner == (factorial(n) if lam == mu else 0)
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_character_table_is_the_characters_in_partition_order(n):
+    # Row a, column c is chi of the a-th diagram on the c-th cycle type, the
+    # last column is the dimensions, and the columns are orthogonal:
+    # sum over lam of chi_lam(c) chi_lam(c') = delta_cc' n! / |c|.  S_0 has
+    # the one entry 1.
+    classes = young.partitions(n)
+    table = young.character_table(n)
+    assert n or table == ((1,),)
+    assert table == tuple(tuple(young.character(lam, c) for c in classes) for lam in classes)
+    assert [row[-1] for row in table] == [young.dim(lam) for lam in classes]
+    for i, c in enumerate(classes):
+        for j in range(len(classes)):
+            column_product = sum(row[i] * row[j] for row in table)
+            assert column_product == (factorial(n) // young.conjugacy_class_size(c) if i == j else 0), (c, j)
+
+
 def test_character_size_mismatch_raises():
     with pytest.raises(ValueError):
         young.character((2, 1), (2, 2))
