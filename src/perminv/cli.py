@@ -23,6 +23,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from perminv import __version__, attacks, querysim, regrep, young
 
@@ -310,7 +311,10 @@ def cmd_hellman(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: every parse starts from its defaults,
+    and --t's append list is made anew from its None default."""
     parser = argparse.ArgumentParser(
         prog="perminv",
         description="Verification suites for permutation-inversion tradeoffs.",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import asin, factorial, sin, sqrt
+from math import asin, factorial, hypot, sin, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -272,8 +272,10 @@ def _game(
     highs = []
     for y in ys:
         masses = [] if high else None
-        s = _play(state.copy(), program.online[y], norms, lemma, program.p, y, masses)
-        per.append({"y": y, "p_succ": success_probability(s, y)})
+        # The final state is read once and dropped before the next play.
+        final = _play(state.copy(), program.online[y], norms, lemma, program.p, y, masses)
+        per.append({"y": y, "p_succ": success_probability(final, y)})
+        del final
         highs.append(masses)
     avg = float(np.mean([row["p_succ"] for row in per]))
     passed = all(abs(v - 1.0) <= 1e-9 for v in norms) and all(
@@ -308,22 +310,26 @@ def run_bit_fixing(program: AlgorithmProgram, challenge: int | str = "all") -> G
     return _game(program, ys)[0]
 
 
-def _project(proj: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """proj @ flat for a real projector and complex columns, as one real
-    product over the interleaved real and imaginary parts, so the projector
-    is never copied to complex."""
-    flat = np.ascontiguousarray(flat, dtype=np.complex128)
-    return (proj @ flat.view(np.float64)).view(np.complex128)
+def _project(n: int, column: np.ndarray, flat: np.ndarray):
+    """(rows, (S flat)[rows] / N!) for S = regrep._gather(n, column), N!
+    times a real projector, complex columns flat and each row block rows:
+    one real product over the interleaved real and imaginary parts per row
+    block of the column over N! (regrep._row_products), so no dense
+    projector is gathered or copied to complex, and no whole projection is
+    held."""
+    real = np.ascontiguousarray(flat, dtype=np.complex128).view(np.float64)
+    for rows, block in regrep._row_products(n, column / factorial(n), real):
+        yield rows, block.view(np.complex128)
 
 
 def support_residual(amps: np.ndarray, k: int) -> float:
-    """Norm of the oracle-side component outside A_k after k queries."""
+    """Norm of the oracle-side component outside A_k after k queries: the
+    norms of its row blocks, joined by hypot."""
     n = amps.shape[1]
     if k >= n - 1:  # A_{n-1} is already the whole group algebra
         return 0.0
     flat = amps.reshape(factorial(n), -1)
-    resid = flat - _project(regrep.a_projector(n, k), flat)
-    return float(np.linalg.norm(resid))
+    return hypot(*(np.linalg.norm(flat[rows] - p) for rows, p in _project(n, regrep._scaled_a(n, k), flat)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +337,12 @@ def support_residual(amps: np.ndarray, k: int) -> float:
 
 
 def _high_mass(amps: np.ndarray, y: int) -> float:
+    """Norm of the component in the high subspace of challenge y, from the
+    column of N! P_y (regrep._relabeled); hypot joins the row blocks."""
     n = amps.shape[1]
     flat = amps.reshape(factorial(n), -1)
-    return float(np.linalg.norm(_project(regrep.high_projection(n, y), flat)))
+    col = regrep._relabeled(n, regrep._scaled_high_0(n), y)
+    return hypot(*(np.linalg.norm(p) for _, p in _project(n, col, flat)))
 
 
 @dataclass

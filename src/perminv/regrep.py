@@ -24,10 +24,14 @@ of a high or low projector comes out as (N-1)! times that, and the
 division by (N-1)! is exact or raises.  Each commutes with right
 multiplication, so it is kept as its column 0, N! integers whose entry at
 the identity is the rank, and S[i, j] is the column's entry at
-pi_i pi_j^-1, read through one cached quotient table.  A dense matrix is
-gathered only in float: for a public reader, from the column over N!, and
-for an exact product S w, from the column cast to float64, and then only on
-the columns of S where w is nonzero.  No integer N! x N! matrix is formed.
+pi_i pi_j^-1, read through one cached quotient table.  Every operator is
+read through one gather of that table, _gather, a block of _BLOCK rows (or
+columns) at a time, in float: an exact product S w from the column cast
+to float64, and then only on the columns of S where w is nonzero, and the
+average bound's samples and the query simulator's projections from the
+column over N!.  No integer N! x N! matrix is formed, and no float one
+either, except by the public dense readers, which gather the column over
+N! whole.
 Each is certified exactly against the counted dimensions, on its column
 where it can be: symmetric, idempotent, of the counted trace, fixing the
 subspace it must hold, and commuting with left multiplication by S_N, or by
@@ -51,9 +55,11 @@ transpositions by axial distances alone, certified against the Coxeter
 relations, and independent of the characters everything else is built
 from.  No N! x N! matrix is gathered or solved for a spectrum.
 
-The size cap is N = 6 (dimension 720).  At N = 7 the int16 quotient table
-takes 51 MB, and each dense 5040^2 float matrix that an exact product with
-a full-support vector or a public reader gathers takes 203 MB.
+The size cap is N = 6 (dimension 720), set by the cached N!^2 int16
+quotient table, which takes 1 MB at N = 6 and 51 MB at N = 7.  A block of
+the table and the float operator gathered from it take at most
+_BLOCK N! entries each, and only a public dense reader forms a whole
+N! x N! float matrix, 203 MB at N = 7.
 """
 
 from __future__ import annotations
@@ -69,18 +75,19 @@ import numpy as np
 from perminv import young
 from perminv.young import Partition
 
-_MAX_N = 6  # the N! x N! quotient table and the dense float gathers it indexes
+_MAX_N = 6  # the cached N!^2 int16 quotient table: 1 MB at N = 6, 51 MB at N = 7
+_BLOCK = 128  # rows (or columns) of an operator read at once; one block at N <= 5
 
 
 class CapacityError(ValueError):
-    """Requested N needs dense matrices beyond the size cap."""
+    """Requested N is past the size cap of the quotient table."""
 
 
 def _check_n(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > _MAX_N:
-        raise CapacityError(f"n = {n} exceeds the cap {_MAX_N} on dense N! x N! matrices")
+        raise CapacityError(f"n = {n} exceeds the cap {_MAX_N} of the N!^2 int16 quotient table, 51 MB at N = 7")
 
 
 def _check_level(n: int, k: int) -> None:
@@ -147,18 +154,22 @@ def _quotient_table(n: int) -> np.ndarray:
     takes 1 MB at N = 6.
 
     The code of pi_i pi_j^-1 in _index_table is sum_x pi_i(pi_j^-1(x)) n^x
-    = sum_y pi_i(y) n^(pi_j(y)), so all N!^2 codes are the one integer
-    product perms @ (n ** perms).T, in int32: every code is below n**n,
-    which int32 holds for n <= 9, and an int32 index array is read without
-    the intp copy that take would make.  ArithmeticError if a code is not a
-    permutation's, which only a row of perms that is not one can cause; a
-    code past either end of the table is clipped to its end, all 0s or all
-    n-1s, which is -1 for n >= 2."""
+    = sum_y pi_i(y) n^(pi_j(y)), so the codes of a block of rows are the
+    one integer product perms[rows] @ (n ** perms).T, in int32: every code
+    is below n**n, which int32 holds for n <= 9, and an int32 index array is
+    read without the intp copy that take would make.  The table is filled
+    one block of _BLOCK rows at a time, so at most _BLOCK N! codes are held.
+    ArithmeticError if a code is not a permutation's, which only a row of
+    perms that is not one can cause; a code past either end of the table is
+    clipped to its end, all 0s or all n-1s, which is -1 for n >= 2."""
     perms = perms_matrix(n).astype(np.int32)
-    codes = perms @ (n**perms).T
-    quot = _index_table(n)[codes.clip(0, n**n - 1, out=codes)]
-    if (quot < 0).any():
-        raise ArithmeticError(f"quotient table of S_{n}: a product is not a permutation")
+    powers = (n**perms).T
+    quot = np.empty((len(perms), len(perms)), dtype=np.int16)
+    for rows in _blocks(n):
+        codes = perms[rows] @ powers
+        quot[rows] = _index_table(n)[codes.clip(0, n**n - 1, out=codes)]
+        if (quot[rows] < 0).any():
+            raise ArithmeticError(f"quotient table of S_{n}: a product is not a permutation")
     quot.setflags(write=False)
     return quot
 
@@ -208,10 +219,18 @@ def _check_exact(bound: int) -> None:
         raise ArithmeticError(f"integer product bound {float(bound):.3e} is not below 2^53")
 
 
-def _gather(n: int, column: np.ndarray, cols=slice(None)) -> np.ndarray:
+def _blocks(n: int) -> list[slice]:
+    """The row (or column) blocks an operator is read in: _BLOCK at a time
+    over range(N!), the last one shorter."""
+    return [slice(lo, lo + _BLOCK) for lo in range(0, factorial(n), _BLOCK)]
+
+
+def _gather(n: int, column: np.ndarray, rows=slice(None), cols=slice(None)) -> np.ndarray:
     """The N! x N! matrix with entry [i, j] = column[index of pi_i pi_j^-1],
-    or its columns cols: one gather through the cached quotient table, in
-    the dtype of column.
+    or its block [rows, cols]: one gather through the cached quotient
+    table, in the dtype of column.  Every verdict path reads a block of
+    _blocks(n) at a time (_row_products, _apply_right); only the public
+    dense readers gather the whole matrix.
 
     Any matrix that commutes with right multiplication has this form, with
     its own column 0 as column; so has a class function of pi_i^-1 pi_j,
@@ -220,24 +239,45 @@ def _gather(n: int, column: np.ndarray, cols=slice(None)) -> np.ndarray:
     in column 0, so a max over the matrix is the max over its column.
     Conjugating the column by a, column[index of a pi a^-1], gathers
     A^-1 S A for A the left multiplication by a."""
-    return column[_quotient_table(n)[:, cols]]
+    return column[_quotient_table(n)[rows, cols]]
+
+
+def _row_products(n: int, column: np.ndarray, x: np.ndarray, cols=slice(None)):
+    """(rows, S[rows, cols] x) for S = _gather(n, column) and each row
+    block rows of _blocks(n), one block gathered at a time."""
+    for rows in _blocks(n):
+        yield rows, _gather(n, column, rows, cols) @ x
+
+
+def _apply_right(n: int, x: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """x S for S = _gather(n, column) and x a float matrix of N! columns,
+    filled one column block of _blocks(n) at a time."""
+    out = np.empty_like(x)
+    for cols in _blocks(n):
+        out[:, cols] = x @ _gather(n, column, cols=cols)
+    return out
 
 
 def _product(n: int, col: np.ndarray, w: np.ndarray) -> np.ndarray:
     """S w for S = _gather(n, col), col an integer column and w an integer
     vector or matrix of N! rows, exact, as int64: the one exact product of
     an operator.  Every partial sum is an integer of magnitude at most
-    N! max|col| max|w|, which _check_exact holds below 2^53.  Every such
-    integer is a float64, so each product and partial sum is exact and any
-    summation order gives the same bits (Dumas, Giorgi and Pernet, ACM TOMS
-    2008): the column is cast to float64 before it is gathered, and every
-    vector of w is multiplied in one matrix product.  Only the columns of S
-    on the rows where w is nonzero are gathered: for an indicator of K_I,
-    (S v)[i] is the sum of col[index of pi_i pi_j^-1] over the pi_j in K_I."""
+    N! max|col| max|w|, which _check_exact holds below 2^53 before any
+    block is gathered.  Every such integer is a float64, so each product
+    and partial sum is exact and any summation order gives the same bits
+    (Dumas, Giorgi and Pernet, ACM TOMS 2008), at any block height: the
+    column is cast to float64, and every vector of w is multiplied in one
+    matrix product per row block (_row_products), filling the int64 result.
+    Only the columns of S on the rows where w is nonzero are gathered: for
+    an indicator of K_I, (S v)[i] is the sum of col[index of pi_i pi_j^-1]
+    over the pi_j in K_I."""
     _check_exact(factorial(n) * _max_abs(col) * _max_abs(w))
-    rows = np.flatnonzero(w if w.ndim == 1 else w.any(axis=1))
-    cols = slice(None) if rows.size == len(w) else rows
-    return (_gather(n, col.astype(np.float64), cols) @ w[cols].astype(np.float64)).astype(np.int64)
+    support = np.flatnonzero(w if w.ndim == 1 else w.any(axis=1))
+    cols = slice(None) if support.size == len(w) else support
+    out = np.empty(w.shape, dtype=np.int64)
+    for rows, block in _row_products(n, col.astype(np.float64), w[cols].astype(np.float64), cols):
+        out[rows] = block
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -813,19 +853,20 @@ def avg_bound_check(n: int, k: int, samples: int = 100, seed: int = 0) -> AvgBou
     _check_level(n, k)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    col_p = _scaled_a(n, k)
+    f, col_p = factorial(n), _scaled_a(n, k)
     pmp = _product(n, col_p, _product(n, _scaled_m(n), col_p))
-    exact_max = float(_block_eigenvalues(n, pmp / factorial(n) ** 3).max()) / n
+    exact_max = float(_block_eigenvalues(n, pmp / f**3).max()) / n
     predicted = max_level_eigenvalue(n, k) / n
     bound = Fraction(2 * k, n)
 
     # Sample s is x = P g / |P g| for g = g[2s] + i g[2s + 1]; M is real
     # symmetric, so x^H M x sums the real and imaginary parts' forms.  The
     # draw is the (samples, 2, N!) stream in the same order, flattened, so
-    # each operator is one matrix product over all 2 * samples rows, and
-    # only one dense operator is gathered at a time.
-    g = np.random.default_rng(seed).standard_normal((2 * samples, factorial(n))) @ a_projector(n, k)
-    gm = (g @ build_m(n)).reshape(samples, 2, -1)
+    # each operator is one matrix product over all 2 * samples rows per
+    # column block of the column over N! (_apply_right), and the draw is
+    # freed before M's pass.
+    g = _apply_right(n, np.random.default_rng(seed).standard_normal((2 * samples, f)), col_p / f)
+    gm = _apply_right(n, g, _scaled_m(n) / f).reshape(samples, 2, -1)
     g = g.reshape(samples, 2, -1)
     mass = np.einsum("sij,sij->s", g, gm) / np.einsum("sij,sij->s", g, g)
     worst = max(0.0, float(mass.max()) / n)

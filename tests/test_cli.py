@@ -87,6 +87,19 @@ def test_hellman_csv(capsys):
         assert line.split(",")[6] == "1.0"
 
 
+def test_one_parser_leaks_nothing_between_parses():
+    # build_parser is built once per process; each parse starts from its
+    # defaults, so an appended --t list or another command's options do not
+    # carry over.
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["hellman", "--t", "16", "--t", "32"])
+    assert first.t == [16, 32]
+    assert parser.parse_args(["hellman"]).t is None
+    assert parser.parse_args(["hellman", "--t", "8"]).t == [8] and first.t == [16, 32]
+    assert not hasattr(parser.parse_args(["spectrum", "--n", "3"]), "t")
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["game", "--n", "3", "--p", "1", "--t", "1", "--seed", "5"]
     _, first = run_cli(argv, capsys)

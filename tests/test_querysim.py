@@ -2,6 +2,7 @@
 support and progress bounds, Grover, and the alternating-measurement game."""
 
 import math
+import tracemalloc
 from math import asin, factorial, sin
 
 import numpy as np
@@ -302,6 +303,58 @@ def test_support_negative_control_wrong_k():
         state = qs.apply_step(state, step)
     assert qs.support_residual(state, 3) <= 1e-8
     assert qs.support_residual(state, 2) > 1e-3
+
+
+@pytest.mark.parametrize("block", [7, regrep._BLOCK])
+def test_blocked_masses_and_residuals_match_the_dense_projectors(block, monkeypatch):
+    # At N = 6, read in row blocks of 7 rows or of the default height, the
+    # high masses and support residuals of a state after two generic
+    # queries are within 1e-12 of the products with the dense
+    # high_projection and a_projector.
+    monkeypatch.setattr(regrep, "_BLOCK", block)
+    n = 6
+    program = qs.random_program(n, 2, 0, seed=5)
+    state = qs.init_state(program.layout)
+    for step in program.offline:
+        state = qs.apply_step(state, step)
+    flat = state.reshape(factorial(n), -1)
+    for y in range(n):
+        dense = np.linalg.norm(regrep.high_projection(n, y) @ flat)
+        assert abs(qs._high_mass(state, y) - dense) <= 1e-12, y
+    residuals = [qs.support_residual(state, k) for k in range(n - 1)]
+    for k, residual in enumerate(residuals):
+        assert abs(residual - np.linalg.norm(flat - regrep.a_projector(n, k) @ flat)) <= 1e-12, k
+    assert residuals[0] > 1e-3 and residuals[2] <= 1e-8
+
+
+def test_game_reads_no_high_column(monkeypatch):
+    # The high masses read the column of N! P_0; a game without them must
+    # not build it.
+    def refuse(n):
+        raise AssertionError("run_bit_fixing read the column of N! P_0")
+
+    monkeypatch.setattr(regrep, "_scaled_high_0", refuse)
+    assert qs.run_bit_fixing(qs.random_program(4, 1, 1, seed=4)).passed
+    with pytest.raises(AssertionError, match="read the column"):
+        qs.check_progress_inequalities(qs.random_program(4, 1, 1, seed=4))
+
+
+def test_warm_progress_check_holds_under_one_dense_operator():
+    # The masses and residuals read their projectors one row block at a
+    # time, and each challenge's final state is dropped before the next
+    # play: a warm N = 6 check_progress_inequalities traces less than one
+    # dense 720 x 720 float64 operator, 4.15 MB, where dense projectors
+    # traced 8.3 MB.
+    program = qs.random_program(6, 0, 1, 1)
+    qs.check_progress_inequalities(program)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        qs.check_progress_inequalities(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 720**2 * 8, peak
 
 
 # ---------------------------------------------------------------------------

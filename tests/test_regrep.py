@@ -24,12 +24,13 @@ Character cross-check: traces of the one-sided action restricted to an
 isotypic block, from a test-local float isotypic projector.
 Exact products: the quotient table and the Stab(y) classes against a
 test-local composition table, and every product against the dense exact
-product of the gathered int64 matrix, which regrep itself never forms.
+product of the gathered int64 matrix, which regrep itself never forms, at
+block heights of one row, of 7 rows and of all of them.
 The average bound's exact column of P_{A_k} M P_{A_k} against its column
 summed from characters.  The eigenvalue readouts off the Fourier blocks
 against the dense eigvalsh of M and of that column gathered, and the peak
-memory of the readouts and of the quotient table's build under
-tracemalloc.
+memory of the readouts, of the build of M and of the quotient table's
+build under tracemalloc.
 """
 
 import re
@@ -303,12 +304,25 @@ def traced_peak(call) -> int:
 
 
 def test_quotient_table_build_holds_no_intp_code_matrix(fresh_caches):
-    # The codes are int32 and indexed without an intp copy: a cold
-    # _quotient_table(6) traces less than one 720 x 720 intp matrix, 4.1 MB,
-    # where intp codes read through take traced 5.2 MB.
+    # The codes are int32, indexed without an intp copy, and made one row
+    # block at a time: a cold _quotient_table(6) traces less than 2.6 MB,
+    # the 1.04 MB table and one block's codes, where the whole int32 code
+    # matrix traced 3.6 MB and intp codes read through take 5.2 MB.
     regrep._index_table(6)
     peak = traced_peak(lambda: regrep._quotient_table(6))
-    assert peak < 720**2 * np.dtype(np.intp).itemsize, peak
+    assert peak < 2.6e6, peak
+
+
+BLOCK_HEIGHTS = [1, 7, 720]  # one row; one that divides neither 120 nor 720; at least N!
+
+
+@pytest.mark.parametrize("block", BLOCK_HEIGHTS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_quotient_table_is_the_same_at_every_block_height(n, block, fresh_caches, monkeypatch):
+    monkeypatch.setattr(regrep, "_BLOCK", block)
+    quot = regrep._quotient_table(n)
+    assert quot.dtype == np.int16 and not quot.flags.writeable
+    assert np.array_equal(quot, quotient_table_reference(n))
 
 
 def drop_fixed_point(ct):
@@ -661,6 +675,50 @@ def test_product_past_2_53_is_refused(n):
     assert regrep._product(n, col, w)[0] == col[0] == 2**53 // f
 
 
+def certified_columns(n: int) -> list[np.ndarray]:
+    """The certified columns every exact product reads: N! P_{A_k} for each
+    k, N! P_0 and N! M."""
+    return [*(regrep._scaled_a(n, k) for k in range(n)), regrep._scaled_high_0(n), regrep._scaled_m(n)]
+
+
+@pytest.mark.parametrize("block", BLOCK_HEIGHTS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_blocked_product_is_the_whole_gather_times_w(n, block, monkeypatch):
+    # At every block height, _product is bitwise the product of the whole
+    # float64 gather with w, and the int64 product: for a random column
+    # and w with a third of its rows zero, and for each certified column
+    # times itself, a random integer w and the indicator of A_1.
+    certified = certified_columns(n)
+    monkeypatch.setattr(regrep, "_BLOCK", block)
+    f = factorial(n)
+    rng = np.random.default_rng(n)
+    cases = [random_product_operands(n, 1000, seed=n)]
+    for col in certified:
+        cases += [(col, col), (col, rng.integers(-9, 10, size=(f, 2))), (col, regrep._indicator(n, min(1, n - 1)))]
+    for col, w in cases:
+        prod = regrep._product(n, col, w)
+        dense = regrep._gather(n, col.astype(np.float64)) @ w.astype(np.float64)
+        assert prod.dtype == np.int64 and prod.shape == w.shape
+        assert np.array_equal(prod, dense.astype(np.int64))
+        assert np.array_equal(prod, regrep._gather(n, col.astype(np.int64)) @ w.astype(np.int64))
+
+
+def test_product_past_2_53_is_refused_before_any_gather(monkeypatch):
+    n = 6
+    f = factorial(n)
+    gathered = []
+    gather = regrep._gather
+    monkeypatch.setattr(regrep, "_gather", lambda *args: gathered.append(1) or gather(*args))
+    col, w = np.zeros(f, dtype=np.int64), np.ones(f, dtype=np.int64)
+    col[0] = 2**53 // f + 1
+    with pytest.raises(ArithmeticError, match=r"integer product bound .* is not below 2\^53"):
+        regrep._product(n, col, w)
+    assert not gathered
+    col[0] -= 1
+    regrep._product(n, col, w)
+    assert len(gathered) == len(regrep._blocks(n)) == 6
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_high_increments_match_the_dense_products(n):
     # Each increment, from the columns on the support of its indicator
@@ -783,23 +841,26 @@ def test_one_more_product_column_breaks_the_column_pin(fresh_caches, monkeypatch
 
 def test_no_integer_operator_is_gathered_at_n6(fresh_caches, monkeypatch):
     # A cold spectrum(6), decomposition_report(6) and avg_bound_check(6, 3)
-    # gather every dense operator in float, and the exact products gather
-    # their columns in float too: no integer 720 x 720 matrix is formed.
+    # gather every operator in float, one block at a time: each read has at
+    # most _BLOCK rows, or, for the samples' column blocks, _BLOCK columns,
+    # so no 720 x 720 matrix, integer or float, is formed.
     gathered = []
     gather = regrep._gather
 
-    def recording(n, column, cols=slice(None)):
-        sp = gather(n, column, cols)
-        gathered.append((sp.dtype, sp.shape))
+    def recording(n, column, rows=slice(None), cols=slice(None)):
+        sp = gather(n, column, rows, cols)
+        gathered.append((sp.dtype, sp.shape, cols))
         return sp
 
     monkeypatch.setattr(regrep, "_gather", recording)
     assert regrep.spectrum(6).passed
     assert regrep.decomposition_report(6).passed
     assert regrep.avg_bound_check(6, 3).passed
-    assert all(dtype.kind == "f" for dtype, _ in gathered), gathered
-    assert (720, 720) in {shape for _, shape in gathered}
-    assert any(shape[1] < 720 for _, shape in gathered)  # the increments read only their supports
+    assert all(dtype.kind == "f" for dtype, _, _ in gathered), gathered
+    assert all(min(shape) <= regrep._BLOCK for _, shape, _ in gathered), gathered
+    assert all(shape[0] <= regrep._BLOCK for _, shape, cols in gathered if not isinstance(cols, slice))
+    # the increments read only their supports
+    assert any(isinstance(cols, np.ndarray) and shape[1] < 720 for _, shape, cols in gathered)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1343,18 +1404,28 @@ def test_block_readout_is_the_dense_eigensolve_of_m(n):
 def test_block_readouts_gather_and_solve_no_dense_operator(monkeypatch):
     # A warm spectrum(6) gathers nothing, and neither it nor
     # avg_bound_check(6, 3) hands eigvalsh more than one 16 x 16 block.
-    # avg_bound_check gathers four times: the operators of its two exact
-    # products, and P_{A_3} and M for the samples; the readout of the
-    # product's column gathers nothing.
+    # avg_bound_check reads four operators, each in the six blocks of
+    # _blocks(6), and no read is taller than a block: the operators of its
+    # two exact products in row blocks, and P_{A_3} and M for the samples
+    # in column blocks, _BLOCK wide; the readout of the product's column
+    # gathers nothing.
     regrep.avg_bound_check(6, 3)
     gathered, solved = [], []
     gather, eigvalsh = regrep._gather, np.linalg.eigvalsh
-    monkeypatch.setattr(regrep, "_gather", lambda n, column, cols=slice(None): gathered.append(1) or gather(n, column, cols))
+
+    def recording(*args, **kwargs):
+        sp = gather(*args, **kwargs)
+        gathered.append(sp.shape)
+        return sp
+
+    monkeypatch.setattr(regrep, "_gather", recording)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.shape) or eigvalsh(a))
     assert regrep.spectrum(6).passed
     assert not gathered
     assert regrep.avg_bound_check(6, 3).passed
-    assert len(gathered) == 4
+    assert len(regrep._blocks(6)) == 6 and len(gathered) == 4 * 6
+    rows, cols = gathered[:12], gathered[12:]
+    assert all(shape[0] <= regrep._BLOCK for shape in rows) and all(shape[1] <= regrep._BLOCK for shape in cols)
     assert len(solved) == 2 * len(young.partitions(6))
     assert max(solved) == (16, 16)
 
@@ -1465,15 +1536,24 @@ def test_avg_bound_fails_on_the_column_of_p0_for_m(monkeypatch):
         assert any(abs(rep.exact_max - float(rep.predicted_max)) > 1e-6 for rep in reports), n
 
 
-def test_warm_avg_bound_check_holds_under_two_dense_operators():
-    # The readout's two exact products and its gather each hold one dense
-    # 720 x 720 float matrix, freed before the next, and the samples gather
-    # one operator at a time: a warm avg_bound_check(6, 3) traces less than
-    # two dense float64 operators, 8.3 MB, where the product of the dense
-    # P_{A_3} and M traced 16.6 MB.
+def test_warm_avg_bound_check_holds_under_one_dense_operator():
+    # The readout's two exact products and the samples read their
+    # operators one block at a time: a warm avg_bound_check(6, 3) traces
+    # less than one dense 720 x 720 float64 operator, 4.15 MB, where
+    # gathering each operator whole traced 6.5 MB, and the product of the
+    # dense P_{A_3} and M 16.6 MB.
     regrep.avg_bound_check(6, 3)
     peak = traced_peak(lambda: regrep.avg_bound_check(6, 3))
-    assert peak < 2 * 720**2 * 8, peak
+    assert peak < 720**2 * 8, peak
+
+
+def test_cold_m_build_holds_under_half_a_dense_operator(fresh_caches):
+    # After the quotient table, a cold _scaled_m(6), every certificate and
+    # exact product on the way, traces less than half of one dense 720 x
+    # 720 float64 operator, 2.07 MB, where whole gathers traced 4.8 MB.
+    regrep._quotient_table(6)
+    peak = traced_peak(lambda: regrep._scaled_m(6))
+    assert peak < 720**2 * 8 / 2, peak
 
 
 @pytest.mark.parametrize("shift", [Fraction(1, 4), Fraction(-1, 4)])
