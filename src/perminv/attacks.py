@@ -12,7 +12,9 @@ size S and worst-case query count T trade off as S * T = Theta(N).
 :func:`measure_all` walks all challenges in lockstep, one int32 gather per
 query from a copy of the permutation whose bit 31 marks checkpoint values,
 with the challenges split across the CPUs the process may use, and checks
-each count against the cycle type.
+each count against the cycle type.  Points are int32 from the draw to the
+walk: every permutation is checked into int32, so N is below 2^31, and
+:func:`tradeoff_sweep` shuffles an int32 arange.
 
 Advice is reported both in entries (pairs of point indices) and in bits
 (2 * ceil(log2 N) per entry) for comparability with bit-counted advice.
@@ -32,11 +34,17 @@ class InversionError(RuntimeError):
 
 
 def _as_permutation(perm) -> np.ndarray:
-    """perm as an int64 array; ValueError unless it permutes range(len(perm))."""
-    perm = np.asarray(perm, dtype=np.int64)
+    """perm as an int32 array; ValueError unless it is a 1-D integer array
+    that permutes range(len(perm)), with fewer than 2^31 points."""
+    perm = np.asarray(perm)
     n = perm.size
-    ok = perm.ndim == 1 and (n == 0 or (perm.min() >= 0 and perm.max() < n))
+    if n >= 1 << 31:
+        raise ValueError(f"points are int32; {n} points are too many")
+    ok = perm.ndim == 1 and (
+        n == 0 or (np.issubdtype(perm.dtype, np.integer) and perm.min() >= 0 and perm.max() < n)
+    )
     if ok:
+        perm = perm.astype(np.int32, copy=False)
         hit = np.zeros(n, dtype=bool)
         hit[perm] = True
         ok = bool(hit.all())
@@ -97,12 +105,15 @@ def find_cycles(perm) -> Cycles:
 
     Every _RULER-th point is a ruler.  Walks from all rulers step forward in
     lockstep, each until it reaches the next ruler, so each point of a cycle
-    through a ruler is passed by exactly one walk; a Python loop over the
-    rulers, not the points, then chains these segments into cycles.  The
-    points of cycles that no ruler lies on all become rulers of a second
-    round, whose walks take one step each.  Working arrays are int32.
+    through a ruler is passed by exactly one walk.  The points of cycles
+    that no ruler lies on all become rulers of a second round, whose walks
+    take one step each.  :func:`_chain` then joins these segments into
+    cycles.  Working arrays are int32, and besides perm at most three of
+    them have N entries at once.  The arrays over the segments, N / 64 of
+    them plus one per point of the second round, and over that round's
+    points come on top; on a random permutation they are small.
     """
-    perm = _as_permutation(perm).astype(np.int32)
+    perm = _as_permutation(perm)
     n = perm.size
     seg = np.full(n, -1, dtype=np.int32)  # the segment that passes each point
     step = np.empty(n, dtype=np.int32)  # and the point's offset in it
@@ -117,6 +128,7 @@ def find_cycles(perm) -> Cycles:
         size.append(np.empty(k, dtype=np.int32))
         live = np.arange(k, dtype=np.int32)
         cur = perm[rulers]
+        del rulers
         s = 1
         while live.size:
             at = seg[cur]
@@ -131,28 +143,16 @@ def find_cycles(perm) -> Cycles:
         base += k
         # Round two: every point of a cycle that no ruler lies on.
         rulers = np.flatnonzero(seg < 0).astype(np.int32)
+    after, size = np.concatenate(after), np.concatenate(size)
+    cycle, offset, lens = _chain(after, size)
+    del after, size
 
-    # Chain the segments: each one's cycle and its offset from the cycle's
-    # first segment, and each cycle's length.
-    after, size = np.concatenate(after).tolist(), np.concatenate(size).tolist()
-    cycle, offset, lens = [-1] * base, [0] * base, []
-    for r in range(base):
-        if cycle[r] >= 0:
-            continue
-        length, q = 0, r
-        while cycle[q] < 0:
-            cycle[q], offset[q] = len(lens), length
-            length += size[q]
-            q = after[q]
-        lens.append(length)
-
-    # Each point's cycle and position from its cycle's first segment; rotate
+    # Each point's cycle and position from its cycle's least segment; rotate
     # each cycle to its least point and lay the cycles out by that point.
     pos = step  # computed in place
-    pos += np.array(offset, dtype=np.int32)[seg]
-    cyc = np.array(cycle, dtype=np.int32)[seg]
-    del seg
-    lens = np.array(lens, dtype=np.int32)
+    pos += offset[seg]
+    cyc = cycle[seg]
+    del seg, cycle, offset
     least = np.full(lens.size, n, dtype=np.int32)
     np.minimum.at(least, cyc, np.arange(n, dtype=np.int32))
     pos -= pos[least][cyc]
@@ -163,9 +163,49 @@ def find_cycles(perm) -> Cycles:
     first = np.empty_like(starts)
     first[by_min] = starts
     pos += first[cyc]
+    del cyc
     order = np.empty(n, dtype=np.int32)
     order[pos] = np.arange(n, dtype=np.int32)
     return Cycles(order=order, starts=starts, lens=lens[by_min])
+
+
+def _chain(after: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Join segments into cycles: segment i has size[i] points and is
+    followed on its cycle by segment after[i].  Returns each segment's cycle,
+    numbered by the cycle's least segment, the number of points from that
+    segment's start to its own, and the number of points on each cycle.
+
+    Pointer doubling: after r rounds, each segment knows the least segment
+    among itself and the 2^r - 1 that follow it, and how many points lie
+    before that one.  Once a round finds no less segment, every window
+    holds its cycle's least segment, so about log2 of the longest cycle's
+    segment count rounds are made, each on all the segments.
+    """
+    k, total = after.size, int(size.sum())
+    least = np.arange(k, dtype=np.int32)
+    ahead = np.zeros(k, dtype=np.int32)  # the points from the segment to least
+    span = size.copy()  # the points in the window, capped at total
+    jump = after.copy()  # the segment 2^r on
+    while True:
+        further = least[jump]
+        less = further < least
+        if not less.any():
+            break
+        ahead[less] = span[less] + ahead[jump[less]]
+        least[less] = further[less]
+        # Only a window that has not yet wrapped round its cycle reads its
+        # span, and such a span is below total; capping every span at total
+        # keeps it exact where it is read and keeps it in int32.
+        span += np.minimum(span[jump], total - span)
+        jump = jump[jump]
+    heads = np.flatnonzero(least == np.arange(k))
+    lens = size[heads] + ahead[after[heads]]
+    cycle = np.empty(k, dtype=np.int32)
+    cycle[heads] = np.arange(heads.size, dtype=np.int32)
+    cycle = cycle[least]
+    offset = lens[cycle] - ahead
+    offset[heads] = 0
+    return cycle, offset, lens
 
 
 @dataclass
@@ -341,44 +381,66 @@ def _walk_all(perm: np.ndarray, table: HellmanTable, ys: np.ndarray, lengths) ->
     entries = table.entries
     checkpoint = np.zeros(n, dtype=bool)
     checkpoint[list(entries)] = True
-    oracle = perm.astype(np.int32)
+    oracle = perm.copy()
     np.bitwise_or(oracle, _MARK, out=oracle, where=checkpoint[perm])
 
     def back(points: np.ndarray) -> list[int]:
         return [entries[c] for c in points.tolist()]
 
-    queries = np.full(m, cap, dtype=np.int64)
+    # A walk that never finds its target spent the cap; no walk runs 2^31
+    # steps, so the int32 cap below is only ever read when it is exact.
+    queries = np.full(m, min(cap, _VALUE), dtype=np.int32)
     answer = np.full(m, -1, dtype=np.int32)
     # A walk is in phase A while it walks forward from its target y until it
     # returns to y or hits a checkpoint, whose entry takes it t steps back.
-    # Challenges that are themselves checkpoints jump at once.
+    # Challenges that are themselves checkpoints jump at once.  Positions
+    # are intp: np.take copies an index array of any other type.
     in_a = ~checkpoint[ys]
     del checkpoint
-    start = ys.copy()
+    start = ys.astype(np.intp)
     start[~in_a] = back(ys[~in_a])
 
-    def walk(lo: int, hi: int) -> None:
-        # A live walk is its index into the targets (slot), its target y,
-        # its position cur and whether it is in phase A (a).
-        slot = np.arange(lo, hi, dtype=np.int32)
-        y, cur, a = ys[lo:hi], start[lo:hi], in_a[lo:hi].copy()
+    def walk(lo: int, hi: int, f, hit, done, live) -> None:
+        # Walk i has its target y[i], its position cur[i], whether it is in
+        # phase A (a[i]) and whether it is still live; a walk that found its
+        # target steps on but records nothing.  The per-step arrays f, hit
+        # and done come from the calling thread and are written through
+        # out=, so a worker thread allocates no array per step.  Walk i is
+        # target lo + i until fewer than half the walks are live; then the
+        # others are dropped, and slot[i] names the target of walk i.  That
+        # allocates, but at most log2(hi - lo) times, and never on a random
+        # permutation's own table, where almost every walk takes t steps.
+        y, cur, a = ys[lo:hi], start[lo:hi], in_a[lo:hi]
+        slot, left = None, hi - lo
         for s in range(1, cap + 1):
-            if not slot.size:
-                break
-            f = np.take(oracle, cur)
-            hit = f < 0
-            hit &= a
+            np.take(oracle, cur, out=f, mode="clip")  # "raise" copies f
+            np.less(f, 0, out=hit)
             f &= _VALUE
-            done = f == y
+            np.equal(f, y, out=done)
+            done &= live
             if done.any():
-                answer[slot[done]] = cur[done]
-                queries[slot[done]] = s
-                live = ~done
-                slot, y, f, a, hit = slot[live], y[live], f[live], a[live], hit[live]
+                if slot is None:
+                    np.copyto(answer[lo:hi], cur, where=done)
+                    np.copyto(queries[lo:hi], s, where=done)
+                else:
+                    answer[slot[done]] = cur[done]
+                    queries[slot[done]] = s
+                live ^= done
+                a &= live
+                left = np.count_nonzero(live)
+            hit &= a
             if hit.any():
                 f[hit] = back(f[hit])
-                a &= ~hit
-            cur = f
+                a ^= hit
+            np.copyto(cur, f)
+            if 2 * left < live.size:
+                if not left:
+                    break
+                keep = np.flatnonzero(live)
+                slot = keep + lo if slot is None else slot[keep]
+                y, cur, a = y[keep], cur[keep], a[keep]
+                f, hit, done, live = f[:left], hit[:left], done[:left], live[:left]
+                live.fill(True)
 
     # Imported here, not at the top: it adds about 10 ms to the start-up of
     # every command, and only this walk uses it.
@@ -386,11 +448,16 @@ def _walk_all(perm: np.ndarray, table: HellmanTable, ys: np.ndarray, lengths) ->
 
     parts = max(1, min(_usable_cpus(), m // _MIN_PART))
     edges = [m * i // parts for i in range(parts + 1)]
+    jobs = [
+        (lo, hi, np.empty(k, np.int32), np.empty(k, bool), np.empty(k, bool), np.ones(k, bool))
+        for lo, hi, k in zip(edges, edges[1:], np.diff(edges).tolist())
+    ]
     with ThreadPoolExecutor(max(parts - 1, 1)) as pool:
-        rest = [pool.submit(walk, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
-        walk(edges[0], edges[1])
+        rest = [pool.submit(walk, *job) for job in jobs[1:]]
+        walk(*jobs[0])
         for job in rest:
             job.result()
+    del jobs, start, in_a
 
     if predicted is not None:
         wrong = np.flatnonzero(queries != predicted)
@@ -441,7 +508,10 @@ def tradeoff_sweep(
     per_t: list[list[AttackStats]] = [[] for _ in t_values]
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
-        perm = rng.permutation(n)
+        # rng.permutation(n) shuffles an int64 arange(n): the same draw,
+        # and the same state of rng after it, at half the size.
+        perm = np.arange(n, dtype=np.int32)
+        rng.shuffle(perm)
         targets = None
         if sample_targets is not None and sample_targets < n:
             targets = rng.choice(n, size=sample_targets, replace=False)

@@ -204,7 +204,7 @@ def character_table(n: int) -> tuple[tuple[int, ...], ...]:
     partitions(n), so the last column, the identity's, holds the
     dimensions.  ((1,),) at n = 0."""
     classes = partitions(n)
-    return tuple(tuple(character(lam, c) for c in classes) for lam in classes)
+    return tuple(tuple(_mn(lam, c) for c in classes) for lam in classes)
 
 
 def identities_report(max_n: int) -> dict:

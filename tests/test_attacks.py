@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,15 +122,44 @@ def _ruler_free_cycle(n: int) -> np.ndarray:
     [
         np.arange(300),
         np.arange(300)[::-1],
+        np.arange(300) ^ 1,
         single_cycle(300),
         _ruler_free_cycle(300),
         *(np.random.default_rng(seed).permutation(2000 + 37 * seed) for seed in range(4)),
     ],
-    ids=["identity", "reversal", "n-cycle", "ruler-free cycle", *(f"random{s}" for s in range(4))],
+    ids=["identity", "reversal", "pairs", "n-cycle", "ruler-free cycle", *(f"random{s}" for s in range(4))],
 )
 @pytest.mark.parametrize("t", [1, 2, 7, 64, 600])
 def test_table_matches_reference(perm, t):
     assert at.build_table(perm, t) == build_table_reference(perm, t)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+def test_integer_types_give_the_same_tables_and_walks(dtype):
+    # Every permutation is checked into int32, whatever integer type it
+    # arrives in.
+    rng = np.random.default_rng(5)
+    perm = rng.permutation(3000)
+    given = perm.astype(dtype)
+    cycles, other = at.find_cycles(perm), at.find_cycles(given)
+    assert other.order.dtype == np.int32
+    assert all(np.array_equal(getattr(cycles, k), getattr(other, k)) for k in ("order", "starts", "lens"))
+    for t in (1, 16, 128):
+        table = at.build_table(perm, t)
+        assert at.build_table(given, t) == table
+        assert at.measure_all(given, table) == at.measure_all(perm, table)
+        sample = rng.choice(3000, size=100, replace=False)
+        assert at.measure_all(given, table, sample.astype(dtype)) == at.measure_all(perm, table, sample)
+
+
+@pytest.mark.parametrize(
+    "perm", [[0.0, 1.0], [True, False], np.broadcast_to(np.int32(0), (1 << 31,))], ids=["float", "bool", "2^31"]
+)
+def test_only_int32_permutations_accepted(perm):
+    # The 2^31 points are one zero-stride view, refused before any check
+    # reads them.
+    with pytest.raises(ValueError):
+        at.find_cycles(perm)
 
 
 def test_cycles_start_at_their_minima_in_order():
@@ -277,6 +307,23 @@ def test_split_walk_matches_scalar(cpus, foreign, monkeypatch):
     points = rng.permutation(n)
     for k in (1, 2, 3, 2 * parts + 1):
         targets = _with_repeats(points, k)
+        stats = at.measure_all(perm, table, targets=targets)
+        assert (stats.t_max, stats.t_avg, stats.success_rate) == scalar_stats(perm, table, targets)
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS)
+def test_walks_that_end_early_are_dropped(cpus, monkeypatch):
+    # Most challenges are fixed points, done at step 1; most of the rest lie
+    # on 3-cycles, done at step 3; the walks on the 40-cycles go on.  Each
+    # part drops its finished walks twice and records the later answers
+    # through the surviving walks' slots, with the same stats as invert.
+    force_parts(monkeypatch, cpus)
+    rng = np.random.default_rng(13)
+    lengths = [1] * 300 + [3] * 60 + [40] * 2
+    order = rng.permutation(sum(lengths))
+    perm = from_cycles(order, lengths)
+    targets = rng.permutation(len(perm))
+    for table in (at.build_table(perm, 50), at.build_table(perm, 8)):
         stats = at.measure_all(perm, table, targets=targets)
         assert (stats.t_max, stats.t_avg, stats.success_rate) == scalar_stats(perm, table, targets)
 
@@ -519,3 +566,48 @@ def test_sampled_targets():
     n = 1 << 12
     rows = at.tradeoff_sweep(n, [64], trials=1, seed=0, sample_targets=500)
     assert rows[0].success_rate == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 1 << 16])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sweep_draws_rng_permutation_in_int32(n, seed, monkeypatch):
+    # The sweep shuffles an int32 arange(n) in place: the permutation that
+    # rng.permutation(n) draws, and the rng left in the same state, so that
+    # the sampled targets drawn after it are the same too.  Both of
+    # choice's paths are met: Floyd's at n = 1000, a tail shuffle at 2^16.
+    drawn = []
+    find_cycles, as_targets = at.find_cycles, at._as_targets
+    monkeypatch.setattr(at, "find_cycles", lambda perm: drawn.append(perm.copy()) or find_cycles(perm))
+    monkeypatch.setattr(at, "_as_targets", lambda ys, n: drawn.append(ys) or as_targets(ys, n))
+    sample = n // 8 if n > 1000 else n // 2 or None
+    at.tradeoff_sweep(n, [4], trials=1, seed=seed, sample_targets=sample)
+    rng = np.random.default_rng(seed)
+    perm, targets = drawn
+    assert perm.dtype == np.int32
+    assert np.array_equal(perm, rng.permutation(n))
+    if sample is None:
+        assert targets is None
+    else:
+        assert np.array_equal(targets, rng.choice(n, size=sample, replace=False))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_peak_memory_in_int32_arrays(cpus, monkeypatch):
+    # Traced peak of a sampled sweep, in units of one int32 array of N
+    # entries.  find_cycles holds at most three besides the permutation,
+    # and the walk the permutation, the cycles' order, the marked oracle and
+    # two bool arrays; the targets, the walk's arrays and the table's dict
+    # add about one more.  An int64 draw beside find_cycles' int32 copy
+    # peaked at 7.7.
+    parts = force_parts(monkeypatch, cpus)
+    assert parts == cpus
+    n = 1 << 18
+    at.tradeoff_sweep(1 << 10, [4], trials=1, sample_targets=1 << 8)  # lazy imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        at.tradeoff_sweep(n, [64, 1024], trials=1, sample_targets=1 << 15)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 4 * n

@@ -62,13 +62,14 @@ def test_young_identities(capsys):
 def test_young_characters_can_fail(cls, change, capsys, monkeypatch):
     # One wrong value in the printed table: a negated dimension keeps the row
     # norm but not chi(identity) = dim; any other shift breaks the norm n!.
-    real = young.character
+    # character_table reads the Murnaghan-Nakayama recursion _mn directly.
+    real = young._mn
 
     def patched(lam, cycles):
         value = real(lam, cycles)
         return change(value) if (lam, cycles) == ((3, 2), cls) else value
 
-    monkeypatch.setattr(young, "character", patched)
+    monkeypatch.setattr(young, "_mn", patched)
     code, out = run_cli(["young", "characters", "--n", "5"], capsys)
     assert code == 1
     assert json.loads(out)["pass"] is False
@@ -449,10 +450,8 @@ def _wrong_character(monkeypatch):
     # The counts read the characters too: chi_(3, 1) no longer sums to 0
     # over S_4, so A_0 is counted with the block of (3, 1), 1 + 9 = 10.
     # The Stab(0) sum of N! P_0, built first, is then no multiple of 3!.
-    real = young.character
-    monkeypatch.setattr(
-        young, "character", lambda lam, ct: real(lam, ct) + ((lam, ct) == ((3, 1), (2, 1, 1)))
-    )
+    real = young._mn
+    monkeypatch.setattr(young, "_mn", lambda lam, ct: real(lam, ct) + ((lam, ct) == ((3, 1), (2, 1, 1))))
 
 
 def _dropped_rho(monkeypatch):
