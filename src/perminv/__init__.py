@@ -4,9 +4,9 @@ Five pieces:
 
 * :mod:`perminv.young` -- exact Young-diagram combinatorics (dimensions,
   branching, characters, the block-eigenvalue formula).
-* :mod:`perminv.regrep` -- the regular representation of S_N materialized as
-  dense matrices: partial-assignment subspaces, high/low projectors, the
-  challenge-averaged operator and its spectrum.
+* :mod:`perminv.regrep` -- the regular representation of S_N, each operator
+  kept as one certified integer column: partial-assignment subspaces,
+  high/low projectors, the challenge-averaged operator and its spectrum.
 * :mod:`perminv.querysim` -- statevector simulation of the purified-oracle
   bit-fixing game, query-support and progress-bound checks, Grover search,
   and the alternating-measurement game.

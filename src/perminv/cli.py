@@ -24,6 +24,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from math import factorial
 
 from perminv import __version__, attacks, querysim, regrep, young
 
@@ -129,6 +130,14 @@ def _emit(args, report: dict, passed: bool, csv_text: str | None = None) -> int:
 _YOUNG_MAX_N = 40
 _CHARACTERS_MAX_N = 20
 
+# grover --t: a round over n items costs about as much as max(n, 2048)
+# items, 3-4 ns each on a 2-core host, so t * max(n, 2048) is held to
+# 2^31, under 10 s and 300 MB at the bound (--n 2^24 --t 128: 6.7 s,
+# 287 MB; --n 2048 --t 2^20: 5.1 s).  Past querysim.DEFAULT_BUDGET items
+# grover_invert refuses --n itself.
+_GROVER_WORK = 1 << 31
+_GROVER_ROUND = 2048
+
 
 def cmd_young(args) -> int:
     mode = args.mode
@@ -182,6 +191,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_avgbound(args) -> int:
     _at_least("--samples", args.samples, 1)
+    regrep._check_n(args.n)
+    # the draw and its two projections hold 2 * samples * N! floats each
+    _at_most("--samples", args.samples, querysim.DEFAULT_BUDGET // (2 * factorial(args.n)))
     report = regrep.avg_bound_check(args.n, args.k, samples=args.samples, seed=args.seed)
     return _emit(args, _fields(report), report.passed)
 
@@ -262,6 +274,7 @@ def cmd_altgame(args) -> int:
 def cmd_grover(args) -> int:
     _at_least("--n", args.n, 2)
     _at_least("--t", args.t, 0)
+    _at_most("--t", args.t, _GROVER_WORK // min(max(args.n, _GROVER_ROUND), querysim.DEFAULT_BUDGET))
     p_sim, p_formula = querysim.grover_invert(args.n, args.t)
     report: dict = {
         "n": args.n,
@@ -295,6 +308,7 @@ def cmd_hellman(args) -> int:
     t_values = args.t or [64]
     for t in t_values:
         _at_least("--t", t, 1)
+        _at_most("--t", t, 2**31 - 1)  # the walk compares it with int32 cycle lengths
     n = 1 << args.log_n
     rows = attacks.tradeoff_sweep(
         n, t_values, trials=args.trials, seed=args.seed, sample_targets=args.sample

@@ -29,9 +29,7 @@ read through one gather of that table, _gather, a block of _BLOCK rows (or
 columns) at a time, in float: an exact product S w from the column cast
 to float64, and then only on the columns of S where w is nonzero, and the
 average bound's samples and the query simulator's projections from the
-column over N!.  No integer N! x N! matrix is formed, and no float one
-either, except by the public dense readers, which gather the column over
-N! whole.
+column over N!.  No N! x N! matrix is formed, integer or float.
 Each is certified exactly against the counted dimensions, on its column
 where it can be: symmetric, idempotent, of the counted trace, fixing the
 subspace it must hold, and commuting with left multiplication by S_N, or by
@@ -45,8 +43,6 @@ the challenge-0 projectors proves every challenge relabeling, and
 change_of_challenge_check is (e) with G = S_N on the column of M.  Every
 product runs in float64, and raises unless a bound checked beforehand
 keeps every partial sum below 2^53, where each is an exact integer.
-Inexact floats enter only at the public readers, which divide by N!, and
-at the eigenvalue readouts.
 
 The eigenvalues of M and of P_{A_k} M P_{A_k} are read off their Fourier
 blocks, one d_lam x d_lam matrix per irrep lam (d_lam <= 16 at N = 6), in
@@ -56,10 +52,9 @@ relations, and independent of the characters everything else is built
 from.  No N! x N! matrix is gathered or solved for a spectrum.
 
 The size cap is N = 6 (dimension 720), set by the cached N!^2 int16
-quotient table, which takes 1 MB at N = 6 and 51 MB at N = 7.  A block of
-the table and the float operator gathered from it take at most
-_BLOCK N! entries each, and only a public dense reader forms a whole
-N! x N! float matrix, 203 MB at N = 7.
+quotient table alone, which takes 1 MB at N = 6 and 51 MB at N = 7.  A
+block of the table and the float operator gathered from it take at most
+_BLOCK N! entries each.
 """
 
 from __future__ import annotations
@@ -228,9 +223,8 @@ def _blocks(n: int) -> list[slice]:
 def _gather(n: int, column: np.ndarray, rows=slice(None), cols=slice(None)) -> np.ndarray:
     """The N! x N! matrix with entry [i, j] = column[index of pi_i pi_j^-1],
     or its block [rows, cols]: one gather through the cached quotient
-    table, in the dtype of column.  Every verdict path reads a block of
-    _blocks(n) at a time (_row_products, _apply_right); only the public
-    dense readers gather the whole matrix.
+    table, in the dtype of column.  Every caller in the package reads a
+    block of _blocks(n) at a time (_row_products, _apply_right).
 
     Any matrix that commutes with right multiplication has this form, with
     its own column 0 as column; so has a class function of pi_i^-1 pi_j,
@@ -393,15 +387,7 @@ def subspace_a_y(n: int, k: int, y: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Projectors from characters, as certified integer matrices.
-
-
-def _divided(n: int, column: np.ndarray) -> np.ndarray:
-    """The float matrix gathered from column / N!, read-only: the public
-    readers' one way from an integer column to a dense operator."""
-    p = _gather(n, column / factorial(n))
-    p.setflags(write=False)
-    return p
+# Projectors from characters, as certified integer columns.
 
 
 def _unfixed(n: int, col: np.ndarray, perms) -> int:
@@ -426,7 +412,8 @@ def _certify(name: str, n: int, col: np.ndarray, rank: int, y: int | None = None
     two-sided orbit of each w, G on the left and S_N on the right.  (b) and
     (d) are one exact _product, S [col, *fixed], which refuses past its
     bound before either is read.  Once those orbits span a space of
-    dimension `rank`, (a)-(e) make S / N! its projector."""
+    dimension `rank`, (a)-(e) make S / N! its projector.  name labels the
+    operator in the error, which a failing verdict's reason quotes."""
     f = factorial(n)
     if not np.array_equal(col[_inverses(n)], col):
         raise ArithmeticError(f"{name}: (a) not symmetric")
@@ -482,11 +469,6 @@ def _scaled_a(n: int, k: int) -> np.ndarray:
     _certify(f"a_projector({n}, {k})", n, col, subspace_a(n, k), fixed=fixed)
     col.setflags(write=False)
     return col
-
-
-def a_projector(n: int, k: int) -> np.ndarray:
-    """Orthogonal projector onto A_k, divided out of N! P_{A_k}."""
-    return _divided(n, _scaled_a(n, k))
 
 
 def _branch_sum(n: int, y: int, branches) -> np.ndarray:
@@ -580,18 +562,6 @@ def _relabeled(n: int, col: np.ndarray, y: int) -> np.ndarray:
     return col[_conjugation(n, _transposition(n, y))]
 
 
-def high_projection(n: int, y: int) -> np.ndarray:
-    """Orthogonal projector onto the high subspace for challenge y, divided
-    out of N! P_y."""
-    return _divided(n, _relabeled(n, _scaled_high_0(n), y))
-
-
-def low_projection(n: int, y: int) -> np.ndarray:
-    """Orthogonal projector onto the low subspace for challenge y, divided
-    out of N! L_y."""
-    return _divided(n, _relabeled(n, _scaled_low_0(n), y))
-
-
 @cache
 def _scaled_m(n: int) -> np.ndarray:
     """The column of N! M, the sum of the columns of N! P_y over all
@@ -600,12 +570,6 @@ def _scaled_m(n: int) -> np.ndarray:
     dm = sum(_relabeled(n, _scaled_high_0(n), y) for y in range(n))
     dm.setflags(write=False)
     return dm
-
-
-def build_m(n: int) -> np.ndarray:
-    """Sum of the high projectors over all challenges: symmetric PSD, not
-    idempotent.  Gathered from the kept column of N! M on each call."""
-    return _divided(n, _scaled_m(n))
 
 
 def _central_element(n: int) -> np.ndarray:

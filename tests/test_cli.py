@@ -660,6 +660,41 @@ def test_young_size_past_its_bound_exits_2(mode, flag, high, capsys, monkeypatch
         cli.main(["young", mode, flag, str(high)])
 
 
+class _Reached(Exception):
+    """Raised by a work function patched to stand for the work."""
+
+
+@pytest.mark.parametrize(
+    "module, work, argv, flag, high",
+    [
+        # 2^31 used to exit 1 with an OverflowError from the int32 walk.
+        (attacks, "tradeoff_sweep", ["hellman", "--log-n", "4", "--trials", "1", "--t"], "--t", 2**31 - 1),
+        # the draw holds 2 * samples * N! floats: 2^24 // (2 * 720) at N = 6
+        (regrep, "avg_bound_check", ["avgbound", "--n", "6", "--k", "3", "--samples"], "--samples", 11650),
+        # t * max(n, 2048) <= 2^31
+        (querysim, "grover_invert", ["grover", "--n", "2", "--t"], "--t", 2**20),
+        (querysim, "grover_invert", ["grover", "--n", str(2**24), "--t"], "--t", 128),
+    ],
+    ids=["hellman-t", "avgbound-samples", "grover-t-small-n", "grover-t-largest-n"],
+)
+def test_work_flag_past_its_bound_exits_2(module, work, argv, flag, high, capsys, monkeypatch):
+    # Past the bound the run would overflow, allocate past the budget or
+    # loop for minutes; it is refused before the work function is called,
+    # so this test allocates and loops nothing.  At the bound the work
+    # starts.
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(module, work, reached)
+    code = cli.main([*argv, str(high + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be <= {high}, got {high + 1}\n"
+    with pytest.raises(_Reached):
+        cli.main([*argv, str(high)])
+
+
 @pytest.mark.parametrize(
     "argv",
     [["decomp-check", "--n", "0"], ["avgbound", "--n", "0", "--k", "0"]],

@@ -8,6 +8,7 @@ from math import asin, factorial, sin
 import numpy as np
 import pytest
 
+from conftest import dense
 from perminv import cli
 from perminv import querysim as qs
 from perminv import regrep
@@ -309,8 +310,8 @@ def test_support_negative_control_wrong_k():
 def test_blocked_masses_and_residuals_match_the_dense_projectors(block, monkeypatch):
     # At N = 6, read in row blocks of 7 rows or of the default height, the
     # high masses and support residuals of a state after two generic
-    # queries are within 1e-12 of the products with the dense
-    # high_projection and a_projector.
+    # queries are within 1e-12 of the products with the dense P_y and
+    # P_{A_k} of the test-side reference.
     monkeypatch.setattr(regrep, "_BLOCK", block)
     n = 6
     program = qs.random_program(n, 2, 0, seed=5)
@@ -319,11 +320,11 @@ def test_blocked_masses_and_residuals_match_the_dense_projectors(block, monkeypa
         state = qs.apply_step(state, step)
     flat = state.reshape(factorial(n), -1)
     for y in range(n):
-        dense = np.linalg.norm(regrep.high_projection(n, y) @ flat)
-        assert abs(qs._high_mass(state, y) - dense) <= 1e-12, y
+        mass = np.linalg.norm(dense(n, regrep._relabeled(n, regrep._scaled_high_0(n), y)) @ flat)
+        assert abs(qs._high_mass(state, y) - mass) <= 1e-12, y
     residuals = [qs.support_residual(state, k) for k in range(n - 1)]
     for k, residual in enumerate(residuals):
-        assert abs(residual - np.linalg.norm(flat - regrep.a_projector(n, k) @ flat)) <= 1e-12, k
+        assert abs(residual - np.linalg.norm(flat - dense(n, regrep._scaled_a(n, k)) @ flat)) <= 1e-12, k
     assert residuals[0] > 1e-3 and residuals[2] <= 1e-8
 
 
@@ -417,15 +418,6 @@ def test_one_pass_yields_the_game_transcript():
     program = qs.random_program(4, 1, 2, w=2, seed=9)
     tr, _ = qs.check_progress_inequalities(program)
     assert tr == qs.run_bit_fixing(program)
-
-
-def test_game_reads_no_high_projector(monkeypatch):
-    def refuse(n, y):
-        raise AssertionError("run_bit_fixing built a high projector")
-
-    monkeypatch.setattr(regrep, "high_projection", refuse)
-    tr = qs.run_bit_fixing(qs.random_program(4, 1, 1, seed=4))
-    assert tr.passed
 
 
 @pytest.mark.parametrize("challenge", [-1, 3])

@@ -29,8 +29,10 @@ block heights of one row, of 7 rows and of all of them.
 The average bound's exact column of P_{A_k} M P_{A_k} against its column
 summed from characters.  The eigenvalue readouts off the Fourier blocks
 against the dense eigvalsh of M and of that column gathered, and the peak
-memory of the readouts, of the build of M and of the quotient table's
-build under tracemalloc.
+memory of the readouts, of the build of M, of the quotient table's build
+and of the cold verdict paths under tracemalloc.  Every dense float
+P_{A_k}, P_y, L_y and M here is the one reference of conftest.dense,
+which the package never forms.
 """
 
 import re
@@ -43,6 +45,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from conftest import dense
 from perminv import regrep, young
 
 
@@ -143,6 +146,11 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def relabeled_high(n: int, y: int) -> np.ndarray:
     """The column of N! P_y, the certified N! P_0 relabeled to challenge y."""
     return regrep._relabeled(n, regrep._scaled_high_0(n), y)
+
+
+def relabeled_low(n: int, y: int) -> np.ndarray:
+    """The column of N! L_y, the certified N! L_0 relabeled to challenge y."""
+    return regrep._relabeled(n, regrep._scaled_low_0(n), y)
 
 
 @cache
@@ -786,8 +794,8 @@ def test_a_transposition_alone_does_not_certify_left_commutation(monkeypatch):
     regrep._certify("P", n, col, rank, 0)
 
 
-def cold_build_m_product_columns(monkeypatch) -> int:
-    """The number of vectors that the exact products of one build_m(6)
+def cold_m_product_columns(monkeypatch) -> int:
+    """The number of vectors that the exact products of one _scaled_m(6)
     multiply, each call of regrep._product counted by the columns of its w;
     cold only under fresh_caches."""
     columns = []
@@ -798,21 +806,21 @@ def cold_build_m_product_columns(monkeypatch) -> int:
         return product(n, col, w)
 
     monkeypatch.setattr(regrep, "_product", recording)
-    regrep.build_m(6)
+    regrep._scaled_m(6)
     return sum(columns)
 
 
 def test_cold_build_m_reads_few_product_columns(fresh_caches, monkeypatch):
-    # One vector per level: a cold build_m(6) multiplies 25 product columns,
+    # One vector per level: a cold _scaled_m(6) multiplies 25 product columns,
     # one for (b) of each of N! P_{A_0} .. N! P_{A_4} and of N! P_0, one for
     # (d) of N! P_{A_0} and two of each other, and two per level for the five
     # increments, their product and (d) of N! P_0.
-    assert cold_build_m_product_columns(monkeypatch) == 25
+    assert cold_m_product_columns(monkeypatch) == 25
 
 
 def test_cold_build_m_indexes_few_permutations(fresh_caches, monkeypatch):
     # The quotient table is one integer product, not a perm_index call per
-    # row: a cold build_m(6) calls perm_index at most 3n times, for the
+    # row: a cold _scaled_m(6) calls perm_index at most 3n times, for the
     # certificates' conjugations and the challenge relabelings.
     calls = []
     perm_index = regrep.perm_index
@@ -822,7 +830,7 @@ def test_cold_build_m_indexes_few_permutations(fresh_caches, monkeypatch):
         return perm_index(p)
 
     monkeypatch.setattr(regrep, "perm_index", counting)
-    regrep.build_m(6)
+    regrep._scaled_m(6)
     assert 0 < len(calls) <= 18
 
 
@@ -836,7 +844,7 @@ def test_one_more_product_column_breaks_the_column_pin(fresh_caches, monkeypatch
         return np.vstack([rows, rows[-1:]])
 
     monkeypatch.setattr(regrep, "_high_increments", repeated_last)
-    assert cold_build_m_product_columns(monkeypatch) == 26
+    assert cold_m_product_columns(monkeypatch) == 26
 
 
 def test_no_integer_operator_is_gathered_at_n6(fresh_caches, monkeypatch):
@@ -907,7 +915,7 @@ def test_rank_claimed_one_too_high_fails_the_trace_check(fresh_caches, monkeypat
     count = regrep._spanned_dim
     monkeypatch.setattr(regrep, "_spanned_dim", lambda *args: count(*args) + 1)
     with pytest.raises(ArithmeticError, match=r"a_projector\(6, 1\): \(c\) trace 18720 is not 720 \* rank 27"):
-        regrep.a_projector(6, 1)
+        regrep._scaled_a(6, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +947,7 @@ def test_subspace_a_y_checks_the_challenge(k):
 
 def test_high_projection_rank_and_contract():
     for y in range(4):
-        p = regrep.high_projection(4, y)
+        p = dense(4, relabeled_high(4, y))
         assert abs(np.trace(p) - 14) < 1e-8
         assert np.abs(p - p.T).max() <= 1e-12
         assert np.abs(p @ p - p).max() <= 1e-8
@@ -1043,20 +1051,20 @@ def test_high_projection_matches_an_svd_of_the_constructive_increments(n):
         prev = _row_space_projector(indicator_rows(n, assignments(n, i - 1)))
         rows = indicator_rows(n, assignments_with_image(n, i, 0))
         total += _row_space_projector(rows @ (np.eye(f) - prev))
-    assert np.abs(regrep.high_projection(n, 0) - total).max() <= 1e-12
+    assert np.abs(dense(n, regrep._scaled_high_0(n)) - total).max() <= 1e-12
 
 
 def test_high_projection_kills_uniform_vector():
     v = assignment_vector(4, ())
     for y in range(4):
-        assert np.linalg.norm(regrep.high_projection(4, y) @ v) <= 1e-12
+        assert np.linalg.norm(dense(4, relabeled_high(4, y)) @ v) <= 1e-12
 
 
 def test_low_projection_rank_and_complement():
     for y in range(4):
-        low = regrep.low_projection(4, y)
+        low = dense(4, relabeled_low(4, y))
         assert abs(np.trace(low) - 10) < 1e-8
-        total = regrep.high_projection(4, y) + low
+        total = dense(4, relabeled_high(4, y)) + low
         assert np.abs(total - np.eye(24)).max() <= 1e-10
 
 
@@ -1066,18 +1074,18 @@ def test_projector_ranks_match_branch_prediction():
         pl = regrep.predicted_low_rank(n)
         assert ph + pl == factorial(n)
         for y in range(n):
-            assert round(float(np.trace(regrep.high_projection(n, y)))) == ph
-            assert round(float(np.trace(regrep.low_projection(n, y)))) == pl
+            assert round(float(np.trace(dense(n, relabeled_high(n, y))))) == ph
+            assert round(float(np.trace(dense(n, relabeled_low(n, y))))) == pl
 
 
 def test_build_m_n3_eigenvalues():
-    m = regrep.build_m(3)
+    m = dense(3, regrep._scaled_m(3))
     w = np.sort(np.linalg.eigvalsh(m))
     assert np.allclose(w, [0.0, 1.5, 1.5, 1.5, 1.5, 3.0], atol=1e-10)
 
 
 def test_build_m_n4_trace_and_psd():
-    m = regrep.build_m(4)
+    m = dense(4, regrep._scaled_m(4))
     assert abs(np.trace(m) - 56) < 1e-8
     assert np.linalg.eigvalsh(m)[0] >= -1e-9
 
@@ -1142,7 +1150,7 @@ def test_character_from_isotypic_block_trace():
 def test_restriction_of_a_k_touches_only_low_levels():
     n = 4
     for k in range(n):
-        pa = regrep.a_projector(n, k)
+        pa = dense(n, regrep._scaled_a(n, k))
         for lam in young.partitions(n):
             mass = float(np.trace(isotypic_projector(n, lam) @ pa))
             if young.level(lam) <= k:
@@ -1226,7 +1234,7 @@ def _certified_columns(n: int):
         yield f"N! P_A{k}", regrep._scaled_a(n, k), regrep.predicted_a_dim(n, k), None
     for y in range(n if n <= 5 else 1):
         yield f"N! P_{y}", relabeled_high(n, y), regrep.predicted_high_rank(n), y
-        yield f"N! L_{y}", regrep._relabeled(n, regrep._scaled_low_0(n), y), regrep.predicted_low_rank(n), y
+        yield f"N! L_{y}", relabeled_low(n, y), regrep.predicted_low_rank(n), y
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -1326,7 +1334,7 @@ def test_dense_block_residuals_stay_within_the_old_tolerances(n):
     # The check spectrum made before the central element: M acts as e_lam on
     # each isotypic block and has no part between two blocks.  The central
     # residual bound implies both tolerances; this recomputes them directly.
-    m = regrep.build_m(n)
+    m = dense(n, regrep._scaled_m(n))
     lams = young.partitions(n)
     projs = {lam: isotypic_projector(n, lam) for lam in lams}
     block = max(
@@ -1398,7 +1406,7 @@ def test_block_readout_is_the_dense_eigensolve_of_m(n):
     # The second construction of spectrum's readout: eigvalsh of the
     # gathered M.
     blocks = np.sort(regrep._block_eigenvalues(n, regrep._scaled_m(n) / factorial(n)))
-    assert np.abs(blocks - np.linalg.eigvalsh(regrep.build_m(n))).max() <= 1e-9
+    assert np.abs(blocks - np.linalg.eigvalsh(dense(n, regrep._scaled_m(n)))).max() <= 1e-9
 
 
 def test_block_readouts_gather_and_solve_no_dense_operator(monkeypatch):
@@ -1463,7 +1471,7 @@ def stacked_sample_max(n: int, k: int, samples: int, seed: int) -> float:
     """The sampled maximum of avg_bound_check as (samples, 2, N!) stacked
     products, one (2 x N!) matrix per sample: the reference for its two
     flat products over the same draw."""
-    p, m = regrep.a_projector(n, k), regrep.build_m(n)
+    p, m = dense(n, regrep._scaled_a(n, k)), dense(n, regrep._scaled_m(n))
     g = np.random.default_rng(seed).standard_normal((samples, 2, p.shape[0])) @ p
     mass = np.einsum("sij,sij->s", g, g @ m) / np.einsum("sij,sij->s", g, g)
     return max(0.0, float(mass.max()) / n)
@@ -1554,6 +1562,20 @@ def test_cold_m_build_holds_under_half_a_dense_operator(fresh_caches):
     regrep._quotient_table(6)
     peak = traced_peak(lambda: regrep._scaled_m(6))
     assert peak < 720**2 * 8 / 2, peak
+
+
+def test_cold_verdict_paths_hold_under_one_dense_operator(fresh_caches):
+    # A cold decomposition_report(6), change_of_challenge_check(6) and
+    # spectrum(6), quotient table and every certificate included, trace
+    # less than one dense 720 x 720 float64 operator, 4.15 MB: no verdict
+    # path gathers an operator whole (2.26 MiB measured).
+    def verdicts():
+        assert regrep.decomposition_report(6).passed
+        assert regrep.change_of_challenge_check(6).passed
+        assert regrep.spectrum(6).passed
+
+    peak = traced_peak(verdicts)
+    assert peak < 720**2 * 8, peak
 
 
 @pytest.mark.parametrize("shift", [Fraction(1, 4), Fraction(-1, 4)])
