@@ -151,15 +151,17 @@ def cmd_young(args) -> int:
     n = args.n
     lams = young.partitions(n)
     if mode == "dims":
-        rows = [{"lambda": list(l), "dim": young.dim(l)} for l in lams]
-        report = {"n": n, "dims": rows, "sum_of_squares": sum(young.dim(l) ** 2 for l in lams)}
+        dims = [young.dim(l) for l in lams]
+        rows = [{"lambda": list(l), "dim": d} for l, d in zip(lams, dims)]
+        report = {"n": n, "dims": rows, "sum_of_squares": sum(d * d for d in dims)}
         return _emit(args, report, report["sum_of_squares"] == young.factorial(n))
     if mode == "branching":
         rows = []
         ok = True
+        below = {mu: young.dim(mu) for mu in young.partitions(n - 1)}  # one hook product each
         for lam in lams:
             d = young.dim(lam)
-            parts = [{"mu": list(m), "dim": young.dim(m)} for m in young.removable(lam)]
+            parts = [{"mu": list(m), "dim": below[m]} for m in young.removable(lam)]
             total = sum(p["dim"] for p in parts)
             good = total == d
             ok &= good
@@ -178,8 +180,9 @@ def cmd_young(args) -> int:
             rows.append({"lambda": list(lam), "values": {str(list(c)): v for c, v in zip(lams, values)}})
         return _emit(args, {"n": n, "classes": [list(c) for c in lams], "characters": rows}, ok)
     if mode == "eigenvalues":
-        rows = [{"lambda": list(l), "e": _frac(young.eigenvalue_m(l))} for l in lams]
-        ok = all(young.eigenvalue_m(l) <= 2 * young.level(l) for l in lams)
+        values = [young.eigenvalue_m(l) for l in lams]
+        rows = [{"lambda": list(l), "e": _frac(e)} for l, e in zip(lams, values)]
+        ok = all(e <= 2 * young.level(l) for l, e in zip(lams, values))
         return _emit(args, {"n": n, "eigenvalues": rows}, ok)
     raise AssertionError(f"unhandled mode {mode}")
 
@@ -191,6 +194,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_avgbound(args) -> int:
     _at_least("--samples", args.samples, 1)
+    _at_least("--seed", args.seed, 0)
     regrep._check_n(args.n)
     # the draw and its two projections hold 2 * samples * N! floats each
     _at_most("--samples", args.samples, querysim.DEFAULT_BUDGET // (2 * factorial(args.n)))
@@ -210,6 +214,7 @@ def cmd_lemma_check(args) -> int:
     _at_least("--p", args.p, 0)
     _at_least("--t", args.t, 0)
     _at_least("--w", args.w, 1)
+    _at_least("--seed", args.seed, 0)
     runs = []
     ok = True
     worst_support = 0.0
@@ -244,6 +249,7 @@ def cmd_game(args) -> int:
     _at_least("--p", args.p, 0)
     _at_least("--t", args.t, 0)
     _at_least("--w", args.w, 1)
+    _at_least("--seed", args.seed, 0)
     challenge = args.challenge
     if challenge != "all":
         try:
@@ -260,6 +266,7 @@ def cmd_altgame(args) -> int:
     _at_least("--t", args.t, 0)
     _at_least("--g", args.g, 1)
     _at_least("--adversaries", args.adversaries, 1)
+    _at_least("--seed", args.seed, 0)
     reports = []
     ok = True
     for i in range(args.adversaries):
@@ -302,7 +309,9 @@ def cmd_grover(args) -> int:
 
 def cmd_hellman(args) -> int:
     _at_least("--log-n", args.log_n, 0)
+    _at_most("--log-n", args.log_n, 20)  # attacks.tradeoff_sweep's cap, checked before the shift
     _at_least("--trials", args.trials, 1)
+    _at_least("--seed", args.seed, 0)
     if args.sample is not None:
         _at_least("--sample", args.sample, 1)
     t_values = args.t or [64]

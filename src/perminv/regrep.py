@@ -245,10 +245,11 @@ def _row_products(n: int, column: np.ndarray, x: np.ndarray, cols=slice(None)):
 
 def _apply_right(n: int, x: np.ndarray, column: np.ndarray) -> np.ndarray:
     """x S for S = _gather(n, column) and x a float matrix of N! columns,
-    filled one column block of _blocks(n) at a time."""
+    each column block of _blocks(n) multiplied straight into its slice of
+    the result: one draw-sized array beyond x."""
     out = np.empty_like(x)
     for cols in _blocks(n):
-        out[:, cols] = x @ _gather(n, column, cols=cols)
+        np.matmul(x, _gather(n, column, cols=cols), out=out[:, cols])
     return out
 
 

@@ -8,10 +8,16 @@ this module, so every identity it checks holds with zero slack.
 Every irrep is named by its diagram lam alone.  The paper's notation, after
 Rosmanis (2022), reads off it: theta = lam[1:], theta-bar = lam, and
 theta-bar-star = trim_first_row(lam), which drives ``eigenvalue_m``.
+
+No diagram is cached past a call: ``partitions`` generates its diagrams
+afresh, and ``dim`` reads the dimension table of a running
+``identities_report`` or takes one hook product.  Only the character memo
+``_mn`` lives as long as the process.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, starmap
@@ -42,26 +48,42 @@ def size(lam: Partition) -> int:
     return sum(lam)
 
 
-@cache
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, each exactly once, in reverse-lexicographic order.
+
+    Each comes from the one before it (algorithm ZS1 of Zoghbi and
+    Stojmenovic, 1998): the last part above 1 loses a box, and that box and
+    the trailing 1s are refilled as parts of its new size and one
+    remainder.  Nothing is cached, so a sweep holds only the sizes it is on.
 
     >>> partitions(4)
     ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return tuple(_partitions_bounded(n, n))
-
-
-@cache
-def _partitions_bounded(n: int, max_part: int) -> tuple[Partition, ...]:
     if n == 0:
         return ((),)
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_bounded(n - first, first):
-            out.append((first,) + rest)
+    x = [n] + [1] * (n - 1)  # x[:m] is the partition, 1s past it
+    m, h = 1, 0  # h indexes the last part > 1
+    out = [(n,)]
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h  # the box taken off x[h] and the trailing 1s
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        out.append(tuple(x[:m]))
     return tuple(out)
 
 
@@ -78,18 +100,29 @@ def hook_product(lam: Partition) -> int:
     return prod(map(factorial, h)) // prod(starmap(sub, combinations(h, 2)))
 
 
+# The dimension tables of the identities_report running in this context
+# (thread), by size: sizes n - 1 and n while it checks the diagrams of n.
+# The default, no table, is never written to.
+_tables: ContextVar[dict[int, dict[Partition, int]]] = ContextVar("young_tables", default={})
+
+
 def dim(lam: Partition) -> int:
     """Dimension of the irreducible S_n module for lam, n = size(lam).
 
-    Hook length formula: n! divided by the product of all hook lengths, once
-    per diagram (any sequence of parts is accepted).  dim(()) == 1.
+    Hook length formula: n! divided by the product of all hook lengths (any
+    sequence of parts is accepted).  dim(()) == 1.  Read off the table of
+    the running identities_report when it holds lam's size, else one hook
+    product; no table is built here.
     """
-    return _dim(tuple(lam))
+    lam = tuple(lam)
+    n = size(lam)
+    d = _tables.get().get(n, {}).get(lam)
+    return factorial(n) // hook_product(lam) if d is None else d
 
 
-@cache
-def _dim(lam: Partition) -> int:
-    return factorial(size(lam)) // hook_product(lam)
+def _dimension_table(n: int) -> dict[Partition, int]:
+    """Every diagram of n and its dimension, one hook product each."""
+    return {lam: factorial(n) // hook_product(lam) for lam in partitions(n)}
 
 
 def removable(lam: Partition) -> list[Partition]:
@@ -217,6 +250,10 @@ def identities_report(max_n: int) -> dict:
     character orthogonality up to n = 8; the first four in one pass over the
     diagrams of each n.  Ratio and eigenvalue failures name lam by
     theta = lam[1:].
+
+    Every dimension comes from the hook formula afresh, once per diagram:
+    the tables of sizes n - 1 and n, which dim reads while n is checked,
+    are built by this call and dropped before it returns.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -226,24 +263,31 @@ def identities_report(max_n: int) -> dict:
     eig_failures = []
     ratio_checked = 0
     eig_checked = 0
-    for n in range(1, max_n + 1):
-        total = 0
-        for lam in partitions(n):
-            d = dim(lam)
-            total += d * d
-            if d != sum(dim(mu) for mu in removable(lam)):
-                branching_failures.append({"n": n, "lambda": list(lam)})
-            k = level(lam)
-            if 2 * k <= n and trim_first_row(lam) is not None:
-                ratio_checked += 1
-                _, _, holds = ratio_bound_check(lam)
-                if not holds:
-                    ratio_failures.append({"n": n, "theta": list(lam[1:])})
-            eig_checked += 1
-            if eigenvalue_m(lam) > 2 * k:
-                eig_failures.append({"n": n, "theta": list(lam[1:])})
-        if total != factorial(n):
-            burnside_failures.append({"n": n, "sum": total})
+    tables = {0: _dimension_table(0)}
+    token = _tables.set(tables)
+    try:
+        for n in range(1, max_n + 1):
+            below = tables[n - 1]
+            tables[n] = table = _dimension_table(n)
+            total = 0
+            for lam, d in table.items():
+                total += d * d
+                if d != sum(below[mu] for mu in removable(lam)):
+                    branching_failures.append({"n": n, "lambda": list(lam)})
+                k = level(lam)
+                if 2 * k <= n and trim_first_row(lam) is not None:
+                    ratio_checked += 1
+                    _, _, holds = ratio_bound_check(lam)
+                    if not holds:
+                        ratio_failures.append({"n": n, "theta": list(lam[1:])})
+                eig_checked += 1
+                if eigenvalue_m(lam) > 2 * k:
+                    eig_failures.append({"n": n, "theta": list(lam[1:])})
+            if total != factorial(n):
+                burnside_failures.append({"n": n, "sum": total})
+            del tables[n - 1]
+    finally:
+        _tables.reset(token)
     char_max_n = 8
     orth_failures = []
     for n in range(1, char_max_n + 1):

@@ -665,34 +665,58 @@ class _Reached(Exception):
 
 
 @pytest.mark.parametrize(
-    "module, work, argv, flag, high",
+    "module, work, argv, flag, refused, bound",
     [
         # 2^31 used to exit 1 with an OverflowError from the int32 walk.
-        (attacks, "tradeoff_sweep", ["hellman", "--log-n", "4", "--trials", "1", "--t"], "--t", 2**31 - 1),
+        (attacks, "tradeoff_sweep", ["hellman", "--log-n", "4", "--trials", "1", "--t"], "--t", 2**31, 2**31 - 1),
         # the draw holds 2 * samples * N! floats: 2^24 // (2 * 720) at N = 6
-        (regrep, "avg_bound_check", ["avgbound", "--n", "6", "--k", "3", "--samples"], "--samples", 11650),
+        (regrep, "avg_bound_check", ["avgbound", "--n", "6", "--k", "3", "--samples"], "--samples", 11651, 11650),
         # t * max(n, 2048) <= 2^31
-        (querysim, "grover_invert", ["grover", "--n", "2", "--t"], "--t", 2**20),
-        (querysim, "grover_invert", ["grover", "--n", str(2**24), "--t"], "--t", 128),
+        (querysim, "grover_invert", ["grover", "--n", "2", "--t"], "--t", 2**20 + 1, 2**20),
+        (querysim, "grover_invert", ["grover", "--n", str(2**24), "--t"], "--t", 129, 128),
+        # 1 << 2^63 used to end in a bare MemoryError, "error: " and no more,
+        # and 2^21 points in attacks' "n capped at 2^20", which names no flag.
+        (attacks, "tradeoff_sweep", ["hellman", "--log-n"], "--log-n", 2**63, 20),
+        (attacks, "tradeoff_sweep", ["hellman", "--log-n"], "--log-n", 21, 20),
+        # A negative seed used to reach numpy, whose "expected non-negative
+        # integer" names no flag.
+        (querysim, "random_program", ["lemma-check", "--n", "3", "--seed"], "--seed", -1, 0),
+        (querysim, "random_program", ["game", "--n", "3", "--seed"], "--seed", -1, 0),
+        (querysim, "random_query_adversary", ["altgame", "--n", "3", "--seed"], "--seed", -1, 0),
+        (regrep, "avg_bound_check", ["avgbound", "--n", "3", "--k", "1", "--seed"], "--seed", -1, 0),
+        (attacks, "tradeoff_sweep", ["hellman", "--log-n", "4", "--seed"], "--seed", -1, 0),
     ],
-    ids=["hellman-t", "avgbound-samples", "grover-t-small-n", "grover-t-largest-n"],
+    ids=[
+        "hellman-t",
+        "avgbound-samples",
+        "grover-t-small-n",
+        "grover-t-largest-n",
+        "hellman-log-n-2^63",
+        "hellman-log-n-21",
+        "lemma-check-seed",
+        "game-seed",
+        "altgame-seed",
+        "avgbound-seed",
+        "hellman-seed",
+    ],
 )
-def test_work_flag_past_its_bound_exits_2(module, work, argv, flag, high, capsys, monkeypatch):
-    # Past the bound the run would overflow, allocate past the budget or
-    # loop for minutes; it is refused before the work function is called,
-    # so this test allocates and loops nothing.  At the bound the work
-    # starts.
+def test_work_flag_past_its_bound_exits_2(module, work, argv, flag, refused, bound, capsys, monkeypatch):
+    # Past the bound the run would overflow, allocate past the budget, loop
+    # for minutes or fail with a message that names no flag; it is refused
+    # before the work function is called, so this test allocates and loops
+    # nothing.  At the bound the work starts.
     def reached(*args, **kwargs):
         raise _Reached
 
     monkeypatch.setattr(module, work, reached)
-    code = cli.main([*argv, str(high + 1)])
+    code = cli.main([*argv, str(refused)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: {flag} must be <= {high}, got {high + 1}\n"
+    side = "<=" if refused > bound else ">="
+    assert captured.err == f"error: {flag} must be {side} {bound}, got {refused}\n"
     with pytest.raises(_Reached):
-        cli.main([*argv, str(high)])
+        cli.main([*argv, str(bound)])
 
 
 @pytest.mark.parametrize(

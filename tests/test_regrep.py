@@ -1488,6 +1488,21 @@ def test_avg_bound_samples_match_the_stacked_products(n):
         assert rep.sample_slack == 2 * k / n - worst, (k, seed, samples)
 
 
+def test_avg_bound_products_hold_one_draw_beyond_their_input():
+    # Each column block's product goes straight into its slice of the
+    # result: at N = 5 one block covers all 120 columns, and 2,000 samples
+    # trace 1.05 draw-sized arrays beyond the draw, where a product made
+    # first and copied in traced 2.03.  The bits are those of x @ S.
+    n, f = 5, factorial(5)
+    column = regrep._scaled_a(n, 2) / f
+    x = np.random.default_rng(0).standard_normal((2 * 2000, f))
+    regrep._quotient_table(n)
+    out = []
+    peak = traced_peak(lambda: out.append(regrep._apply_right(n, x, column)))
+    assert peak < 1.2 * x.nbytes, peak / x.nbytes
+    assert np.array_equal(out[0], x @ dense(n, regrep._scaled_a(n, 2)))
+
+
 def scaled_pmp_reference(n: int, k: int) -> np.ndarray:
     """The column of (N!)^3 P_{A_k} M P_{A_k} from characters alone:
     P_{A_k} is the sum of the isotypic projectors of level <= k and M the

@@ -6,6 +6,8 @@ dimensions from counting standard fillings by corner removal, characters
 from the Frobenius symmetric-function formula.
 """
 
+import gc
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -96,6 +98,28 @@ def frobenius_character(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
 
 # ---------------------------------------------------------------------------
 # Partitions.
+
+
+def partitions_recursive(max_n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """partitions(n) for n = 0..max_n by the recursive definition: each
+    first part from n down to 1, then the partitions of the rest with parts
+    at most it.  The memo lives for one call."""
+
+    @lru_cache(maxsize=None)
+    def bounded(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
+        if n == 0:
+            return ((),)
+        return tuple(
+            (first,) + rest for first in range(min(n, max_part), 0, -1) for rest in bounded(n - first, first)
+        )
+
+    return [bounded(n, n) for n in range(max_n + 1)]
+
+
+def test_partitions_follow_the_recursive_definition():
+    # Every golden digest reads this order.
+    for n, want in enumerate(partitions_recursive(40)):
+        assert young.partitions(n) == want, n
 
 
 def test_partitions_of_four_reverse_lex():
@@ -557,11 +581,7 @@ def test_identities_fail_on_a_wrong_hook_product(monkeypatch):
     # of the three diagrams it is removable from, and Burnside at n = 4.
     true_hook_product = young.hook_product
     monkeypatch.setattr(young, "hook_product", lambda lam: true_hook_product(lam) * (2 if lam == (3, 1) else 1))
-    young._dim.cache_clear()
-    try:
-        report = young.identities_report(6)
-    finally:
-        young._dim.cache_clear()
+    report = young.identities_report(6)
     assert not report["pass"]
     assert report["branching_failures"] == [
         {"n": 4, "lambda": [3, 1]},
@@ -607,3 +627,57 @@ def test_identities_report_small():
     assert report["pass"]
     assert report["ratio_checked"] > 0
     assert not report["branching_failures"]
+
+
+def _count_hook_products(monkeypatch) -> list[int]:
+    """Patch young.hook_product to count its calls in the returned cell."""
+    calls = [0]
+    true_hook_product = young.hook_product
+
+    def counted(lam):
+        calls[0] += 1
+        return true_hook_product(lam)
+
+    monkeypatch.setattr(young, "hook_product", counted)
+    return calls
+
+
+def test_identities_take_one_hook_product_per_diagram_and_keep_none(monkeypatch):
+    # Every dimension of the sweep comes from the hook formula once: the sum
+    # of p(n) over n = 0..30 hook products, and a sweep that rebuilt a table
+    # would take more.  Past the call it keeps no diagram: about 1,000
+    # allocated blocks stay (the report and the character memo), where the
+    # old partition and dimension caches kept 115,000 (9.9 MB traced).  A
+    # full collection empties the interpreter's free lists, which keep freed
+    # tuples.  The blocks are counted, not traced: a traced 30-sweep takes
+    # eight times as long.
+    calls = _count_hook_products(monkeypatch)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    report = young.identities_report(30)
+    gc.collect()
+    retained = sys.getallocatedblocks() - before
+    assert report["pass"]
+    assert calls[0] == sum(partition_count_pentagonal(n) for n in range(31)) == 28629
+    assert retained < 5000, retained
+    assert young._tables.get() == {}
+
+
+def test_identities_drop_their_tables_when_a_check_raises(monkeypatch):
+    def broken(lam):
+        raise ArithmeticError(lam)
+
+    monkeypatch.setattr(young, "eigenvalue_m", broken)
+    with pytest.raises(ArithmeticError):
+        young.identities_report(5)
+    assert young._tables.get() == {}
+
+
+@pytest.mark.parametrize("lam", [(40,), (9, 8, 7, 6, 5, 3, 1, 1)])
+def test_dim_outside_the_sweep_takes_one_hook_product(lam, monkeypatch):
+    # No table is built for one dimension, where p(40) = 37338 diagrams.
+    true_hook_product = young.hook_product
+    calls = _count_hook_products(monkeypatch)
+    assert young.dim(lam) == factorial(40) // true_hook_product(lam)
+    assert calls[0] == 1
+    assert young._tables.get() == {}
