@@ -31,18 +31,6 @@ from perminv import __version__, attacks, querysim, regrep, young
 SCHEMA_VERSION = "1"
 
 
-def _at_least(flag: str, value: int, low: int) -> None:
-    """Usage check on one numeric flag; a ValueError exits 2 with the message."""
-    if value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
-
-
-def _at_most(flag: str, value: int, high: int) -> None:
-    """Upper-bound usage check on one numeric flag, as _at_least."""
-    if value > high:
-        raise ValueError(f"{flag} must be <= {high}, got {value}")
-
-
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -98,7 +86,7 @@ def _emit(args, report: dict, passed: bool, csv_text: str | None = None) -> int:
     config = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func",) and v is not None
+        if k not in ("func", "ranges") and v is not None
     }
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -123,31 +111,11 @@ def _emit(args, report: dict, passed: bool, csv_text: str | None = None) -> int:
 # Subcommand handlers.
 
 
-# The largest sizes the young modes enumerate: each finishes in under 10 s
-# and 600 MB on a 2-core host at its bound (branching --n 40: 5.9 s,
-# 540 MB; characters --n 20: 6.0-9.0 s on a loaded host, 258 MB), while
-# branching --n 50 runs out of 3 GB and characters --n 24 takes 52 s.
-_YOUNG_MAX_N = 40
-_CHARACTERS_MAX_N = 20
-
-# grover --t: a round over n items costs about as much as max(n, 2048)
-# items, 3-4 ns each on a 2-core host, so t * max(n, 2048) is held to
-# 2^31, under 10 s and 300 MB at the bound (--n 2^24 --t 128: 6.7 s,
-# 287 MB; --n 2048 --t 2^20: 5.1 s).  Past querysim.DEFAULT_BUDGET items
-# grover_invert refuses --n itself.
-_GROVER_WORK = 1 << 31
-_GROVER_ROUND = 2048
-
-
 def cmd_young(args) -> int:
     mode = args.mode
     if mode == "identities":
-        _at_least("--max-n", args.max_n, 1)
-        _at_most("--max-n", args.max_n, _YOUNG_MAX_N)
         report = young.identities_report(args.max_n)
         return _emit(args, report, report["pass"])
-    _at_least("--n", args.n, 1)
-    _at_most("--n", args.n, _CHARACTERS_MAX_N if mode == "characters" else _YOUNG_MAX_N)
     n = args.n
     lams = young.partitions(n)
     if mode == "dims":
@@ -193,11 +161,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_avgbound(args) -> int:
-    _at_least("--samples", args.samples, 1)
-    _at_least("--seed", args.seed, 0)
-    regrep._check_n(args.n)
-    # the draw and its two projections hold 2 * samples * N! floats each
-    _at_most("--samples", args.samples, querysim.DEFAULT_BUDGET // (2 * factorial(args.n)))
     report = regrep.avg_bound_check(args.n, args.k, samples=args.samples, seed=args.seed)
     return _emit(args, _fields(report), report.passed)
 
@@ -210,11 +173,6 @@ def cmd_decomp_check(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    _at_least("--programs", args.programs, 1)
-    _at_least("--p", args.p, 0)
-    _at_least("--t", args.t, 0)
-    _at_least("--w", args.w, 1)
-    _at_least("--seed", args.seed, 0)
     runs = []
     ok = True
     worst_support = 0.0
@@ -246,10 +204,6 @@ def cmd_lemma_check(args) -> int:
 
 
 def cmd_game(args) -> int:
-    _at_least("--p", args.p, 0)
-    _at_least("--t", args.t, 0)
-    _at_least("--w", args.w, 1)
-    _at_least("--seed", args.seed, 0)
     challenge = args.challenge
     if challenge != "all":
         try:
@@ -263,10 +217,6 @@ def cmd_game(args) -> int:
 
 
 def cmd_altgame(args) -> int:
-    _at_least("--t", args.t, 0)
-    _at_least("--g", args.g, 1)
-    _at_least("--adversaries", args.adversaries, 1)
-    _at_least("--seed", args.seed, 0)
     reports = []
     ok = True
     for i in range(args.adversaries):
@@ -279,9 +229,6 @@ def cmd_altgame(args) -> int:
 
 
 def cmd_grover(args) -> int:
-    _at_least("--n", args.n, 2)
-    _at_least("--t", args.t, 0)
-    _at_most("--t", args.t, _GROVER_WORK // min(max(args.n, _GROVER_ROUND), querysim.DEFAULT_BUDGET))
     p_sim, p_formula = querysim.grover_invert(args.n, args.t)
     report: dict = {
         "n": args.n,
@@ -308,16 +255,7 @@ def cmd_grover(args) -> int:
 
 
 def cmd_hellman(args) -> int:
-    _at_least("--log-n", args.log_n, 0)
-    _at_most("--log-n", args.log_n, 20)  # attacks.tradeoff_sweep's cap, checked before the shift
-    _at_least("--trials", args.trials, 1)
-    _at_least("--seed", args.seed, 0)
-    if args.sample is not None:
-        _at_least("--sample", args.sample, 1)
     t_values = args.t or [64]
-    for t in t_values:
-        _at_least("--t", t, 1)
-        _at_most("--t", t, 2**31 - 1)  # the walk compares it with int32 cycle lengths
     n = 1 << args.log_n
     rows = attacks.tradeoff_sweep(
         n, t_values, trials=args.trials, seed=args.seed, sample_targets=args.sample
@@ -332,6 +270,50 @@ def cmd_hellman(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The range of each integer flag, declared per subcommand in check order:
+# main refuses a value outside [low, high] before --out is opened and before
+# any work.  A callable high reads the flags checked before it.  Each count
+# loops over whole runs, so it is held where a run at its bound still ends
+# in minutes on a 2-core host.
+
+# The largest sizes the young modes enumerate: each finishes in under 10 s
+# and 600 MB on a 2-core host at its bound (branching --n 40: 5.9 s,
+# 540 MB; characters --n 20: 6.0-9.0 s on a loaded host, 258 MB), while
+# branching --n 50 runs out of 3 GB and characters --n 24 takes 52 s.
+_YOUNG_MAX_N = 40
+_CHARACTERS_MAX_N = 20
+
+# grover --t: a round over n items costs about as much as max(n, 2048)
+# items, 3-4 ns each on a 2-core host, so t * max(n, 2048) is held to
+# 2^31, under 10 s and 300 MB at the bound (--n 2^24 --t 128: 6.7 s,
+# 287 MB; --n 2048 --t 2^20: 5.1 s).  --n is held to the search
+# register's budget, querysim.DEFAULT_BUDGET items.
+_GROVER_WORK = 1 << 31
+_GROVER_ROUND = 2048
+
+# One drawn and played program per count: 0.27 s each at
+# --n 5 --p 1 --t 2 --w 8, so about 70 s at the bound; 1.4 ms at --n 3.
+_MAX_PROGRAMS = 256
+# One built and played adversary per count: 0.4 s each at --n 6 --t 1 (the
+# default 10 take 4.1 s), so about 100 s at the bound.
+_MAX_ADVERSARIES = 256
+# altgame --t: oracle calls in each adversary; at --n 6 --t 100 one
+# adversary takes 8.4 s and 136 MB.
+_ALTGAME_MAX_T = 100
+# altgame --g: 16 ms a round at --n 6, 16 s for one adversary at the
+# bound, where its survival mass reads about 1e-250; at --n 4 the mass
+# underflows to 0 near round 2400, and the monotone check then fails.
+_MAX_ROUNDS = 1000
+# One drawn and walked permutation per trial: 0.7 s each at --log-n 20
+# with every target, so about 70 s at the bound.
+_MAX_TRIALS = 100
+_HELLMAN_MAX_LOG_N = 20  # tradeoff_sweep's cap, checked before 2^log_n is formed
+
+_N = (1, regrep._MAX_N)
+# A --p, --t or --w past DEFAULT_BUDGET alone puts a program's unitaries
+# past the budget, so random_program's joint check stays the one that binds.
+_QUERIES = (0, querysim.DEFAULT_BUDGET)
+_WORKSPACE = (1, querysim.DEFAULT_BUDGET)
 
 
 @cache
@@ -344,35 +326,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, func, ranges, seed=True):
         p.add_argument("--format", choices=("json", "csv", "text"), default=None)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
+            ranges = {**ranges, "seed": (0, 2**64 - 1)}
+        p.set_defaults(func=func, ranges=ranges)
 
     p = sub.add_parser("young", help="exact Young-diagram computations and identity sweeps")
     p.add_argument("mode", choices=("dims", "branching", "characters", "eigenvalues", "identities"))
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--max-n", type=int, default=30, dest="max_n")
-    common(p, seed=False)
-    p.set_defaults(func=cmd_young)
+    young_n = (1, lambda a: _CHARACTERS_MAX_N if a.mode == "characters" else _YOUNG_MAX_N)
+    common(p, cmd_young, {"n": young_n, "max_n": (1, _YOUNG_MAX_N)}, seed=False)
 
     p = sub.add_parser("spectrum", help="spectrum of the challenge-averaged operator vs. formula")
     p.add_argument("--n", type=int, required=True)
-    common(p, seed=False)
-    p.set_defaults(func=cmd_spectrum)
+    common(p, cmd_spectrum, {"n": _N}, seed=False)
 
     p = sub.add_parser("avgbound", help="challenge-averaged mass bound on A_k")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
-    common(p)
-    p.set_defaults(func=cmd_avgbound)
+    # the draw and its two projections hold 2 * samples * N! floats each
+    samples = (1, lambda a: querysim.DEFAULT_BUDGET // (2 * factorial(a.n)))
+    common(p, cmd_avgbound, {"n": _N, "k": (0, lambda a: a.n - 1), "samples": samples})
 
     p = sub.add_parser("decomp-check", help="dimension/rank decompositions and challenge relabeling")
     p.add_argument("--n", type=int, required=True)
-    common(p)  # --seed is echoed in config and read by nothing; perfbench's calls pass it
-    p.set_defaults(func=cmd_decomp_check)
+    # --seed is echoed in config and read by nothing; perfbench's calls pass it
+    common(p, cmd_decomp_check, {"n": _N})
 
     p = sub.add_parser("lemma-check", help="query-support and progress inequalities on random programs")
     p.add_argument("--n", type=int, required=True)
@@ -380,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--w", type=int, default=1)
     p.add_argument("--programs", type=int, default=20)
-    common(p)
-    p.set_defaults(func=cmd_lemma_check)
+    program = {"n": _N, "p": _QUERIES, "t": _QUERIES, "w": _WORKSPACE}
+    common(p, cmd_lemma_check, {**program, "programs": (1, _MAX_PROGRAMS)})
 
     p = sub.add_parser("game", help="run one seeded bit-fixing game and report the transcript")
     p.add_argument("--n", type=int, required=True)
@@ -389,31 +373,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--w", type=int, default=1)
     p.add_argument("--challenge", default="all")
-    common(p)
-    p.set_defaults(func=cmd_game)
+    common(p, cmd_game, program)
 
     p = sub.add_parser("altgame", help="alternating-measurement game vs. its spectral formula")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--g", type=int, default=2)
     p.add_argument("--adversaries", type=int, default=10)
-    common(p)
-    p.set_defaults(func=cmd_altgame)
+    ranges = {"n": _N, "t": (0, _ALTGAME_MAX_T), "g": (1, _MAX_ROUNDS), "adversaries": (1, _MAX_ADVERSARIES)}
+    common(p, cmd_altgame, ranges)
 
     p = sub.add_parser("grover", help="amplitude amplification vs. the closed form")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--t", type=int, default=10)
     p.add_argument("--grid", action="store_true", help="also run the (n, t) grid and scaling fit")
-    common(p, seed=False)
-    p.set_defaults(func=cmd_grover)
+    rounds = (0, lambda a: _GROVER_WORK // max(a.n, _GROVER_ROUND))
+    common(p, cmd_grover, {"n": (2, querysim.DEFAULT_BUDGET), "t": rounds}, seed=False)
 
     p = sub.add_parser("hellman", help="cycle-walking table build and tradeoff sweep")
     p.add_argument("--log-n", type=int, default=12, dest="log_n")
     p.add_argument("--t", type=int, action="append", help="spacing; repeat for a sweep")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--sample", type=int, default=None, help="invert only this many seeded targets")
-    common(p)
-    p.set_defaults(func=cmd_hellman)
+    # --t is compared with int32 cycle lengths; a --sample of 2^log_n or
+    # more inverts every target.
+    ranges = {"log_n": (0, _HELLMAN_MAX_LOG_N), "t": (1, 2**31 - 1), "trials": (1, _MAX_TRIALS)}
+    common(p, cmd_hellman, {**ranges, "sample": (1, 1 << _HELLMAN_MAX_LOG_N)})
 
     return parser
 
@@ -424,10 +409,17 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = "csv" if args.command == "hellman" else "json"
     # Usage errors found before any work; --out is opened here, as a shell
-    # redirection would be.
+    # redirection would be, after every flag is in its range.
     try:
         if args.format == "csv" and args.command != "hellman":
             raise ValueError("csv output is only available for the hellman subcommand")
+        for dest, (low, high) in args.ranges.items():
+            high = high(args) if callable(high) else high
+            value = getattr(args, dest)  # a list for an appended flag
+            for v in value if isinstance(value, list) else [value]:
+                if v is not None and not low <= v <= high:
+                    side, bound = (">=", low) if v < low else ("<=", high)
+                    raise ValueError(f"--{dest.replace('_', '-')} must be {side} {bound}, got {v}")
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, schema, determinism, output routing."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -10,6 +11,8 @@ from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from perminv import attacks, cli, querysim, regrep, young
 
@@ -685,6 +688,20 @@ class _Reached(Exception):
         (querysim, "random_query_adversary", ["altgame", "--n", "3", "--seed"], "--seed", -1, 0),
         (regrep, "avg_bound_check", ["avgbound", "--n", "3", "--k", "1", "--seed"], "--seed", -1, 0),
         (attacks, "tradeoff_sweep", ["hellman", "--log-n", "4", "--seed"], "--seed", -1, 0),
+        # Each count loops over whole runs, so 2^63 used to loop for ever.
+        (querysim, "random_program", ["lemma-check", "--n", "3", "--programs"], "--programs", 257, 256),
+        (querysim, "random_query_adversary", ["altgame", "--n", "3", "--adversaries"], "--adversaries", 257, 256),
+        (attacks, "tradeoff_sweep", ["hellman", "--log-n", "4", "--trials"], "--trials", 101, 100),
+        (querysim, "random_query_adversary", ["altgame", "--n", "3", "--t"], "--t", 101, 100),
+        # --g 2^63 used to draw the adversary and then fail in numpy's
+        # "Maximum allowed dimension exceeded".
+        (querysim, "random_query_adversary", ["altgame", "--n", "2", "--g"], "--g", 2**63, 1000),
+        (attacks, "tradeoff_sweep", ["hellman", "--log-n", "4", "--sample"], "--sample", 2**20 + 1, 2**20),
+        (querysim, "random_program", ["game", "--n", "3", "--w"], "--w", 2**24 + 1, 2**24),
+        (querysim, "random_program", ["lemma-check", "--n", "3", "--seed"], "--seed", 2**64, 2**64 - 1),
+        # The library refused these in words that name no flag.
+        (regrep, "avg_bound_check", ["avgbound", "--n", "4", "--k"], "--k", 9, 3),
+        (regrep, "spectrum", ["spectrum", "--n"], "--n", 7, 6),
     ],
     ids=[
         "hellman-t",
@@ -698,6 +715,16 @@ class _Reached(Exception):
         "altgame-seed",
         "avgbound-seed",
         "hellman-seed",
+        "lemma-check-programs",
+        "altgame-adversaries",
+        "hellman-trials",
+        "altgame-t",
+        "altgame-g-2^63",
+        "hellman-sample",
+        "game-w",
+        "lemma-check-seed-2^64",
+        "avgbound-k",
+        "spectrum-n",
     ],
 )
 def test_work_flag_past_its_bound_exits_2(module, work, argv, flag, refused, bound, capsys, monkeypatch):
@@ -719,16 +746,99 @@ def test_work_flag_past_its_bound_exits_2(module, work, argv, flag, refused, bou
         cli.main([*argv, str(bound)])
 
 
+def _subparsers() -> dict:
+    """Each subcommand's parser, read off the CLI's own parser."""
+    (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_integer_flag_has_a_declared_range():
+    for command, parser in _subparsers().items():
+        flags = {a.dest for a in parser._actions if a.type is int}
+        assert flags == set(parser.get_default("ranges")), command
+
+
+_INT_FLAGS = [(c, a) for c, p in _subparsers().items() for a in p._actions if a.type is int]
+
+# Every function that does a subcommand's work, patched to raise: no value
+# tried below allocates, draws or loops.
+_WORK = [
+    (regrep, "spectrum"),
+    (regrep, "avg_bound_check"),
+    (regrep, "decomposition_report"),
+    (querysim, "random_program"),
+    (querysim, "random_query_adversary"),
+    (querysim, "grover_invert"),
+    (attacks, "tradeoff_sweep"),
+    (young, "identities_report"),
+    (young, "partitions"),
+]
+
+
+@pytest.mark.parametrize("command, action", _INT_FLAGS, ids=[f"{c}{a.option_strings[0]}" for c, a in _INT_FLAGS])
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_integer_flag_outside_its_range_exits_2_and_inside_reaches_the_work(command, action, data, capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for module, work in _WORK:
+        monkeypatch.setattr(module, work, reached)
+    parser = _subparsers()[command]
+    ranges = parser.get_default("ranges")
+    # A positional choice drawn, every other flag at its default, and a
+    # required one at the low end of its range.
+    argv = [command]
+    for a in parser._actions:
+        if not a.option_strings and a.choices:
+            argv.append(data.draw(st.sampled_from(a.choices)))
+        elif a.required:
+            argv += [a.option_strings[0], str(ranges[a.dest][0])]
+    flag = action.option_strings[0]
+    low, high = ranges[action.dest]
+    if callable(high):
+        high = high(cli.build_parser().parse_args([*argv, flag, str(low)]))
+    drawn = data.draw(st.integers(low - 2, high + 2), label="value")
+    for value in (-1, 0, 2**31, 2**63, low - 1, low, high, high + 1, drawn):
+        if low <= value <= high:
+            with pytest.raises(_Reached):
+                cli.main([*argv, flag, str(value)])
+            continue
+        code = cli.main([*argv, flag, str(value)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        side, bound = (">=", low) if value < low else ("<=", high)
+        assert captured.err == f"error: {flag} must be {side} {bound}, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hellman", "--log-n", "99"], ["avgbound", "--n", "4", "--k", "9"]],
+)
+def test_refused_flag_leaves_an_existing_out_file_unchanged(argv, tmp_path, capsys):
+    # --out used to be opened, and so emptied, before the handler refused
+    # the flag.
+    out = tmp_path / "report"
+    out.write_bytes(b"n,t\n4096,64\n")
+    code = cli.main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {argv[-2]} must be <= ")
+    assert out.read_bytes() == b"n,t\n4096,64\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["decomp-check", "--n", "0"], ["avgbound", "--n", "0", "--k", "0"]],
 )
 def test_non_positive_n_is_refused_first(argv, capsys):
-    # decomp-check used to crash inside max() and avgbound to blame --k.
+    # decomp-check used to crash inside max() and avgbound to blame --k;
+    # later the library refused it in words that named no flag.
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: n must be a positive integer, got 0\n"
+    assert captured.err == "error: --n must be >= 1, got 0\n"
 
 
 def test_non_integer_challenge_names_the_flag(capsys):
@@ -761,7 +871,7 @@ def test_grover_search_register_over_budget_is_refused(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: search register of 16777217 items exceeds budget 16777216\n"
+    assert captured.err == "error: --n must be <= 16777216, got 16777217\n"
 
 
 def test_altgame_g_refused_before_any_adversary(capsys, monkeypatch):
