@@ -72,7 +72,7 @@ _RULER = 64  # find_cycles walks from every _RULER-th point
 class Cycles:
     """A permutation's cycles laid end to end: cycle i is
     ``order[starts[i] : starts[i] + lens[i]]`` in walking order from its
-    minimum, and the cycles are sorted by their minima."""
+    minimum, and the cycles come in the order :func:`_chain` numbers them."""
 
     order: np.ndarray
     starts: np.ndarray
@@ -148,7 +148,7 @@ def find_cycles(perm) -> Cycles:
     del after, size
 
     # Each point's cycle and position from its cycle's least segment; rotate
-    # each cycle to its least point and lay the cycles out by that point.
+    # each cycle to its least point and lay the cycles out in turn.
     pos = step  # computed in place
     pos += offset[seg]
     cyc = cycle[seg]
@@ -157,16 +157,13 @@ def find_cycles(perm) -> Cycles:
     np.minimum.at(least, cyc, np.arange(n, dtype=np.int32))
     pos -= pos[least][cyc]
     pos %= lens[cyc]
-    by_min = np.argsort(least)
     starts = np.zeros(lens.size, dtype=np.int32)
-    np.cumsum(lens[by_min][:-1], out=starts[1:])
-    first = np.empty_like(starts)
-    first[by_min] = starts
-    pos += first[cyc]
+    np.cumsum(lens[:-1], out=starts[1:])
+    pos += starts[cyc]
     del cyc
     order = np.empty(n, dtype=np.int32)
     order[pos] = np.arange(n, dtype=np.int32)
-    return Cycles(order=order, starts=starts, lens=lens[by_min])
+    return Cycles(order=order, starts=starts, lens=lens)
 
 
 def _chain(after: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -320,22 +317,23 @@ def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
     """Invert every target with a batch walk; returns aggregated stats.
 
     Semantically identical to calling :func:`invert` per challenge (the unit
-    tests pin that equivalence).  The walks step in lockstep, and only the
-    live ones are kept: at step s every live walk makes exactly one query, so
-    a walk that finds its target at step s used s queries, and a walk still
-    live after the cap of 2t + 2 steps used the cap and fails.  Every answer
-    is verified with one uncounted evaluation; for a permutation the success
-    rate is 1.0.  ValueError unless the table has the permutation's size,
-    the permutation has fewer than 2^31 points and the targets are a
-    non-empty 1-D integer array of points in range(n).
+    tests pin that equivalence).  The walks step in lockstep: at step s
+    every live walk makes exactly one query, so a walk that finds its target
+    at step s used s queries, and a walk still live after the cap of 2t + 2
+    steps used the cap and fails.  Every answer is verified with one
+    uncounted evaluation; for a permutation the success rate is 1.0.
+    ValueError unless the table has the permutation's size, the permutation
+    has fewer than 2^31 points and the targets are a non-empty 1-D integer
+    array of points in range(n).
 
     A query is one gather from an int32 copy of perm (the oracle) whose
     bit 31 marks the values that are checkpoints.  The targets are split
     into contiguous parts, one per CPU the process may use, but never so
     many that a part gets fewer than 2^16 targets (one part below 2^17).
     The first part is walked on the calling thread and the others on
-    worker threads (numpy releases the GIL in the gathers and comparisons).  Each part writes only its own targets'
-    results, so the stats do not depend on the split.
+    worker threads (numpy releases the GIL in the gathers and comparisons).
+    Each part writes only its own targets' results, so the stats do not
+    depend on the split.
 
     When the table was derived from this permutation's cycles, each walk
     must spend exactly min(t, length of the target's cycle) queries, and
@@ -357,9 +355,7 @@ def measure_all(perm, table: HellmanTable, targets=None) -> AttackStats:
 
 def _as_targets(targets, n: int) -> np.ndarray:
     """The targets as int32, every point of range(n) when None; ValueError
-    unless n < 2^31 and they are a non-empty 1-D integer array in range(n)."""
-    if n >= 1 << 31:
-        raise ValueError(f"the walk packs points into 31 bits; {n} points are too many")
+    unless they are a non-empty 1-D integer array in range(n)."""
     ys = np.arange(n, dtype=np.int32) if targets is None else np.asarray(targets)
     if ys.ndim != 1 or not ys.size or not (
         np.issubdtype(ys.dtype, np.integer) and 0 <= ys.min() and ys.max() < n
@@ -400,18 +396,19 @@ def _walk_all(perm: np.ndarray, table: HellmanTable, ys: np.ndarray, lengths) ->
     start = ys.astype(np.intp)
     start[~in_a] = back(ys[~in_a])
 
-    def walk(lo: int, hi: int, f, hit, done, live) -> None:
+    # The per-step arrays: each walk's oracle word, whether it is a
+    # checkpoint, whether the walk finds its target at this step, and whether
+    # it is still live.  They are allocated here, on the calling thread, and
+    # each part writes its own slices through out=, so a worker thread
+    # allocates no array per step and keeps no malloc arena of its own.
+    steps = (np.empty(m, np.int32), np.empty(m, bool), np.empty(m, bool), np.ones(m, bool))
+
+    def walk(lo: int, hi: int) -> None:
         # Walk i has its target y[i], its position cur[i], whether it is in
         # phase A (a[i]) and whether it is still live; a walk that found its
-        # target steps on but records nothing.  The per-step arrays f, hit
-        # and done come from the calling thread and are written through
-        # out=, so a worker thread allocates no array per step.  Walk i is
-        # target lo + i until fewer than half the walks are live; then the
-        # others are dropped, and slot[i] names the target of walk i.  That
-        # allocates, but at most log2(hi - lo) times, and never on a random
-        # permutation's own table, where almost every walk takes t steps.
+        # target steps on but records nothing.
         y, cur, a = ys[lo:hi], start[lo:hi], in_a[lo:hi]
-        slot, left = None, hi - lo
+        f, hit, done, live = (x[lo:hi] for x in steps)
         for s in range(1, cap + 1):
             np.take(oracle, cur, out=f, mode="clip")  # "raise" copies f
             np.less(f, 0, out=hit)
@@ -419,28 +416,17 @@ def _walk_all(perm: np.ndarray, table: HellmanTable, ys: np.ndarray, lengths) ->
             np.equal(f, y, out=done)
             done &= live
             if done.any():
-                if slot is None:
-                    np.copyto(answer[lo:hi], cur, where=done)
-                    np.copyto(queries[lo:hi], s, where=done)
-                else:
-                    answer[slot[done]] = cur[done]
-                    queries[slot[done]] = s
+                np.copyto(answer[lo:hi], cur, where=done)
+                np.copyto(queries[lo:hi], s, where=done)
                 live ^= done
+                if not live.any():
+                    break
                 a &= live
-                left = np.count_nonzero(live)
             hit &= a
             if hit.any():
                 f[hit] = back(f[hit])
                 a ^= hit
             np.copyto(cur, f)
-            if 2 * left < live.size:
-                if not left:
-                    break
-                keep = np.flatnonzero(live)
-                slot = keep + lo if slot is None else slot[keep]
-                y, cur, a = y[keep], cur[keep], a[keep]
-                f, hit, done, live = f[:left], hit[:left], done[:left], live[:left]
-                live.fill(True)
 
     # Imported here, not at the top: it adds about 10 ms to the start-up of
     # every command, and only this walk uses it.
@@ -448,16 +434,12 @@ def _walk_all(perm: np.ndarray, table: HellmanTable, ys: np.ndarray, lengths) ->
 
     parts = max(1, min(_usable_cpus(), m // _MIN_PART))
     edges = [m * i // parts for i in range(parts + 1)]
-    jobs = [
-        (lo, hi, np.empty(k, np.int32), np.empty(k, bool), np.empty(k, bool), np.ones(k, bool))
-        for lo, hi, k in zip(edges, edges[1:], np.diff(edges).tolist())
-    ]
     with ThreadPoolExecutor(max(parts - 1, 1)) as pool:
-        rest = [pool.submit(walk, *job) for job in jobs[1:]]
-        walk(*jobs[0])
+        rest = [pool.submit(walk, lo, hi) for lo, hi in zip(edges[1:], edges[2:])]
+        walk(edges[0], edges[1])
         for job in rest:
             job.result()
-    del jobs, start, in_a
+    del steps, start, in_a
 
     if predicted is not None:
         wrong = np.flatnonzero(queries != predicted)

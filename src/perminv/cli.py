@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -103,8 +104,18 @@ def _emit(args, report: dict, passed: bool, csv_text: str | None = None) -> int:
         out_text = _render_text(payload) + "\n"
     else:
         out_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _empty_out(args)
     sys.stdout.write(out_text)
     return 0 if passed else 1
+
+
+def _empty_out(args) -> None:
+    """Empty an --out file that is a regular file, once there is a report to
+    write: main opens it without truncation, so that a refusal leaves it as
+    it was.  A pipe or a device, which cannot be truncated, is written as it
+    comes."""
+    if args.out and os.path.isfile(args.out):
+        sys.stdout.truncate(0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +313,7 @@ _MAX_ADVERSARIES = 256
 _ALTGAME_MAX_T = 100
 # altgame --g: 16 ms a round at --n 6, 16 s for one adversary at the
 # bound, where its survival mass reads about 1e-250; at --n 4 the mass
-# underflows to 0 near round 2400, and the monotone check then fails.
+# underflows near round 2400, and the conditionals stop there.
 _MAX_ROUNDS = 1000
 # One drawn and walked permutation per trial: 0.7 s each at --log-n 20
 # with every target, so about 70 s at the bound.
@@ -409,7 +420,8 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = "csv" if args.command == "hellman" else "json"
     # Usage errors found before any work; --out is opened here, as a shell
-    # redirection would be, after every flag is in its range.
+    # redirection would be, after every flag is in its range, but emptied
+    # only by _empty_out.
     try:
         if args.format == "csv" and args.command != "hellman":
             raise ValueError("csv output is only available for the hellman subcommand")
@@ -420,7 +432,9 @@ def main(argv=None) -> int:
                 if v is not None and not low <= v <= high:
                     side, bound = (">=", low) if v < low else ("<=", high)
                     raise ValueError(f"--{dest.replace('_', '-')} must be {side} {bound}, got {v}")
-        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        out = contextlib.nullcontext(sys.stdout)
+        if args.out:
+            out = open(args.out, "w", opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -433,6 +447,7 @@ def main(argv=None) -> int:
         except ArithmeticError as exc:
             reason = f"{type(exc).__name__}: {exc}"
             if args.format == "csv":  # a CSV row has no field for the reason
+                _empty_out(args)
                 print(f"fail: {reason}", file=sys.stderr)
                 return 1
             return _emit(args, {"reason": reason}, False)

@@ -628,8 +628,11 @@ def alternating_game(
     sims /= len(proj)
     forms /= len(proj)
     disagreement = float(np.abs(sims - forms).max())
+    # A ratio of subnormal masses has lost its digits, and one of 0 reads 0:
+    # a conditional is read only while both masses are normal floats.
+    tiny = np.finfo(float).tiny
     conditionals = [float(forms[0])] + [
-        float(forms[i] / forms[i - 1]) for i in range(1, g) if forms[i - 1] > 0
+        float(forms[i] / forms[i - 1]) for i in range(1, g) if min(forms[i - 1], forms[i]) >= tiny
     ]
     monotone = all(
         conditionals[i + 1] >= conditionals[i] - 1e-9 for i in range(len(conditionals) - 1)

@@ -829,6 +829,43 @@ def test_refused_flag_leaves_an_existing_out_file_unchanged(argv, tmp_path, caps
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["game", "--n", "3", "--challenge", "7"], "error: challenge must be 'all' or in range(3), got 7"),
+        (["game", "--n", "3", "--challenge", "x"], "error: --challenge must be 'all' or an integer, got 'x'"),
+        (["lemma-check", "--n", "6", "--w", "100"], "error: program unitaries hold "),
+    ],
+    ids=["challenge-7", "challenge-x", "budget"],
+)
+def test_refusal_inside_a_handler_leaves_an_existing_out_file_unchanged(argv, err, tmp_path, capsys):
+    # These refusals come from the handlers, after --out is opened.
+    out = tmp_path / "report"
+    out.write_bytes(b"n,t\n4096,64\n")
+    code = cli.main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(err)
+    assert out.read_bytes() == b"n,t\n4096,64\n"
+
+
+def test_out_file_is_replaced_by_the_report_or_emptied_by_a_csv_failure(tmp_path, capsys, monkeypatch):
+    # The file is opened without truncation; a shorter report must still
+    # leave none of the longer file's bytes behind.
+    out = tmp_path / "report"
+    out.write_bytes(b"x" * 100_000)
+    assert cli.main(["grover", "--n", "16", "--t", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"] is True
+
+    def refuse(*args, **kwargs):
+        raise ArithmeticError("walk to 5 spent 9 queries, its cycle type predicts 8")
+
+    monkeypatch.setattr(attacks, "tradeoff_sweep", refuse)
+    assert cli.main(["hellman", "--log-n", "8", "--trials", "1", "--out", str(out)]) == 1
+    assert out.read_bytes() == b""
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
     "argv",
     [["decomp-check", "--n", "0"], ["avgbound", "--n", "0", "--k", "0"]],
 )

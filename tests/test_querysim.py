@@ -539,6 +539,19 @@ def test_alternating_game_projector_adversary_is_g_independent():
         assert rep.passed
 
 
+def test_alternating_game_passes_after_its_mass_underflows():
+    # One permutation and two challenges projecting onto (1, 1)/sqrt 2 and
+    # (1, -1)/sqrt 2: the averaged projector is I/2, so the mass after r
+    # rounds is 2^-r, subnormal from round 1023 and 0 past round 1074.
+    plus, minus = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)
+    proj = np.array([[np.outer(plus, plus), np.outer(minus, minus)]], dtype=np.complex128)
+    rep = qs.alternating_game(proj, g=1100)
+    assert rep.formula[-1] < np.finfo(float).tiny
+    assert len(rep.conditionals) < 1100
+    assert np.allclose(rep.conditionals[1:], 0.5, rtol=0, atol=1e-9)
+    assert rep.monotone and rep.passed
+
+
 def test_alternating_game_simulation_matches_formula():
     for seed in range(3):
         adv = qs.random_query_adversary(3, 1, seed=seed)
