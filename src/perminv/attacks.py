@@ -212,8 +212,6 @@ class HellmanTable:
     n: int
     t: int
     entries: dict[int, int]
-    cycle_count: int
-    long_cycles: int  # cycles longer than t (the ones that got checkpoints)
     # The decomposition the table was derived from; measure_all predicts
     # each walk's query count from it.
     cycles: Cycles | None = field(default=None, compare=False, repr=False)
@@ -249,14 +247,7 @@ def _derive_table(t: int, cycles: Cycles) -> HellmanTable:
     for s, ell in zip(cycles.starts[long].tolist(), cycles.lens[long].tolist()):
         pos = np.arange(0, ell, t)
         entries.update(zip(order[s + pos].tolist(), order[s + (pos - t) % ell].tolist()))
-    return HellmanTable(
-        n=order.size,
-        t=t,
-        entries=entries,
-        cycle_count=cycles.lens.size,
-        long_cycles=int(long.sum()),
-        cycles=cycles,
-    )
+    return HellmanTable(n=order.size, t=t, entries=entries, cycles=cycles)
 
 
 def invert(table: HellmanTable, oracle: OracleCounter, y: int) -> int:

@@ -25,6 +25,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain, islice
 from math import factorial
 
 from perminv import __version__, attacks, querysim, regrep, young
@@ -98,14 +99,18 @@ def _emit(args, report: dict, passed: bool, csv_text: str | None = None) -> int:
         "pass": passed,
     }
     if args.format == "csv":
-        out_text = csv_text
+        chunks = iter([csv_text])
         print(f"# config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
     elif args.format == "text":
-        out_text = _render_text(payload) + "\n"
+        chunks = iter([_render_text(payload) + "\n"])
     else:
-        out_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # JSON is written in batches of the encoder's chunks: json.dumps
+        # joins a list of every chunk, which took branching --n 40, a 65 MB
+        # report, to 526 MB (124 MB in batches).
+        chunks = chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload), "\n")
     _empty_out(args)
-    sys.stdout.write(out_text)
+    while batch := "".join(islice(chunks, 1 << 14)):
+        sys.stdout.write(batch)
     return 0 if passed else 1
 
 
@@ -128,24 +133,23 @@ def cmd_young(args) -> int:
         report = young.identities_report(args.max_n)
         return _emit(args, report, report["pass"])
     n = args.n
-    lams = young.partitions(n)
     if mode == "dims":
-        dims = [young.dim(l) for l in lams]
-        rows = [{"lambda": list(l), "dim": d} for l, d in zip(lams, dims)]
-        report = {"n": n, "dims": rows, "sum_of_squares": sum(d * d for d in dims)}
+        table = young.dimension_table(n)
+        rows = [{"lambda": list(l), "dim": d} for l, d in table.items()]
+        report = {"n": n, "dims": rows, "sum_of_squares": sum(d * d for d in table.values())}
         return _emit(args, report, report["sum_of_squares"] == young.factorial(n))
     if mode == "branching":
         rows = []
         ok = True
-        below = {mu: young.dim(mu) for mu in young.partitions(n - 1)}  # one hook product each
-        for lam in lams:
-            d = young.dim(lam)
+        below = young.dimension_table(n - 1)
+        for lam, d in young.dimension_table(n).items():
             parts = [{"mu": list(m), "dim": below[m]} for m in young.removable(lam)]
             total = sum(p["dim"] for p in parts)
             good = total == d
             ok &= good
             rows.append({"lambda": list(lam), "dim": d, "branch_sum": total, "children": parts, "ok": good})
         return _emit(args, {"n": n, "branching": rows}, ok)
+    lams = young.partitions(n)
     if mode == "characters":
         # Each printed row must have norm n! (sum over classes of |C| chi^2)
         # and its value at the identity class, the last, must be the
@@ -288,9 +292,9 @@ def cmd_hellman(args) -> int:
 # in minutes on a 2-core host.
 
 # The largest sizes the young modes enumerate: each finishes in under 10 s
-# and 600 MB on a 2-core host at its bound (branching --n 40: 5.9 s,
-# 540 MB; characters --n 20: 6.0-9.0 s on a loaded host, 258 MB), while
-# branching --n 50 runs out of 3 GB and characters --n 24 takes 52 s.
+# and 200 MB on a 2-core host at its bound (branching --n 40: 4.1-4.3 s,
+# 124 MB; characters --n 20: 4.2-5.7 s on a loaded host, 137 MB), while
+# branching --n 50 takes 30 s and 616 MB and characters --n 24 takes 52 s.
 _YOUNG_MAX_N = 40
 _CHARACTERS_MAX_N = 20
 

@@ -10,14 +10,16 @@ Rosmanis (2022), reads off it: theta = lam[1:], theta-bar = lam, and
 theta-bar-star = trim_first_row(lam), which drives ``eigenvalue_m``.
 
 No diagram is cached past a call: ``partitions`` generates its diagrams
-afresh, and ``dim`` reads the dimension table of a running
-``identities_report`` or takes one hook product.  Only the character memo
-``_mn`` lives as long as the process.
+afresh, ``dim`` takes one hook product, and ``dimension_table`` one per
+diagram of its size, held by its caller.  ``identities_report`` checks
+its diagrams against its own two tables through ``_eigenvalue`` and
+``_ratio_holds``, the integer cores of ``eigenvalue_m`` and
+``ratio_bound_check``.  Only the character memo ``_mn`` lives as long as
+the process.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, starmap
@@ -27,20 +29,15 @@ from operator import sub
 Partition = tuple[int, ...]
 
 
-def is_partition(parts) -> bool:
-    """True if *parts* is a weakly decreasing sequence of positive ints."""
+def check_partition(parts) -> Partition:
+    """*parts*, any iterable, as a tuple; ValueError unless it is a weakly
+    decreasing sequence of positive ints."""
+    parts = tuple(parts)
     prev = None
     for p in parts:
         if not isinstance(p, int) or p < 1 or (prev is not None and p > prev):
-            return False
+            raise ValueError(f"not a partition: {parts!r}")
         prev = p
-    return True
-
-
-def check_partition(parts) -> Partition:
-    parts = tuple(parts)
-    if not is_partition(parts):
-        raise ValueError(f"not a partition: {parts!r}")
     return parts
 
 
@@ -100,29 +97,21 @@ def hook_product(lam: Partition) -> int:
     return prod(map(factorial, h)) // prod(starmap(sub, combinations(h, 2)))
 
 
-# The dimension tables of the identities_report running in this context
-# (thread), by size: sizes n - 1 and n while it checks the diagrams of n.
-# The default, no table, is never written to.
-_tables: ContextVar[dict[int, dict[Partition, int]]] = ContextVar("young_tables", default={})
-
-
 def dim(lam: Partition) -> int:
     """Dimension of the irreducible S_n module for lam, n = size(lam).
 
     Hook length formula: n! divided by the product of all hook lengths (any
-    sequence of parts is accepted).  dim(()) == 1.  Read off the table of
-    the running identities_report when it holds lam's size, else one hook
-    product; no table is built here.
+    sequence of parts is accepted).  dim(()) == 1.
     """
     lam = tuple(lam)
-    n = size(lam)
-    d = _tables.get().get(n, {}).get(lam)
-    return factorial(n) // hook_product(lam) if d is None else d
+    return factorial(size(lam)) // hook_product(lam)
 
 
-def _dimension_table(n: int) -> dict[Partition, int]:
-    """Every diagram of n and its dimension, one hook product each."""
-    return {lam: factorial(n) // hook_product(lam) for lam in partitions(n)}
+def dimension_table(n: int) -> dict[Partition, int]:
+    """Every diagram of n, in partitions(n) order, and its dimension, one
+    hook product each."""
+    f = factorial(n)
+    return {lam: f // hook_product(lam) for lam in partitions(n)}
 
 
 def removable(lam: Partition) -> list[Partition]:
@@ -162,13 +151,15 @@ def eigenvalue_m(lam: Partition) -> Fraction:
     n * (1 - dim(trim_first_row(lam)) / dim(lam)) for n = size(lam), or
     exactly n when the trimmed diagram does not exist.  Exact rational output.
     """
-    lam = check_partition(lam) if lam else ()
-    n = size(lam)
+    lam = check_partition(lam)
     trimmed = trim_first_row(lam)
-    if trimmed is None:
-        return Fraction(n)
-    d = dim(lam)
-    return Fraction(n * (d - dim(trimmed)), d)
+    return _eigenvalue(size(lam), dim(lam), 0 if trimmed is None else dim(trimmed))
+
+
+def _eigenvalue(n: int, d: int, d_trimmed: int) -> Fraction:
+    """n (1 - d_trimmed / d): n itself when no trimmed diagram exists
+    (d_trimmed = 0)."""
+    return Fraction(n * (d - d_trimmed), d)
 
 
 def ratio_bound_check(lam: Partition) -> tuple[Fraction, Fraction, bool]:
@@ -185,8 +176,12 @@ def ratio_bound_check(lam: Partition) -> tuple[Fraction, Fraction, bool]:
     if trimmed is None:
         raise ValueError(f"trim_first_row({lam}) is not a valid diagram")
     d_trimmed, d = dim(trimmed), dim(lam)
-    holds = n * d_trimmed >= (n - 2 * k) * d
-    return Fraction(d_trimmed, d), Fraction(n - 2 * k, n), holds
+    return Fraction(d_trimmed, d), Fraction(n - 2 * k, n), _ratio_holds(n, k, d, d_trimmed)
+
+
+def _ratio_holds(n: int, k: int, d: int, d_trimmed: int) -> bool:
+    """d_trimmed / d >= (n - 2k) / n, in integers."""
+    return n * d_trimmed >= (n - 2 * k) * d
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +219,10 @@ def conjugacy_class_size(cycles: Partition) -> int:
 
 def character(lam: Partition, cycles: Partition) -> int:
     """Irreducible character of S_n at the class with the given cycle type."""
-    lam = check_partition(lam) if lam else ()
-    cycles = check_partition(cycles) if cycles else ()
+    lam, cycles = check_partition(lam), check_partition(cycles)
     if size(lam) != size(cycles):
         raise ValueError(f"size mismatch: {lam} vs {cycles}")
-    return _mn(lam, tuple(sorted(cycles, reverse=True)))
+    return _mn(lam, cycles)
 
 
 def character_table(n: int) -> tuple[tuple[int, ...], ...]:
@@ -252,8 +246,9 @@ def identities_report(max_n: int) -> dict:
     theta = lam[1:].
 
     Every dimension comes from the hook formula afresh, once per diagram:
-    the tables of sizes n - 1 and n, which dim reads while n is checked,
-    are built by this call and dropped before it returns.
+    the tables of sizes n - 1 and n are held while n is checked, and the
+    checks read them through the integer cores of eigenvalue_m and
+    ratio_bound_check, so no diagram is validated or measured twice.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -263,31 +258,27 @@ def identities_report(max_n: int) -> dict:
     eig_failures = []
     ratio_checked = 0
     eig_checked = 0
-    tables = {0: _dimension_table(0)}
-    token = _tables.set(tables)
-    try:
-        for n in range(1, max_n + 1):
-            below = tables[n - 1]
-            tables[n] = table = _dimension_table(n)
-            total = 0
-            for lam, d in table.items():
-                total += d * d
-                if d != sum(below[mu] for mu in removable(lam)):
-                    branching_failures.append({"n": n, "lambda": list(lam)})
-                k = level(lam)
-                if 2 * k <= n and trim_first_row(lam) is not None:
-                    ratio_checked += 1
-                    _, _, holds = ratio_bound_check(lam)
-                    if not holds:
-                        ratio_failures.append({"n": n, "theta": list(lam[1:])})
-                eig_checked += 1
-                if eigenvalue_m(lam) > 2 * k:
-                    eig_failures.append({"n": n, "theta": list(lam[1:])})
-            if total != factorial(n):
-                burnside_failures.append({"n": n, "sum": total})
-            del tables[n - 1]
-    finally:
-        _tables.reset(token)
+    table = dimension_table(0)
+    for n in range(1, max_n + 1):
+        below = table  # size n - 1; size n - 2 is dropped here
+        table = dimension_table(n)
+        total = 0
+        for lam, d in table.items():
+            total += d * d
+            if d != sum(below[mu] for mu in removable(lam)):
+                branching_failures.append({"n": n, "lambda": list(lam)})
+            k = level(lam)
+            trimmed = trim_first_row(lam)
+            d_trimmed = 0 if trimmed is None else below[trimmed]
+            if 2 * k <= n and trimmed is not None:
+                ratio_checked += 1
+                if not _ratio_holds(n, k, d, d_trimmed):
+                    ratio_failures.append({"n": n, "theta": list(lam[1:])})
+            eig_checked += 1
+            if _eigenvalue(n, d, d_trimmed) > 2 * k:
+                eig_failures.append({"n": n, "theta": list(lam[1:])})
+        if total != factorial(n):
+            burnside_failures.append({"n": n, "sum": total})
     char_max_n = 8
     orth_failures = []
     for n in range(1, char_max_n + 1):

@@ -180,6 +180,32 @@ def test_failing_report_exits_1(capsys):
     assert code == 1
 
 
+def test_json_is_written_in_batches_with_the_bytes_of_dumps(capsys):
+    # 40,000 rows give the encoder several batches of 2^14 chunks.
+    class FakeArgs:
+        command = "young"
+        format = "json"
+        out = None
+
+    report = {"rows": [{"lambda": [i, 1], "e": f"{i}/3"} for i in range(40000)], "none": None}
+    assert cli._emit(FakeArgs(), report, passed=True) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert payload["report"] == report and len(out) > 1 << 21
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["dims", "branching"])
+def test_young_dims_and_branching_read_one_table_per_size(mode, capsys, monkeypatch):
+    def broken(lam):
+        raise AssertionError(lam)
+
+    monkeypatch.setattr(young, "dim", broken)
+    code, out = run_cli(["young", mode, "--n", "7"], capsys)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_text_format(capsys):
     code, out = run_cli(["young", "dims", "--n", "3", "--format", "text"], capsys)
     assert code == 0

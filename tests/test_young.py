@@ -141,7 +141,7 @@ def test_partitions_unique_and_valid():
         parts = young.partitions(n)
         assert len(set(parts)) == len(parts)
         for lam in parts:
-            assert young.is_partition(lam)
+            assert young.check_partition(lam) == lam
             assert sum(lam) == n
 
 
@@ -154,9 +154,13 @@ def is_partition_two_pass(parts) -> bool:
 
 @settings(deadline=None)
 @given(parts=st.lists(st.one_of(st.integers(-2, 6), st.booleans(), st.floats(0, 6), st.just("1"))))
-def test_is_partition_accepts_what_a_two_pass_check_accepts(parts):
-    assert young.is_partition(parts) == is_partition_two_pass(parts)
-    assert young.is_partition(iter(parts)) == is_partition_two_pass(parts)
+def test_check_partition_accepts_what_a_two_pass_check_accepts(parts):
+    for given in (parts, iter(parts)):
+        if is_partition_two_pass(parts):
+            assert young.check_partition(given) == tuple(parts)
+        else:
+            with pytest.raises(ValueError, match="not a partition"):
+                young.check_partition(given)
 
 
 def test_partitions_negative_raises():
@@ -233,6 +237,13 @@ def test_dim_matches_syt_count_everywhere():
 
 def test_dim_empty():
     assert young.dim(()) == 1
+
+
+def test_dimension_table_is_dim_in_partitions_order():
+    for n in range(0, 16):
+        table = young.dimension_table(n)
+        assert tuple(table) == young.partitions(n)
+        assert list(table.values()) == [young.dim(lam) for lam in table]
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +606,14 @@ def test_identities_fail_on_a_wrong_hook_product(monkeypatch):
 
 
 def test_identities_fail_on_a_wrong_eigenvalue(monkeypatch):
-    # The sweep checks young.eigenvalue_m itself, the function regrep reads:
-    # e = 1 on the trivial diagram of n = 4, level 0, breaks e <= 2k there.
-    true_eigenvalue_m = young.eigenvalue_m
-    monkeypatch.setattr(young, "eigenvalue_m", lambda lam: true_eigenvalue_m(lam) + (lam == (4,)))
+    # The sweep checks the core of young.eigenvalue_m, the function regrep
+    # reads: e = 1 on the trivial diagram of n = 4 (d = d_trimmed = 1, the
+    # only one of n = 4), level 0, breaks e <= 2k there.
+    true_eigenvalue = young._eigenvalue
+    monkeypatch.setattr(
+        young, "_eigenvalue", lambda n, d, d_trimmed: true_eigenvalue(n, d, d_trimmed) + (n == 4 and d == d_trimmed)
+    )
+    assert young.eigenvalue_m((4,)) == 1
     report = young.identities_report(6)
     assert not report["pass"]
     assert report["eigenvalue_failures"] == [{"n": 4, "theta": []}]
@@ -607,14 +622,13 @@ def test_identities_fail_on_a_wrong_eigenvalue(monkeypatch):
 
 
 def test_identities_fail_on_a_wrong_ratio_verdict(monkeypatch):
-    # The sweep takes holds from young.ratio_bound_check itself.
-    true_check = young.ratio_bound_check
-
-    def check(lam):
-        ratio, bound, holds = true_check(lam)
-        return ratio, bound, holds and lam != (3, 1)
-
-    monkeypatch.setattr(young, "ratio_bound_check", check)
+    # The sweep takes holds from the core of young.ratio_bound_check; (3, 1)
+    # is the one diagram of n = 4 at level 1.
+    true_holds = young._ratio_holds
+    monkeypatch.setattr(
+        young, "_ratio_holds", lambda n, k, d, d_trimmed: true_holds(n, k, d, d_trimmed) and (n, k) != (4, 1)
+    )
+    assert young.ratio_bound_check((3, 1))[2] is False
     report = young.identities_report(6)
     assert not report["pass"]
     assert report["ratio_failures"] == [{"n": 4, "theta": [1]}]
@@ -660,17 +674,19 @@ def test_identities_take_one_hook_product_per_diagram_and_keep_none(monkeypatch)
     assert report["pass"]
     assert calls[0] == sum(partition_count_pentagonal(n) for n in range(31)) == 28629
     assert retained < 5000, retained
-    assert young._tables.get() == {}
 
 
-def test_identities_drop_their_tables_when_a_check_raises(monkeypatch):
-    def broken(lam):
-        raise ArithmeticError(lam)
+def test_identities_neither_validate_nor_measure_a_diagram_again(monkeypatch):
+    # The sweep reads its own dimension tables through the integer cores, so
+    # none of the per-diagram public functions is called.
+    def broken(*args):
+        raise AssertionError(args)
 
-    monkeypatch.setattr(young, "eigenvalue_m", broken)
-    with pytest.raises(ArithmeticError):
-        young.identities_report(5)
-    assert young._tables.get() == {}
+    for name in ("check_partition", "dim", "eigenvalue_m", "ratio_bound_check"):
+        monkeypatch.setattr(young, name, broken)
+    report = young.identities_report(12)
+    assert report["pass"]
+    assert report["eigenvalue_checked"] == sum(partition_count_pentagonal(n) for n in range(1, 13))
 
 
 @pytest.mark.parametrize("lam", [(40,), (9, 8, 7, 6, 5, 3, 1, 1)])
@@ -680,4 +696,3 @@ def test_dim_outside_the_sweep_takes_one_hook_product(lam, monkeypatch):
     calls = _count_hook_products(monkeypatch)
     assert young.dim(lam) == factorial(40) // true_hook_product(lam)
     assert calls[0] == 1
-    assert young._tables.get() == {}
